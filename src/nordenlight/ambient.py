@@ -37,6 +37,8 @@ from .exact import (
     DenseTensor,
     Matrix,
     Vector,
+    bilinear,
+    bilinear_map,
     format_rational,
     mat,
     mat_inverse,
@@ -81,21 +83,7 @@ class LieAlgebraSpec:
         object.__setattr__(self, "_nested", self.brackets.nested())
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
-        c = self._nested
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                uv = u[i] * v[j]
-                row = c[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += uv * row[k]
-        return tuple(out)
+        return bilinear_map(self._nested, u, v)
 
 
 @dataclass(frozen=True)
@@ -109,14 +97,6 @@ class NordenStructure:
 
     def apply_j(self, v: Vector) -> Vector:
         return tuple(sum(self.j[q][k] * v[k] for k in range(len(v))) for q in range(len(self.j)))
-
-    def pair(self, u: Vector, v: Vector) -> Fraction:
-        return sum(u[i] * sum(self.g[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
-
-    def pair_assoc(self, u: Vector, v: Vector) -> Fraction:
-        return sum(
-            u[i] * sum(self.g_assoc[i][j] * v[j] for j in range(len(v))) for i in range(len(u))
-        )
 
     def metric(self, which: str) -> Matrix:
         if which == "principal":
@@ -220,7 +200,7 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
         for k in range(i, n):
             ji = tuple(j[q][i] for q in range(n))
             jk = tuple(j[q][k] for q in range(n))
-            val = ns.pair(ji, jk) + g[i][k]
+            val = bilinear(g, ji, jk) + g[i][k]
             if val != 0:
                 w = (i + 1, k + 1)
                 detail = format_rational(val)
@@ -463,18 +443,20 @@ def verify_kaehler_curvature_identity(r04: DenseTensor, ns: NordenStructure) -> 
 # curvature-type tensors and the constant-curvature fit
 
 
-def pi_tensors(ns: NordenStructure) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
-    """The three curvature-type tensors built from the metric and J:
+def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
+    """The three curvature-type tensors built from a metric g and J:
 
         pi1(X,Y,Z,W) = g(Y,Z)g(X,W) - g(X,Z)g(Y,W)
         pi2(X,Y,Z,W) = g(Y,JZ)g(X,JW) - g(X,JZ)g(Y,JW)
         pi3(X,Y,Z,W) = -g(Y,Z)g(X,JW) + g(X,Z)g(Y,JW)
                        - g(X,W)g(Y,JZ) + g(Y,W)g(X,JZ)
+
+    Called with the associated metric it gives the associated-metric
+    counterparts.
     """
-    n = len(ns.g)
-    g = ns.g
+    n = len(g)
     gj = tuple(
-        tuple(sum(g[a][q] * ns.j[q][b] for q in range(n)) for b in range(n)) for a in range(n)
+        tuple(sum(g[a][q] * j[q][b] for q in range(n)) for b in range(n)) for a in range(n)
     )
     pi1 = DenseTensor.from_function(
         (n, n, n, n), lambda i, j, k, l: g[j][k] * g[i][l] - g[i][k] * g[j][l]
@@ -492,35 +474,12 @@ def pi_tensors(ns: NordenStructure) -> tuple[DenseTensor, DenseTensor, DenseTens
     return pi1, pi2, pi3
 
 
-def assoc_pi_tensors(ns: NordenStructure) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
-    """Same three tensors built from the associated metric instead of g."""
-    n = len(ns.g)
-    g = ns.g_assoc
-    gj = tuple(
-        tuple(sum(g[a][q] * ns.j[q][b] for q in range(n)) for b in range(n)) for a in range(n)
-    )
-    p1 = DenseTensor.from_function(
-        (n, n, n, n), lambda i, j, k, l: g[j][k] * g[i][l] - g[i][k] * g[j][l]
-    )
-    p2 = DenseTensor.from_function(
-        (n, n, n, n), lambda i, j, k, l: gj[j][k] * gj[i][l] - gj[i][k] * gj[j][l]
-    )
-    p3 = DenseTensor.from_function(
-        (n, n, n, n),
-        lambda i, j, k, l: -g[j][k] * gj[i][l]
-        + g[i][k] * gj[j][l]
-        - g[i][l] * gj[j][k]
-        + g[j][l] * gj[i][k],
-    )
-    return p1, p2, p3
-
-
 def verify_pi_assoc_relations(
     ns: NordenStructure, pi1: DenseTensor, pi2: DenseTensor, pi3: DenseTensor
 ) -> None:
     """The associated-metric counterparts swap pi1 and pi2 and negate pi3;
     verified componentwise against the definitional construction."""
-    a1, a2, a3 = assoc_pi_tensors(ns)
+    a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
     if a1 != pi2:
         raise InternalInconsistency("associated pi1 does not equal pi2")
     if a2 != pi1:
@@ -676,7 +635,7 @@ def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> Ambient
             f"{format_rational(kaehler.f_table[kaehler.f_witness])}"
         )
     r13, r04 = curvature(spec, gamma, ns)
-    pi1, pi2, pi3 = pi_tensors(ns)
+    pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
     verify_pi_assoc_relations(ns, pi1, pi2, pi3)
     trsc = constant_trsc(r04, pi1, pi2, pi3)
     assoc = associated_curvature(r04, ns, pi1, pi2, pi3, trsc)

@@ -64,16 +64,8 @@ def mat(rows) -> Matrix:
     return tuple(vec(r) for r in rows)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -88,10 +80,6 @@ def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
@@ -104,8 +92,35 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def bilinear(g: Matrix, u: Vector, v: Vector) -> Fraction:
-    """u^T g v for a square coefficient table g."""
-    return sum(u[i] * sum(g[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
+    """u^T g v for a square coefficient table g; zero entries of u are skipped."""
+    return sum(
+        (ui * sum(g[i][j] * v[j] for j in range(len(v))) for i, ui in enumerate(u) if ui != 0),
+        Fraction(0),
+    )
+
+
+def gram(g: Matrix, vectors) -> Matrix:
+    """Gram matrix of the vectors under the bilinear form g."""
+    return tuple(tuple(bilinear(g, u, v) for v in vectors) for u in vectors)
+
+
+def bilinear_map(t, u: Vector, v: Vector) -> Vector:
+    """sum_ij u_i v_j t[i][j] for a nested rank-3 table t (a bracket or a
+    connection table); zero factors are skipped."""
+    n = len(u)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if u[i] == 0:
+            continue
+        for j in range(n):
+            if v[j] == 0:
+                continue
+            f = u[i] * v[j]
+            row = t[i][j]
+            for k in range(n):
+                if row[k] != 0:
+                    out[k] += f * row[k]
+    return tuple(out)
 
 
 def primitive_integer_vector(v: Vector) -> Vector:
@@ -212,9 +227,16 @@ def kernel_basis(m) -> list[Vector]:
     pivots: list[int] = []
     for row in rows:
         _echelon_insert(echelon, pivots, row)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _null_basis(echelon, pivots, ncols)
+
+
+def _null_basis(echelon: list, pivots: list[int], ncols: int) -> list[Vector]:
+    """Null-space basis of a reduced echelon over its first ncols columns,
+    laid out as `kernel_basis` documents."""
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
@@ -251,15 +273,8 @@ def solve_affine(a, b) -> LinearSolution:
     x = [Fraction(0)] * ncols
     for r, p in enumerate(pivots):
         x[p] = echelon[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -echelon[r][f]
-        basis.append(tuple(v))
-    kind = "unique" if not free else "parametric"
+    basis = _null_basis(echelon, pivots, ncols)
+    kind = "unique" if not basis else "parametric"
     return LinearSolution(kind, tuple(x), tuple(basis))
 
 

@@ -31,7 +31,11 @@ from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
     Matrix,
+    ShapeError,
     Vector,
+    bilinear,
+    bilinear_map,
+    gram,
     kernel_basis,
     mat_inverse,
     mat_rank,
@@ -66,6 +70,9 @@ class Classification:
 
 @dataclass(frozen=True)
 class LightlikeFrame:
+    """A lightlike frame. It owns its exact decomposition: ambient vectors
+    split along span + transversal, span coordinates along screen + radical."""
+
     span: tuple[Vector, ...]
     inducing_metric: str
     xi: Vector
@@ -74,6 +81,74 @@ class LightlikeFrame:
     screen: tuple[Vector, ...]
     eta: tuple[Fraction, ...]  # eta(E_a) = <E_a, N> over the span basis
     b: Fraction | None = None
+
+    def _decomposition(self) -> tuple[Matrix, Vector, Matrix]:
+        """(full_inv, xi_span, inner_inv), built on first use and memoized per
+        instance (the memo is not a dataclass field, so equality and repr
+        ignore it and dataclasses.replace starts a fresh one)."""
+        cached = getattr(self, "_decomposition_memo", None)
+        if cached is not None:
+            return cached
+        m = len(self.span)
+        n = len(self.xi)
+        full_cols = list(self.span) + [self.transversal]
+        full = tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n))
+        try:
+            full_inv = mat_inverse(full)
+        except ShapeError as exc:  # singular: span + transversal must frame the algebra
+            raise InternalInconsistency("hypersurface basis and transversal do not frame the algebra") from exc
+        coords = tuple(sum(full_inv[r][q] * self.xi[q] for q in range(n)) for r in range(m + 1))
+        if coords[m] != 0:
+            raise InternalInconsistency("radical section has a transversal component")
+        xi_span = coords[:m]
+        inner_cols = [unit_vector(m, i) for i in self.screen_indices] + [xi_span]
+        inner = tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m))
+        cached = (full_inv, xi_span, mat_inverse(inner))
+        object.__setattr__(self, "_decomposition_memo", cached)
+        return cached
+
+    @property
+    def xi_span(self) -> Vector:
+        """Span coordinates of the radical section."""
+        return self._decomposition()[1]
+
+    def ambient_coords(self, v: Vector) -> Vector:
+        full_inv = self._decomposition()[0]
+        return tuple(
+            sum(full_inv[r][q] * v[q] for q in range(len(v))) for r in range(len(self.span) + 1)
+        )
+
+    def split_tangent(self, v: Vector) -> tuple[Vector, Fraction]:
+        coords = self.ambient_coords(v)
+        return coords[:-1], coords[-1]
+
+    def span_to_ambient(self, coords: Vector) -> Vector:
+        m = len(self.span)
+        return tuple(
+            sum(coords[a] * self.span[a][q] for a in range(m)) for q in range(len(self.xi))
+        )
+
+    def screen_radical_split(self, tm_coords: Vector) -> tuple[Vector, Fraction]:
+        inner_inv = self._decomposition()[2]
+        m = len(self.span)
+        coords = tuple(
+            sum(inner_inv[r][a] * tm_coords[a] for a in range(m)) for r in range(m)
+        )
+        return coords[:-1], coords[-1]
+
+    def screen_coords_to_span(self, screen_coords: Vector) -> Vector:
+        out = [Fraction(0)] * len(self.span)
+        for pos, idx in enumerate(self.screen_indices):
+            out[idx] += screen_coords[pos]
+        return tuple(out)
+
+    def p_project_span(self, a: int) -> Vector:
+        """Span coordinates of the screen projection of the a-th basis field."""
+        xi_span = self.xi_span
+        out = list(unit_vector(len(self.span), a))
+        for q in range(len(self.span)):
+            out[q] -= self.eta[a] * xi_span[q]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -131,10 +206,8 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     metric and is flagged as an engine inconsistency."""
     metric = amb.norden.metric(hs.inducing_metric)
     m = len(hs.span)
-    gram = tuple(
-        tuple(_pair(metric, hs.span[a], hs.span[b]) for b in range(m)) for a in range(m)
-    )
-    kern = kernel_basis(gram)
+    g_ind = gram(metric, hs.span)
+    kern = kernel_basis(g_ind)
     if len(kern) == 0:
         pairing = tuple(
             tuple(sum(w[q] * metric[q][k] for q in range(len(w))) for k in range(len(w)))
@@ -143,7 +216,7 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
         normal = kernel_basis(pairing)
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
-        return Classification("nondegenerate", gram, None, None, primitive_integer_vector(normal[0]))
+        return Classification("nondegenerate", g_ind, None, None, primitive_integer_vector(normal[0]))
     if len(kern) > 1:
         raise InternalInconsistency(
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
@@ -152,7 +225,7 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     ambient = tuple(
         sum(coords[a] * hs.span[a][q] for a in range(m)) for q in range(len(hs.span[0]))
     )
-    return Classification("lightlike", gram, coords, ambient, None)
+    return Classification("lightlike", g_ind, coords, ambient, None)
 
 
 def construct_screen(hs: HypersurfaceSpec, cls: Classification) -> tuple[int, ...]:
@@ -204,21 +277,21 @@ def construct_transversal(
         for w in (hs.span[i] for i in screen_indices)
     )
     complement = kernel_basis(pairing)
-    v = next((cand for cand in complement if _pair(metric, cand, xi) != 0), None)
+    v = next((cand for cand in complement if bilinear(metric, cand, xi) != 0), None)
     if v is None:
         raise InternalInconsistency("no transversal candidate pairs with the radical section")
-    vxi = _pair(metric, v, xi)
-    vv = _pair(metric, v, v)
+    vxi = bilinear(metric, v, xi)
+    vv = bilinear(metric, v, v)
     transversal = vec_scale(vec_sub(v, vec_scale(xi, vv / (2 * vxi))), 1 / vxi)
 
     screen = tuple(hs.span[i] for i in screen_indices)
-    if _pair(metric, transversal, xi) != 1 or _pair(metric, transversal, transversal) != 0:
+    if bilinear(metric, transversal, xi) != 1 or bilinear(metric, transversal, transversal) != 0:
         raise InternalInconsistency("transversal conditions fail on the constructed vector")
     for w in screen:
-        if _pair(metric, transversal, w) != 0:
+        if bilinear(metric, transversal, w) != 0:
             raise InternalInconsistency("transversal is not orthogonal to the screen")
 
-    eta = tuple(_pair(metric, e, transversal) for e in hs.span)
+    eta = tuple(bilinear(metric, e, transversal) for e in hs.span)
     return LightlikeFrame(
         span=hs.span,
         inducing_metric=hs.inducing_metric,
@@ -255,102 +328,6 @@ def radical_transversal_check(frame: LightlikeFrame, amb: AmbientGeometry) -> RT
     return RTCheck(is_rt, b if is_rt else None, holomorphic, j_xi)
 
 
-_FRAME_OPS_CACHE: dict = {}
-
-
-def _frame_ops(frame, amb) -> "_FrameOps":
-    """Identity-keyed cache: the decomposition matrices of a frame are
-    reused across the ops that share the same frame and ambient objects."""
-    key = (id(frame), id(amb))
-    ops = _FRAME_OPS_CACHE.get(key)
-    if ops is not None and ops.frame is frame and ops.amb is amb:
-        return ops
-    ops = _FrameOps(frame, amb)
-    if len(_FRAME_OPS_CACHE) > 64:
-        _FRAME_OPS_CACHE.clear()
-    _FRAME_OPS_CACHE[key] = ops
-    return ops
-
-
-class _FrameOps:
-    """Cached exact decomposition machinery for one lightlike frame."""
-
-    def __init__(self, frame: LightlikeFrame, amb: AmbientGeometry):
-        self.frame = frame
-        self.amb = amb
-        self.metric = amb.norden.metric(frame.inducing_metric)
-        self.m = len(frame.span)
-        n = amb.spec.dim
-        full_cols = list(frame.span) + [frame.transversal]
-        full = tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n))
-        try:
-            self.full_inv = mat_inverse(full)
-        except Exception as exc:  # singular: span + transversal must frame the algebra
-            raise InternalInconsistency("hypersurface basis and transversal do not frame the algebra") from exc
-        coords = self.ambient_coords(frame.xi)
-        if coords[self.m] != 0:
-            raise InternalInconsistency("radical section has a transversal component")
-        self.xi_span: Vector = coords[: self.m]
-        inner_cols = [unit_vector(self.m, i) for i in frame.screen_indices] + [self.xi_span]
-        inner = tuple(tuple(inner_cols[c][r] for c in range(self.m)) for r in range(self.m))
-        self.inner_inv = mat_inverse(inner)
-        self.gamma = amb.gamma.nested()
-
-    def ambient_coords(self, v: Vector) -> Vector:
-        return tuple(
-            sum(self.full_inv[r][q] * v[q] for q in range(len(v))) for r in range(self.m + 1)
-        )
-
-    def split_tangent(self, v: Vector) -> tuple[Vector, Fraction]:
-        coords = self.ambient_coords(v)
-        return coords[: self.m], coords[self.m]
-
-    def span_to_ambient(self, coords: Vector) -> Vector:
-        n = len(self.frame.span[0])
-        return tuple(
-            sum(coords[a] * self.frame.span[a][q] for a in range(self.m)) for q in range(n)
-        )
-
-    def screen_radical_split(self, tm_coords: Vector) -> tuple[Vector, Fraction]:
-        coords = tuple(
-            sum(self.inner_inv[r][a] * tm_coords[a] for a in range(self.m)) for r in range(self.m)
-        )
-        return coords[: self.m - 1], coords[self.m - 1]
-
-    def screen_coords_to_span(self, screen_coords: Vector) -> Vector:
-        out = [Fraction(0)] * self.m
-        for pos, idx in enumerate(self.frame.screen_indices):
-            out[idx] += screen_coords[pos]
-        return tuple(out)
-
-    def nabla(self, u: Vector, v: Vector) -> Vector:
-        """Ambient derivative D_u v of constant-coefficient fields."""
-        n = len(u)
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                row = self.gamma[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
-        return tuple(out)
-
-    def pair(self, u: Vector, v: Vector) -> Fraction:
-        return _pair(self.metric, u, v)
-
-    def p_project_span(self, a: int) -> Vector:
-        """Span coordinates of the screen projection of the a-th basis field."""
-        out = list(unit_vector(self.m, a))
-        for q in range(self.m):
-            out[q] -= self.frame.eta[a] * self.xi_span[q]
-        return tuple(out)
-
-
 def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFundamental:
     """Decompose every ambient derivative of frame fields.
 
@@ -361,8 +338,9 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     extractions must agree and B must be symmetric with B(., xi) = 0; failures
     are engine inconsistencies, not input properties.
     """
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
+    xi_span = frame.xi_span
+    gamma = amb.gamma.nested()
 
     induced = []
     b_rows = []
@@ -370,7 +348,7 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
         gamma_row = []
         b_row = []
         for b in range(m):
-            tm, ncoef = ops.split_tangent(ops.nabla(frame.span[a], frame.span[b]))
+            tm, ncoef = frame.split_tangent(bilinear_map(gamma, frame.span[a], frame.span[b]))
             gamma_row.append(tm)
             b_row.append(ncoef)
         induced.append(gamma_row)
@@ -382,13 +360,13 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
             if b_form[a][b] != b_form[b][a]:
                 raise InternalInconsistency("second fundamental form is not symmetric")
     for a in range(m):
-        if sum(b_form[a][b] * ops.xi_span[b] for b in range(m)) != 0:
+        if sum(b_form[a][b] * xi_span[b] for b in range(m)) != 0:
             raise InternalInconsistency("second fundamental form does not vanish on the radical")
 
     a_n = []
     tau = []
     for a in range(m):
-        tm, ncoef = ops.split_tangent(ops.nabla(frame.span[a], frame.transversal))
+        tm, ncoef = frame.split_tangent(bilinear_map(gamma, frame.span[a], frame.transversal))
         a_n.append(tuple(-x for x in tm))
         tau.append(ncoef)
     tau = tuple(tau)
@@ -396,14 +374,14 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     a_star = []
     for a in range(m):
         d_xi = tuple(
-            sum(ops.xi_span[b] * induced[a][b][q] for b in range(m)) for q in range(m)
+            sum(xi_span[b] * induced[a][b][q] for b in range(m)) for q in range(m)
         )
-        screen_part, xi_coef = ops.screen_radical_split(d_xi)
+        screen_part, xi_coef = frame.screen_radical_split(d_xi)
         if -xi_coef != tau[a]:
             raise InternalInconsistency("tau from the transversal and radical decompositions disagree")
-        a_star.append(ops.screen_coords_to_span(tuple(-x for x in screen_part)))
+        a_star.append(frame.screen_coords_to_span(tuple(-x for x in screen_part)))
     if any(
-        sum(ops.xi_span[a] * a_star[a][q] for a in range(m)) != 0 for q in range(m)
+        sum(xi_span[a] * a_star[a][q] for a in range(m)) != 0 for q in range(m)
     ):
         raise InternalInconsistency("xi-shape operator does not annihilate the radical section")
 
@@ -413,7 +391,7 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
         c_row = []
         ns_row = []
         for pos, idx in enumerate(frame.screen_indices):
-            screen_part, xi_coef = ops.screen_radical_split(induced[a][idx])
+            screen_part, xi_coef = frame.screen_radical_split(induced[a][idx])
             c_row.append(xi_coef)
             ns_row.append(screen_part)
         c_rows.append(tuple(c_row))
@@ -440,35 +418,29 @@ def umbilical_test(
     factor rho means totally umbilical (rho = 0 is totally geodesic); an
     infeasible fit returns the first basis field whose xi-shape image is not
     aligned with its screen projection."""
-    metric = amb.norden.metric(frame.inducing_metric)
+    g_ind = gram(amb.norden.metric(frame.inducing_metric), frame.span)
     m = len(frame.span)
-    rows = []
-    rhs = []
-    for a in range(m):
-        for b in range(m):
-            rows.append((_pair(metric, frame.span[a], frame.span[b]),))
-            rhs.append(sf.b_form[a][b])
-    sol = solve_affine(rows, rhs)
+    rows = [(x,) for row in g_ind for x in row]
+    sol = solve_affine(rows, [x for row in sf.b_form for x in row])
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)
     if sol.kind == "parametric":
         raise InternalInconsistency("induced metric vanished identically on a hypersurface")
-    ops = _frame_ops(frame, amb)
     for a in range(m):
-        p_span = ops.p_project_span(a)
+        p_span = frame.p_project_span(a)
         image = sf.a_star_xi[a]
         cols = list(zip(p_span))
         if solve_affine(cols, list(image)).kind == "infeasible":
-            return UmbilicalResult(False, None, a, ops.span_to_ambient(image))
+            return UmbilicalResult(False, None, a, frame.span_to_ambient(image))
     # images are individually aligned but the factors differ
     factors = []
     for a in range(m):
-        p_span = ops.p_project_span(a)
+        p_span = frame.p_project_span(a)
         pivot = next((q for q, x in enumerate(p_span) if x != 0), None)
         if pivot is not None:
             factors.append((a, sf.a_star_xi[a][pivot] / p_span[pivot]))
     bad = next(a for a, f in factors if f != factors[0][1])
-    return UmbilicalResult(False, None, bad, ops.span_to_ambient(sf.a_star_xi[bad]))
+    return UmbilicalResult(False, None, bad, frame.span_to_ambient(sf.a_star_xi[bad]))
 
 
 def verify_frame_identities(
@@ -485,8 +457,8 @@ def verify_frame_identities(
     here), and, when umbilical, the alignment of the N-shape operator with
     J on the screen. These are theorems; the caller treats any failure as an
     internal inconsistency."""
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
+    xi_span = frame.xi_span
     b = frame.b
     checks: list[Check] = []
 
@@ -494,29 +466,22 @@ def verify_frame_identities(
         checks.append(Check(name, witness is None, witness))
 
     # hoisted tables reused by several identities
-    a_star_amb = tuple(ops.span_to_ambient(v) for v in sf.a_star_xi)
-    a_n_amb = tuple(ops.span_to_ambient(v) for v in sf.a_n)
-    metric = ops.metric
-    n_amb = len(frame.xi)
-    gspan = tuple(
-        tuple(sum(metric[i][j] * e[j] for j in range(n_amb)) for i in range(n_amb))
-        for e in frame.span
-    )
-
-    def pair_span(v, d):
-        return sum(v[i] * gspan[d][i] for i in range(n_amb))
-
-    p_amb = tuple(ops.span_to_ambient(ops.p_project_span(a)) for a in range(m))
+    a_star_amb = tuple(frame.span_to_ambient(v) for v in sf.a_star_xi)
+    a_n_amb = tuple(frame.span_to_ambient(v) for v in sf.a_n)
+    # the metric is symmetric, so pairings with a basis field put the field
+    # first, where bilinear skips its zero entries
+    metric = amb.norden.metric(frame.inducing_metric)
+    p_amb = tuple(frame.span_to_ambient(frame.p_project_span(a)) for a in range(m))
     gm_nested = sf.induced_gamma.nested()
     d_amb = tuple(
-        tuple(ops.span_to_ambient(gm_nested[a][c]) for c in range(m)) for a in range(m)
+        tuple(frame.span_to_ambient(gm_nested[a][c]) for c in range(m)) for a in range(m)
     )
 
     def screen_coords_of(vec_ambient):
-        tm, ncoef = ops.split_tangent(vec_ambient)
+        tm, ncoef = frame.split_tangent(vec_ambient)
         if ncoef != 0:
             return None
-        coords, xi_coef = ops.screen_radical_split(tm)
+        coords, xi_coef = frame.screen_radical_split(tm)
         if xi_coef != 0:
             return None
         return coords
@@ -536,7 +501,7 @@ def verify_frame_identities(
         (
             (a + 1,)
             for a in range(m)
-            if sum(sf.b_form[a][c] * ops.xi_span[c] for c in range(m)) != 0
+            if sum(sf.b_form[a][c] * xi_span[c] for c in range(m)) != 0
         ),
         None,
     )
@@ -545,7 +510,7 @@ def verify_frame_identities(
     w = None
     for a in range(m):
         for c in range(m):
-            if sf.b_form[a][c] != pair_span(a_star_amb[a], c):
+            if sf.b_form[a][c] != bilinear(metric, frame.span[c], a_star_amb[a]):
                 w = (a + 1, c + 1)
                 break
         if w:
@@ -553,7 +518,7 @@ def verify_frame_identities(
     add("b_equals_xi_shape_pairing", w)
 
     w = next(
-        ((a + 1,) for a in range(m) if ops.pair(a_star_amb[a], frame.transversal) != 0),
+        ((a + 1,) for a in range(m) if bilinear(metric, a_star_amb[a], frame.transversal) != 0),
         None,
     )
     add("xi_shape_operator_screen_valued", w)
@@ -561,7 +526,7 @@ def verify_frame_identities(
     w = None
     for a in range(m):
         for pos, idx in enumerate(frame.screen_indices):
-            if sf.c_form[a][pos] != pair_span(a_n_amb[a], idx):
+            if sf.c_form[a][pos] != bilinear(metric, frame.span[idx], a_n_amb[a]):
                 w = (a + 1, pos + 1)
                 break
         if w:
@@ -569,7 +534,7 @@ def verify_frame_identities(
     add("c_equals_transversal_shape_pairing", w)
 
     w = next(
-        ((a + 1,) for a in range(m) if ops.pair(a_n_amb[a], frame.transversal) != 0),
+        ((a + 1,) for a in range(m) if bilinear(metric, a_n_amb[a], frame.transversal) != 0),
         None,
     )
     add("transversal_shape_operator_screen_valued", w)
@@ -579,7 +544,9 @@ def verify_frame_identities(
     for a in range(m):
         for c in range(m):
             for d in range(m):
-                lhs = -pair_span(d_amb[a][c], d) - pair_span(d_amb[a][d], c)
+                lhs = -bilinear(metric, frame.span[d], d_amb[a][c]) - bilinear(
+                    metric, frame.span[c], d_amb[a][d]
+                )
                 rhs = sf.b_form[a][c] * frame.eta[d] + sf.b_form[a][d] * frame.eta[c]
                 if lhs != rhs:
                     w = (a + 1, c + 1, d + 1)
@@ -647,15 +614,8 @@ def verify_frame_identities(
                     row = sf.nabla_star[a][v]
                     for q in range(m - 1):
                         lhs[q] += cv * row[q]
-                lhs_ambient = tuple(
-                    sum(lhs[q] * frame.screen[q][r] for q in range(m - 1))
-                    for r in range(len(frame.transversal))
-                )
-                rhs_screen = sf.nabla_star[a][pos]
-                rhs_vec = tuple(
-                    sum(rhs_screen[q] * frame.screen[q][r] for q in range(m - 1))
-                    for r in range(len(frame.transversal))
-                )
+                lhs_ambient = frame.span_to_ambient(frame.screen_coords_to_span(lhs))
+                rhs_vec = frame.span_to_ambient(frame.screen_coords_to_span(sf.nabla_star[a][pos]))
                 if lhs_ambient != amb.norden.apply_j(rhs_vec):
                     w = (a + 1, pos + 1)
                     break
@@ -702,7 +662,3 @@ def gauge_rescale(
         rho=None if sf.rho is None else c * sf.rho,
     )
     return new_frame, new_sf
-
-
-def _pair(metric: Matrix, u: Vector, v: Vector) -> Fraction:
-    return sum(u[i] * sum(metric[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))

@@ -199,15 +199,13 @@ def _process_hypersurface(
         validate_span(hs, amb)
         out["subalgebra"] = True
 
-        both = {}
-        for which in ("principal", "associated"):
-            cls_w = induce_and_classify(
-                HypersurfaceSpec(hs.span, which, None), amb
-            )
-            both[which] = cls_w.kind
-        out["classification"] = both
+        classes = {
+            which: induce_and_classify(replace(hs, inducing_metric=which), amb)
+            for which in ("principal", "associated")
+        }
+        out["classification"] = {which: c.kind for which, c in classes.items()}
 
-        cls = induce_and_classify(hs, amb)
+        cls = classes[hs.inducing_metric]
         if cls.kind == "nondegenerate":
             out["normal_direction"] = _vector(cls.normal_direction)
             out["normal_note"] = "raw direction vector; no unit normalization is attempted"
@@ -284,21 +282,10 @@ def _process_hypersurface(
         ricci_routes = induced_ricci(r13, sf, frame, amb)
         ricci = ricci_routes.canonical
 
-        metric = amb.norden.g
-        metric_assoc = amb.norden.g_assoc
-        m = len(hs.span)
-        g_ind = tuple(
-            tuple(_restrict(metric, hs.span[a], hs.span[b]) for b in range(m)) for a in range(m)
-        )
-        ga_ind = tuple(
-            tuple(_restrict(metric_assoc, hs.span[a], hs.span[b]) for b in range(m))
-            for a in range(m)
-        )
-
         semi = semi_symmetric_check(r13)
         ricci_semi = ricci_semi_symmetric_check(r13, ricci)
-        locally, _ = locally_symmetric_check(r13, sf.induced_gamma)
-        einstein = almost_einstein_fit(ricci, g_ind, ga_ind)
+        locally = locally_symmetric_check(r13, sf.induced_gamma)
+        einstein = almost_einstein_fit(ricci, classes["principal"].gram, classes["associated"].gram)
         flags = SymmetryFlags(semi, ricci_semi, locally, einstein)
 
         out["induced"] = {
@@ -336,10 +323,6 @@ def _process_hypersurface(
         out["status"] = "internal_inconsistency"
         out["detail"] = str(exc)
         return out, 5
-
-
-def _restrict(metric, u, v) -> Fraction:
-    return sum(u[i] * sum(metric[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 
 def _record_identities(out: dict, checks) -> None:
@@ -405,6 +388,9 @@ def _render_text(report: Report) -> str:
         return "\n".join(lines) + "\n"
 
     amb = d["ambient"]
+    if "basis_labels" not in amb:  # the ambient derivation stopped at an internal inconsistency
+        lines += ["", "[ambient]", amb["detail"], "", f"overall status: {d['status']}"]
+        return "\n".join(lines) + "\n"
     labels = amb["basis_labels"]
     lines.append("")
     lines.append("[ambient]")

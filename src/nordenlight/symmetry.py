@@ -37,10 +37,12 @@ from .exact import (
     DenseTensor,
     Matrix,
     Vector,
+    bilinear,
     format_rational,
+    gram,
     solve_affine,
 )
-from .hypersurface import LightlikeFrame, SecondFundamental, _frame_ops
+from .hypersurface import LightlikeFrame, SecondFundamental
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ def induced_curvature_gauss(
     """Tangential part of the ambient curvature corrected by B and the
     transversal shape operator. The transversal component must equal the
     Codazzi expression built from B and tau; a residual is an engine bug."""
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
     n = amb.spec.dim
     amb13 = amb.riemann13.nested()
     gm = sf.induced_gamma.nested()
@@ -169,7 +170,7 @@ def induced_curvature_gauss(
                     for q in range(n):
                         if row[q] != 0:
                             vec_amb[q] += c_ck * row[q]
-                tm, ncoef = ops.split_tangent(tuple(vec_amb))
+                tm, ncoef = frame.split_tangent(tuple(vec_amb))
                 tangent = [
                     tm[q] - sf.b_form[a][c] * sf.a_n[b][q] + sf.b_form[b][c] * sf.a_n[a][q]
                     for q in range(m)
@@ -194,14 +195,14 @@ def induced_curvature_gauss(
     return DenseTensor((m, m, m, m), tuple(entries))
 
 
-def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry, ops) -> tuple[Vector, ...]:
+def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry) -> tuple[Vector, ...]:
     """Span coordinates of J(P E_a) for every basis field; J-invariance of the
     screen keeps these tangent."""
     out = []
     for a in range(len(frame.span)):
-        px = ops.span_to_ambient(ops.p_project_span(a))
+        px = frame.span_to_ambient(frame.p_project_span(a))
         jpx = amb.norden.apply_j(px)
-        tm, ncoef = ops.split_tangent(jpx)
+        tm, ncoef = frame.split_tangent(jpx)
         if ncoef != 0:
             raise InternalInconsistency("J of a screen projection left the tangent space")
         out.append(tm)
@@ -216,16 +217,12 @@ def closed_form_curvature(
 ) -> DenseTensor:
     """Curvature table of the stated shape with free coefficients; used by the
     geometric route (with a = K - rho^2/b) and by synthetic audits."""
-    ops = _frame_ops(frame, amb)
-    m = ops.m
-    phi = _phi_table(frame, amb, ops)
-    g_ind = tuple(
-        tuple(ops.pair(frame.span[a], frame.span[b]) for b in range(m)) for a in range(m)
-    )
-    mj = tuple(
-        tuple(ops.pair(frame.span[a], amb.norden.apply_j(frame.span[c])) for c in range(m))
-        for a in range(m)
-    )
+    m = len(frame.span)
+    phi = _phi_table(frame, amb)
+    metric = amb.norden.metric(frame.inducing_metric)
+    g_ind = gram(metric, frame.span)
+    j_span = tuple(amb.norden.apply_j(e) for e in frame.span)
+    mj = tuple(tuple(bilinear(metric, e, je) for je in j_span) for e in frame.span)
     entries = []
     for a in range(m):
         for b in range(m):
@@ -294,8 +291,9 @@ def ricci_from_ambient_decomposition(
         Ric(X, Y) = Ric_ambient(X, Y) + B(X, Y) tr A_N
                     - <A_N X, A*_xi Y> - <R(xi, Y)X, N>.
     """
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
+    xi_span = frame.xi_span
+    metric = amb.norden.metric(frame.inducing_metric)
     amb_ric = amb.ricci.rows()
     t = r13_induced.nested()
     tr_an = sum(sf.a_n[a][a] for a in range(m))
@@ -304,25 +302,20 @@ def ricci_from_ambient_decomposition(
     for a in range(m):
         row = []
         ea = frame.span[a]
-        an_a = ops.span_to_ambient(sf.a_n[a])
+        an_a = frame.span_to_ambient(sf.a_n[a])
         for b in range(m):
             eb = frame.span[b]
-            ric_ambient = sum(
-                ea[i] * eb[j] * amb_ric[i][j]
-                for i in range(len(ea))
-                for j in range(len(eb))
-                if ea[i] != 0 and eb[j] != 0
-            )
-            astar_b = ops.span_to_ambient(sf.a_star_xi[b])
-            shape_term = ops.pair(an_a, astar_b)
+            ric_ambient = bilinear(amb_ric, ea, eb)
+            astar_b = frame.span_to_ambient(sf.a_star_xi[b])
+            shape_term = bilinear(metric, an_a, astar_b)
             r_vec = [Fraction(0)] * m
             for i in range(m):
-                if ops.xi_span[i] == 0:
+                if xi_span[i] == 0:
                     continue
                 row_t = t[i][b][a]
                 for q in range(m):
-                    r_vec[q] += ops.xi_span[i] * row_t[q]
-            radial_term = ops.pair(ops.span_to_ambient(tuple(r_vec)), frame.transversal)
+                    r_vec[q] += xi_span[i] * row_t[q]
+            radial_term = bilinear(metric, frame.span_to_ambient(tuple(r_vec)), frame.transversal)
             row.append(ric_ambient + sf.b_form[a][b] * tr_an - shape_term - radial_term)
         rows.append(tuple(row))
     return tuple(rows)
@@ -339,8 +332,7 @@ def closed_form_ricci(
 
     where the metric appearing on the right is the other induced metric.
     """
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
     h = amb.half_dim
     if frame.inducing_metric == "principal":
         other = amb.norden.g_assoc
@@ -354,19 +346,14 @@ def closed_form_ricci(
         corr_sign = Fraction(-1)
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
 
-    def other_pair(u, v):
-        return sum(
-            u[i] * sum(other[i][j] * v[j] for j in range(len(v))) for i in range(len(u))
-        )
-
     rows = []
     for a in range(m):
-        pa = ops.span_to_ambient(ops.p_project_span(a))
+        pa = frame.span_to_ambient(frame.p_project_span(a))
         row = []
         for b in range(m):
-            pb = ops.span_to_ambient(ops.p_project_span(b))
-            val = lead * other_pair(frame.span[a], frame.span[b])
-            val += corr_sign * a_coeff * other_pair(pa, pb)
+            pb = frame.span_to_ambient(frame.p_project_span(b))
+            val = lead * bilinear(other, frame.span[a], frame.span[b])
+            val += corr_sign * a_coeff * bilinear(other, pa, pb)
             row.append(val)
         rows.append(tuple(row))
     return tuple(rows)
@@ -390,12 +377,11 @@ def induced_ricci(
     sf: SecondFundamental,
     frame: LightlikeFrame,
     amb: AmbientGeometry,
-    with_closed_form: bool = True,
 ) -> RicciRoutes:
     canonical = canonical_ricci(r13_induced)
     split = ricci_from_ambient_decomposition(r13_induced, sf, frame, amb)
     closed = None
-    if with_closed_form and amb.trsc.kind == "constant" and sf.rho is not None:
+    if amb.trsc.kind == "constant" and sf.rho is not None:
         closed = closed_form_ricci(frame, sf, amb)
     routes = RicciRoutes(canonical, split, closed)
     if not routes.agree:
@@ -479,22 +465,17 @@ def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
     return FlagResult(True)
 
 
-def locally_symmetric_check(
-    r13: DenseTensor, induced_gamma: DenseTensor
-) -> tuple[FlagResult, DenseTensor]:
-    """Covariant derivative of the curvature,
+def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> FlagResult:
+    """Vanishing of the covariant derivative of the curvature,
 
         (D_U R)(X,Y,Z) = D_U(R(X,Y,Z)) - R(D_U X, Y, Z)
                          - R(X, D_U Y, Z) - R(X, Y, D_U Z),
 
-    expanded with constant coefficients; returns the flag and the full
-    derivative table."""
+    expanded with constant coefficients; stops at the first nonzero
+    component in product order."""
     m = r13.dims[0]
     t = r13.nested()
     gm = induced_gamma.nested()
-    entries = []
-    flag = FlagResult(True)
-    found = False
     for u, x, y, z in product(range(m), repeat=4):
         val = [Fraction(0)] * m
         rxyz = t[x][y][z]
@@ -518,12 +499,9 @@ def locally_symmetric_check(
                 row = t[x][y][k]
                 for q in range(m):
                     val[q] -= cz * row[q]
-        entries.extend(val)
-        if not found and any(x_ != 0 for x_ in val):
-            flag = FlagResult(False, (u + 1, x + 1, y + 1, z + 1), tuple(val))
-            found = True
-    table = DenseTensor((m, m, m, m, m), tuple(entries))
-    return flag, table
+        if any(x_ != 0 for x_ in val):
+            return FlagResult(False, (u + 1, x + 1, y + 1, z + 1), tuple(val))
+    return FlagResult(True)
 
 
 def almost_einstein_fit(ricci: Matrix, g_ind: Matrix, g_assoc_ind: Matrix) -> EinsteinFit:
@@ -569,10 +547,10 @@ def pde_residuals(
         raise HypothesisFailure("residual check needs constant ambient curvatures")
     if sf.rho is None:
         raise HypothesisFailure("residual check needs a totally umbilical frame")
-    ops = _frame_ops(frame, amb)
-    m = ops.m
+    m = len(frame.span)
+    xi_span = frame.xi_span
     k_coeff = amb.trsc.nu_assoc if frame.inducing_metric == "principal" else amb.trsc.nu
-    tau_xi = sum(ops.xi_span[a] * sf.tau[a] for a in range(m))
+    tau_xi = sum(xi_span[a] * sf.tau[a] for a in range(m))
     radial = frame.b * k_coeff - sf.rho * sf.rho + sf.rho * tau_xi
     screen_terms = tuple(
         sf.rho * (sf.tau[a] - frame.eta[a] * tau_xi) for a in range(m)

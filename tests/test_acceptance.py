@@ -24,7 +24,6 @@ from helpers import (
     symmetry_closure_table,
 )
 from nordenlight.ambient import (
-    assoc_pi_tensors,
     build_ambient_geometry,
     constant_trsc,
     norden_structure,
@@ -34,7 +33,7 @@ from nordenlight.ambient import (
     verify_curvature_symmetries,
     verify_kaehler_curvature_identity,
 )
-from nordenlight.exact import DenseTensor, unit_vector, vec_scale
+from nordenlight.exact import DenseTensor, bilinear, unit_vector, vec_scale
 from nordenlight.hypersurface import gauge_rescale, verify_frame_identities
 from nordenlight.manifold_file import parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
@@ -176,8 +175,8 @@ def test_c06_oracle_equivalence(golden):
     routes = induced_ricci(r13, run.sf, run.frame, amb)
     assert routes.agree and routes.closed_form is not None
     span = basis_span(4, (2, 3, 4))
-    g = tuple(tuple(ns.pair(span[a], span[b]) for b in range(3)) for a in range(3))
-    ga = tuple(tuple(ns.pair_assoc(span[a], span[b]) for b in range(3)) for a in range(3))
+    g = tuple(tuple(bilinear(ns.g, span[a], span[b]) for b in range(3)) for a in range(3))
+    ga = tuple(tuple(bilinear(ns.g_assoc, span[a], span[b]) for b in range(3)) for a in range(3))
     assert routes.canonical == tuple(tuple(8 * x for x in row) for row in g)
     fit = almost_einstein_fit(routes.canonical, g, ga)
     assert fit.kind == "unique" and (fit.k, fit.c) == (F(8), F(0))
@@ -264,13 +263,13 @@ def norden_pool():
         half = 3 if i % 10 == 9 else 2
         g, j = random_norden_pair(rng, half)
         ns = norden_structure(g, j)
-        out.append((ns, pi_tensors(ns)))
+        out.append((ns, pi_tensors(ns.g, ns.j)))
     return out
 
 
 def test_c08c_pi_relations_random_norden(norden_pool):
     for ns, (p1, p2, p3) in norden_pool:
-        a1, a2, a3 = assoc_pi_tensors(ns)
+        a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
         assert a1 == p2 and a2 == p1 and a3 == -p3
     assert len(norden_pool) == 100
     _ok("8c", "associated curvature-type tensor relations, 100 random structures")
@@ -313,17 +312,17 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
 
         m = len(frame.span)
         g = tuple(
-            tuple(amb.norden.pair(frame.span[a], frame.span[b]) for b in range(m))
+            tuple(bilinear(amb.norden.g, frame.span[a], frame.span[b]) for b in range(m))
             for a in range(m)
         )
         ga = tuple(
-            tuple(amb.norden.pair_assoc(frame.span[a], frame.span[b]) for b in range(m))
+            tuple(bilinear(amb.norden.g_assoc, frame.span[a], frame.span[b]) for b in range(m))
             for a in range(m)
         )
         flags = SymmetryFlags(
             semi_symmetric_check(r13),
             ricci_semi_symmetric_check(r13, ric),
-            locally_symmetric_check(r13, sf.induced_gamma)[0],
+            locally_symmetric_check(r13, sf.induced_gamma),
             almost_einstein_fit(ric, g, ga),
         )
         assert flags.all_hold()
@@ -347,7 +346,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
             flags2 = SymmetryFlags(
                 semi_symmetric_check(r13_rescaled),
                 ricci_semi_symmetric_check(r13_rescaled, routes2.canonical),
-                locally_symmetric_check(r13_rescaled, sf2.induced_gamma)[0],
+                locally_symmetric_check(r13_rescaled, sf2.induced_gamma),
                 almost_einstein_fit(routes2.canonical, g, ga),
             )
             verdict2 = symmetry_equivalence_audit(
@@ -370,14 +369,14 @@ def test_c09_synthetic_table_checkers(golden):
     _, ns, amb = golden
     run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
     span = basis_span(4, (2, 3, 4))
-    g = tuple(tuple(ns.pair(span[a], span[b]) for b in range(3)) for a in range(3))
-    ga = tuple(tuple(ns.pair_assoc(span[a], span[b]) for b in range(3)) for a in range(3))
+    g = tuple(tuple(bilinear(ns.g, span[a], span[b]) for b in range(3)) for a in range(3))
+    ga = tuple(tuple(bilinear(ns.g_assoc, span[a], span[b]) for b in range(3)) for a in range(3))
 
     bad = closed_form_curvature(run.frame, amb, F(1), F(4))
     semi = semi_symmetric_check(bad)
     ric_bad = canonical_ricci(bad)
     ricci_semi = ricci_semi_symmetric_check(bad, ric_bad)
-    locally, _ = locally_symmetric_check(bad, run.sf.induced_gamma)
+    locally = locally_symmetric_check(bad, run.sf.induced_gamma)
     assert not semi.holds and not ricci_semi.holds and not locally.holds
     # witness soundness: re-evaluating the defining expressions is nonzero
     x, y, u, v, w = (i - 1 for i in semi.witness)
@@ -394,7 +393,7 @@ def test_c09_synthetic_table_checkers(golden):
     good = closed_form_curvature(run.frame, amb, F(0), F(4))
     assert semi_symmetric_check(good).holds
     assert ricci_semi_symmetric_check(good, canonical_ricci(good)).holds
-    assert locally_symmetric_check(good, run.sf.induced_gamma)[0].holds
+    assert locally_symmetric_check(good, run.sf.induced_gamma).holds
     _ok(9, "synthetic-table checkers with sound witnesses")
 
 

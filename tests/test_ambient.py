@@ -244,7 +244,7 @@ class TestConstantTrsc:
         spec = abelian_like(ns)
         gamma = levi_civita(spec, ns)
         _, r04 = curvature(spec, gamma, ns)
-        pi1, pi2, pi3 = pi_tensors(ns)
+        pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
         status = constant_trsc(r04, pi1, pi2, pi3)
         assert status.kind == "constant"
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
@@ -276,7 +276,7 @@ class TestAssociatedCurvature:
         spec = abelian_like(ns)
         gamma = levi_civita(spec, ns)
         _, r04 = curvature(spec, gamma, ns)
-        pi1, pi2, pi3 = pi_tensors(ns)
+        pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
         from nordenlight.ambient import associated_curvature
 
         status = constant_trsc(r04, pi1, pi2, pi3)

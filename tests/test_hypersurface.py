@@ -4,7 +4,7 @@ import pytest
 
 from helpers import basis_span, run_hypersurface
 from nordenlight.errors import HypothesisFailure
-from nordenlight.exact import unit_vector, vec_scale
+from nordenlight.exact import bilinear, unit_vector, vec_scale
 from nordenlight.hypersurface import (
     HypersurfaceSpec,
     construct_screen,
@@ -100,9 +100,9 @@ class TestTransversal:
         _, ns, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
         fr = run.frame
-        assert ns.pair_assoc(fr.transversal, fr.xi) == 1
-        assert ns.pair_assoc(fr.transversal, fr.transversal) == 0
-        assert all(ns.pair_assoc(fr.transversal, w) == 0 for w in fr.screen)
+        assert bilinear(ns.g_assoc, fr.transversal, fr.xi) == 1
+        assert bilinear(ns.g_assoc, fr.transversal, fr.transversal) == 0
+        assert all(bilinear(ns.g_assoc, fr.transversal, w) == 0 for w in fr.screen)
 
     def test_bad_hint_rejected(self, golden):
         _, _, amb = golden

@@ -189,6 +189,24 @@ class TestCli:
         assert code == 2
         assert "line 2" in err
 
+    def test_ambient_internal_inconsistency_text_report(
+        self, tmp_path, golden_text, monkeypatch, capsys
+    ):
+        from nordenlight import pipeline
+        from nordenlight.errors import InternalInconsistency
+
+        def fail(spec, ns):
+            raise InternalInconsistency("associated pi1 does not equal pi2")
+
+        monkeypatch.setattr(pipeline, "build_ambient_geometry", fail)
+        path = tmp_path / "m.mf"
+        path.write_text(golden_text)
+        code = main(["check", str(path)])
+        out = capsys.readouterr().out
+        assert code == 5
+        assert "associated pi1 does not equal pi2" in out
+        assert out.endswith("overall status: internal_inconsistency\n")
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.mf"]) == 2
 

@@ -17,7 +17,7 @@ from nordenlight.ambient import (
     verify_torsion_free,
 )
 from nordenlight.errors import InternalInconsistency
-from nordenlight.exact import DenseTensor, unit_vector, vec_scale
+from nordenlight.exact import DenseTensor, bilinear, unit_vector, vec_scale
 from nordenlight.pipeline import emit_report, run_pipeline
 from nordenlight.symmetry import (
     canonical_ricci,
@@ -50,10 +50,10 @@ class TestScreenChoiceIndependence:
         ric = canonical_ricci(r13)
         assert semi_symmetric_check(r13).holds
         assert ricci_semi_symmetric_check(r13, ric).holds
-        assert locally_symmetric_check(r13, run.sf.induced_gamma)[0].holds
-        g = tuple(tuple(ns.pair(span[a], span[b]) for b in range(3)) for a in range(3))
+        assert locally_symmetric_check(r13, run.sf.induced_gamma).holds
+        g = tuple(tuple(bilinear(ns.g, span[a], span[b]) for b in range(3)) for a in range(3))
         ga = tuple(
-            tuple(ns.pair_assoc(span[a], span[b]) for b in range(3)) for a in range(3)
+            tuple(bilinear(ns.g_assoc, span[a], span[b]) for b in range(3)) for a in range(3)
         )
         assert einstein(ric, g, ga).feasible
 
@@ -83,7 +83,7 @@ class TestWitnessSoundness:
             ric = canonical_ricci(table)
             rflag = ricci_semi_symmetric_check(table, ric)
             assert not rflag.holds and rflag.value[0] != 0
-            lflag, _ = locally_symmetric_check(table, run.sf.induced_gamma)
+            lflag = locally_symmetric_check(table, run.sf.induced_gamma)
             assert not lflag.holds and any(t != 0 for t in lflag.value)
 
 
