@@ -35,7 +35,6 @@ from .exact import (
     kernel_basis,
     parse_rational,
     solve_affine,
-    tensor_contract,
 )
 from .hypersurface import (
     HypersurfaceSpec,

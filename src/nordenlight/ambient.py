@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .errors import InternalInconsistency, ValidationFailure
 from .exact import (
@@ -40,6 +42,8 @@ from .exact import (
     bilinear,
     bilinear_map,
     format_rational,
+    int_matmul,
+    lattice_rows,
     mat,
     mat_inverse,
     signature,
@@ -236,26 +240,18 @@ def koszul_connection(spec: LieAlgebraSpec, metric: Matrix) -> DenseTensor:
     so no derivative terms appear. Table layout: D_{X_i} X_j = sum_k t[i,j,k] X_k.
     """
     n = spec.dim
-    c = spec._nested
-    ginv = mat_inverse(metric)
-
-    # bg[a][b][k] = <[X_a, X_b], X_k>, computed once
-    bg = [
-        [
-            [sum(c[a][b][m] * metric[m][k] for m in range(n)) for k in range(n)]
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    half = Fraction(1, 2)
-    entries = []
+    c, dc = spec.brackets.lattice()
+    g, dg = lattice_rows(metric)
+    ginv, di = lattice_rows(mat_inverse(metric))
+    g_cols = tuple(zip(*g))
+    # bg[a][b][k] = <[X_a, X_b], X_k> over dc * dg, computed once
+    bg = [int_matmul(c[a], g_cols) for a in range(n)]
+    nums = []
     for i in range(n):
         for jj in range(n):
-            rhs = [(bg[i][jj][k] + bg[k][i][jj] + bg[k][jj][i]) * half for k in range(n)]
-            entries.extend(
-                sum(ginv[r][k] * rhs[k] for k in range(n)) for r in range(n)
-            )
-    return DenseTensor((n, n, n), tuple(entries))
+            rhs = [bg[i][jj][k] + bg[k][i][jj] + bg[k][jj][i] for k in range(n)]
+            nums.extend(sum(map(mul, row, rhs)) for row in ginv)
+    return DenseTensor.from_lattice((n, n, n), nums, 2 * dc * dg * di)
 
 
 def levi_civita(spec: LieAlgebraSpec, ns: NordenStructure) -> DenseTensor:
@@ -305,24 +301,22 @@ class KaehlerCheck:
 
 def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor) -> KaehlerCheck:
     n = spec.dim
-    gm = gamma.nested()
-    j = ns.j
-    g = ns.g
-
-    def f_entry(i, a, k):
-        # D_{X_i}(J X_a) - J(D_{X_i} X_a), paired with X_k
-        d_j = [Fraction(0)] * n
-        for m in range(n):
-            if j[m][a] != 0:
-                for q in range(n):
-                    d_j[q] += j[m][a] * gm[i][m][q]
-        jd = [Fraction(0)] * n
-        for q in range(n):
-            jd[q] = sum(j[q][m] * gm[i][a][m] for m in range(n))
-        diff = [d_j[q] - jd[q] for q in range(n)]
-        return sum(diff[q] * g[q][k] for q in range(n))
-
-    f_table = DenseTensor.from_function((n, n, n), f_entry)
+    gm, dgm = gamma.lattice()
+    j, dj = lattice_rows(ns.j)
+    g, dg = lattice_rows(ns.g)
+    jt = tuple(zip(*j))  # row a holds J X_a
+    g_cols = tuple(zip(*g))
+    nums = []
+    for i in range(n):
+        # row a of J^T G_i - G_i J^T is D_{X_i}(J X_a) - J(D_{X_i} X_a), with
+        # G_i the matrix whose row m is D_{X_i} X_m; each row is built once
+        # and then paired with every X_k
+        d_j = int_matmul(jt, tuple(zip(*gm[i])))
+        jd = int_matmul(gm[i], j)
+        diff = tuple(tuple(map(int.__sub__, p, q)) for p, q in zip(d_j, jd))
+        for row in int_matmul(diff, g_cols):
+            nums.extend(row)
+    f_table = DenseTensor.from_lattice((n, n, n), nums, dj * dgm * dg)
     f_witness = next((ix for ix, _ in f_table.nonzero()), None)
     is_kaehler = f_witness is None
 
@@ -347,53 +341,36 @@ def curvature(
     """Curvature tables: riemann13[i,j,k,l] holds the X_l coefficient of
     R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric."""
     n = spec.dim
-    gm = gamma.nested()
-    c = spec._nested
-    g = ns.g
-
-    # comp[i][j][k][q] = q-component of D_i (D_j X_k), staged through the
-    # derivative matrices of the individual basis fields
-    comp = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        mat_i = gm[i]  # rows m -> D_i X_m
-        for j in range(n):
-            for k in range(n):
-                row = gm[j][k]
-                acc = [Fraction(0)] * n
-                for m in range(n):
-                    a = row[m]
-                    if a != 0:
-                        target = mat_i[m]
-                        for q in range(n):
-                            if target[q] != 0:
-                                acc[q] += a * target[q]
-                comp[i][j][k] = acc
-
-    r13_entries = []
+    gm, dgm = gamma.lattice()
+    c, dc = spec.brackets.lattice()
+    g, dg = lattice_rows(ns.g)
+    den = lcm(dgm * dgm, dc * dgm)
+    f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
+    cols = [tuple(zip(*gm[i])) for i in range(n)]
+    g_cols = tuple(zip(*g))
+    # stacked[k][q][m] = q-component of D_m X_k, for the bracket term
+    stacked = tuple(tuple(tuple(gm[m][k][q] for m in range(n)) for q in range(n)) for k in range(n))
+    r13_nums = []
+    r04_nums = []
     for i in range(n):
         for j in range(n):
+            # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k, with G_i
+            # the matrix whose row m is D_{X_i} X_m
+            first = int_matmul(gm[j], cols[i])
+            second = int_matmul(gm[i], cols[j])
+            c_ij = c[i][j]
+            bracket = any(c_ij)
+            block = []
             for k in range(n):
-                out = list(comp[i][j][k])
-                second = comp[j][i][k]
-                for q in range(n):
-                    out[q] -= second[q]
-                # - D_{[X_i, X_j]} X_k
-                for m in range(n):
-                    a = c[i][j][m]
-                    if a != 0:
-                        row = gm[m][k]
-                        for q in range(n):
-                            if row[q] != 0:
-                                out[q] -= a * row[q]
-                r13_entries.extend(out)
-    r13 = DenseTensor((n, n, n, n), tuple(r13_entries))
-
-    r13n = r13.nested()
-    r04 = DenseTensor.from_function(
-        (n, n, n, n),
-        lambda i, j, k, l: sum(r13n[i][j][k][m] * g[m][l] for m in range(n)),
-    )
-    return r13, r04
+                row = [f_prod * (a - b) for a, b in zip(first[k], second[k])]
+                if bracket:  # - D_{[X_i, X_j]} X_k
+                    row = [r - f_bracket * sum(map(mul, c_ij, s)) for r, s in zip(row, stacked[k])]
+                block.append(row)
+            r13_nums.extend(x for row in block for x in row)
+            r04_nums.extend(x for row in int_matmul(block, g_cols) for x in row)
+    dims = (n, n, n, n)
+    r13 = DenseTensor.from_lattice(dims, r13_nums, den)
+    return r13, DenseTensor.from_lattice(dims, r04_nums, den * dg)
 
 
 def verify_curvature_symmetries(r04: DenseTensor) -> None:
@@ -455,23 +432,25 @@ def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTen
     counterparts.
     """
     n = len(g)
-    gj = tuple(
-        tuple(sum(g[a][q] * j[q][b] for q in range(n)) for b in range(n)) for a in range(n)
+    rows = range(n)
+    g, dg = lattice_rows(g)
+    j, dj = lattice_rows(j)
+    gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+    pi1, pi2, pi3 = [], [], []
+    for a, b, k in product(rows, repeat=3):
+        ga, gb, gja, gjb = g[a], g[b], gj[a], gj[b]
+        gbk, gak, gjbk, gjak = gb[k], ga[k], gjb[k], gja[k]
+        pi1.extend(gbk * x - gak * y for x, y in zip(ga, gb))
+        pi2.extend(gjbk * x - gjak * y for x, y in zip(gja, gjb))
+        pi3.extend(
+            -gbk * x + gak * y - u * gjbk + v * gjak for x, y, u, v in zip(gja, gjb, ga, gb)
+        )
+    dims = (n, n, n, n)
+    return (
+        DenseTensor.from_lattice(dims, pi1, dg * dg),
+        DenseTensor.from_lattice(dims, pi2, dg * dg * dj * dj),
+        DenseTensor.from_lattice(dims, pi3, dg * dg * dj),
     )
-    pi1 = DenseTensor.from_function(
-        (n, n, n, n), lambda i, j, k, l: g[j][k] * g[i][l] - g[i][k] * g[j][l]
-    )
-    pi2 = DenseTensor.from_function(
-        (n, n, n, n), lambda i, j, k, l: gj[j][k] * gj[i][l] - gj[i][k] * gj[j][l]
-    )
-    pi3 = DenseTensor.from_function(
-        (n, n, n, n),
-        lambda i, j, k, l: -g[j][k] * gj[i][l]
-        + g[i][k] * gj[j][l]
-        - g[i][l] * gj[j][k]
-        + g[j][l] * gj[i][k],
-    )
-    return pi1, pi2, pi3
 
 
 def verify_pi_assoc_relations(
@@ -480,11 +459,11 @@ def verify_pi_assoc_relations(
     """The associated-metric counterparts swap pi1 and pi2 and negate pi3;
     verified componentwise against the definitional construction."""
     a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
-    if a1 != pi2:
+    if a1.lattice() != pi2.lattice():
         raise InternalInconsistency("associated pi1 does not equal pi2")
-    if a2 != pi1:
+    if a2.lattice() != pi1.lattice():
         raise InternalInconsistency("associated pi2 does not equal pi1")
-    if a3 != -pi3:
+    if a3.lattice() != (-pi3).lattice():
         raise InternalInconsistency("associated pi3 does not equal -pi3")
 
 
@@ -541,12 +520,13 @@ def associated_curvature(
     tensors. With constant curvatures the primed pair must be
     (-nu_assoc, nu); any other outcome is an engine inconsistency."""
     n = r04.dims[0]
-    t = r04.nested()
-    j = ns.j
-    assoc = DenseTensor.from_function(
-        (n, n, n, n),
-        lambda i, a, k, l: sum(t[i][a][k][m] * j[m][l] for m in range(n) if j[m][l] != 0),
-    )
+    t, dt = r04.lattice()
+    j, dj = lattice_rows(ns.j)
+    j_cols = tuple(zip(*j))
+    nums = []
+    for i, a in product(range(n), repeat=2):
+        nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
+    assoc = DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
     d = pi2 - pi1  # associated pi1 - associated pi2
     neg_pi3 = -pi3  # associated pi3
     sol = solve_affine(list(zip(d.entries, neg_pi3.entries)), list(assoc.entries))
@@ -571,9 +551,9 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
     Ric(X, Y) = -2(n-1) nu_assoc g(X, JY) must hold; cross-checked.
     """
     n = r13.dims[0]
-    t = r13.nested()
-    ric = DenseTensor.from_function(
-        (n, n), lambda i, j: sum(t[k][i][j][k] for k in range(n))
+    t, den = r13.lattice()
+    ric = DenseTensor.from_lattice(
+        (n, n), (sum(t[k][i][j][k] for k in range(n)) for i in range(n) for j in range(n)), den
     )
     if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
         g = ns.g

@@ -1,9 +1,13 @@
 """Exact rational linear algebra and dense component tables.
 
-Every verification path computes over `fractions.Fraction`: arbitrary
-precision integers, canonical gcd-reduced form, positive denominator. No
-floating point anywhere. Row reduction pivots on the first nonzero entry in
-column order, so results are deterministic on every platform.
+Every verification path is exact: no floating point anywhere. Scalars at the
+boundaries (parsing, reported values, JSON) are `fractions.Fraction`:
+arbitrary precision, canonical gcd-reduced form, positive denominator. The
+hot component tables are computed as Python-int numerators over one common
+positive denominator, the lattice form of a :class:`DenseTensor`; this module
+is the only place that converts between the two forms. Row reduction pivots
+on the first nonzero entry in column order, so results are deterministic on
+every platform.
 
 Vectors are flat tuples, matrices are tuples of row tuples, and component
 tables of rank >= 2 use :class:`DenseTensor` (row-major, 0-based internally;
@@ -15,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import chain, product
+from math import gcd, lcm, prod
+from operator import mul
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -52,6 +57,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def rational_bits(value: Fraction) -> int:
+    """Bit length of the larger of numerator and denominator (lowest terms)."""
+    return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # vectors and matrices
 
@@ -78,17 +88,6 @@ def vec_scale(u: Vector, c: Fraction) -> Vector:
 
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
 
 
 def bilinear(g: Matrix, u: Vector, v: Vector) -> Fraction:
@@ -123,12 +122,19 @@ def bilinear_map(t, u: Vector, v: Vector) -> Vector:
     return tuple(out)
 
 
+def first_difference(dims, a, b) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
+    """First position, in row-major order, where two flat row-major tables of
+    shape dims differ: (1-based index, value in a, value in b), or None."""
+    for ix, x, y in zip(product(*map(range, dims)), a, b):
+        if x != y:
+            return tuple(i + 1 for i in ix), x, y
+    return None
+
+
 def primitive_integer_vector(v: Vector) -> Vector:
     """Rescale to coprime integer coordinates with positive leading nonzero."""
     if vec_is_zero(v):
         raise ValueError("zero vector has no primitive form")
-    from math import gcd, lcm
-
     denom = lcm(*(x.denominator for x in v))
     ints = [int(x * denom) for x in v]
     g = gcd(*(abs(x) for x in ints))
@@ -323,6 +329,43 @@ def signature(g) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# lattice form: int numerators over one common positive denominator
+
+
+def lattice_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Int numerators of a matrix (or a tuple of vectors) over the least
+    common positive denominator of its entries."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+def rational_vector(nums, den: int) -> Vector:
+    """The rationals nums[i] / den."""
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def int_matmul(a, b_cols) -> tuple[tuple[int, ...], ...]:
+    """a . b for int matrices, with b given by its columns (`tuple(zip(*b))`)
+    so callers can reuse them: one C-level dot product per entry, and every
+    all-zero row of a gives a zero row without any."""
+    zero = (0,) * len(b_cols)
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in b_cols) if any(row) else zero for row in a
+    )
+
+
+def _nest(dims, flat):
+    """Row-major flat sequence as nested tuples of the given dimensions."""
+    if not dims:
+        return flat[0]
+    nested = tuple(flat)
+    for d in reversed(dims[1:]):
+        items = iter(nested)
+        nested = tuple(zip(*[items] * d))  # consecutive runs of d items
+    return nested
+
+
+# ---------------------------------------------------------------------------
 # dense tensors
 
 
@@ -352,16 +395,6 @@ class DenseTensor:
         values = (fn(*ix) for ix in product(*(range(d) for d in dims)))
         return cls(dims, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
-    @classmethod
-    def from_rows(cls, rows) -> "DenseTensor":
-        rows = tuple(tuple(map(Fraction, r)) for r in rows)
-        return cls((len(rows), len(rows[0])), tuple(x for r in rows for x in r))
-
-    @classmethod
-    def from_vector(cls, v) -> "DenseTensor":
-        v = tuple(map(Fraction, v))
-        return cls((len(v),), v)
-
     def _offset(self, idx) -> int:
         off = 0
         for d, i in zip(self.dims, idx):
@@ -383,21 +416,41 @@ class DenseTensor:
         n, m = self.dims
         return tuple(self.entries[i * m : (i + 1) * m] for i in range(n))
 
+    @classmethod
+    def from_lattice(cls, dims, nums, den: int) -> "DenseTensor":
+        """Table whose row-major entries are nums[i] / den, for int nums and
+        den > 0. The common factor of nums and den is cancelled first, so the
+        lattice view this seeds is the one `lattice()` builds from the
+        entries; equal entries share one Fraction object."""
+        dims = tuple(dims)
+        nums = tuple(nums)
+        common = gcd(den, *nums)
+        if common != 1:
+            den //= common
+            nums = tuple(x // common for x in nums)
+        values = {x: Fraction(x, den) for x in set(nums)}
+        table = cls(dims, tuple(map(values.__getitem__, nums)))
+        object.__setattr__(table, "_lattice_memo", (_nest(dims, nums), den))
+        return table
+
     def nested(self):
         """Nested tuples, convenient for hot loops; memoized per instance
         (the memo is not a dataclass field, so equality and repr ignore it)."""
         cached = getattr(self, "_nested_memo", None)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = _nest(self.dims, self.entries)
+            object.__setattr__(self, "_nested_memo", cached)
+        return cached
 
-        def build(dims, flat):
-            if not dims:
-                return flat[0]
-            step = prod(dims[1:])
-            return tuple(build(dims[1:], flat[i * step : (i + 1) * step]) for i in range(dims[0]))
-
-        cached = build(self.dims, self.entries)
-        object.__setattr__(self, "_nested_memo", cached)
+    def lattice(self) -> tuple[tuple, int]:
+        """(nested int numerators, den) with entry = numerator / den and den
+        the least common positive denominator of the entries: the form the
+        hot kernels compute in. Memoized per instance like `nested()`."""
+        cached = getattr(self, "_lattice_memo", None)
+        if cached is None:
+            (nums,), den = lattice_rows((self.entries,))
+            cached = (_nest(self.dims, nums), den)
+            object.__setattr__(self, "_lattice_memo", cached)
         return cached
 
     def nonzero(self):
@@ -409,47 +462,32 @@ class DenseTensor:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
+    def _flat_lattice(self):
+        nested, den = self.lattice()
+        for _ in range(self.rank - 1):
+            nested = chain.from_iterable(nested)
+        return nested, den
+
+    def _combine(self, other: "DenseTensor", sign: int) -> "DenseTensor":
         if self.dims != other.dims:
-            raise ShapeError("shape mismatch in tensor addition")
-        return DenseTensor(self.dims, tuple(a + b for a, b in zip(self.entries, other.entries)))
+            raise ShapeError("shape mismatch in tensor addition or subtraction")
+        a, da = self._flat_lattice()
+        b, db = other._flat_lattice()
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return DenseTensor.from_lattice(self.dims, (fa * x + fb * y for x, y in zip(a, b)), den)
+
+    def __add__(self, other: "DenseTensor") -> "DenseTensor":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        if self.dims != other.dims:
-            raise ShapeError("shape mismatch in tensor subtraction")
-        return DenseTensor(self.dims, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DenseTensor":
-        return DenseTensor(self.dims, tuple(-a for a in self.entries))
+        return self.scale(-1)
 
     def scale(self, c) -> "DenseTensor":
         c = Fraction(c)
-        return DenseTensor(self.dims, tuple(c * a for a in self.entries))
-
-
-def tensor_contract(t: DenseTensor, slot_t: int, u: DenseTensor, slot_u: int) -> DenseTensor:
-    """Single-slot contraction; result rank is rank(t) + rank(u) - 2."""
-    if not 0 <= slot_t < t.rank:
-        raise ShapeError(f"shape: slot {slot_t} out of range for rank {t.rank}")
-    if not 0 <= slot_u < u.rank:
-        raise ShapeError(f"shape: slot {slot_u} out of range for rank {u.rank}")
-    if t.dims[slot_t] != u.dims[slot_u]:
-        raise ShapeError(
-            f"shape: contracted dimensions differ ({t.dims[slot_t]} vs {u.dims[slot_u]})"
-        )
-    csize = t.dims[slot_t]
-    t_dims = t.dims[:slot_t] + t.dims[slot_t + 1 :]
-    u_dims = u.dims[:slot_u] + u.dims[slot_u + 1 :]
-    out_dims = t_dims + u_dims
-
-    def entry(*ix):
-        tix = ix[: len(t_dims)]
-        uix = ix[len(t_dims) :]
-        total = Fraction(0)
-        for m in range(csize):
-            full_t = tix[:slot_t] + (m,) + tix[slot_t:]
-            full_u = uix[:slot_u] + (m,) + uix[slot_u:]
-            total += t[full_t] * u[full_u]
-        return total
-
-    return DenseTensor.from_function(out_dims, entry)
+        nums, den = self._flat_lattice()
+        scaled = (c.numerator * x for x in nums)
+        return DenseTensor.from_lattice(self.dims, scaled, den * c.denominator)

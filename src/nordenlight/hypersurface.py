@@ -108,12 +108,18 @@ class LightlikeFrame:
         return cached
 
     @property
+    def full_inverse(self) -> Matrix:
+        """Inverse of the matrix whose columns are the span vectors and the
+        transversal: row r gives the r-th coordinate of an ambient vector."""
+        return self._decomposition()[0]
+
+    @property
     def xi_span(self) -> Vector:
         """Span coordinates of the radical section."""
         return self._decomposition()[1]
 
     def ambient_coords(self, v: Vector) -> Vector:
-        full_inv = self._decomposition()[0]
+        full_inv = self.full_inverse
         return tuple(
             sum(full_inv[r][q] * v[q] for q in range(len(v))) for r in range(len(self.span) + 1)
         )

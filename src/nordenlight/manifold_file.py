@@ -15,6 +15,12 @@ bracket and metric entries default to zero. Duplicate entries (including the
 mirrored index pair of a BRACKET or METRIC line) are rejected with the line
 number, as are unknown keywords, out-of-range indices and malformed
 rationals.
+
+Two resource limits are checked at parse time, before any table is built:
+DIM is at most MAX_DIM (the verdict costs about n^4.5 operations), and every
+coefficient's numerator and denominator, in lowest terms, fit in
+MAX_COEFFICIENT_BITS bits (entries of the derived tables grow with them,
+past what a report can print for much larger input).
 """
 
 from __future__ import annotations
@@ -24,10 +30,13 @@ from fractions import Fraction
 
 from .ambient import LieAlgebraSpec, NordenStructure, norden_structure
 from .errors import ParseError
-from .exact import DenseTensor, Vector, format_rational, parse_rational, unit_vector
+from .exact import DenseTensor, Vector, format_rational, parse_rational, rational_bits, unit_vector
 from .hypersurface import HypersurfaceSpec
 
 Terms = tuple[tuple[int, Fraction], ...]  # (1-based index, coefficient)
+
+MAX_DIM = 16
+MAX_COEFFICIENT_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -85,11 +94,7 @@ def _parse_terms(tokens: list[str], dim: int, line_no: int) -> Terms:
         if k in seen:
             raise ParseError(f"duplicate index {k} in term list", line_no)
         seen.add(k)
-        try:
-            q = parse_rational(q_text)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        out.append((k, q))
+        out.append((k, _coefficient(q_text, line_no)))
     if not out:
         raise ParseError("empty term list", line_no)
     return tuple(out)
@@ -124,6 +129,8 @@ def parse_manifold_file(text: str) -> ManifoldFile:
                 raise ParseError(f"bad dimension {tokens[1]!r}", line_no) from None
             if dim <= 0:
                 raise ParseError("dimension must be positive", line_no)
+            if dim > MAX_DIM:
+                raise ParseError(f"dimension {dim} exceeds the limit of {MAX_DIM}", line_no)
             continue
 
         if dim is None:
@@ -156,11 +163,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
             if key in metric_keys:
                 raise ParseError(f"duplicate METRIC entry for ({i},{j})", line_no)
             metric_keys.add(key)
-            try:
-                q = parse_rational(tokens[4])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            metrics.append((i, j, q))
+            metrics.append((i, j, _coefficient(tokens[4], line_no)))
             continue
 
         if keyword == "J":
@@ -223,6 +226,25 @@ def parse_manifold_file(text: str) -> ManifoldFile:
         j_entries=tuple(j_entries),
         hypersurfaces=tuple(hypers),
     )
+
+
+def _coefficient(text: str, line_no: int) -> Fraction:
+    """A rational within MAX_COEFFICIENT_BITS. A numerator or denominator of
+    that many bits has at most a third as many decimal digits, so longer
+    text is rejected before any conversion to int."""
+    q = None
+    if len(text) <= 2 * MAX_COEFFICIENT_BITS:
+        try:
+            q = parse_rational(text)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+    if q is None or rational_bits(q) > MAX_COEFFICIENT_BITS:
+        raise ParseError(
+            f"coefficient exceeds the limit of {MAX_COEFFICIENT_BITS} bits "
+            "for its numerator and denominator",
+            line_no,
+        )
+    return q
 
 
 def _parse_index(text: str, dim: int, line_no: int) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .ambient import AmbientGeometry, build_ambient_geometry, validate_lie_algebra, validate_norden
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
-from .exact import Vector, format_rational
+from .exact import Vector, first_difference, format_rational
 from .hypersurface import (
     HypersurfaceSpec,
     construct_screen,
@@ -276,9 +276,14 @@ def _process_hypersurface(
 
         r13 = induced_curvature_gauss(sf, frame, amb)
         r13_closed = induced_curvature_closed_form(frame, sf, amb)
-        routes_match = r13 == r13_closed
-        if not routes_match:
-            raise InternalInconsistency("gauss and closed-form curvature routes disagree")
+        diff = first_difference(r13.dims, r13.entries, r13_closed.entries)
+        if diff is not None:
+            index, gauss_value, closed_value = diff
+            at = ",".join(map(str, index))
+            raise InternalInconsistency(
+                f"gauss and closed-form curvature routes disagree at ({at}): "
+                f"gauss {_fr(gauss_value)}, closed form {_fr(closed_value)}"
+            )
         ricci_routes = induced_ricci(r13, sf, frame, amb)
         ricci = ricci_routes.canonical
 
@@ -289,7 +294,7 @@ def _process_hypersurface(
         flags = SymmetryFlags(semi, ricci_semi, locally, einstein)
 
         out["induced"] = {
-            "curvature_routes_match": routes_match,
+            "curvature_routes_match": True,
             "curvature_nonzero": _tensor_nonzeros(r13),
             "ricci": _rows(ricci),
             "ricci_opposite_trace": _rows(

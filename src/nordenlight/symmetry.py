@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
+from operator import mul
 
 from .ambient import AmbientGeometry, TrscStatus
 from .errors import HypothesisFailure, InternalInconsistency
@@ -38,8 +40,12 @@ from .exact import (
     Matrix,
     Vector,
     bilinear,
+    first_difference,
     format_rational,
     gram,
+    int_matmul,
+    lattice_rows,
+    rational_vector,
     solve_affine,
 )
 from .hypersurface import LightlikeFrame, SecondFundamental
@@ -114,85 +120,60 @@ def induced_curvature_gauss(
     Codazzi expression built from B and tau; a residual is an engine bug."""
     m = len(frame.span)
     n = amb.spec.dim
-    amb13 = amb.riemann13.nested()
-    gm = sf.induced_gamma.nested()
-    span = frame.span
+    rows = range(m)
+    amb13, den_r = amb.riemann13.lattice()
+    span, den_s = lattice_rows(frame.span)
+    inv, den_inv = lattice_rows(frame.full_inverse)
+    b_form, den_b = lattice_rows(sf.b_form)
+    a_n, den_a = lattice_rows(sf.a_n)
+    (tau,), den_tau = lattice_rows((sf.tau,))
+    gm, den_g = sf.induced_gamma.lattice()
 
-    # stage the multilinear evaluation slot by slot: far fewer products than
-    # expanding all three span arguments at once
-    zero_row = (Fraction(0),) * n
-    stage1 = []
-    for a in range(m):
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                acc = None
-                for i in range(n):
-                    c_ai = span[a][i]
-                    if c_ai == 0:
-                        continue
-                    row = amb13[i][j][k]
-                    if acc is None:
-                        acc = [c_ai * x for x in row]
-                    else:
-                        for q in range(n):
-                            if row[q] != 0:
-                                acc[q] += c_ai * row[q]
-                rows.append(zero_row if acc is None else tuple(acc))
-        stage1.append(rows)  # index j * n + k
-    stage2 = []
-    for a in range(m):
-        rows = []
-        for b in range(m):
-            for k in range(n):
-                acc = [Fraction(0)] * n
-                for j in range(n):
-                    c_bj = span[b][j]
-                    if c_bj == 0:
-                        continue
-                    row = stage1[a][j * n + k]
-                    for q in range(n):
-                        if row[q] != 0:
-                            acc[q] += c_bj * row[q]
-                rows.append(acc)
-        stage2.append(rows)  # index b * n + k
+    # stage the multilinear evaluation slot by slot, one span argument at a
+    # time: far fewer products than expanding all three at once. vec[a][b][c]
+    # is the ambient vector R(E_a, E_b)E_c over den_s^3 den_r
+    flat = tuple(tuple(chain.from_iterable(chain.from_iterable(amb13[i]))) for i in range(n))
+    stage1 = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k, q)
+    vec = []
+    for a in rows:
+        by_j = (stage1[a][j * n * n : (j + 1) * n * n] for j in range(n))
+        stage2 = int_matmul(span, tuple(zip(*by_j)))  # b -> (k, q)
+        by_b = []
+        for b in rows:
+            by_k = (stage2[b][k * n : (k + 1) * n] for k in range(n))
+            by_b.append(int_matmul(span, tuple(zip(*by_k))))  # c -> q
+        vec.append(by_b)
+    # frame coordinates (span, then transversal) are over d_amb, the shape
+    # terms over d_shape, the Codazzi expression over d_cod
+    d_amb = den_s**3 * den_r * den_inv
+    d_shape = den_b * den_a
+    den = lcm(d_amb, d_shape)
+    f_amb, f_shape = den // d_amb, den // d_shape
+    d_cod = den_b * lcm(den_g, den_tau)
+    f_gamma, f_tau = d_cod // (den_g * den_b), d_cod // (den_tau * den_b)
+    b_cols = tuple(zip(*b_form))
+    gb = [int_matmul(gm[a], b_cols) for a in rows]  # gb[a][b][c] = sum_k gm[a][b][k] B[k][c]
+    gbt = [int_matmul(gm[a], b_form) for a in rows]  # gbt[a][c][b] = sum_k gm[a][c][k] B[b][k]
 
-    entries = []
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                vec_amb = [Fraction(0)] * n
-                for k in range(n):
-                    c_ck = span[c][k]
-                    if c_ck == 0:
-                        continue
-                    row = stage2[a][b * n + k]
-                    for q in range(n):
-                        if row[q] != 0:
-                            vec_amb[q] += c_ck * row[q]
-                tm, ncoef = frame.split_tangent(tuple(vec_amb))
-                tangent = [
-                    tm[q] - sf.b_form[a][c] * sf.a_n[b][q] + sf.b_form[b][c] * sf.a_n[a][q]
-                    for q in range(m)
-                ]
-                da_b = -sum(gm[a][b][k] * sf.b_form[k][c] for k in range(m)) - sum(
-                    gm[a][c][k] * sf.b_form[b][k] for k in range(m)
+    nums = []
+    for a in rows:
+        for b in rows:
+            for c in rows:
+                coords = [sum(map(mul, row, vec[a][b][c])) for row in inv]
+                bac, bbc = b_form[a][c], b_form[b][c]
+                # tangent part - B(E_a, E_c) A_N E_b + B(E_b, E_c) A_N E_a
+                nums.extend(
+                    f_amb * x - f_shape * (bac * y - bbc * z)
+                    for x, y, z in zip(coords, a_n[b], a_n[a])
                 )
-                db_a = -sum(gm[b][a][k] * sf.b_form[k][c] for k in range(m)) - sum(
-                    gm[b][c][k] * sf.b_form[a][k] for k in range(m)
-                )
-                codazzi = (
-                    da_b
-                    - db_a
-                    + sf.tau[a] * sf.b_form[b][c]
-                    - sf.tau[b] * sf.b_form[a][c]
-                )
-                if ncoef != codazzi:
+                d_a_b = -gb[a][b][c] - gbt[a][c][b]
+                d_b_a = -gb[b][a][c] - gbt[b][c][a]
+                codazzi = f_gamma * (d_a_b - d_b_a) + f_tau * (tau[a] * bbc - tau[b] * bac)
+                if coords[m] * d_cod != codazzi * d_amb:
                     raise InternalInconsistency(
                         f"Codazzi residual at basis triple ({a + 1},{b + 1},{c + 1})"
                     )
-                entries.extend(tangent)
-    return DenseTensor((m, m, m, m), tuple(entries))
+    return DenseTensor.from_lattice((m, m, m, m), nums, den)
 
 
 def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry) -> tuple[Vector, ...]:
@@ -274,9 +255,10 @@ def induced_curvature_closed_form(
 def canonical_ricci(r13: DenseTensor) -> Matrix:
     """Ric(X, Y) = trace of Z -> R(Z, X)Y; no metric enters the trace."""
     m = r13.dims[0]
-    t = r13.nested()
+    t, den = r13.lattice()
     return tuple(
-        tuple(sum(t[c][a][b][c] for c in range(m)) for b in range(m)) for a in range(m)
+        rational_vector((sum(t[c][a][b][c] for c in range(m)) for b in range(m)), den)
+        for a in range(m)
     )
 
 
@@ -383,14 +365,49 @@ def induced_ricci(
     closed = None
     if amb.trsc.kind == "constant" and sf.rho is not None:
         closed = closed_form_ricci(frame, sf, amb)
-    routes = RicciRoutes(canonical, split, closed)
-    if not routes.agree:
-        raise InternalInconsistency("Ricci routes disagree beyond the documented sign note")
-    return routes
+    m = len(canonical)
+    for name, other in (("ambient split", split), ("closed form", closed)):
+        diff = None if other is None else first_difference((m, m), chain(*canonical), chain(*other))
+        if diff is not None:
+            (a, b), own, theirs = diff
+            raise InternalInconsistency(
+                f"Ricci routes disagree beyond the documented sign note at ({a},{b}): "
+                f"canonical {format_rational(own)}, {name} {format_rational(theirs)}"
+            )
+    return RicciRoutes(canonical, split, closed)
 
 
 # ---------------------------------------------------------------------------
 # symmetry checkers (raw tables)
+
+
+def _scan_pairs(t) -> list[tuple[int, int]]:
+    """The pairs (x, y) of the first two slots a checker scans, in product
+    order. When the int table t is antisymmetric in those slots, every
+    checked expression is antisymmetric in (X, Y): the pairs x >= y add no
+    vanishing condition, and the first nonzero tuple in product order has
+    x < y, so only those pairs are scanned. Other tables get every pair."""
+    m = len(t)
+    antisym = all(
+        t[i][j][k] == tuple(-x for x in t[j][i][k])
+        for i in range(m)
+        for j in range(i, m)
+        for k in range(m)
+    )
+    if antisym:
+        return [(x, y) for x in range(m) for y in range(x + 1, m)]
+    return list(product(range(m), repeat=2))
+
+
+def _slot_columns(t):
+    """Columns of an int curvature table for C-level dot products:
+    (by_pair[x][y][q], first[v][w][q], second[u][w][q]) hold, over k, the
+    q-components of R(X_x, X_y)X_k, R(X_k, X_v)X_w and R(X_u, X_k)X_w."""
+    r = range(len(t))
+    by_pair = [[tuple(zip(*t[x][y])) for y in r] for x in r]
+    first = [[tuple(tuple(t[k][v][w][q] for k in r) for q in r) for w in r] for v in r]
+    second = [[tuple(tuple(t[u][k][w][q] for k in r) for q in r) for w in r] for u in r]
+    return by_pair, first, second
 
 
 def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
@@ -399,69 +416,59 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
         (R(X,Y).R)(U,V,W) = R(X,Y,R(U,V,W)) - R(U,V,R(X,Y,W))
                             - R(R(X,Y,U),V,W) - R(U,R(X,Y,V),W),
 
-    over every basis 5-tuple. When the table is antisymmetric in its first two
-    slots the expression is antisymmetric in (X, Y) and in (U, V), so scanning
-    the strictly ordered pairs decides the vanishing of all tuples; tables
+    over every basis 5-tuple; stops at the first nonzero component in
+    product order. When the table is antisymmetric in its first two slots the
+    expression is antisymmetric in (X, Y) and in (U, V), so scanning the
+    strictly ordered pairs decides the vanishing of all tuples; tables
     without that symmetry get the full scan."""
     m = r13.dims[0]
-    t = r13.nested()
-    antisym = all(
-        t[i][j][k][q] == -t[j][i][k][q]
-        for i in range(m)
-        for j in range(i, m)
-        for k in range(m)
-        for q in range(m)
-    )
-    if antisym:
-        pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
-        tuples = (
-            (x, y, u, v, w)
-            for x, y in pairs
-            for u, v in pairs
-            for w in range(m)
-        )
-    else:
-        tuples = product(range(m), repeat=5)
-    for x, y, u, v, w in tuples:
-        inner_uvw = t[u][v][w]
-        inner_xyw = t[x][y][w]
-        coef_u = t[x][y][u]
-        coef_v = t[x][y][v]
-        val = [Fraction(0)] * m
-        for k in range(m):
-            if inner_uvw[k] != 0:
-                row = t[x][y][k]
-                for q in range(m):
-                    val[q] += inner_uvw[k] * row[q]
-            if inner_xyw[k] != 0:
-                row = t[u][v][k]
-                for q in range(m):
-                    val[q] -= inner_xyw[k] * row[q]
-            if coef_u[k] != 0:
-                row = t[k][v][w]
-                for q in range(m):
-                    val[q] -= coef_u[k] * row[q]
-            if coef_v[k] != 0:
-                row = t[u][k][w]
-                for q in range(m):
-                    val[q] -= coef_v[k] * row[q]
-        if any(x_ != 0 for x_ in val):
-            return FlagResult(False, (x + 1, y + 1, u + 1, v + 1, w + 1), tuple(val))
+    rows = range(m)
+    t, den = r13.lattice()
+    pairs = _scan_pairs(t)
+    by_pair, first, second = _slot_columns(t)
+    nonzero = [[[any(row) for row in t[x][y]] for y in rows] for x in rows]
+    zero = [0] * m
+    for x, y in pairs:
+        a, a_cols, a_nz = t[x][y], by_pair[x][y], nonzero[x][y]
+        for u, v in pairs:
+            b, b_cols, b_nz = t[u][v], by_pair[u][v], nonzero[u][v]
+            au = a[u] if a_nz[u] else None
+            av = a[v] if a_nz[v] else None
+            for w in rows:
+                val = [sum(map(mul, b[w], col)) for col in a_cols] if b_nz[w] else zero
+                if a_nz[w]:
+                    aw = a[w]
+                    val = [p - sum(map(mul, aw, col)) for p, col in zip(val, b_cols)]
+                if au is not None:
+                    val = [p - sum(map(mul, au, col)) for p, col in zip(val, first[v][w])]
+                if av is not None:
+                    val = [p - sum(map(mul, av, col)) for p, col in zip(val, second[u][w])]
+                if any(val):
+                    witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
+                    return FlagResult(False, witness, rational_vector(val, den * den))
     return FlagResult(True)
 
 
 def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
-    """Vanishing of -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) on basis 4-tuples."""
+    """Vanishing of -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) on basis 4-tuples;
+    stops at the first nonzero component in product order. With A the
+    matrix of R(X_x, X_y) (row u holds R(X_x, X_y)X_u) the component at
+    (u, v) is -(A Ric)[u][v] - (A Ric^T)[v][u], one matrix product per pair
+    when Ric is symmetric; pairs are scanned as in `_scan_pairs`."""
     m = r13.dims[0]
-    t = r13.nested()
-    for x, y, u, v in product(range(m), repeat=4):
-        coef_u = t[x][y][u]
-        coef_v = t[x][y][v]
-        val = -sum(coef_u[k] * ricci[k][v] for k in range(m)) - sum(
-            ricci[u][k] * coef_v[k] for k in range(m)
-        )
-        if val != 0:
-            return FlagResult(False, (x + 1, y + 1, u + 1, v + 1), (val,))
+    t, dt = r13.lattice()
+    ric, dric = lattice_rows(ricci)
+    ric_cols = tuple(zip(*ric))
+    symmetric = ric == ric_cols
+    for x, y in _scan_pairs(t):
+        a = t[x][y]
+        p = int_matmul(a, ric_cols)
+        q = p if symmetric else int_matmul(a, ric)
+        for u, v in product(range(m), repeat=2):
+            val = -p[u][v] - q[v][u]
+            if val:
+                witness = (x + 1, y + 1, u + 1, v + 1)
+                return FlagResult(False, witness, rational_vector((val,), dt * dric))
     return FlagResult(True)
 
 
@@ -472,35 +479,36 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
                          - R(X, D_U Y, Z) - R(X, Y, D_U Z),
 
     expanded with constant coefficients; stops at the first nonzero
-    component in product order."""
+    component in product order. The expression is antisymmetric in (X, Y)
+    when the table is, so pairs are scanned as in `_scan_pairs`."""
     m = r13.dims[0]
-    t = r13.nested()
-    gm = induced_gamma.nested()
-    for u, x, y, z in product(range(m), repeat=4):
-        val = [Fraction(0)] * m
-        rxyz = t[x][y][z]
-        for k in range(m):
-            if rxyz[k] != 0:
-                row = gm[u][k]
-                for q in range(m):
-                    val[q] += rxyz[k] * row[q]
-            cx = gm[u][x][k]
-            if cx != 0:
-                row = t[k][y][z]
-                for q in range(m):
-                    val[q] -= cx * row[q]
-            cy = gm[u][y][k]
-            if cy != 0:
-                row = t[x][k][z]
-                for q in range(m):
-                    val[q] -= cy * row[q]
-            cz = gm[u][z][k]
-            if cz != 0:
-                row = t[x][y][k]
-                for q in range(m):
-                    val[q] -= cz * row[q]
-        if any(x_ != 0 for x_ in val):
-            return FlagResult(False, (u + 1, x + 1, y + 1, z + 1), tuple(val))
+    rows = range(m)
+    t, dt = r13.lattice()
+    gm, dg = induced_gamma.lattice()
+    pairs = _scan_pairs(t)
+    by_pair, first, second = _slot_columns(t)
+    nonzero = [[[any(row) for row in t[x][y]] for y in rows] for x in rows]
+    zero = [0] * m
+    for u in rows:
+        g_u = gm[u]
+        g_cols = tuple(zip(*g_u))  # over k, the q-components of D_U X_k
+        g_nz = [any(row) for row in g_u]
+        for x, y in pairs:
+            r_xy, r_cols, r_nz = t[x][y], by_pair[x][y], nonzero[x][y]
+            for z in rows:
+                val = [sum(map(mul, r_xy[z], col)) for col in g_cols] if r_nz[z] else zero
+                if g_nz[x]:
+                    gx = g_u[x]
+                    val = [p - sum(map(mul, gx, col)) for p, col in zip(val, first[y][z])]
+                if g_nz[y]:
+                    gy = g_u[y]
+                    val = [p - sum(map(mul, gy, col)) for p, col in zip(val, second[x][z])]
+                if g_nz[z]:
+                    gz = g_u[z]
+                    val = [p - sum(map(mul, gz, col)) for p, col in zip(val, r_cols)]
+                if any(val):
+                    witness = (u + 1, x + 1, y + 1, z + 1)
+                    return FlagResult(False, witness, rational_vector(val, dt * dg))
     return FlagResult(True)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from nordenlight.ambient import (
     LieAlgebraSpec,
@@ -19,14 +20,66 @@ from nordenlight.ambient import (
 )
 from nordenlight.exact import (
     DenseTensor,
+    ShapeError,
     mat_inverse,
-    mat_mul,
     solve_affine,
-    transpose,
     unit_vector,
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# test-only table helpers
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def tensor_from_rows(rows) -> DenseTensor:
+    rows = tuple(tuple(map(F, r)) for r in rows)
+    return DenseTensor((len(rows), len(rows[0])), tuple(x for r in rows for x in r))
+
+
+def tensor_from_vector(v) -> DenseTensor:
+    v = tuple(map(F, v))
+    return DenseTensor((len(v),), v)
+
+
+def tensor_contract(t: DenseTensor, slot_t: int, u: DenseTensor, slot_u: int) -> DenseTensor:
+    """Single-slot contraction; result rank is rank(t) + rank(u) - 2."""
+    if not 0 <= slot_t < t.rank:
+        raise ShapeError(f"shape: slot {slot_t} out of range for rank {t.rank}")
+    if not 0 <= slot_u < u.rank:
+        raise ShapeError(f"shape: slot {slot_u} out of range for rank {u.rank}")
+    if t.dims[slot_t] != u.dims[slot_u]:
+        raise ShapeError(
+            f"shape: contracted dimensions differ ({t.dims[slot_t]} vs {u.dims[slot_u]})"
+        )
+    csize = t.dims[slot_t]
+    t_dims = t.dims[:slot_t] + t.dims[slot_t + 1 :]
+    u_dims = u.dims[:slot_u] + u.dims[slot_u + 1 :]
+    out_dims = t_dims + u_dims
+
+    def entry(*ix):
+        tix = ix[: len(t_dims)]
+        uix = ix[len(t_dims) :]
+        total = F(0)
+        for m in range(csize):
+            full_t = tix[:slot_t] + (m,) + tix[slot_t:]
+            full_u = uix[:slot_u] + (m,) + uix[slot_u:]
+            total += t[full_t] * u[full_u]
+        return total
+
+    return DenseTensor.from_function(out_dims, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +281,54 @@ def derivation_action_direct(r13, x, y, u, v, w):
     return tuple(out)
 
 
+def brute_semi_symmetric(t, m):
+    """First nonzero (R(X,Y).R)(U,V,W) over every basis 5-tuple in product
+    order, from the definition on nested table entries of any exact number
+    type: (1-based witness, value) or None."""
+    for x, y, u, v, w in product(range(m), repeat=5):
+        val = tuple(
+            sum(
+                t[u][v][w][k] * t[x][y][k][q]
+                - t[x][y][w][k] * t[u][v][k][q]
+                - t[x][y][u][k] * t[k][v][w][q]
+                - t[x][y][v][k] * t[u][k][w][q]
+                for k in range(m)
+            )
+            for q in range(m)
+        )
+        if any(val):
+            return (x + 1, y + 1, u + 1, v + 1, w + 1), val
+    return None
+
+
+def brute_ricci_semi_symmetric(t, ric, m):
+    """First nonzero -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) in product order;
+    ric is indexed ric[a][b]."""
+    for x, y, u, v in product(range(m), repeat=4):
+        val = -sum(t[x][y][u][k] * ric[k][v] + ric[u][k] * t[x][y][v][k] for k in range(m))
+        if val != 0:
+            return (x + 1, y + 1, u + 1, v + 1), (val,)
+    return None
+
+
+def brute_locally_symmetric(t, gm, m):
+    """First nonzero (D_U R)(X,Y,Z) in product order of (U, X, Y, Z)."""
+    for u, x, y, z in product(range(m), repeat=4):
+        val = tuple(
+            sum(
+                t[x][y][z][k] * gm[u][k][q]
+                - gm[u][x][k] * t[k][y][z][q]
+                - gm[u][y][k] * t[x][k][z][q]
+                - gm[u][z][k] * t[x][y][k][q]
+                for k in range(m)
+            )
+            for q in range(m)
+        )
+        if any(val):
+            return (u + 1, x + 1, y + 1, z + 1), val
+    return None
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 
@@ -315,6 +416,25 @@ def random_norden_pair(rng: random.Random, half: int):
 
         if mat_rank(g) == n:
             return g, j
+
+
+def family_text(h: int) -> str:
+    """The realified family [e1, ek] = -2i ek (k = 2..h), B = sum ek^2, as
+    `.mf` text: X_k = e_k, X_{h+k} = i e_k, J X_k = X_{h+k}, g = Re B, and
+    one block, the span of every field but X1 under the associated metric.
+    At h = 2 these are the tables of fixtures/sl2c_borel.mf."""
+    n = 2 * h
+    lines = [f"DIM {n}"]
+    for k in range(2, h + 1):
+        lines.append(f"BRACKET 1 {k} = {h + k}:-2")
+        lines.append(f"BRACKET {h + 1} {h + k} = {h + k}:2")
+        lines.append(f"BRACKET 1 {h + k} = {k}:2")
+        lines.append(f"BRACKET {k} {h + 1} = {k}:-2")
+    lines += [f"METRIC {i} {i} = {1 if i <= h else -1}" for i in range(1, n + 1)]
+    lines += [f"J {k} = {h + k}:1" for k in range(1, h + 1)]
+    lines += [f"J {h + k} = {k}:-1" for k in range(1, h + 1)]
+    lines.append("HYPERSURFACE metric=assoc span=" + ",".join(str(i) for i in range(2, n + 1)))
+    return "\n".join(lines) + "\n"
 
 
 def basis_span(dim: int, indices_1based):

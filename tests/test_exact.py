@@ -6,15 +6,18 @@ import pytest
 from nordenlight.exact import (
     DenseTensor,
     ShapeError,
+    first_difference,
     format_rational,
+    int_matmul,
     kernel_basis,
+    lattice_rows,
     mat_rank,
     parse_rational,
     primitive_integer_vector,
     signature,
     solve_affine,
-    tensor_contract,
 )
+from helpers import mat_mul, tensor_contract, tensor_from_rows, tensor_from_vector, transpose
 
 
 class TestRationalGrammar:
@@ -126,7 +129,7 @@ class TestSolveAffine:
 class TestTensorContract:
     def test_j_composed_with_j(self, golden):
         _, ns, _ = golden
-        j = DenseTensor.from_rows(ns.j)
+        j = tensor_from_rows(ns.j)
         jj = tensor_contract(j, 1, j, 0)
         expected = DenseTensor.from_function((4, 4), lambda i, k: -1 if i == k else 0)
         assert jj == expected
@@ -136,7 +139,7 @@ class TestTensorContract:
         # derivative slot: the resulting table holds D_{X2}, whose value on
         # X2 is -2 X3.
         _, _, amb = golden
-        x2 = DenseTensor.from_vector([0, 1, 0, 0])
+        x2 = tensor_from_vector([0, 1, 0, 0])
         table = tensor_contract(x2, 0, amb.gamma, 0)
         assert table.dims == (4, 4)
         assert table[1, 2] == F(-2)  # D_{X2} X2 has X3-coefficient -2
@@ -170,7 +173,7 @@ class TestTensorContract:
         t = DenseTensor.zeros((2, 2, 2))
         u = DenseTensor.zeros((2, 2))
         assert tensor_contract(t, 2, u, 0).rank == 3
-        v = DenseTensor.from_vector([1, 2])
+        v = tensor_from_vector([1, 2])
         assert tensor_contract(v, 0, v, 0).rank == 0
 
 
@@ -182,7 +185,6 @@ class TestSignature:
         assert signature([[0, 0, -1], [0, 0, 0], [-1, 0, 0]]) == (1, 1, 1)
 
     def test_random_congruence_invariance(self):
-        from nordenlight.exact import mat_mul, transpose
         from helpers import random_unimodular
 
         rng = random.Random(19)
@@ -206,3 +208,44 @@ class TestPrimitive:
 
     def test_leading_sign(self):
         assert primitive_integer_vector((F(-2), F(4))) == (F(1), F(-2))
+
+
+class TestLattice:
+    def test_lattice_is_least_common_denominator(self):
+        t = DenseTensor((2, 2), (F(1, 2), F(-1, 3), F(0), F(2)))
+        assert t.lattice() == (((3, -2), (0, 12)), 6)
+
+    def test_from_lattice_cancels_and_seeds_the_same_view(self):
+        t = DenseTensor.from_lattice((2, 2), [4, -6, 0, 8], 12)
+        assert t.entries == (F(1, 3), F(-1, 2), F(0), F(2, 3))
+        assert t.lattice() == (((2, -3), (0, 4)), 6)
+        assert DenseTensor(t.dims, t.entries).lattice() == t.lattice()
+        assert DenseTensor.from_lattice((3,), [0, 0, 0], 7).lattice() == ((0, 0, 0), 1)
+
+    def test_round_trip_and_arithmetic_random(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            dims = (2, 3, 2)
+            a, b = (
+                DenseTensor.from_function(dims, lambda *ix: F(rng.randint(-9, 9), rng.randint(1, 6)))
+                for _ in range(2)
+            )
+            nums, den = a.lattice()
+            flat = [x for plane in nums for row in plane for x in row]
+            assert DenseTensor.from_lattice(dims, flat, den) == a
+            c = F(rng.randint(-4, 4), rng.randint(1, 4))
+            assert (a + b).entries == tuple(x + y for x, y in zip(a.entries, b.entries))
+            assert (a - b).entries == tuple(x - y for x, y in zip(a.entries, b.entries))
+            assert (-a).entries == tuple(-x for x in a.entries)
+            assert a.scale(c).entries == tuple(c * x for x in a.entries)
+
+    def test_int_matmul_and_lattice_rows(self):
+        rows, den = lattice_rows(((F(1, 2), F(0)), (F(0), F(0)), (F(1), F(-1, 4))))
+        assert (rows, den) == (((2, 0), (0, 0), (4, -1)), 4)
+        b = ((1, 2), (3, 4))
+        assert int_matmul(rows, tuple(zip(*b))) == ((2, 4), (0, 0), (1, 4))
+
+    def test_first_difference_is_row_major(self):
+        a = (F(1), F(2), F(3), F(4))
+        assert first_difference((2, 2), a, a) is None
+        assert first_difference((2, 2), a, (F(1), F(2), F(0), F(0))) == ((2, 1), F(3), F(0))

@@ -4,6 +4,8 @@ import pytest
 
 from nordenlight.errors import ParseError
 from nordenlight.manifold_file import (
+    MAX_COEFFICIENT_BITS,
+    MAX_DIM,
     hypersurface_specs,
     lie_algebra_spec,
     norden_from_file,
@@ -131,3 +133,33 @@ class TestParseErrors:
     def test_duplicate_term_index(self):
         self.expect_error("DIM 4\nJ 1 = 3:1,\n", "expected k:q|malformed", line=2)
         self.expect_error("DIM 4\nBRACKET 1 2 = 3:1 3:2\n", "duplicate index", line=2)
+
+
+class TestResourceLimits:
+    def expect_error(self, text, match, line):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_manifold_file(text)
+        assert err.value.line == line
+
+    def test_dim_cap(self):
+        assert parse_manifold_file(f"DIM {MAX_DIM}\n").dim == MAX_DIM
+        self.expect_error(f"DIM {MAX_DIM + 2}\n", f"limit of {MAX_DIM}", line=1)
+
+    def test_coefficient_at_the_cap_is_accepted(self):
+        top = 2**MAX_COEFFICIENT_BITS - 1
+        mf = parse_manifold_file(f"DIM 4\nMETRIC 1 1 = -{top}/{top - 1}\nJ 1 = 3:{top}\n")
+        assert mf.metric_entries[0][2] == F(-top, top - 1)
+        assert mf.j_entries[0][1] == ((3, F(top)),)
+
+    def test_coefficient_over_the_cap(self):
+        big = 2**MAX_COEFFICIENT_BITS
+        limit = f"limit of {MAX_COEFFICIENT_BITS} bits"
+        self.expect_error(f"DIM 4\nMETRIC 1 1 = {big}\n", limit, line=2)
+        self.expect_error(f"DIM 4\nMETRIC 1 1 = 1/{big}\n", limit, line=2)
+        self.expect_error(f"DIM 4\n\nJ 1 = 3:-{big}\n", limit, line=3)
+        self.expect_error("DIM 4\nBRACKET 1 2 = 4:" + "9" * 3000 + "\n", limit, line=2)
+
+    def test_limit_applies_in_lowest_terms(self):
+        big = 2**MAX_COEFFICIENT_BITS
+        mf = parse_manifold_file(f"DIM 4\nMETRIC 1 1 = {2 * big}/{big}\n")
+        assert mf.metric_entries[0][2] == 2

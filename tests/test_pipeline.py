@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction as F
 
 import pytest
 
 from nordenlight.cli import main
+from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
 
@@ -225,3 +228,86 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "ok"
+
+
+class TestInputLimits:
+    def test_oversized_coefficients_exit_2(self, tmp_path, golden_text, capsys):
+        # the four bracket coefficients as 3000-digit integers: the curvature
+        # entries would outgrow what a report can print
+        huge = "7" * 3000
+        text = golden_text.replace("4:-2", f"4:-{huge}").replace("4:2", f"4:{huge}")
+        text = text.replace("2:2", f"2:{huge}").replace("2:-2", f"2:-{huge}")
+        path = tmp_path / "m.mf"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and "limit of 64 bits" in err
+
+    def test_dim_40_exits_2_at_once(self, tmp_path, capsys):
+        path = tmp_path / "m.mf"
+        path.write_text("DIM 40\n" + "".join(f"METRIC {i} {i} = 1\n" for i in range(1, 41)))
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "line 1: dimension 40 exceeds the limit of 16" in capsys.readouterr().err
+
+    def test_fixture_scaled_to_the_cap_emits_both_reports(self, tmp_path, golden_text, capsys):
+        # bracket scaled by lam = (2^63 - 1)/(2^64 - 1): every coefficient
+        # 2 lam has a 64-bit numerator and denominator
+        two_lam = F(2**64 - 2, 2**64 - 1)
+        text = golden_text
+        for old, sign in (("4:-2", "-"), ("4:2", ""), ("2:2", ""), ("2:-2", "-")):
+            text = text.replace(old, f"{old[:2]}{sign}{two_lam}")
+        path = tmp_path / "m.mf"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 0
+        assert "audit: condition (iii)" in capsys.readouterr().out
+        out_path = tmp_path / "report.json"
+        assert main(["check", str(path), "--report", "structured", "--out", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["status"] == "ok"
+        assert doc["ambient"]["constant_curvatures"]["nu"] == str(two_lam**2)
+        assert doc["hypersurfaces"][0]["audit"]["consistent"] is True
+
+
+class TestRouteDisagreement:
+    """Each route cross-check names the first differing 1-based index, in
+    product order, and both values."""
+
+    def test_curvature_routes(self, golden_mf, monkeypatch):
+        from nordenlight import pipeline
+
+        closed_form = pipeline.induced_curvature_closed_form
+
+        def perturbed(frame, sf, amb):
+            table = closed_form(frame, sf, amb)
+            entries = list(table.entries)
+            entries[((0 * 3 + 2) * 3 + 2) * 3 + 0] += 1  # R(E1, E3)E3, first component
+            return DenseTensor(table.dims, tuple(entries))
+
+        monkeypatch.setattr(pipeline, "induced_curvature_closed_form", perturbed)
+        report = run_pipeline(golden_mf)
+        assert report.exit_code == 5
+        detail = report.data["hypersurfaces"][0]["detail"]
+        assert detail == (
+            "gauss and closed-form curvature routes disagree at (1,3,3,1): gauss -4, closed form -3"
+        )
+        assert detail in emit_report(report, "text")
+
+    def test_ricci_routes(self, golden_mf, monkeypatch):
+        from nordenlight import symmetry
+
+        split = symmetry.ricci_from_ambient_decomposition
+
+        def perturbed(*args):
+            rows = [list(row) for row in split(*args)]
+            rows[1][2] += F(1, 2)
+            return tuple(tuple(row) for row in rows)
+
+        monkeypatch.setattr(symmetry, "ricci_from_ambient_decomposition", perturbed)
+        report = run_pipeline(golden_mf)
+        assert report.exit_code == 5
+        assert report.data["hypersurfaces"][0]["detail"] == (
+            "Ricci routes disagree beyond the documented sign note at (2,3): "
+            "canonical 0, ambient split 1/2"
+        )

@@ -3,11 +3,18 @@ and the engine-level consistency guards."""
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from helpers import basis_span, derivation_action_direct, run_hypersurface
+from helpers import (
+    basis_span,
+    brute_locally_symmetric,
+    brute_ricci_semi_symmetric,
+    brute_semi_symmetric,
+    derivation_action_direct,
+    run_hypersurface,
+)
 from nordenlight.ambient import (
     TrscStatus,
     ambient_ricci,
@@ -137,3 +144,54 @@ class TestSemiSymmetricFullScanFallback:
         x, y, u, v, w = (i - 1 for i in flag.witness)
         assert derivation_action_direct(table, x, y, u, v, w) == flag.value
         assert flag.value == (F(-2), F(0))
+
+    def test_ricci_and_local_checks_scan_every_pair_without_antisymmetry(self):
+        # the same raw table: the reduced pair scan would skip the diagonal
+        # pair (X1, X1) that carries the only nonzero components
+        entries = {(0, 0, 0, 0): F(1)}
+        table = DenseTensor.from_function(
+            (2, 2, 2, 2), lambda *ix: entries.get(ix, F(0))
+        )
+        ric = ((F(1), F(0)), (F(0), F(0)))
+        flag = ricci_semi_symmetric_check(table, ric)
+        assert (flag.holds, flag.witness, flag.value) == (False, (1, 1, 1, 1), (F(-2),))
+        gamma = DenseTensor.from_function(
+            (2, 2, 2), lambda u, a, b: F(1 if (u, a, b) == (1, 0, 1) else 0)
+        )
+        flag = locally_symmetric_check(table, gamma)
+        assert (flag.holds, flag.witness, flag.value) == (False, (2, 1, 1, 1), (F(0), F(1)))
+
+
+class TestCheckersAgainstBruteForce:
+    def test_random_raw_tables(self):
+        # small raw tables with denominators, antisymmetrized in the first
+        # slot pair for half of them, and a Ricci table that is not always
+        # symmetric: every checker must return the first nonzero tuple of the
+        # full product-order scan and its exact value
+        rng = random.Random(41)
+        m = 3
+        idx = range(m)
+        for trial in range(30):
+            raw = {
+                ix: F(rng.choice([0, 0, 0, 1, -2, 3]), rng.choice([1, 2, 5]))
+                for ix in product(idx, repeat=4)
+            }
+            if trial % 2:
+                raw = {(i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] for i, j, k, l in raw}
+            table = DenseTensor.from_function((m,) * 4, lambda *ix: raw[ix])
+            gamma = DenseTensor.from_function(
+                (m,) * 3, lambda *ix: F(rng.choice([0, 0, 1, -1]), rng.choice([1, 3]))
+            )
+            ric = tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 7])) for _ in idx) for _ in idx)
+            if trial % 3 == 0:
+                ric = tuple(tuple(ric[max(a, b)][min(a, b)] for b in idx) for a in idx)
+            t, gm = table.nested(), gamma.nested()
+            for flag, expected in (
+                (semi_symmetric_check(table), brute_semi_symmetric(t, m)),
+                (ricci_semi_symmetric_check(table, ric), brute_ricci_semi_symmetric(t, ric, m)),
+                (locally_symmetric_check(table, gamma), brute_locally_symmetric(t, gm, m)),
+            ):
+                if expected is None:
+                    assert flag.holds
+                else:
+                    assert (flag.holds, flag.witness, flag.value) == (False, *expected)
