@@ -41,13 +41,15 @@ from .exact import (
     Vector,
     bilinear,
     bilinear_map,
+    first_difference,
+    fit_tables,
     format_rational,
+    int_bilinear,
     int_matmul,
     lattice_rows,
     mat,
     mat_inverse,
     signature,
-    solve_affine,
     vec,
 )
 
@@ -108,6 +110,34 @@ class NordenStructure:
         if which == "associated":
             return self.g_assoc
         raise ValueError(f"unknown metric selector {which!r}")
+
+    def lattice(self, which: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(int rows, den) of J (which = "j") or of `metric(which)`. Built on
+        first use and memoized per instance like `DenseTensor.lattice()`."""
+        memo = getattr(self, "_lattice_memo", None)
+        if memo is None:
+            memo = {
+                "j": lattice_rows(self.j),
+                "principal": lattice_rows(self.g),
+                "associated": lattice_rows(self.g_assoc),
+            }
+            object.__setattr__(self, "_lattice_memo", memo)
+        if which not in memo:
+            raise ValueError(f"unknown metric selector {which!r}")
+        return memo[which]
+
+    def apply_j_rows(self, vectors):
+        """J applied to every row of an int table of ambient vectors, both
+        given as (rows, den)."""
+        rows, den = vectors
+        j, dj = self.lattice("j")
+        return int_matmul(rows, j), den * dj
+
+    def pairings(self, which: str, u, v):
+        """(rows, den) of the pairings <u_a, v_b> in `metric(which)` for int
+        tables of ambient vectors u and v given as (rows, den)."""
+        g, dg = self.lattice(which)
+        return int_bilinear(u[0], g, v[0]), u[1] * dg * v[1]
 
 
 def norden_structure(g_rows, j_rows) -> NordenStructure:
@@ -302,8 +332,8 @@ class KaehlerCheck:
 def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor) -> KaehlerCheck:
     n = spec.dim
     gm, dgm = gamma.lattice()
-    j, dj = lattice_rows(ns.j)
-    g, dg = lattice_rows(ns.g)
+    j, dj = ns.lattice("j")
+    g, dg = ns.lattice("principal")
     jt = tuple(zip(*j))  # row a holds J X_a
     g_cols = tuple(zip(*g))
     nums = []
@@ -343,7 +373,7 @@ def curvature(
     n = spec.dim
     gm, dgm = gamma.lattice()
     c, dc = spec.brackets.lattice()
-    g, dg = lattice_rows(ns.g)
+    g, dg = ns.lattice("principal")
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
     cols = [tuple(zip(*gm[i])) for i in range(n)]
@@ -457,14 +487,20 @@ def verify_pi_assoc_relations(
     ns: NordenStructure, pi1: DenseTensor, pi2: DenseTensor, pi3: DenseTensor
 ) -> None:
     """The associated-metric counterparts swap pi1 and pi2 and negate pi3;
-    verified componentwise against the definitional construction."""
+    verified componentwise against the definitional construction. A failure
+    names the first differing 1-based index in product order and both values."""
     a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
-    if a1.lattice() != pi2.lattice():
-        raise InternalInconsistency("associated pi1 does not equal pi2")
-    if a2.lattice() != pi1.lattice():
-        raise InternalInconsistency("associated pi2 does not equal pi1")
-    if a3.lattice() != (-pi3).lattice():
-        raise InternalInconsistency("associated pi3 does not equal -pi3")
+    for name, own, expected, other in (
+        ("pi1", a1, pi2, "pi2"),
+        ("pi2", a2, pi1, "pi1"),
+        ("pi3", a3, -pi3, "-pi3"),
+    ):
+        if own.lattice() != expected.lattice():
+            index, x, y = first_difference(own.dims, own.entries, expected.entries)
+            raise InternalInconsistency(
+                f"associated {name} does not equal {other} at ({','.join(map(str, index))}): "
+                f"associated {name} {format_rational(x)}, {other} {format_rational(y)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -488,9 +524,7 @@ def constant_trsc(
     constant with the canonical representative and a degeneracy mark, never
     silently resolved.
     """
-    d = pi1 - pi2
-    rows = list(zip(d.entries, pi3.entries))
-    sol = solve_affine(rows, list(r04.entries))
+    sol = fit_tables((pi1 - pi2, pi3), r04)
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
     nu, nu_assoc = sol.particular
@@ -521,15 +555,14 @@ def associated_curvature(
     (-nu_assoc, nu); any other outcome is an engine inconsistency."""
     n = r04.dims[0]
     t, dt = r04.lattice()
-    j, dj = lattice_rows(ns.j)
+    j, dj = ns.lattice("j")
     j_cols = tuple(zip(*j))
     nums = []
     for i, a in product(range(n), repeat=2):
         nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
     assoc = DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
-    d = pi2 - pi1  # associated pi1 - associated pi2
-    neg_pi3 = -pi3  # associated pi3
-    sol = solve_affine(list(zip(d.entries, neg_pi3.entries)), list(assoc.entries))
+    # associated pi1 - associated pi2, and associated pi3
+    sol = fit_tables((pi2 - pi1, -pi3), assoc)
     if sol.kind == "infeasible":
         if trsc.kind == "constant":
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")

@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul, ne
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -339,9 +339,21 @@ def lattice_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
+def lattice_vector(v) -> tuple[tuple[int, ...], int]:
+    """Int numerators of a vector over the least common positive denominator
+    of its entries."""
+    (nums,), den = lattice_rows((v,))
+    return nums, den
+
+
 def rational_vector(nums, den: int) -> Vector:
     """The rationals nums[i] / den."""
     return tuple(Fraction(x, den) for x in nums)
+
+
+def rational_rows(rows, den: int) -> Matrix:
+    """The rational matrix rows[i][j] / den."""
+    return tuple(rational_vector(row, den) for row in rows)
 
 
 def int_matmul(a, b_cols) -> tuple[tuple[int, ...], ...]:
@@ -352,6 +364,12 @@ def int_matmul(a, b_cols) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sum(map(mul, row, col)) for col in b_cols) if any(row) else zero for row in a
     )
+
+
+def int_bilinear(u, g, v) -> tuple[tuple[int, ...], ...]:
+    """The int matrix of pairings u_a^T g v_b, for the rows u_a of u and v_b
+    of v."""
+    return int_matmul(int_matmul(u, tuple(zip(*g))), v)
 
 
 def _nest(dims, flat):
@@ -383,17 +401,6 @@ class DenseTensor:
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    @staticmethod
-    def zeros(dims) -> "DenseTensor":
-        dims = tuple(dims)
-        return DenseTensor(dims, (Fraction(0),) * prod(dims))
-
-    @classmethod
-    def from_function(cls, dims, fn) -> "DenseTensor":
-        dims = tuple(dims)
-        values = (fn(*ix) for ix in product(*(range(d) for d in dims)))
-        return cls(dims, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
     def _offset(self, idx) -> int:
         off = 0
@@ -491,3 +498,58 @@ class DenseTensor:
         nums, den = self._flat_lattice()
         scaled = (c.numerator * x for x in nums)
         return DenseTensor.from_lattice(self.dims, scaled, den * c.denominator)
+
+
+# ---------------------------------------------------------------------------
+# componentwise affine fits
+
+
+def fit_tables(columns, rhs: DenseTensor) -> LinearSolution:
+    """Solve sum_j x_j columns[j] = rhs over every component of tables of one
+    shape, with the outcome `solve_affine` gives on all component rows.
+
+    Rows of the coefficient matrix that are independent of the earlier ones
+    are picked in product order on the lattice views (scaling a column by its
+    denominator changes no rank), and only they go to `solve_affine`. When
+    the full system is feasible its augmented row space equals that of the
+    picked rows, so the kind, the particular solution and the null space are
+    those of the full system; the full system is feasible exactly when that
+    particular solution satisfies every component, checked in cross-multiplied
+    ints. All-zero coefficient tables pick the first row."""
+    if any(t.dims != rhs.dims for t in columns):
+        raise ShapeError("fit tables differ in shape")
+    lattices = [t._flat_lattice() for t in columns]
+    flat = [tuple(nums) for nums, _ in lattices]
+    dens = [den for _, den in lattices]
+    picked: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, fraction-free reduced row)
+    for i, row in enumerate(zip(*flat)):
+        if not any(row):
+            continue
+        row = list(row)
+        for p, er in echelon:
+            if row[p]:
+                f, g = er[p], row[p]
+                row = [f * x - g * y for x, y in zip(row, er)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        echelon.append((lead, row))
+        picked.append(i)
+        if len(picked) == len(columns):
+            break
+    picked = picked or [0]
+    sol = solve_affine(
+        [tuple(t.entries[i] for t in columns) for i in picked], [rhs.entries[i] for i in picked]
+    )
+    if sol.kind == "infeasible":
+        return sol
+    x, dx = lattice_vector(sol.particular)
+    b, db = rhs._flat_lattice()
+    den = lcm(*dens)
+    lhs = repeat(0)
+    for col, xj, dj in zip(flat, x, dens):
+        lhs = map(add, lhs, map(mul, col, repeat(xj * (den // dj) * db)))
+    if any(map(ne, lhs, map(mul, b, repeat(dx * den)))):
+        return LinearSolution("infeasible", None, ())
+    return sol

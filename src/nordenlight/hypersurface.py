@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from .ambient import AmbientGeometry, Check
 from .errors import HypothesisFailure, InternalInconsistency
@@ -34,12 +36,17 @@ from .exact import (
     ShapeError,
     Vector,
     bilinear,
-    bilinear_map,
+    fit_tables,
     gram,
+    int_matmul,
     kernel_basis,
+    lattice_rows,
+    lattice_vector,
     mat_inverse,
     mat_rank,
     primitive_integer_vector,
+    rational_rows,
+    rational_vector,
     solve_affine,
     unit_vector,
     vec_is_zero,
@@ -69,9 +76,26 @@ class Classification:
 
 
 @dataclass(frozen=True)
+class FrameLattice:
+    """Int forms of a frame's tables as (int rows or vector, den) pairs, and
+    the columns of the span and screen rows for `int_matmul` (over the span
+    denominator)."""
+
+    span: tuple  # rows: the span vectors in ambient coordinates
+    span_cols: tuple
+    screen_cols: tuple
+    inverse: tuple  # row r gives the r-th frame coordinate (span, then N)
+    inner: tuple  # row r gives the r-th coordinate along screen, then xi
+    transversal: tuple  # one row: N
+    xi_span: tuple  # span coordinates of the radical section
+    eta: tuple
+
+
+@dataclass(frozen=True)
 class LightlikeFrame:
     """A lightlike frame. It owns its exact decomposition: ambient vectors
-    split along span + transversal, span coordinates along screen + radical."""
+    split along span + transversal, span coordinates along screen + radical.
+    The decomposition works on whole int tables given as (rows, den)."""
 
     span: tuple[Vector, ...]
     inducing_metric: str
@@ -82,11 +106,11 @@ class LightlikeFrame:
     eta: tuple[Fraction, ...]  # eta(E_a) = <E_a, N> over the span basis
     b: Fraction | None = None
 
-    def _decomposition(self) -> tuple[Matrix, Vector, Matrix]:
-        """(full_inv, xi_span, inner_inv), built on first use and memoized per
-        instance (the memo is not a dataclass field, so equality and repr
-        ignore it and dataclasses.replace starts a fresh one)."""
-        cached = getattr(self, "_decomposition_memo", None)
+    def lattice(self) -> FrameLattice:
+        """The int forms, built on first use and memoized per instance (the
+        memo is not a dataclass field, so equality and repr ignore it and
+        dataclasses.replace starts a fresh one)."""
+        cached = getattr(self, "_lattice_memo", None)
         if cached is not None:
             return cached
         m = len(self.span)
@@ -103,58 +127,61 @@ class LightlikeFrame:
         xi_span = coords[:m]
         inner_cols = [unit_vector(m, i) for i in self.screen_indices] + [xi_span]
         inner = tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m))
-        cached = (full_inv, xi_span, mat_inverse(inner))
-        object.__setattr__(self, "_decomposition_memo", cached)
+        span = lattice_rows(self.span)
+        cached = FrameLattice(
+            span=span,
+            span_cols=tuple(zip(*span[0])),
+            screen_cols=tuple(zip(*(span[0][i] for i in self.screen_indices))),
+            inverse=lattice_rows(full_inv),
+            inner=lattice_rows(mat_inverse(inner)),
+            transversal=lattice_rows((self.transversal,)),
+            xi_span=lattice_vector(xi_span),
+            eta=lattice_vector(self.eta),
+        )
+        object.__setattr__(self, "_lattice_memo", cached)
         return cached
-
-    @property
-    def full_inverse(self) -> Matrix:
-        """Inverse of the matrix whose columns are the span vectors and the
-        transversal: row r gives the r-th coordinate of an ambient vector."""
-        return self._decomposition()[0]
 
     @property
     def xi_span(self) -> Vector:
         """Span coordinates of the radical section."""
-        return self._decomposition()[1]
+        return rational_vector(*self.lattice().xi_span)
 
-    def ambient_coords(self, v: Vector) -> Vector:
-        full_inv = self.full_inverse
+    def to_ambient(self, coords):
+        """Ambient vectors of rows of span coordinates."""
+        rows, den = coords
+        lat = self.lattice()
+        return int_matmul(rows, lat.span_cols), den * lat.span[1]
+
+    def screen_to_ambient(self, coords):
+        """Ambient vectors of rows of screen coordinates."""
+        rows, den = coords
+        lat = self.lattice()
+        return int_matmul(rows, lat.screen_cols), den * lat.span[1]
+
+    def frame_coords(self, vectors):
+        """Rows of ambient vectors split along span + transversal: each row
+        holds the span coordinates, then the transversal coefficient."""
+        rows, den = vectors
+        inv, di = self.lattice().inverse
+        return int_matmul(rows, inv), den * di
+
+    def screen_coords(self, coords):
+        """Rows of span coordinates split along screen + radical: each row
+        holds the screen coordinates, then the xi coefficient."""
+        rows, den = coords
+        inner, dn = self.lattice().inner
+        return int_matmul(rows, inner), den * dn
+
+    def p_projection(self):
+        """Span coordinates of the screen projections P E_a, one row per
+        basis field: P E_a = E_a - eta(E_a) xi."""
+        lat = self.lattice()
+        eta, de = lat.eta
+        xi, dx = lat.xi_span
+        one = de * dx
         return tuple(
-            sum(full_inv[r][q] * v[q] for q in range(len(v))) for r in range(len(self.span) + 1)
-        )
-
-    def split_tangent(self, v: Vector) -> tuple[Vector, Fraction]:
-        coords = self.ambient_coords(v)
-        return coords[:-1], coords[-1]
-
-    def span_to_ambient(self, coords: Vector) -> Vector:
-        m = len(self.span)
-        return tuple(
-            sum(coords[a] * self.span[a][q] for a in range(m)) for q in range(len(self.xi))
-        )
-
-    def screen_radical_split(self, tm_coords: Vector) -> tuple[Vector, Fraction]:
-        inner_inv = self._decomposition()[2]
-        m = len(self.span)
-        coords = tuple(
-            sum(inner_inv[r][a] * tm_coords[a] for a in range(m)) for r in range(m)
-        )
-        return coords[:-1], coords[-1]
-
-    def screen_coords_to_span(self, screen_coords: Vector) -> Vector:
-        out = [Fraction(0)] * len(self.span)
-        for pos, idx in enumerate(self.screen_indices):
-            out[idx] += screen_coords[pos]
-        return tuple(out)
-
-    def p_project_span(self, a: int) -> Vector:
-        """Span coordinates of the screen projection of the a-th basis field."""
-        xi_span = self.xi_span
-        out = list(unit_vector(len(self.span), a))
-        for q in range(len(self.span)):
-            out[q] -= self.eta[a] * xi_span[q]
-        return tuple(out)
+            tuple((one if q == a else 0) - ea * x for q, x in enumerate(xi)) for a, ea in enumerate(eta)
+        ), one
 
 
 @dataclass(frozen=True)
@@ -345,76 +372,80 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     are engine inconsistencies, not input properties.
     """
     m = len(frame.span)
-    xi_span = frame.xi_span
-    gamma = amb.gamma.nested()
+    n = amb.spec.dim
+    rows = range(m)
+    lat = frame.lattice()
+    span, ds = lat.span
+    transversal, dn = lat.transversal
+    xi, dx = lat.xi_span
+    gm, dg = amb.gamma.lattice()
 
-    induced = []
-    b_rows = []
-    for a in range(m):
-        gamma_row = []
-        b_row = []
-        for b in range(m):
-            tm, ncoef = frame.split_tangent(bilinear_map(gamma, frame.span[a], frame.span[b]))
-            gamma_row.append(tm)
-            b_row.append(ncoef)
-        induced.append(gamma_row)
-        b_rows.append(tuple(b_row))
-    b_form = tuple(b_rows)
+    # D_{E_a} X_j for every a, then paired with the span rows and with N
+    flat = tuple(tuple(chain.from_iterable(gm[i])) for i in range(n))
+    by_a = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k), over ds * dg
+    derivs = []  # row a * m + b: D_{E_a} E_b
+    along_n = []  # row a: D_{E_a} N
+    for a in rows:
+        d_cols = tuple(zip(*(by_a[a][j * n : (j + 1) * n] for j in range(n))))
+        derivs.extend(int_matmul(span, d_cols))
+        along_n.extend(int_matmul(transversal, d_cols))
+    split, d_b = frame.frame_coords((derivs, ds * ds * dg))
+    induced = [split[a * m : (a + 1) * m] for a in rows]  # induced[a][b][:m] = D_{E_a} E_b
+    b_form = tuple(tuple(row[m] for row in induced[a]) for a in rows)
 
-    for a in range(m):
+    for a in rows:
         for b in range(a + 1, m):
             if b_form[a][b] != b_form[b][a]:
                 raise InternalInconsistency("second fundamental form is not symmetric")
-    for a in range(m):
-        if sum(b_form[a][b] * xi_span[b] for b in range(m)) != 0:
+    for a in rows:
+        if sum(map(mul, b_form[a], xi)) != 0:
             raise InternalInconsistency("second fundamental form does not vanish on the radical")
 
-    a_n = []
-    tau = []
-    for a in range(m):
-        tm, ncoef = frame.split_tangent(bilinear_map(gamma, frame.span[a], frame.transversal))
-        a_n.append(tuple(-x for x in tm))
-        tau.append(ncoef)
-    tau = tuple(tau)
+    n_split, d_tau = frame.frame_coords((along_n, ds * dn * dg))
+    a_n = tuple(tuple(-x for x in row[:m]) for row in n_split)
+    tau = tuple(row[m] for row in n_split)
 
+    # row a: the induced derivative of xi along E_a, sum_b xi_b D_{E_a} E_b
+    nabla_xi = [int_matmul((xi,), tuple(zip(*(row[:m] for row in induced[a]))))[0] for a in rows]
+    xi_split, d_star = frame.screen_coords((nabla_xi, dx * d_b))
     a_star = []
-    for a in range(m):
-        d_xi = tuple(
-            sum(xi_span[b] * induced[a][b][q] for b in range(m)) for q in range(m)
-        )
-        screen_part, xi_coef = frame.screen_radical_split(d_xi)
-        if -xi_coef != tau[a]:
+    for a in rows:
+        if -xi_split[a][m - 1] * d_tau != tau[a] * d_star:
             raise InternalInconsistency("tau from the transversal and radical decompositions disagree")
-        a_star.append(frame.screen_coords_to_span(tuple(-x for x in screen_part)))
-    if any(
-        sum(xi_span[a] * a_star[a][q] for a in range(m)) != 0 for q in range(m)
-    ):
+        image = [0] * m
+        for pos, idx in enumerate(frame.screen_indices):
+            image[idx] = -xi_split[a][pos]
+        a_star.append(image)
+    if any(int_matmul((xi,), tuple(zip(*a_star)))[0]):
         raise InternalInconsistency("xi-shape operator does not annihilate the radical section")
 
-    c_rows = []
-    nabla_star = []
-    for a in range(m):
-        c_row = []
-        ns_row = []
-        for pos, idx in enumerate(frame.screen_indices):
-            screen_part, xi_coef = frame.screen_radical_split(induced[a][idx])
-            c_row.append(xi_coef)
-            ns_row.append(screen_part)
-        c_rows.append(tuple(c_row))
-        nabla_star.append(tuple(ns_row))
-
-    gamma_tensor = DenseTensor(
-        (m, m, m), tuple(x for row in induced for tm in row for x in tm)
+    screen_split, d_c = frame.screen_coords(
+        ([induced[a][idx][:m] for a in rows for idx in frame.screen_indices], d_b)
+    )
+    c_form = [tuple(row[m - 1] for row in screen_split[a * (m - 1) : (a + 1) * (m - 1)]) for a in rows]
+    nabla_star = tuple(
+        rational_rows((row[: m - 1] for row in screen_split[a * (m - 1) : (a + 1) * (m - 1)]), d_c)
+        for a in rows
     )
     return SecondFundamental(
-        b_form=b_form,
-        c_form=tuple(c_rows),
-        a_star_xi=tuple(a_star),
-        a_n=tuple(a_n),
-        tau=tau,
-        induced_gamma=gamma_tensor,
-        nabla_star=tuple(nabla_star),
+        b_form=rational_rows(b_form, d_b),
+        c_form=rational_rows(c_form, d_c),
+        a_star_xi=rational_rows(a_star, d_star),
+        a_n=rational_rows(a_n, d_tau),
+        tau=rational_vector(tau, d_tau),
+        induced_gamma=DenseTensor.from_lattice(
+            (m, m, m), (x for block in induced for row in block for x in row[:m]), d_b
+        ),
+        nabla_star=nabla_star,
     )
+
+
+def _aligned(image, p) -> bool:
+    """Whether the int vector image is a multiple of the int vector p."""
+    pivot = next((q for q, x in enumerate(p) if x), None)
+    if pivot is None:
+        return not any(image)
+    return all(x * p[pivot] == image[pivot] * y for x, y in zip(image, p))
 
 
 def umbilical_test(
@@ -424,29 +455,37 @@ def umbilical_test(
     factor rho means totally umbilical (rho = 0 is totally geodesic); an
     infeasible fit returns the first basis field whose xi-shape image is not
     aligned with its screen projection."""
-    g_ind = gram(amb.norden.metric(frame.inducing_metric), frame.span)
     m = len(frame.span)
-    rows = [(x,) for row in g_ind for x in row]
-    sol = solve_affine(rows, [x for row in sf.b_form for x in row])
+    span = frame.lattice().span
+    g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
+    sol = fit_tables(
+        (DenseTensor.from_lattice((m, m), chain.from_iterable(g_ind), den),),
+        DenseTensor((m, m), tuple(chain.from_iterable(sf.b_form))),
+    )
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)
     if sol.kind == "parametric":
         raise InternalInconsistency("induced metric vanished identically on a hypersurface")
+    p, _ = frame.p_projection()
+    images, d_star = lattice_rows(sf.a_star_xi)
+
+    def witness(a: int) -> UmbilicalResult:
+        image, den = frame.to_ambient(((images[a],), d_star))
+        return UmbilicalResult(False, None, a, rational_vector(image[0], den))
+
     for a in range(m):
-        p_span = frame.p_project_span(a)
-        image = sf.a_star_xi[a]
-        cols = list(zip(p_span))
-        if solve_affine(cols, list(image)).kind == "infeasible":
-            return UmbilicalResult(False, None, a, frame.span_to_ambient(image))
-    # images are individually aligned but the factors differ
+        if not _aligned(images[a], p[a]):
+            return witness(a)
+    # images are individually aligned but the factors differ; the factor of
+    # field a is images[a][q] / p[a][q] at the first q with p[a][q] != 0
     factors = []
     for a in range(m):
-        p_span = frame.p_project_span(a)
-        pivot = next((q for q, x in enumerate(p_span) if x != 0), None)
+        pivot = next((q for q, x in enumerate(p[a]) if x), None)
         if pivot is not None:
-            factors.append((a, sf.a_star_xi[a][pivot] / p_span[pivot]))
-    bad = next(a for a, f in factors if f != factors[0][1])
-    return UmbilicalResult(False, None, bad, frame.span_to_ambient(sf.a_star_xi[bad]))
+            factors.append((a, images[a][pivot], p[a][pivot]))
+    _, num0, den0 = factors[0]
+    bad = next(a for a, num, den in factors if num * den0 != num0 * den)
+    return witness(bad)
 
 
 def verify_frame_identities(
@@ -462,185 +501,149 @@ def verify_frame_identities(
     the screen connection, vanishing of tau (the gauge function b is constant
     here), and, when umbilical, the alignment of the N-shape operator with
     J on the screen. These are theorems; the caller treats any failure as an
-    internal inconsistency."""
+    internal inconsistency.
+
+    Every table is int rows over one denominator; each identity is a scan
+    whose first witness, in the order written, is recorded."""
     m = len(frame.span)
-    xi_span = frame.xi_span
-    b = frame.b
+    rows = range(m)
+    ns = amb.norden
+    which = frame.inducing_metric
+    lat = frame.lattice()
+    span = lat.span
+    xi, _ = lat.xi_span
+    eta, de = lat.eta
+    transversal = lat.transversal
+    b_form, db = lattice_rows(sf.b_form)
+    c_form, dc = lattice_rows(sf.c_form)
+    scalars, dk = lattice_vector((-frame.b,) if rho is None else (-frame.b, rho / frame.b))
+    neg_b = scalars[0]
     checks: list[Check] = []
 
-    def add(name: str, witness):
-        checks.append(Check(name, witness is None, witness))
+    def add(name: str, witnesses):
+        w = next(iter(witnesses), None)
+        checks.append(Check(name, w is None, w))
 
     # hoisted tables reused by several identities
-    a_star_amb = tuple(frame.span_to_ambient(v) for v in sf.a_star_xi)
-    a_n_amb = tuple(frame.span_to_ambient(v) for v in sf.a_n)
-    # the metric is symmetric, so pairings with a basis field put the field
-    # first, where bilinear skips its zero entries
-    metric = amb.norden.metric(frame.inducing_metric)
-    p_amb = tuple(frame.span_to_ambient(frame.p_project_span(a)) for a in range(m))
-    gm_nested = sf.induced_gamma.nested()
-    d_amb = tuple(
-        tuple(frame.span_to_ambient(gm_nested[a][c]) for c in range(m)) for a in range(m)
+    a_star_amb, d_star = frame.to_ambient(lattice_rows(sf.a_star_xi))
+    a_n_amb, d_an = frame.to_ambient(lattice_rows(sf.a_n))
+    j_p, d_jp = ns.apply_j_rows(frame.to_ambient(frame.p_projection()))
+    j_span, d_js = ns.apply_j_rows(span)
+
+    def screen_coords_of(vectors):
+        """Screen coordinates of each ambient row, or None where the row has
+        a transversal or a radical component."""
+        split, den = frame.frame_coords(vectors)
+        coords, d_coords = frame.screen_coords(([row[:m] for row in split], den))
+        return [
+            None if split_row[m] or row[m - 1] else row[: m - 1] for split_row, row in zip(split, coords)
+        ], d_coords
+
+    add(
+        "second_fundamental_symmetric",
+        ((a + 1, c + 1) for a in rows for c in range(a + 1, m) if b_form[a][c] != b_form[c][a]),
     )
+    add("second_fundamental_kills_radical", ((a + 1,) for a in rows if sum(map(mul, b_form[a], xi))))
 
-    def screen_coords_of(vec_ambient):
-        tm, ncoef = frame.split_tangent(vec_ambient)
-        if ncoef != 0:
-            return None
-        coords, xi_coef = frame.screen_radical_split(tm)
-        if xi_coef != 0:
-            return None
-        return coords
+    pair, dp = ns.pairings(which, span, (a_star_amb, d_star))  # pair[c][a] = <E_c, A*_xi E_a>
+    add(
+        "b_equals_xi_shape_pairing",
+        ((a + 1, c + 1) for a in rows for c in rows if b_form[a][c] * dp != pair[c][a] * db),
+    )
+    pair, _ = ns.pairings(which, (a_star_amb, d_star), transversal)
+    add("xi_shape_operator_screen_valued", ((a + 1,) for a in rows if pair[a][0]))
 
-    w = next(
+    pair, dp = ns.pairings(which, span, (a_n_amb, d_an))  # pair[c][a] = <E_c, A_N E_a>
+    add(
+        "c_equals_transversal_shape_pairing",
         (
-            (a + 1, c + 1)
-            for a in range(m)
-            for c in range(a + 1, m)
-            if sf.b_form[a][c] != sf.b_form[c][a]
+            (a + 1, pos + 1)
+            for a in rows
+            for pos, idx in enumerate(frame.screen_indices)
+            if c_form[a][pos] * dp != pair[idx][a] * dc
         ),
-        None,
     )
-    add("second_fundamental_symmetric", w)
+    pair, _ = ns.pairings(which, (a_n_amb, d_an), transversal)
+    add("transversal_shape_operator_screen_valued", ((a + 1,) for a in rows if pair[a][0]))
 
-    w = next(
+    # (D_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y) over all basis triples,
+    # with <E_d, D_{E_a} E_c> = sum_q gamma[a][c][q] <E_d, E_q> = der[a][c][d]
+    gram, d_gram = ns.pairings(which, span, span)
+    gm, d_gm = sf.induced_gamma.lattice()
+    der = [int_matmul(gm[a], gram) for a in rows]
+    d_lhs, d_rhs = d_gm * d_gram, db * de
+    add(
+        "metric_derivative_split",
         (
-            (a + 1,)
-            for a in range(m)
-            if sum(sf.b_form[a][c] * xi_span[c] for c in range(m)) != 0
+            (a + 1, c + 1, d + 1)
+            for a in rows
+            for c in rows
+            for d in rows
+            if -(der[a][c][d] + der[a][d][c]) * d_rhs
+            != (b_form[a][c] * eta[d] + b_form[a][d] * eta[c]) * d_lhs
         ),
-        None,
     )
-    add("second_fundamental_kills_radical", w)
-
-    w = None
-    for a in range(m):
-        for c in range(m):
-            if sf.b_form[a][c] != bilinear(metric, frame.span[c], a_star_amb[a]):
-                w = (a + 1, c + 1)
-                break
-        if w:
-            break
-    add("b_equals_xi_shape_pairing", w)
-
-    w = next(
-        ((a + 1,) for a in range(m) if bilinear(metric, a_star_amb[a], frame.transversal) != 0),
-        None,
-    )
-    add("xi_shape_operator_screen_valued", w)
-
-    w = None
-    for a in range(m):
-        for pos, idx in enumerate(frame.screen_indices):
-            if sf.c_form[a][pos] != bilinear(metric, frame.span[idx], a_n_amb[a]):
-                w = (a + 1, pos + 1)
-                break
-        if w:
-            break
-    add("c_equals_transversal_shape_pairing", w)
-
-    w = next(
-        ((a + 1,) for a in range(m) if bilinear(metric, a_n_amb[a], frame.transversal) != 0),
-        None,
-    )
-    add("transversal_shape_operator_screen_valued", w)
-
-    # (D_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y) over all basis triples
-    w = None
-    for a in range(m):
-        for c in range(m):
-            for d in range(m):
-                lhs = -bilinear(metric, frame.span[d], d_amb[a][c]) - bilinear(
-                    metric, frame.span[c], d_amb[a][d]
-                )
-                rhs = sf.b_form[a][c] * frame.eta[d] + sf.b_form[a][d] * frame.eta[c]
-                if lhs != rhs:
-                    w = (a + 1, c + 1, d + 1)
-                    break
-            if w:
-                break
-        if w:
-            break
-    add("metric_derivative_split", w)
 
     # J X = J(PX) + b eta(X) N
-    w = None
-    for a in range(m):
-        jx = amb.norden.apply_j(frame.span[a])
-        jpx = amb.norden.apply_j(p_amb[a])
-        expected = tuple(
-            jpx[q] + b * frame.eta[a] * frame.transversal[q] for q in range(len(jx))
-        )
-        if jx != expected:
-            w = (a + 1,)
-            break
-    add("tangential_j_decomposition", w)
+    (tr,), dn = lat.transversal
+    f_jp, d_exp = dk * de * dn, d_jp * dk * de * dn
+    expected = [[f_jp * y - neg_b * e * d_jp * x for y, x in zip(row, tr)] for row, e in zip(j_p, eta)]
+    add(
+        "tangential_j_decomposition",
+        ((a + 1,) for a in rows if _differs(j_span[a], d_js, expected[a], d_exp)),
+    )
 
     # A*_xi X = -b J(A_N X)
-    w = None
-    for a in range(m):
-        if a_star_amb[a] != vec_scale(amb.norden.apply_j(a_n_amb[a]), -b):
-            w = (a + 1,)
-            break
-    add("shape_operator_duality", w)
+    j_an, d_jan = ns.apply_j_rows((a_n_amb, d_an))
+    expected = [[neg_b * y for y in row] for row in j_an]
+    add(
+        "shape_operator_duality",
+        ((a + 1,) for a in rows if _differs(a_star_amb[a], d_star, expected[a], dk * d_jan)),
+    )
 
     # B(X, Y) = -b C(X, J(PY))
-    w = None
-    for c in range(m):
-        coords = screen_coords_of(amb.norden.apply_j(p_amb[c]))
-        if coords is None:
-            w = (c + 1,)
-            break
-        for a in range(m):
-            val = -b * sum(coords[pos] * sf.c_form[a][pos] for pos in range(m - 1))
-            if sf.b_form[a][c] != val:
-                w = (a + 1, c + 1)
-                break
-        if w:
-            break
-    add("fundamental_form_duality", w)
+    coords, d_coords = screen_coords_of((j_p, d_jp))
+    d_val = dk * dc * d_coords
+
+    def form_duality():
+        for c in rows:
+            if coords[c] is None:
+                yield (c + 1,)
+            for a in rows:
+                if b_form[a][c] * d_val != neg_b * sum(map(mul, coords[c], c_form[a])) * db:
+                    yield (a + 1, c + 1)
+
+    add("fundamental_form_duality", form_duality())
 
     # screen connection commutes with J on screen sections
-    w = None
-    j_screen_coords = []
-    for idx in frame.screen_indices:
-        coords = screen_coords_of(amb.norden.apply_j(frame.span[idx]))
-        j_screen_coords.append(coords)
-    if any(c is None for c in j_screen_coords):
-        w = (0, j_screen_coords.index(None) + 1)
-    else:
-        for a in range(m):
+    j_screen, d_jw = screen_coords_of(([j_span[idx] for idx in frame.screen_indices], d_js))
+
+    def screen_j():
+        if None in j_screen:
+            yield (0, j_screen.index(None) + 1)
+        nabla, d_ns = lattice_rows(tuple(chain.from_iterable(sf.nabla_star)))
+        rhs, d_r = ns.apply_j_rows(frame.screen_to_ambient((nabla, d_ns)))
+        for a in rows:
+            nabla_a = nabla[a * (m - 1) : (a + 1) * (m - 1)]
+            lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, tuple(zip(*nabla_a))), d_jw * d_ns))
             for pos in range(m - 1):
-                jw_coords = j_screen_coords[pos]
-                lhs = [Fraction(0)] * (m - 1)
-                for v in range(m - 1):
-                    cv = jw_coords[v]
-                    if cv == 0:
-                        continue
-                    row = sf.nabla_star[a][v]
-                    for q in range(m - 1):
-                        lhs[q] += cv * row[q]
-                lhs_ambient = frame.span_to_ambient(frame.screen_coords_to_span(lhs))
-                rhs_vec = frame.span_to_ambient(frame.screen_coords_to_span(sf.nabla_star[a][pos]))
-                if lhs_ambient != amb.norden.apply_j(rhs_vec):
-                    w = (a + 1, pos + 1)
-                    break
-            if w:
-                break
-    add("screen_connection_preserves_j", w)
+                if _differs(lhs[pos], d_l, rhs[a * (m - 1) + pos], d_r):
+                    yield (a + 1, pos + 1)
 
-    w = next(((a + 1,) for a in range(m) if sf.tau[a] != 0), None)
-    add("tau_vanishes_for_constant_gauge", w)
-
+    add("screen_connection_preserves_j", screen_j())
+    add("tau_vanishes_for_constant_gauge", ((a + 1,) for a in rows if sf.tau[a] != 0))
     if rho is not None:
-        w = None
-        for a in range(m):
-            if a_n_amb[a] != vec_scale(amb.norden.apply_j(p_amb[a]), rho / b):
-                w = (a + 1,)
-                break
-        add("umbilical_shape_alignment", w)
-
+        expected = [[scalars[1] * y for y in row] for row in j_p]  # rho / b over dk
+        add(
+            "umbilical_shape_alignment",
+            ((a + 1,) for a in rows if _differs(a_n_amb[a], d_an, expected[a], dk * d_jp)),
+        )
     return tuple(checks)
+
+
+def _differs(u, du, v, dv) -> bool:
+    """Whether the int vectors u / du and v / dv differ in some entry."""
+    return any(x * dv != y * du for x, y in zip(u, v))
 
 
 def gauge_rescale(

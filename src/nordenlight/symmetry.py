@@ -39,12 +39,13 @@ from .exact import (
     DenseTensor,
     Matrix,
     Vector,
-    bilinear,
     first_difference,
     format_rational,
-    gram,
+    int_bilinear,
     int_matmul,
     lattice_rows,
+    lattice_vector,
+    rational_rows,
     rational_vector,
     solve_affine,
 )
@@ -122,8 +123,8 @@ def induced_curvature_gauss(
     n = amb.spec.dim
     rows = range(m)
     amb13, den_r = amb.riemann13.lattice()
-    span, den_s = lattice_rows(frame.span)
-    inv, den_inv = lattice_rows(frame.full_inverse)
+    span, den_s = frame.lattice().span
+    inv, den_inv = frame.lattice().inverse
     b_form, den_b = lattice_rows(sf.b_form)
     a_n, den_a = lattice_rows(sf.a_n)
     (tau,), den_tau = lattice_rows((sf.tau,))
@@ -176,18 +177,15 @@ def induced_curvature_gauss(
     return DenseTensor.from_lattice((m, m, m, m), nums, den)
 
 
-def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry) -> tuple[Vector, ...]:
-    """Span coordinates of J(P E_a) for every basis field; J-invariance of the
-    screen keeps these tangent."""
-    out = []
-    for a in range(len(frame.span)):
-        px = frame.span_to_ambient(frame.p_project_span(a))
-        jpx = amb.norden.apply_j(px)
-        tm, ncoef = frame.split_tangent(jpx)
-        if ncoef != 0:
-            raise InternalInconsistency("J of a screen projection left the tangent space")
-        out.append(tm)
-    return tuple(out)
+def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry):
+    """Span coordinates of J(P E_a) for every basis field, as (rows, den);
+    J-invariance of the screen keeps these tangent."""
+    m = len(frame.span)
+    p_amb = frame.to_ambient(frame.p_projection())
+    coords, den = frame.frame_coords(amb.norden.apply_j_rows(p_amb))
+    if any(row[m] for row in coords):
+        raise InternalInconsistency("J of a screen projection left the tangent space")
+    return tuple(row[:m] for row in coords), den
 
 
 def closed_form_curvature(
@@ -199,24 +197,22 @@ def closed_form_curvature(
     """Curvature table of the stated shape with free coefficients; used by the
     geometric route (with a = K - rho^2/b) and by synthetic audits."""
     m = len(frame.span)
-    phi = _phi_table(frame, amb)
-    metric = amb.norden.metric(frame.inducing_metric)
-    g_ind = gram(metric, frame.span)
-    j_span = tuple(amb.norden.apply_j(e) for e in frame.span)
-    mj = tuple(tuple(bilinear(metric, e, je) for je in j_span) for e in frame.span)
-    entries = []
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                vec = [Fraction(0)] * m
-                sa = screen_coeff * g_ind[a][c]
-                sb = screen_coeff * g_ind[b][c]
-                for q in range(m):
-                    vec[q] += sa * phi[b][q] - sb * phi[a][q]
-                vec[b] += metric_coeff * mj[a][c]
-                vec[a] -= metric_coeff * mj[b][c]
-                entries.extend(vec)
-    return DenseTensor((m, m, m, m), tuple(entries))
+    ns = amb.norden
+    span = frame.lattice().span
+    phi, d_phi = _phi_table(frame, amb)
+    g_ind, d_g = ns.pairings(frame.inducing_metric, span, span)
+    mj, d_mj = ns.pairings(frame.inducing_metric, span, ns.apply_j_rows(span))  # <E_a, J E_c>
+    (sc, mc), d_c = lattice_vector((screen_coeff, metric_coeff))
+    den = d_c * lcm(d_g * d_phi, d_mj)
+    fs, fm = sc * (den // (d_c * d_g * d_phi)), mc * (den // (d_c * d_mj))
+    nums = []
+    for a, b, c in product(range(m), repeat=3):
+        sa, sb = fs * g_ind[a][c], fs * g_ind[b][c]
+        vec = [sa * x - sb * y for x, y in zip(phi[b], phi[a])]
+        vec[b] += fm * mj[a][c]
+        vec[a] -= fm * mj[b][c]
+        nums.extend(vec)
+    return DenseTensor.from_lattice((m, m, m, m), nums, den)
 
 
 def induced_curvature_closed_form(
@@ -274,33 +270,42 @@ def ricci_from_ambient_decomposition(
                     - <A_N X, A*_xi Y> - <R(xi, Y)X, N>.
     """
     m = len(frame.span)
-    xi_span = frame.xi_span
-    metric = amb.norden.metric(frame.inducing_metric)
-    amb_ric = amb.ricci.rows()
-    t = r13_induced.nested()
-    tr_an = sum(sf.a_n[a][a] for a in range(m))
+    rows = range(m)
+    ns = amb.norden
+    which = frame.inducing_metric
+    lat = frame.lattice()
+    span, d_s = lat.span
+    xi, d_xi = lat.xi_span
+    t, d_t = r13_induced.lattice()
+    amb_ric, d_ric = amb.ricci.lattice()
+    b_form, d_b = lattice_rows(sf.b_form)
+    a_n, d_an = lattice_rows(sf.a_n)
 
-    rows = []
-    for a in range(m):
-        row = []
-        ea = frame.span[a]
-        an_a = frame.span_to_ambient(sf.a_n[a])
-        for b in range(m):
-            eb = frame.span[b]
-            ric_ambient = bilinear(amb_ric, ea, eb)
-            astar_b = frame.span_to_ambient(sf.a_star_xi[b])
-            shape_term = bilinear(metric, an_a, astar_b)
-            r_vec = [Fraction(0)] * m
-            for i in range(m):
-                if xi_span[i] == 0:
-                    continue
-                row_t = t[i][b][a]
-                for q in range(m):
-                    r_vec[q] += xi_span[i] * row_t[q]
-            radial_term = bilinear(metric, frame.span_to_ambient(tuple(r_vec)), frame.transversal)
-            row.append(ric_ambient + sf.b_form[a][b] * tr_an - shape_term - radial_term)
-        rows.append(tuple(row))
-    return tuple(rows)
+    ric = int_bilinear(span, amb_ric, span)
+    tr_an = sum(a_n[a][a] for a in rows)
+    shape, d_shape = ns.pairings(
+        which, frame.to_ambient((a_n, d_an)), frame.to_ambient(lattice_rows(sf.a_star_xi))
+    )
+    # span coordinates of R(xi, E_b)E_a, row b * m + a
+    r_xi = [int_matmul((xi,), tuple(zip(*(t[i][b][a] for i in rows))))[0] for b in rows for a in rows]
+    radial, d_radial = ns.pairings(which, frame.to_ambient((r_xi, d_xi * d_t)), lat.transversal)
+
+    parts = (d_s * d_s * d_ric, d_b * d_an, d_shape, d_radial)
+    den = lcm(*parts)
+    f_ric, f_b, f_shape, f_radial = (den // d for d in parts)
+    return rational_rows(
+        (
+            (
+                f_ric * ric[a][b]
+                + f_b * b_form[a][b] * tr_an
+                - f_shape * shape[a][b]
+                - f_radial * radial[b * m + a][0]
+                for b in rows
+            )
+            for a in rows
+        ),
+        den,
+    )
 
 
 def closed_form_ricci(
@@ -314,31 +319,34 @@ def closed_form_ricci(
 
     where the metric appearing on the right is the other induced metric.
     """
-    m = len(frame.span)
     h = amb.half_dim
     if frame.inducing_metric == "principal":
-        other = amb.norden.g_assoc
+        other = "associated"
         k_coeff = amb.trsc.nu_assoc
         lead = Fraction(-2 * (h - 1)) * k_coeff
         corr_sign = Fraction(1)
     else:
-        other = amb.norden.g
+        other = "principal"
         k_coeff = amb.trsc.nu
         lead = Fraction(2 * (h - 1)) * k_coeff
         corr_sign = Fraction(-1)
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
 
-    rows = []
-    for a in range(m):
-        pa = frame.span_to_ambient(frame.p_project_span(a))
-        row = []
-        for b in range(m):
-            pb = frame.span_to_ambient(frame.p_project_span(b))
-            val = lead * bilinear(other, frame.span[a], frame.span[b])
-            val += corr_sign * a_coeff * bilinear(other, pa, pb)
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    ns = amb.norden
+    span = frame.lattice().span
+    p_amb = frame.to_ambient(frame.p_projection())
+    g_other, d_g = ns.pairings(other, span, span)
+    g_proj, d_p = ns.pairings(other, p_amb, p_amb)
+    (n_lead, n_corr), d_c = lattice_vector((lead, corr_sign * a_coeff))
+    den = d_c * lcm(d_g, d_p)
+    f_lead, f_corr = n_lead * (den // (d_c * d_g)), n_corr * (den // (d_c * d_p))
+    return rational_rows(
+        (
+            (f_lead * x + f_corr * y for x, y in zip(g_row, p_row))
+            for g_row, p_row in zip(g_other, g_proj)
+        ),
+        den,
+    )
 
 
 @dataclass(frozen=True)

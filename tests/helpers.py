@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from nordenlight.ambient import (
     LieAlgebraSpec,
@@ -42,6 +43,17 @@ def mat_mul(a, b):
 
 def transpose(m):
     return tuple(zip(*m))
+
+
+def tensor_zeros(dims) -> DenseTensor:
+    dims = tuple(dims)
+    return DenseTensor(dims, (F(0),) * prod(dims))
+
+
+def tensor_from_function(dims, fn) -> DenseTensor:
+    """Table whose entry at each 0-based index tuple is fn(*index)."""
+    dims = tuple(dims)
+    return DenseTensor(dims, tuple(F(fn(*ix)) for ix in product(*(range(d) for d in dims))))
 
 
 def tensor_from_rows(rows) -> DenseTensor:
@@ -79,7 +91,7 @@ def tensor_contract(t: DenseTensor, slot_t: int, u: DenseTensor, slot_u: int) ->
             total += t[full_t] * u[full_u]
         return total
 
-    return DenseTensor.from_function(out_dims, entry)
+    return tensor_from_function(out_dims, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def symmetry_closure_table(dim, generators):
                 s = sign1 * sign2
                 put(a, b, c, d, s * v)
                 put(c, d, a, b, s * v)
-    return DenseTensor.from_function(
+    return tensor_from_function(
         (dim, dim, dim, dim), lambda i, j, k, l: table.get((i, j, k, l), F(0))
     )
 
@@ -329,6 +341,165 @@ def brute_locally_symmetric(t, gm, m):
     return None
 
 
+def echelon_fit(columns, rhs):
+    """Reference for `exact.fit_tables`: `solve_affine` on every component
+    row of the system sum_j x_j columns[j] = rhs."""
+    return solve_affine(list(zip(*(t.entries for t in columns))), list(rhs.entries))
+
+
+def reference_frame_identities(sf, frame, amb, rho):
+    """Reference for `hypersurface.verify_frame_identities`: the same
+    identities, scan orders and witnesses, evaluated one vector at a time in
+    Fraction arithmetic from the frame's defining vectors."""
+    m = len(frame.span)
+    n = len(frame.xi)
+    b = frame.b
+    metric = amb.norden.metric(frame.inducing_metric)
+    apply_j = amb.norden.apply_j
+    full_cols = list(frame.span) + [frame.transversal]
+    full_inv = mat_inverse(tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n)))
+    xi_span = tuple(sum(full_inv[r][q] * frame.xi[q] for q in range(n)) for r in range(m))
+    inner_cols = [unit_vector(m, i) for i in frame.screen_indices] + [xi_span]
+    inner_inv = mat_inverse(tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m)))
+
+    def metric_times(v):
+        return tuple(sum(metric[i][j] * v[j] for j in range(n)) for i in range(n))
+
+    def dot(u, w):
+        return sum((x * y for x, y in zip(u, w)), F(0))
+
+    def pair(u, v):
+        return dot(u, metric_times(v))
+
+    def span_to_ambient(coords):
+        return tuple(sum(coords[a] * frame.span[a][q] for a in range(m)) for q in range(n))
+
+    def split_tangent(v):
+        coords = tuple(sum(full_inv[r][q] * v[q] for q in range(n)) for r in range(m + 1))
+        return coords[:-1], coords[-1]
+
+    def screen_radical_split(tm):
+        coords = tuple(sum(inner_inv[r][a] * tm[a] for a in range(m)) for r in range(m))
+        return coords[:-1], coords[-1]
+
+    def screen_coords_to_span(screen_coords):
+        out = [F(0)] * m
+        for pos, idx in enumerate(frame.screen_indices):
+            out[idx] += screen_coords[pos]
+        return tuple(out)
+
+    def p_project_span(a):
+        return tuple(F(1 if q == a else 0) - frame.eta[a] * xi_span[q] for q in range(m))
+
+    def screen_coords_of(vec_ambient):
+        tm, ncoef = split_tangent(vec_ambient)
+        if ncoef != 0:
+            return None
+        coords, xi_coef = screen_radical_split(tm)
+        return None if xi_coef != 0 else coords
+
+    def first(witnesses):
+        return next(witnesses, None)
+
+    a_star_amb = tuple(span_to_ambient(v) for v in sf.a_star_xi)
+    a_n_amb = tuple(span_to_ambient(v) for v in sf.a_n)
+    p_amb = tuple(span_to_ambient(p_project_span(a)) for a in range(m))
+    gm = sf.induced_gamma.nested()
+    rows = range(m)
+    # der[a][c][d] = <E_d, D_{E_a} E_c>
+    der = [
+        [[dot(e, w) for e in frame.span] for w in (metric_times(span_to_ambient(v)) for v in gm[a])]
+        for a in rows
+    ]
+    g_star = [metric_times(v) for v in a_star_amb]
+    g_n = [metric_times(v) for v in a_n_amb]
+    screen = list(enumerate(frame.screen_indices))
+    out = [
+        ("second_fundamental_symmetric", first(
+            (a + 1, c + 1) for a in rows for c in range(a + 1, m) if sf.b_form[a][c] != sf.b_form[c][a]
+        )),
+        ("second_fundamental_kills_radical", first(
+            (a + 1,) for a in rows if sum(sf.b_form[a][c] * xi_span[c] for c in rows) != 0
+        )),
+        ("b_equals_xi_shape_pairing", first(
+            (a + 1, c + 1)
+            for a in rows
+            for c in rows
+            if sf.b_form[a][c] != dot(frame.span[c], g_star[a])
+        )),
+        ("xi_shape_operator_screen_valued", first(
+            (a + 1,) for a in rows if pair(a_star_amb[a], frame.transversal) != 0
+        )),
+        ("c_equals_transversal_shape_pairing", first(
+            (a + 1, pos + 1)
+            for a in rows
+            for pos, idx in screen
+            if sf.c_form[a][pos] != dot(frame.span[idx], g_n[a])
+        )),
+        ("transversal_shape_operator_screen_valued", first(
+            (a + 1,) for a in rows if pair(a_n_amb[a], frame.transversal) != 0
+        )),
+        ("metric_derivative_split", first(
+            (a + 1, c + 1, d + 1)
+            for a in rows
+            for c in rows
+            for d in rows
+            if -der[a][c][d] - der[a][d][c]
+            != sf.b_form[a][c] * frame.eta[d] + sf.b_form[a][d] * frame.eta[c]
+        )),
+        ("tangential_j_decomposition", first(
+            (a + 1,)
+            for a in rows
+            if apply_j(frame.span[a])
+            != tuple(x + b * frame.eta[a] * y for x, y in zip(apply_j(p_amb[a]), frame.transversal))
+        )),
+        ("shape_operator_duality", first(
+            (a + 1,) for a in rows if a_star_amb[a] != tuple(-b * x for x in apply_j(a_n_amb[a]))
+        )),
+    ]
+
+    w = None
+    for c in rows:
+        coords = screen_coords_of(apply_j(p_amb[c]))
+        if coords is None:
+            w = (c + 1,)
+            break
+        w = first(
+            (a + 1, c + 1)
+            for a in rows
+            if sf.b_form[a][c] != -b * sum(coords[pos] * sf.c_form[a][pos] for pos in range(m - 1))
+        )
+        if w:
+            break
+    out.append(("fundamental_form_duality", w))
+
+    w = None
+    j_screen = [screen_coords_of(apply_j(frame.span[idx])) for idx in frame.screen_indices]
+    if None in j_screen:
+        w = (0, j_screen.index(None) + 1)
+    else:
+        for a in rows:
+            for pos in range(m - 1):
+                lhs = [
+                    sum(j_screen[pos][v] * sf.nabla_star[a][v][q] for v in range(m - 1))
+                    for q in range(m - 1)
+                ]
+                lhs_ambient = span_to_ambient(screen_coords_to_span(lhs))
+                rhs_vec = span_to_ambient(screen_coords_to_span(sf.nabla_star[a][pos]))
+                if lhs_ambient != apply_j(rhs_vec):
+                    w = (a + 1, pos + 1)
+                    break
+            if w:
+                break
+    out.append(("screen_connection_preserves_j", w))
+    out.append(("tau_vanishes_for_constant_gauge", first((a + 1,) for a in rows if sf.tau[a] != 0)))
+    if rho is not None:
+        out.append(("umbilical_shape_alignment", first(
+            (a + 1,) for a in rows if a_n_amb[a] != tuple(rho / b * x for x in apply_j(p_amb[a]))
+        )))
+    return tuple((name, w is None, w) for name, w in out)
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 
@@ -376,7 +547,7 @@ def conjugate_instance(spec: LieAlgebraSpec, ns: NordenStructure, s, vectors):
                         total += f * row[q] * s_inv[r][q]
         return total
 
-    brackets = DenseTensor.from_function((n, n, n), lambda i, j, r: new_bracket(i, j, r))
+    brackets = tensor_from_function((n, n, n), lambda i, j, r: new_bracket(i, j, r))
     new_spec = LieAlgebraSpec(n, spec.basis_labels, brackets)
     g_new = mat_mul(mat_mul(transpose(s), ns.g), s)
     j_new = mat_mul(mat_mul(s_inv, ns.j), s)
@@ -435,6 +606,61 @@ def family_text(h: int) -> str:
     lines += [f"J {h + k} = {k}:-1" for k in range(1, h + 1)]
     lines.append("HYPERSURFACE metric=assoc span=" + ",".join(str(i) for i in range(2, n + 1)))
     return "\n".join(lines) + "\n"
+
+
+def family_member(conjugated: bool):
+    """(spec, norden, ambient, run of its block) for the family at h = 3, as
+    written or in a rescaled, conjugated form: a basis change of determinant
+    +-6, the bracket scaled by 5/7 and the metric by 1/3, so the bracket,
+    metric, J, connection, curvature and induced tables all get
+    denominators, and they differ."""
+    from nordenlight.ambient import build_ambient_geometry
+    from nordenlight.manifold_file import (
+        hypersurface_specs,
+        lie_algebra_spec,
+        norden_from_file,
+        parse_manifold_file,
+    )
+
+    mf = parse_manifold_file(family_text(3))
+    spec, ns = lie_algebra_spec(mf), norden_from_file(mf)
+    span = hypersurface_specs(mf)[0].span
+    if conjugated:
+        s = [list(row) for row in random_unimodular(random.Random(1), 6)]
+        for row in s:
+            row[1] *= 2
+            row[4] *= 3
+        spec, ns, span = conjugate_instance(scale_brackets(spec, F(5, 7)), ns, s, span)
+        ns = norden_structure(tuple(tuple(x / 3 for x in row) for row in ns.g), ns.j)
+    amb = build_ambient_geometry(spec, ns)
+    return spec, ns, amb, run_hypersurface(amb, span, "associated")
+
+
+def non_invariant_screen_run():
+    """(spec, norden, ambient, frame, second fundamental data) for the h = 3
+    family with its span listed as (X5, X3, X4, X2 + X4, X6): the engine picks
+    the screen {X5, X3, X2 + X4, X6}, which J does not preserve (J X5 = -X2
+    has a radical component), so the frame is not radical transversal. Given
+    b = 2 and rho = 1 it still has every table, and most frame identities
+    fail with witnesses."""
+    from dataclasses import replace
+
+    from nordenlight.hypersurface import (
+        HypersurfaceSpec,
+        construct_screen,
+        construct_transversal,
+        gauss_weingarten,
+        induce_and_classify,
+    )
+
+    spec, ns, amb, _ = family_member(False)
+    x = [unit_vector(6, i) for i in range(6)]
+    span = (x[4], x[2], x[3], tuple(a + b for a, b in zip(x[1], x[3])), x[5])
+    hs = HypersurfaceSpec(span, "associated")
+    cls = induce_and_classify(hs, amb)
+    frame = construct_transversal(hs, amb, cls, construct_screen(hs, cls))
+    frame = replace(frame, b=F(2))
+    return spec, ns, amb, frame, replace(gauss_weingarten(frame, amb), rho=F(1))
 
 
 def basis_span(dim: int, indices_1based):

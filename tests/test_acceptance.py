@@ -22,6 +22,7 @@ from helpers import (
     run_hypersurface,
     scale_brackets,
     symmetry_closure_table,
+    tensor_from_function,
 )
 from nordenlight.ambient import (
     build_ambient_geometry,
@@ -33,7 +34,7 @@ from nordenlight.ambient import (
     verify_curvature_symmetries,
     verify_kaehler_curvature_identity,
 )
-from nordenlight.exact import DenseTensor, bilinear, unit_vector, vec_scale
+from nordenlight.exact import bilinear, unit_vector, vec_scale
 from nordenlight.hypersurface import gauge_rescale, verify_frame_identities
 from nordenlight.manifold_file import parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
@@ -112,7 +113,7 @@ def test_c01_connection_reproduction(golden):
         (2, 4): {1: F(2)},
         (4, 2): {1: F(2)},
     }
-    table = DenseTensor.from_function(
+    table = tensor_from_function(
         (4, 4, 4), lambda i, j, k: expected.get((i + 1, j + 1), {}).get(k + 1, 0)
     )
     assert amb.gamma == table

@@ -2,7 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import symmetry_closure_table, koszul_residuals, trace_ricci
+from helpers import (
+    koszul_residuals,
+    symmetry_closure_table,
+    tensor_from_function,
+    tensor_zeros,
+    trace_ricci,
+)
 from nordenlight.ambient import (
     LieAlgebraSpec,
     TrscStatus,
@@ -45,7 +51,7 @@ CURVATURE_GENERATORS = [
 
 
 def abelian_like(golden_ns, dim=4):
-    zero = DenseTensor.zeros((dim, dim, dim))
+    zero = tensor_zeros((dim, dim, dim))
     return LieAlgebraSpec(dim, tuple(f"X{i}" for i in range(1, dim + 1)), zero)
 
 
@@ -59,7 +65,7 @@ class TestValidateLieAlgebra:
         assert validate_lie_algebra(abelian_like(ns)).ok
 
     def test_antisymmetry_witness(self):
-        t = DenseTensor.from_function(
+        t = tensor_from_function(
             (4, 4, 4), lambda i, j, k: 1 if (i, j, k) in ((0, 1, 2), (1, 0, 2)) else 0
         )
         spec = LieAlgebraSpec(4, ("X1", "X2", "X3", "X4"), t)
@@ -72,13 +78,13 @@ class TestValidateLieAlgebra:
     def test_jacobi_failure(self):
         # [X1,X2]=X3, [X1,X3]=X1: the cyclic sum over (1,2,3) does not vanish.
         entries = {(0, 1, 2): 1, (1, 0, 2): -1, (0, 2, 0): 1, (2, 0, 0): -1}
-        t = DenseTensor.from_function((4, 4, 4), lambda i, j, k: entries.get((i, j, k), 0))
+        t = tensor_from_function((4, 4, 4), lambda i, j, k: entries.get((i, j, k), 0))
         report = validate_lie_algebra(LieAlgebraSpec(4, ("a", "b", "c", "d"), t))
         assert not report.ok
         assert report.first_failure().name == "jacobi_identity"
 
     def test_odd_or_small_dimension_rejected(self):
-        t = DenseTensor.zeros((2, 2, 2))
+        t = tensor_zeros((2, 2, 2))
         report = validate_lie_algebra(LieAlgebraSpec(2, ("a", "b"), t))
         assert not report.ok
         assert report.first_failure().name == "dimension_even_and_at_least_four"
@@ -117,7 +123,7 @@ class TestValidateNorden:
 class TestLeviCivita:
     def test_fixture_matches_expected_nonzeros(self, golden):
         spec, ns, amb = golden
-        expected = DenseTensor.from_function(
+        expected = tensor_from_function(
             (4, 4, 4),
             lambda i, j, k: EXPECTED_CONNECTION.get((i + 1, j + 1), {}).get(k + 1, 0),
         )
@@ -259,7 +265,7 @@ class TestConstantTrsc:
         assert status.kind == "not_constant"
 
     def test_degenerate_fit_is_flagged(self):
-        zero = DenseTensor.zeros((2, 2, 2, 2))
+        zero = tensor_zeros((2, 2, 2, 2))
         status = constant_trsc(zero, zero, zero, zero)
         assert status.kind == "constant"
         assert status.degenerate
@@ -324,7 +330,7 @@ class TestAmbientRicci:
         _, ns, amb = golden
         ginv = mat_inverse(ns.g)
         t = amb.pi3.nested()
-        r13 = DenseTensor.from_function(
+        r13 = tensor_from_function(
             (4, 4, 4, 4),
             lambda i, j, k, l: sum(ginv[l][m] * t[i][j][k][m] for m in range(4)),
         )

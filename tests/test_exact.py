@@ -7,6 +7,7 @@ from nordenlight.exact import (
     DenseTensor,
     ShapeError,
     first_difference,
+    fit_tables,
     format_rational,
     int_matmul,
     kernel_basis,
@@ -17,7 +18,16 @@ from nordenlight.exact import (
     signature,
     solve_affine,
 )
-from helpers import mat_mul, tensor_contract, tensor_from_rows, tensor_from_vector, transpose
+from helpers import (
+    echelon_fit,
+    mat_mul,
+    tensor_contract,
+    tensor_from_function,
+    tensor_from_rows,
+    tensor_from_vector,
+    tensor_zeros,
+    transpose,
+)
 
 
 class TestRationalGrammar:
@@ -131,7 +141,7 @@ class TestTensorContract:
         _, ns, _ = golden
         j = tensor_from_rows(ns.j)
         jj = tensor_contract(j, 1, j, 0)
-        expected = DenseTensor.from_function((4, 4), lambda i, k: -1 if i == k else 0)
+        expected = tensor_from_function((4, 4), lambda i, k: -1 if i == k else 0)
         assert jj == expected
 
     def test_connection_slice(self, golden):
@@ -146,13 +156,13 @@ class TestTensorContract:
         assert table[1, 0] == 0 and table[1, 1] == 0 and table[1, 3] == 0
 
     def test_zero_tensor(self):
-        z = DenseTensor.zeros((3, 3))
-        t = DenseTensor.from_function((3, 3), lambda i, j: i + j)
+        z = tensor_zeros((3, 3))
+        t = tensor_from_function((3, 3), lambda i, j: i + j)
         assert tensor_contract(t, 1, z, 0).is_zero()
 
     def test_shape_error(self):
-        a = DenseTensor.zeros((2, 2))
-        b = DenseTensor.zeros((3, 3))
+        a = tensor_zeros((2, 2))
+        b = tensor_zeros((3, 3))
         with pytest.raises(ShapeError, match="shape"):
             tensor_contract(a, 1, b, 0)
 
@@ -160,9 +170,9 @@ class TestTensorContract:
         rng = random.Random(17)
         for _ in range(100):
             dims = (2, 2)
-            t = DenseTensor.from_function(dims, lambda *ix: rng.randint(-3, 3))
-            u = DenseTensor.from_function(dims, lambda *ix: rng.randint(-3, 3))
-            w = DenseTensor.from_function(dims, lambda *ix: rng.randint(-3, 3))
+            t = tensor_from_function(dims, lambda *ix: rng.randint(-3, 3))
+            u = tensor_from_function(dims, lambda *ix: rng.randint(-3, 3))
+            w = tensor_from_function(dims, lambda *ix: rng.randint(-3, 3))
             alpha = F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             beta = F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
             lhs = tensor_contract(t, 1, u.scale(alpha) + w.scale(beta), 0)
@@ -170,8 +180,8 @@ class TestTensorContract:
             assert lhs == rhs
 
     def test_rank_arithmetic(self):
-        t = DenseTensor.zeros((2, 2, 2))
-        u = DenseTensor.zeros((2, 2))
+        t = tensor_zeros((2, 2, 2))
+        u = tensor_zeros((2, 2))
         assert tensor_contract(t, 2, u, 0).rank == 3
         v = tensor_from_vector([1, 2])
         assert tensor_contract(v, 0, v, 0).rank == 0
@@ -227,7 +237,7 @@ class TestLattice:
         for _ in range(100):
             dims = (2, 3, 2)
             a, b = (
-                DenseTensor.from_function(dims, lambda *ix: F(rng.randint(-9, 9), rng.randint(1, 6)))
+                tensor_from_function(dims, lambda *ix: F(rng.randint(-9, 9), rng.randint(1, 6)))
                 for _ in range(2)
             )
             nums, den = a.lattice()
@@ -249,3 +259,60 @@ class TestLattice:
         a = (F(1), F(2), F(3), F(4))
         assert first_difference((2, 2), a, a) is None
         assert first_difference((2, 2), a, (F(1), F(2), F(0), F(0))) == ((2, 1), F(3), F(0))
+
+
+class TestFitTables:
+    @staticmethod
+    def random_table(rng, dims, density=0.5):
+        return tensor_from_function(
+            dims,
+            lambda *ix: F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else 0,
+        )
+
+    def test_matches_the_full_echelon_on_random_tall_systems(self):
+        # full rank, all-zero (parametric), rank-1 (parametric), and
+        # one-entry-perturbed (infeasible) systems, with one to three unknowns
+        rng = random.Random(53)
+        dims = (3, 2, 4)
+        kinds = set()
+        for trial in range(120):
+            k = 1 + trial % 3
+            shape = trial % 4
+            if shape == 1:
+                columns = [tensor_zeros(dims)] * k
+            elif shape == 2:
+                base = self.random_table(rng, dims)
+                columns = [base.scale(F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(k)]
+            else:
+                columns = [self.random_table(rng, dims, rng.choice([0.2, 0.6, 1])) for _ in range(k)]
+            x = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(k)]
+            rhs = tensor_zeros(dims)
+            for xj, col in zip(x, columns):
+                rhs = rhs + col.scale(xj)
+            if shape == 3 or trial % 5 == 0:
+                entries = list(rhs.entries)
+                entries[rng.randrange(len(entries))] += F(rng.choice([-1, 1]), rng.randint(1, 3))
+                rhs = DenseTensor(dims, tuple(entries))
+            sol = fit_tables(columns, rhs)
+            assert sol == echelon_fit(columns, rhs), trial
+            kinds.add(sol.kind)
+        assert kinds == {"unique", "parametric", "infeasible"}
+
+    def test_degenerate_and_perturbed_leading_rows(self):
+        zero = tensor_zeros((2, 3))
+        lead = tensor_from_rows(((1, 0, 0), (0, 0, 0)))
+        late = tensor_from_rows(((0, 0, 0), (0, 0, 2)))
+        second = tensor_from_rows(((0, 1, 0), (0, 0, 0)))
+        for columns, rhs, kind in (
+            ((zero, zero), zero, "parametric"),
+            ((zero, zero), lead, "infeasible"),
+            ((zero, zero), late, "infeasible"),
+            ((lead, late), lead + late.scale(3), "unique"),
+            ((lead, late), lead + late.scale(3) + second, "infeasible"),
+            ((lead, lead.scale(2)), lead.scale(5), "parametric"),
+        ):
+            sol = fit_tables(columns, rhs)
+            assert sol.kind == kind
+            assert sol == echelon_fit(columns, rhs)
+        with pytest.raises(ShapeError):
+            fit_tables((zero,), tensor_zeros((3, 2)))

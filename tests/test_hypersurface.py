@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import basis_span, run_hypersurface
+from helpers import basis_span, frame_tables, run_hypersurface
 from nordenlight.errors import HypothesisFailure
 from nordenlight.exact import bilinear, unit_vector, vec_scale
 from nordenlight.hypersurface import (
@@ -11,6 +12,7 @@ from nordenlight.hypersurface import (
     construct_transversal,
     gauge_rescale,
     induce_and_classify,
+    umbilical_test,
     validate_span,
     verify_frame_identities,
 )
@@ -189,6 +191,30 @@ class TestUmbilical:
         assert not run.umb.umbilical
 
 
+    def test_aligned_images_with_different_factors(self, golden):
+        # synthetic data: every xi-shape image is a multiple t_a of the screen
+        # projection P E_a, with different t_a, and B is not proportional to
+        # the induced metric; the witness is the first field whose factor
+        # differs from the first one
+        _, _, amb = golden
+        run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
+        tables = frame_tables(run.frame, amb)
+        proj, g = tables["proj"], tables["g"]
+        t = (F(2), F(5), F(3))
+        sf = replace(
+            run.sf,
+            b_form=tuple(tuple(x + (a == b == 0) for b, x in enumerate(row)) for a, row in enumerate(g)),
+            a_star_xi=tuple(tuple(c * x for x in row) for c, row in zip(t, proj)),
+        )
+        umb = umbilical_test(sf, run.frame, amb)
+        nonzero = [a for a in range(3) if any(proj[a])]
+        bad = next(a for a in nonzero if t[a] != t[nonzero[0]])
+        assert (umb.umbilical, umb.witness_index) == (False, bad)
+        assert umb.witness_image == tuple(
+            sum(t[bad] * proj[bad][q] * run.frame.span[q][r] for q in range(3)) for r in range(4)
+        )
+
+
 class TestFrameIdentities:
     def test_fixture_all_pass(self, golden):
         _, _, amb = golden
@@ -227,6 +253,17 @@ class TestGaugeRescale:
         fresh = run_hypersurface(
             amb, basis_span(4, (2, 3, 4)), "associated", vec_scale(X3, F(-2))
         )
+        assert fresh.frame == frame2
+        assert fresh.sf == sf2
+
+    @pytest.mark.parametrize("c", [F(3, 5), F(-7, 2)])
+    def test_fractional_gauge_matches_fresh_run(self, golden, c):
+        # a hint with a denominator gives the radical section fractional span
+        # coordinates; the decomposition must match the rescaled tables
+        _, _, amb = golden
+        run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
+        frame2, sf2 = gauge_rescale(run.frame, run.sf, c)
+        fresh = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", vec_scale(NEG_X3, c))
         assert fresh.frame == frame2
         assert fresh.sf == sf2
 

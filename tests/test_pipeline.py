@@ -294,6 +294,35 @@ class TestRouteDisagreement:
         )
         assert detail in emit_report(report, "text")
 
+    @pytest.mark.parametrize(
+        "which, detail",
+        [
+            (0, "associated pi1 does not equal pi2 at (1,2,1,2): associated pi1 1/3, pi2 0"),
+            (1, "associated pi2 does not equal pi1 at (1,2,1,2): associated pi2 -2/3, pi1 -1"),
+            (2, "associated pi3 does not equal -pi3 at (1,2,1,2): associated pi3 1/3, -pi3 0"),
+        ],
+    )
+    def test_pi_relations(self, golden_mf, monkeypatch, which, detail):
+        from nordenlight import ambient
+        from nordenlight.manifold_file import norden_from_file
+
+        g_assoc = norden_from_file(golden_mf).g_assoc
+        pi_tensors = ambient.pi_tensors
+
+        def perturbed(g, j):
+            tables = list(pi_tensors(g, j))
+            if g == g_assoc:  # the associated tensors of the cross-check
+                entries = list(tables[which].entries)
+                entries[((0 * 4 + 1) * 4 + 0) * 4 + 1] += F(1, 3)  # (X1, X2, X1, X2)
+                tables[which] = DenseTensor(tables[which].dims, tuple(entries))
+            return tuple(tables)
+
+        monkeypatch.setattr(ambient, "pi_tensors", perturbed)
+        report = run_pipeline(golden_mf)
+        assert report.exit_code == 5
+        assert report.data["ambient"]["detail"] == detail
+        assert detail in emit_report(report, "text")
+
     def test_ricci_routes(self, golden_mf, monkeypatch):
         from nordenlight import symmetry
 

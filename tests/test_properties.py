@@ -2,6 +2,7 @@
 and the engine-level consistency guards."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -13,7 +14,11 @@ from helpers import (
     brute_ricci_semi_symmetric,
     brute_semi_symmetric,
     derivation_action_direct,
+    family_member,
+    non_invariant_screen_run,
+    reference_frame_identities,
     run_hypersurface,
+    tensor_from_function,
 )
 from nordenlight.ambient import (
     TrscStatus,
@@ -25,6 +30,7 @@ from nordenlight.ambient import (
 )
 from nordenlight.errors import InternalInconsistency
 from nordenlight.exact import DenseTensor, bilinear, unit_vector, vec_scale
+from nordenlight.hypersurface import verify_frame_identities
 from nordenlight.pipeline import emit_report, run_pipeline
 from nordenlight.symmetry import (
     canonical_ricci,
@@ -135,7 +141,7 @@ class TestSemiSymmetricFullScanFallback:
         # derivation action is nonzero only on a diagonal tuple: the reduced
         # pair scan would miss it, the full scan must not.
         entries = {(0, 0, 0, 0): F(1)}
-        table = DenseTensor.from_function(
+        table = tensor_from_function(
             (2, 2, 2, 2), lambda *ix: entries.get(ix, F(0))
         )
         flag = semi_symmetric_check(table)
@@ -149,13 +155,13 @@ class TestSemiSymmetricFullScanFallback:
         # the same raw table: the reduced pair scan would skip the diagonal
         # pair (X1, X1) that carries the only nonzero components
         entries = {(0, 0, 0, 0): F(1)}
-        table = DenseTensor.from_function(
+        table = tensor_from_function(
             (2, 2, 2, 2), lambda *ix: entries.get(ix, F(0))
         )
         ric = ((F(1), F(0)), (F(0), F(0)))
         flag = ricci_semi_symmetric_check(table, ric)
         assert (flag.holds, flag.witness, flag.value) == (False, (1, 1, 1, 1), (F(-2),))
-        gamma = DenseTensor.from_function(
+        gamma = tensor_from_function(
             (2, 2, 2), lambda u, a, b: F(1 if (u, a, b) == (1, 0, 1) else 0)
         )
         flag = locally_symmetric_check(table, gamma)
@@ -178,8 +184,8 @@ class TestCheckersAgainstBruteForce:
             }
             if trial % 2:
                 raw = {(i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] for i, j, k, l in raw}
-            table = DenseTensor.from_function((m,) * 4, lambda *ix: raw[ix])
-            gamma = DenseTensor.from_function(
+            table = tensor_from_function((m,) * 4, lambda *ix: raw[ix])
+            gamma = tensor_from_function(
                 (m,) * 3, lambda *ix: F(rng.choice([0, 0, 1, -1]), rng.choice([1, 3]))
             )
             ric = tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 7])) for _ in idx) for _ in idx)
@@ -195,3 +201,63 @@ class TestCheckersAgainstBruteForce:
                     assert flag.holds
                 else:
                     assert (flag.holds, flag.witness, flag.value) == (False, *expected)
+
+
+def _perturbed(sf, field: str, index: tuple, delta):
+    """sf with delta added to one entry of a nested tuple field."""
+
+    def bump(table, ix):
+        if not ix:
+            return table + delta
+        head, rest = ix[0], ix[1:]
+        return tuple(bump(x, rest) if i == head else x for i, x in enumerate(table))
+
+    return replace(sf, **{field: bump(getattr(sf, field), index)})
+
+
+def _indices(table):
+    if not isinstance(table, tuple):
+        return [()]
+    return [(i,) + rest for i, x in enumerate(table) for rest in _indices(x)]
+
+
+class TestFrameIdentitiesAgainstReference:
+    @pytest.mark.parametrize("case", ["fixture", "conjugated_dim6", "non_invariant_screen"])
+    def test_one_entry_perturbations(self, golden, case):
+        # every identity, witness and scan order of the int-lattice version
+        # equals the Fraction reference, on the true tables and with any one
+        # entry of the second fundamental data perturbed
+        if case == "fixture":
+            _, _, amb = golden
+            run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
+            frame, sf = run.frame, run.sf
+        elif case == "conjugated_dim6":
+            _, _, amb, run = family_member(True)
+            frame, sf = run.frame, run.sf
+        else:
+            _, _, amb, frame, sf = non_invariant_screen_run()
+        # every entry on the fixture, every third one on the dim-6 frames
+        stride = 1 if case == "fixture" else 3
+        # adding a multiple of the identity to every screen connection matrix
+        # commutes with J, so the screen identity still holds, now with
+        # nonzero values on both sides
+        commuting = replace(
+            sf,
+            nabla_star=tuple(
+                tuple(tuple(x + F(2, 3) * (v == q) for q, x in enumerate(row)) for v, row in enumerate(block))
+                for block in sf.nabla_star
+            ),
+        )
+        unperturbed = [(sf, sf.rho), (sf, None), (commuting, sf.rho)]
+        perturbed = []
+        for field in ("b_form", "c_form", "a_n", "a_star_xi", "nabla_star", "tau"):
+            for k, ix in enumerate(_indices(getattr(sf, field))[::stride]):
+                perturbed.append((_perturbed(sf, field, ix, F((-1) ** k * (k % 3 + 1), 3)), sf.rho))
+        outcomes = []
+        for table, rho in unperturbed + perturbed:
+            checks = verify_frame_identities(table, frame, amb, rho)
+            expected = reference_frame_identities(table, frame, amb, rho)
+            assert tuple((c.name, c.ok, c.witness) for c in checks) == expected
+            outcomes.append(all(c.ok for c in checks))
+        if case != "non_invariant_screen":
+            assert outcomes == [True] * len(unperturbed) + [False] * len(perturbed)

@@ -9,11 +9,12 @@ from helpers import (
     derivation_action_direct,
     derivation_action_expansion,
     run_hypersurface,
+    tensor_from_function,
     trace_ricci,
 )
 from nordenlight.ambient import TrscStatus
 from nordenlight.errors import HypothesisFailure
-from nordenlight.exact import DenseTensor, bilinear, gram, unit_vector, vec_scale
+from nordenlight.exact import bilinear, gram, unit_vector, vec_scale
 from nordenlight.symmetry import (
     SymmetryFlags,
     almost_einstein_fit,
@@ -62,7 +63,7 @@ def expected_fixture_curvature(golden):
             val -= 4 * g[a][c]
         return val
 
-    return DenseTensor.from_function((3, 3, 3, 3), entry)
+    return tensor_from_function((3, 3, 3, 3), entry)
 
 
 class TestInducedCurvature:

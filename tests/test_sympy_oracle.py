@@ -1,7 +1,9 @@
 """Independent oracle for the int-lattice kernels: the connection, the
-curvature, the ambient Ricci and the three symmetry checkers recomputed with
-`sympy.Rational` matrices and brute-force scans, compared with the engine
-entry by entry.
+curvature, the ambient Ricci, the induced curvature by both routes, the
+induced Ricci by all three routes and the three symmetry checkers recomputed
+with `sympy.Rational` matrices and brute-force scans, compared with the
+engine entry by entry. The frame (xi, N, screen) is the engine's choice; every
+table built on it is recomputed here.
 
 Inputs: the family at h = 3 as written, and a dim-6 member with the bracket
 and the metric rescaled and the basis changed by an integer matrix of
@@ -9,6 +11,7 @@ determinant +-6, so the tables carry different nontrivial denominators.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -18,23 +21,17 @@ from helpers import (
     brute_locally_symmetric,
     brute_ricci_semi_symmetric,
     brute_semi_symmetric,
-    conjugate_instance,
-    family_text,
-    random_unimodular,
-    run_hypersurface,
-    scale_brackets,
-)
-from nordenlight.ambient import build_ambient_geometry, norden_structure
-from nordenlight.manifold_file import (
-    hypersurface_specs,
-    lie_algebra_spec,
-    norden_from_file,
-    parse_manifold_file,
+    family_member,
+    tensor_from_function,
 )
 from nordenlight.symmetry import (
     canonical_ricci,
     closed_form_curvature,
+    closed_form_ricci,
+    induced_curvature_closed_form,
+    induced_curvature_gauss,
     locally_symmetric_check,
+    ricci_from_ambient_decomposition,
     ricci_semi_symmetric_check,
     semi_symmetric_check,
 )
@@ -46,27 +43,9 @@ def q(x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
-def _member(conjugated: bool):
-    mf = parse_manifold_file(family_text(3))
-    spec, ns = lie_algebra_spec(mf), norden_from_file(mf)
-    span = hypersurface_specs(mf)[0].span
-    if conjugated:
-        # a basis change of determinant +-6, the bracket scaled by 5/7 and the
-        # metric by 1/3: the bracket, metric, J, connection, curvature and
-        # induced tables all get denominators, and they differ
-        s = [list(row) for row in random_unimodular(random.Random(1), 6)]
-        for row in s:
-            row[1] *= 2
-            row[4] *= 3
-        spec, ns, span = conjugate_instance(scale_brackets(spec, F(5, 7)), ns, s, span)
-        ns = norden_structure(tuple(tuple(x / 3 for x in row) for row in ns.g), ns.j)
-    amb = build_ambient_geometry(spec, ns)
-    return spec, ns, amb, run_hypersurface(amb, span, "associated")
-
-
 @pytest.fixture(scope="module", params=[False, True], ids=["family_h3", "conjugated_dim6"])
 def member(request):
-    return _member(request.param)
+    return family_member(request.param)
 
 
 def sympy_connection(spec, metric):
@@ -156,3 +135,208 @@ def test_checkers_match_brute_force_on_failing_tables(member, offset):
     assert_flag(semi_symmetric_check(table), brute_semi_symmetric(t, m))
     assert_flag(ricci_semi_symmetric_check(table, canonical_ricci(table)), brute_ricci_semi_symmetric(t, ric, m))
     assert_flag(locally_symmetric_check(table, run.sf.induced_gamma), brute_locally_symmetric(t, gm, m))
+
+
+def sympy_induced(spec, ns, amb, frame, rho=None):
+    """The induced curvature by the Gauss route and by the closed form, and
+    the induced Ricci by the canonical trace, the ambient split and the closed
+    form, all from sympy matrices over the given frame; the closed forms take
+    rho when given, else the umbilical factor of B. Curvature tables are
+    nested [a][b][c][q] (span coordinates of R(E_a, E_b)E_c), Ricci tables are
+    sympy matrices; "split_of" is the ambient split for any curvature table
+    and second fundamental data."""
+    n, m = spec.dim, len(frame.span)
+    rows = range(m)
+
+    def matrix(table):
+        return sympy.Matrix(len(table), len(table[0]), lambda i, k: q(table[i][k]))
+
+    def column(v):
+        return sympy.Matrix(len(v), 1, lambda i, _: q(v[i]))
+
+    span = matrix(frame.span)  # row a: E_a
+    transversal, xi = column(frame.transversal), column(frame.xi)
+    metric = matrix(ns.metric(frame.inducing_metric))
+    j = matrix(ns.j)
+    frame_inv = sympy.Matrix.hstack(span.T, transversal).inv()
+
+    def split(v):  # ambient column -> (span coordinates, transversal coefficient)
+        coords = frame_inv * v
+        return list(coords[:m]), coords[m]
+
+    def ambient(coords):
+        return span.T * sympy.Matrix(coords)
+
+    gamma = sympy_connection(spec, ns.g)
+    d = [sympy.Matrix(n, n, lambda k, l: gamma[i][k][l]) for i in range(n)]
+
+    def along(u):  # row k: D_u X_k
+        return sum((u[i] * d[i] for i in range(n) if u[i] != 0), sympy.zeros(n, n))
+
+    r13 = sympy_curvature(spec, gamma)
+    r = [[sympy.Matrix(r13[i][k]) for k in range(n)] for i in range(n)]
+
+    b_form = sympy.zeros(m, m)
+    induced = [[None] * m for _ in rows]
+    a_n = []
+    for a in rows:
+        d_a = along(span.row(a))
+        for c in rows:
+            induced[a][c], b_form[a, c] = split((span.row(c) * d_a).T)
+        tangent, _ = split((transversal.T * d_a).T)
+        a_n.append([-x for x in tangent])
+
+    gauss = [[[None] * m for _ in rows] for _ in rows]
+    for a, b in product(rows, repeat=2):
+        r_ab = sum(
+            (span[a, i] * span[b, k] * r[i][k] for i, k in product(range(n), repeat=2)),
+            sympy.zeros(n, n),
+        )
+        for c in rows:
+            tangent, _ = split((span.row(c) * r_ab).T)
+            gauss[a][b][c] = [
+                x - b_form[a, c] * y + b_form[b, c] * z for x, y, z in zip(tangent, a_n[b], a_n[a])
+            ]
+
+    # closed form: a [g(X,Z) J(PY) - g(Y,Z) J(PX)] + K [m(X,Z) Y - m(Y,Z) X]
+    g_ind = span * metric * span.T
+    mj = span * metric * (j * span.T)
+    eta = [(span.row(a) * metric * transversal)[0] for a in rows]
+    b = q(frame.b)
+    if rho is None:
+        ga, gc = next((a, c) for a, c in product(rows, repeat=2) if g_ind[a, c] != 0)
+        rho = b_form[ga, gc] / g_ind[ga, gc]
+    else:
+        rho = q(rho)
+    p_amb = [span.row(a).T - eta[a] * xi for a in rows]
+    phi = [split(j * p)[0] for p in p_amb]
+    if frame.inducing_metric == "principal":
+        k_coeff, other, lead, sign = q(amb.trsc.nu_assoc), matrix(ns.g_assoc), -1, 1
+    else:
+        k_coeff, other, lead, sign = q(amb.trsc.nu), matrix(ns.g), 1, -1
+    a_coeff = k_coeff - rho**2 / b
+    closed = [
+        [
+            [
+                [
+                    a_coeff * (g_ind[x, z] * phi[y][w] - g_ind[y, z] * phi[x][w])
+                    + k_coeff * (mj[x, z] * int(w == y) - mj[y, z] * int(w == x))
+                    for w in rows
+                ]
+                for z in rows
+            ]
+            for y in rows
+        ]
+        for x in rows
+    ]
+
+    canonical = sympy.Matrix(m, m, lambda x, y: sum(gauss[c][x][y][c] for c in rows))
+
+    # ambient split: Ric_amb + B tr A_N - <A_N X, A*_xi Y> - <R(xi, Y)X, N>
+    xi_span, _ = split(xi)
+    screen = list(frame.screen_indices)
+    inner_inv = sympy.Matrix.hstack(
+        *[sympy.eye(m).col(i) for i in screen], sympy.Matrix(xi_span)
+    ).inv()
+    a_star = []
+    for a in rows:
+        d_xi = sympy.Matrix([sum(xi_span[c] * induced[a][c][w] for c in rows) for w in rows])
+        coords = inner_inv * d_xi
+        image = [sympy.Integer(0)] * m
+        for pos, idx in enumerate(screen):
+            image[idx] = -coords[pos]
+        a_star.append(image)
+    ric_amb = sympy.Matrix(n, n, lambda i, k: sum(r13[l][i][k][l] for l in range(n)))
+
+    def pair(u, v):
+        return (u.T * metric * v)[0]
+
+    def split_of(table, b_form, a_n, a_star):
+        tr_an = sum(a_n[a][a] for a in rows)
+
+        def radial(x, y):
+            coords = [sum(xi_span[i] * table[i][y][x][w] for i in rows) for w in rows]
+            return pair(ambient(coords), transversal)
+
+        return sympy.Matrix(
+            m,
+            m,
+            lambda x, y: (span.row(x) * ric_amb * span.row(y).T)[0]
+            + b_form[x][y] * tr_an
+            - pair(ambient(a_n[x]), ambient(a_star[y]))
+            - radial(x, y),
+        )
+
+    h = n // 2
+    closed_ricci = sympy.Matrix(
+        m,
+        m,
+        lambda x, y: lead * 2 * (h - 1) * k_coeff * (span.row(x) * other * span.row(y).T)[0]
+        + sign * a_coeff * (p_amb[x].T * other * p_amb[y])[0],
+    )
+    return {
+        "gauss": gauss,
+        "closed": closed,
+        "canonical": canonical,
+        "split": split_of(gauss, b_form.tolist(), a_n, a_star),
+        "closed_ricci": closed_ricci,
+        "split_of": split_of,
+    }
+
+
+def test_induced_curvature_and_ricci_routes_match_sympy(member):
+    spec, ns, amb, run = member
+    routes = sympy_induced(spec, ns, amb, run.frame)
+    gauss, closed, canonical = routes["gauss"], routes["closed"], routes["canonical"]
+    split_ricci, closed_ricci = routes["split"], routes["closed_ricci"]
+    m = len(run.frame.span)
+    assert gauss == closed
+    assert canonical == split_ricci == closed_ricci
+    r13 = induced_curvature_gauss(run.sf, run.frame, amb)
+    closed_r13 = induced_curvature_closed_form(run.frame, run.sf, amb)
+    for table, expected in ((r13, gauss), (closed_r13, closed)):
+        for (a, b, c, w), value in zip(product(range(m), repeat=4), table.entries):
+            assert q(value) == expected[a][b][c][w], (a, b, c, w)
+    for ricci, expected in (
+        (canonical_ricci(r13), canonical),
+        (ricci_from_ambient_decomposition(r13, run.sf, run.frame, amb), split_ricci),
+        (closed_form_ricci(run.frame, run.sf, amb), closed_ricci),
+    ):
+        for a, b in product(range(m), repeat=2):
+            assert q(ricci[a][b]) == expected[a, b], (a, b)
+
+
+def test_closed_forms_and_ambient_split_off_the_geometry(member):
+    # on geometric input K = rho^2/b, so the screen terms of both closed forms
+    # vanish, and the ambient split sees a symmetric table; another rho, a
+    # random table and perturbed shape operators make every term count
+    spec, ns, amb, run = member
+    frame, sf = run.frame, run.sf
+    m = len(frame.span)
+    rho = sf.rho + F(1, 2)
+    routes = sympy_induced(spec, ns, amb, frame, rho)
+    sf = replace(sf, rho=rho)
+    table = induced_curvature_closed_form(frame, sf, amb)
+    for (a, b, c, w), value in zip(product(range(m), repeat=4), table.entries):
+        assert q(value) == routes["closed"][a][b][c][w], (a, b, c, w)
+    ricci = closed_form_ricci(frame, sf, amb)
+    for a, b in product(range(m), repeat=2):
+        assert q(ricci[a][b]) == routes["closed_ricci"][a, b], (a, b)
+
+    a_n = [list(row) for row in sf.a_n]
+    a_star = [list(row) for row in sf.a_star_xi]
+    a_n[0][1] += F(1, 3)
+    a_star[1][0] -= F(2, 5)
+    sf = replace(sf, a_n=tuple(map(tuple, a_n)), a_star_xi=tuple(map(tuple, a_star)))
+    rng = random.Random(7)
+    table = tensor_from_function((m,) * 4, lambda *ix: F(rng.randint(-3, 3), rng.randint(1, 4)))
+    ricci = ricci_from_ambient_decomposition(table, sf, frame, amb)
+    expected = routes["split_of"](
+        sympy_nested(table),
+        [[q(x) for x in row] for row in sf.b_form],
+        [[q(x) for x in row] for row in sf.a_n],
+        [[q(x) for x in row] for row in sf.a_star_xi],
+    )
+    assert expected != expected.T
+    for a, b in product(range(m), repeat=2):
+        assert q(ricci[a][b]) == expected[a, b], (a, b)
