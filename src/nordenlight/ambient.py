@@ -46,9 +46,11 @@ from .exact import (
     format_rational,
     int_bilinear,
     int_matmul,
+    lattice_combination,
     lattice_rows,
     mat,
     mat_inverse,
+    rational_vector,
     signature,
     vec,
 )
@@ -71,9 +73,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def first_failure(self) -> Check | None:
-        return next((c for c in self.checks if not c.ok), None)
 
 
 @dataclass(frozen=True)
@@ -490,13 +489,16 @@ def verify_pi_assoc_relations(
     verified componentwise against the definitional construction. A failure
     names the first differing 1-based index in product order and both values."""
     a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
-    for name, own, expected, other in (
-        ("pi1", a1, pi2, "pi2"),
-        ("pi2", a2, pi1, "pi1"),
-        ("pi3", a3, -pi3, "-pi3"),
+    p3, d3 = pi3.flat_lattice()
+    for name, own, (nums, den), other in (
+        ("pi1", a1, pi2.flat_lattice(), "pi2"),
+        ("pi2", a2, pi1.flat_lattice(), "pi1"),
+        ("pi3", a3, (tuple(-x for x in p3), d3), "-pi3"),
     ):
-        if own.lattice() != expected.lattice():
-            index, x, y = first_difference(own.dims, own.entries, expected.entries)
+        # both sides are lattice views in lowest terms, so equal tables have
+        # equal numerators and denominators
+        if own.flat_lattice() != (nums, den):
+            index, x, y = first_difference(own.dims, own.entries, rational_vector(nums, den))
             raise InternalInconsistency(
                 f"associated {name} does not equal {other} at ({','.join(map(str, index))}): "
                 f"associated {name} {format_rational(x)}, {other} {format_rational(y)}"
@@ -524,7 +526,7 @@ def constant_trsc(
     constant with the canonical representative and a degeneracy mark, never
     silently resolved.
     """
-    sol = fit_tables((pi1 - pi2, pi3), r04)
+    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3.flat_lattice()), r04.flat_lattice())
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
     nu, nu_assoc = sol.particular
@@ -562,7 +564,10 @@ def associated_curvature(
         nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
     assoc = DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
     # associated pi1 - associated pi2, and associated pi3
-    sol = fit_tables((pi2 - pi1, -pi3), assoc)
+    p3, d3 = pi3.flat_lattice()
+    sol = fit_tables(
+        (lattice_combination(pi2, pi1, -1), (tuple(-x for x in p3), d3)), (nums, dt * dj)
+    )
     if sol.kind == "infeasible":
         if trsc.kind == "constant":
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")

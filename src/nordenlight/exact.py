@@ -469,58 +469,63 @@ class DenseTensor:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def _flat_lattice(self):
+    def flat_lattice(self) -> tuple[tuple[int, ...], int]:
+        """The lattice view as (row-major int numerators, den)."""
         nested, den = self.lattice()
         for _ in range(self.rank - 1):
             nested = chain.from_iterable(nested)
-        return nested, den
-
-    def _combine(self, other: "DenseTensor", sign: int) -> "DenseTensor":
-        if self.dims != other.dims:
-            raise ShapeError("shape mismatch in tensor addition or subtraction")
-        a, da = self._flat_lattice()
-        b, db = other._flat_lattice()
-        den = lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        return DenseTensor.from_lattice(self.dims, (fa * x + fb * y for x, y in zip(a, b)), den)
+        return tuple(nested), den
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        return self._combine(other, 1)
+        return DenseTensor.from_lattice(self.dims, *lattice_combination(self, other, 1))
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        return self._combine(other, -1)
+        return DenseTensor.from_lattice(self.dims, *lattice_combination(self, other, -1))
 
     def __neg__(self) -> "DenseTensor":
         return self.scale(-1)
 
     def scale(self, c) -> "DenseTensor":
         c = Fraction(c)
-        nums, den = self._flat_lattice()
+        nums, den = self.flat_lattice()
         scaled = (c.numerator * x for x in nums)
         return DenseTensor.from_lattice(self.dims, scaled, den * c.denominator)
+
+
+def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> tuple[tuple[int, ...], int]:
+    """a + sign * b as (flat int numerators, den), with no Fraction entries:
+    the column form of `fit_tables`."""
+    if a.dims != b.dims:
+        raise ShapeError("shape mismatch in tensor addition or subtraction")
+    (x, dx), (y, dy) = a.flat_lattice(), b.flat_lattice()
+    den = lcm(dx, dy)
+    fx, fy = den // dx, sign * (den // dy)
+    return tuple(fx * p + fy * q for p, q in zip(x, y)), den
 
 
 # ---------------------------------------------------------------------------
 # componentwise affine fits
 
 
-def fit_tables(columns, rhs: DenseTensor) -> LinearSolution:
+def fit_tables(columns, rhs) -> LinearSolution:
     """Solve sum_j x_j columns[j] = rhs over every component of tables of one
-    shape, with the outcome `solve_affine` gives on all component rows.
+    shape, with the outcome `solve_affine` gives on all component rows. Each
+    table is given as (flat int numerators, den) with den > 0, e.g. by
+    `DenseTensor.flat_lattice`.
 
     Rows of the coefficient matrix that are independent of the earlier ones
-    are picked in product order on the lattice views (scaling a column by its
+    are picked in order on the numerators (scaling a column by its
     denominator changes no rank), and only they go to `solve_affine`. When
     the full system is feasible its augmented row space equals that of the
     picked rows, so the kind, the particular solution and the null space are
     those of the full system; the full system is feasible exactly when that
     particular solution satisfies every component, checked in cross-multiplied
     ints. All-zero coefficient tables pick the first row."""
-    if any(t.dims != rhs.dims for t in columns):
+    flat = [tuple(nums) for nums, _ in columns]
+    dens = [den for _, den in columns]
+    b, db = tuple(rhs[0]), rhs[1]
+    if any(len(col) != len(b) for col in flat):
         raise ShapeError("fit tables differ in shape")
-    lattices = [t._flat_lattice() for t in columns]
-    flat = [tuple(nums) for nums, _ in lattices]
-    dens = [den for _, den in lattices]
     picked: list[int] = []
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, fraction-free reduced row)
     for i, row in enumerate(zip(*flat)):
@@ -540,12 +545,12 @@ def fit_tables(columns, rhs: DenseTensor) -> LinearSolution:
             break
     picked = picked or [0]
     sol = solve_affine(
-        [tuple(t.entries[i] for t in columns) for i in picked], [rhs.entries[i] for i in picked]
+        [tuple(Fraction(col[i], d) for col, d in zip(flat, dens)) for i in picked],
+        [Fraction(b[i], db) for i in picked],
     )
     if sol.kind == "infeasible":
         return sol
     x, dx = lattice_vector(sol.particular)
-    b, db = rhs._flat_lattice()
     den = lcm(*dens)
     lhs = repeat(0)
     for col, xj, dj in zip(flat, x, dens):

@@ -458,9 +458,9 @@ def umbilical_test(
     m = len(frame.span)
     span = frame.lattice().span
     g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
+    b_form, d_b = lattice_rows(sf.b_form)
     sol = fit_tables(
-        (DenseTensor.from_lattice((m, m), chain.from_iterable(g_ind), den),),
-        DenseTensor((m, m), tuple(chain.from_iterable(sf.b_form))),
+        ((tuple(chain.from_iterable(g_ind)), den),), (tuple(chain.from_iterable(b_form)), d_b)
     )
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)

@@ -17,7 +17,7 @@ number, as are unknown keywords, out-of-range indices and malformed
 rationals.
 
 Two resource limits are checked at parse time, before any table is built:
-DIM is at most MAX_DIM (the verdict costs about n^4.5 operations), and every
+DIM is at most MAX_DIM (a verdict at that size takes seconds), and every
 coefficient's numerator and denominator, in lowest terms, fit in
 MAX_COEFFICIENT_BITS bits (entries of the derived tables grow with them,
 past what a report can print for much larger input).

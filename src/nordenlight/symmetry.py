@@ -81,14 +81,6 @@ class SymmetryFlags:
     locally_symmetric: FlagResult
     almost_einstein: EinsteinFit
 
-    def all_hold(self) -> bool:
-        return (
-            self.semi_symmetric.holds
-            and self.ricci_semi_symmetric.holds
-            and self.locally_symmetric.holds
-            and self.almost_einstein.feasible
-        )
-
 
 @dataclass(frozen=True)
 class PdeResiduals:
@@ -407,15 +399,58 @@ def _scan_pairs(t) -> list[tuple[int, int]]:
     return list(product(range(m), repeat=2))
 
 
-def _slot_columns(t):
-    """Columns of an int curvature table for C-level dot products:
-    (by_pair[x][y][q], first[v][w][q], second[u][w][q]) hold, over k, the
-    q-components of R(X_x, X_y)X_k, R(X_k, X_v)X_w and R(X_u, X_k)X_w."""
-    r = range(len(t))
-    by_pair = [[tuple(zip(*t[x][y])) for y in r] for x in r]
-    first = [[tuple(tuple(t[k][v][w][q] for k in r) for q in r) for w in r] for v in r]
-    second = [[tuple(tuple(t[u][k][w][q] for k in r) for q in r) for w in r] for u in r]
-    return by_pair, first, second
+def _nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The nonzero rows of an int matrix as {row index: ((column, entry), ...)}
+    over its nonzero entries, in ascending order."""
+    return {
+        k: tuple((q, x) for q, x in enumerate(row) if x) for k, row in enumerate(rows) if any(row)
+    }
+
+
+def _first_nonzero_derivation(a, blocks, pairs, m):
+    """The first block (u, v) in `pairs` order at which the derivation with
+    matrix a (row k holds a X_k) acts on the curvature table with a nonzero
+    component,
+
+        (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W):
+
+    (u, v, w, int components) with w the least slot of that block whose
+    component is nonzero, or None. a and every block blocks[u][v] =
+    R(X_u, X_v) are given by their nonzero rows (see `_nonzero_rows`), and
+    the block's components are accumulated from those entries alone, row by
+    row as in Gustavson's sparse product; the same index gives the blocks
+    R(X_k, X_v) and R(X_u, X_k) of the last two terms."""
+    for u, v in pairs:
+        b = blocks[u][v]
+        acc = {}  # w -> components of the block at W = X_w
+        for w, items in b.items():  # a R(U,V,W)
+            for k, x in items:
+                a_k = a.get(k)
+                if a_k:
+                    out = acc.get(w) or acc.setdefault(w, [0] * m)
+                    for q, y in a_k:
+                        out[q] += x * y
+        for w, items in a.items():  # -R(U,V,a W)
+            for k, x in items:
+                b_k = b.get(k)
+                if b_k:
+                    out = acc.get(w) or acc.setdefault(w, [0] * m)
+                    for q, y in b_k:
+                        out[q] -= x * y
+        for k, x in a.get(u, ()):  # -R(a U,V,W)
+            for w, items in blocks[k][v].items():
+                out = acc.get(w) or acc.setdefault(w, [0] * m)
+                for q, y in items:
+                    out[q] -= x * y
+        for k, x in a.get(v, ()):  # -R(U,a V,W)
+            for w, items in blocks[u][k].items():
+                out = acc.get(w) or acc.setdefault(w, [0] * m)
+                for q, y in items:
+                    out[q] -= x * y
+        w = min((w for w, out in acc.items() if any(out)), default=None)
+        if w is not None:
+            return u, v, w, acc[w]
+    return None
 
 
 def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
@@ -424,36 +459,26 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
         (R(X,Y).R)(U,V,W) = R(X,Y,R(U,V,W)) - R(U,V,R(X,Y,W))
                             - R(R(X,Y,U),V,W) - R(U,R(X,Y,V),W),
 
-    over every basis 5-tuple; stops at the first nonzero component in
+    over every basis 5-tuple; the witness is the first nonzero component in
     product order. When the table is antisymmetric in its first two slots the
     expression is antisymmetric in (X, Y) and in (U, V), so scanning the
     strictly ordered pairs decides the vanishing of all tuples; tables
-    without that symmetry get the full scan."""
+    without that symmetry get the full scan. The evaluation is driven by the
+    nonzero entries of the table: pairs (x, y) with R(X_x, X_y) = 0 are
+    skipped, and for the others the components are accumulated one (u, v)
+    block at a time, all w at once, stopping at the first block with a
+    nonzero component; its least such w completes the witness."""
     m = r13.dims[0]
-    rows = range(m)
     t, den = r13.lattice()
     pairs = _scan_pairs(t)
-    by_pair, first, second = _slot_columns(t)
-    nonzero = [[[any(row) for row in t[x][y]] for y in rows] for x in rows]
-    zero = [0] * m
+    blocks = [[_nonzero_rows(block) for block in row] for row in t]
     for x, y in pairs:
-        a, a_cols, a_nz = t[x][y], by_pair[x][y], nonzero[x][y]
-        for u, v in pairs:
-            b, b_cols, b_nz = t[u][v], by_pair[u][v], nonzero[u][v]
-            au = a[u] if a_nz[u] else None
-            av = a[v] if a_nz[v] else None
-            for w in rows:
-                val = [sum(map(mul, b[w], col)) for col in a_cols] if b_nz[w] else zero
-                if a_nz[w]:
-                    aw = a[w]
-                    val = [p - sum(map(mul, aw, col)) for p, col in zip(val, b_cols)]
-                if au is not None:
-                    val = [p - sum(map(mul, au, col)) for p, col in zip(val, first[v][w])]
-                if av is not None:
-                    val = [p - sum(map(mul, av, col)) for p, col in zip(val, second[u][w])]
-                if any(val):
-                    witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
-                    return FlagResult(False, witness, rational_vector(val, den * den))
+        a = blocks[x][y]
+        hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
+        if hit is not None:
+            u, v, w, val = hit
+            witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
+            return FlagResult(False, witness, rational_vector(val, den * den))
     return FlagResult(True)
 
 
@@ -486,37 +511,26 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
         (D_U R)(X,Y,Z) = D_U(R(X,Y,Z)) - R(D_U X, Y, Z)
                          - R(X, D_U Y, Z) - R(X, Y, D_U Z),
 
-    expanded with constant coefficients; stops at the first nonzero
-    component in product order. The expression is antisymmetric in (X, Y)
-    when the table is, so pairs are scanned as in `_scan_pairs`."""
+    expanded with constant coefficients; the witness is the first nonzero
+    component in product order of (U, X, Y, Z). The expression is
+    antisymmetric in (X, Y) when the table is, so pairs are scanned as in
+    `_scan_pairs`. D_U acts on R as the derivation with the matrix of
+    D_U X_k, so it is evaluated like the semi-symmetric check: from the
+    nonzero rows of induced_gamma[u] and of the table, one (u, x, y) block
+    at a time, all z at once, stopping at the first block with a nonzero
+    component; its least such z completes the witness."""
     m = r13.dims[0]
-    rows = range(m)
     t, dt = r13.lattice()
     gm, dg = induced_gamma.lattice()
     pairs = _scan_pairs(t)
-    by_pair, first, second = _slot_columns(t)
-    nonzero = [[[any(row) for row in t[x][y]] for y in rows] for x in rows]
-    zero = [0] * m
-    for u in rows:
-        g_u = gm[u]
-        g_cols = tuple(zip(*g_u))  # over k, the q-components of D_U X_k
-        g_nz = [any(row) for row in g_u]
-        for x, y in pairs:
-            r_xy, r_cols, r_nz = t[x][y], by_pair[x][y], nonzero[x][y]
-            for z in rows:
-                val = [sum(map(mul, r_xy[z], col)) for col in g_cols] if r_nz[z] else zero
-                if g_nz[x]:
-                    gx = g_u[x]
-                    val = [p - sum(map(mul, gx, col)) for p, col in zip(val, first[y][z])]
-                if g_nz[y]:
-                    gy = g_u[y]
-                    val = [p - sum(map(mul, gy, col)) for p, col in zip(val, second[x][z])]
-                if g_nz[z]:
-                    gz = g_u[z]
-                    val = [p - sum(map(mul, gz, col)) for p, col in zip(val, r_cols)]
-                if any(val):
-                    witness = (u + 1, x + 1, y + 1, z + 1)
-                    return FlagResult(False, witness, rational_vector(val, dt * dg))
+    blocks = [[_nonzero_rows(block) for block in row] for row in t]
+    for u in range(m):
+        a = _nonzero_rows(gm[u])
+        hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
+        if hit is not None:
+            x, y, z, val = hit
+            witness = (u + 1, x + 1, y + 1, z + 1)
+            return FlagResult(False, witness, rational_vector(val, dt * dg))
     return FlagResult(True)
 
 

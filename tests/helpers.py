@@ -94,6 +94,31 @@ def tensor_contract(t: DenseTensor, slot_t: int, u: DenseTensor, slot_u: int) ->
     return tensor_from_function(out_dims, entry)
 
 
+def rebase(t: DenseTensor, p) -> DenseTensor:
+    """Components of a tensor with lower slots first and one upper slot last
+    (a curvature or connection table) in the basis X'_a = sum_i p[a][i] X_i:
+    p enters every lower slot and its inverse the upper one."""
+    pm, inverse = tensor_from_rows(p), tensor_from_rows(mat_inverse(p))
+    for _ in range(t.rank - 1):
+        t = tensor_contract(t, 0, pm, 1)  # the new index moves to the end
+    return tensor_contract(t, 0, inverse, 0)
+
+
+def first_failure(report):
+    """The first failed check of a validation report, or None."""
+    return next((c for c in report.checks if not c.ok), None)
+
+
+def all_hold(flags) -> bool:
+    """Whether all four symmetry flags hold."""
+    return (
+        flags.semi_symmetric.holds
+        and flags.ricci_semi_symmetric.holds
+        and flags.locally_symmetric.holds
+        and flags.almost_einstein.feasible
+    )
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from helpers import (
+    all_hold,
     basis_span,
     conjugate_instance,
     derivation_action_direct,
@@ -326,7 +327,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
             locally_symmetric_check(r13, sf.induced_gamma),
             almost_einstein_fit(ric, g, ga),
         )
-        assert flags.all_hold()
+        assert all_hold(flags)
         verdict = symmetry_equivalence_audit(flags, "associated", amb.trsc, sf.rho, frame.b)
         assert verdict.applicable and verdict.condition_holds and verdict.consistent
 
@@ -353,7 +354,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
             verdict2 = symmetry_equivalence_audit(
                 flags2, "associated", amb.trsc, sf2.rho, frame2.b
             )
-            assert flags2.all_hold() == flags.all_hold()
+            assert all_hold(flags2) == all_hold(flags)
             assert (
                 verdict2.applicable,
                 verdict2.condition_holds,

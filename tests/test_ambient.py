@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    first_failure,
     koszul_residuals,
     symmetry_closure_table,
     tensor_from_function,
@@ -71,7 +72,7 @@ class TestValidateLieAlgebra:
         spec = LieAlgebraSpec(4, ("X1", "X2", "X3", "X4"), t)
         report = validate_lie_algebra(spec)
         assert not report.ok
-        bad = report.first_failure()
+        bad = first_failure(report)
         assert bad.name == "bracket_antisymmetry"
         assert bad.witness == (1, 2, 3)
 
@@ -81,13 +82,13 @@ class TestValidateLieAlgebra:
         t = tensor_from_function((4, 4, 4), lambda i, j, k: entries.get((i, j, k), 0))
         report = validate_lie_algebra(LieAlgebraSpec(4, ("a", "b", "c", "d"), t))
         assert not report.ok
-        assert report.first_failure().name == "jacobi_identity"
+        assert first_failure(report).name == "jacobi_identity"
 
     def test_odd_or_small_dimension_rejected(self):
         t = tensor_zeros((2, 2, 2))
         report = validate_lie_algebra(LieAlgebraSpec(2, ("a", "b"), t))
         assert not report.ok
-        assert report.first_failure().name == "dimension_even_and_at_least_four"
+        assert first_failure(report).name == "dimension_even_and_at_least_four"
 
 
 class TestValidateNorden:
@@ -104,7 +105,7 @@ class TestValidateNorden:
         bad = norden_structure(ns.g, eye)
         report = validate_norden(spec, bad)
         assert not report.ok
-        assert report.first_failure().name == "complex_structure_squares_to_minus_identity"
+        assert first_failure(report).name == "complex_structure_squares_to_minus_identity"
 
     def test_euclidean_metric_breaks_anti_isometry(self, golden):
         # Oracle: with the Euclidean metric, g(J X1, J X1) + g(X1, X1)
@@ -114,7 +115,7 @@ class TestValidateNorden:
         bad = norden_structure(eye, ns.j)
         report = validate_norden(spec, bad)
         assert not report.ok
-        failing = report.first_failure()
+        failing = first_failure(report)
         assert failing.name == "metric_anti_isometry"
         assert failing.witness == (1, 1)
         assert failing.detail == "2"
@@ -270,6 +271,17 @@ class TestConstantTrsc:
         assert status.kind == "constant"
         assert status.degenerate
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
+
+    def test_raw_tables_with_different_denominators(self):
+        # pi1 over 2 and pi2 over 3: the difference pi1 - pi2 brings both
+        # onto one denominator before the fit
+        pi1 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(i + 2 * k - l, 2))
+        pi2 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(j - k + 1, 3))
+        pi3 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(i * l - j, 5))
+        r04 = (pi1 - pi2).scale(F(7, 4)) + pi3.scale(-3)
+        status = constant_trsc(r04, pi1, pi2, pi3)
+        assert (status.kind, status.nu, status.nu_assoc) == ("constant", F(7, 4), F(-3))
+        assert not status.degenerate
 
 
 class TestAssociatedCurvature:

@@ -261,6 +261,11 @@ class TestLattice:
         assert first_difference((2, 2), a, (F(1), F(2), F(0), F(0))) == ((2, 1), F(3), F(0))
 
 
+def fit(columns, rhs):
+    """`fit_tables` on the lattice views of DenseTensor columns and rhs."""
+    return fit_tables([t.flat_lattice() for t in columns], rhs.flat_lattice())
+
+
 class TestFitTables:
     @staticmethod
     def random_table(rng, dims, density=0.5):
@@ -293,7 +298,7 @@ class TestFitTables:
                 entries = list(rhs.entries)
                 entries[rng.randrange(len(entries))] += F(rng.choice([-1, 1]), rng.randint(1, 3))
                 rhs = DenseTensor(dims, tuple(entries))
-            sol = fit_tables(columns, rhs)
+            sol = fit(columns, rhs)
             assert sol == echelon_fit(columns, rhs), trial
             kinds.add(sol.kind)
         assert kinds == {"unique", "parametric", "infeasible"}
@@ -311,8 +316,8 @@ class TestFitTables:
             ((lead, late), lead + late.scale(3) + second, "infeasible"),
             ((lead, lead.scale(2)), lead.scale(5), "parametric"),
         ):
-            sol = fit_tables(columns, rhs)
+            sol = fit(columns, rhs)
             assert sol.kind == kind
             assert sol == echelon_fit(columns, rhs)
         with pytest.raises(ShapeError):
-            fit_tables((zero,), tensor_zeros((3, 2)))
+            fit((zero,), tensor_zeros((3, 3)))

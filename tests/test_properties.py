@@ -16,6 +16,7 @@ from helpers import (
     derivation_action_direct,
     family_member,
     non_invariant_screen_run,
+    rebase,
     reference_frame_identities,
     run_hypersurface,
     tensor_from_function,
@@ -35,6 +36,7 @@ from nordenlight.pipeline import emit_report, run_pipeline
 from nordenlight.symmetry import (
     canonical_ricci,
     closed_form_curvature,
+    induced_curvature_gauss,
     locally_symmetric_check,
     ricci_semi_symmetric_check,
     semi_symmetric_check,
@@ -168,39 +170,94 @@ class TestSemiSymmetricFullScanFallback:
         assert (flag.holds, flag.witness, flag.value) == (False, (2, 1, 1, 1), (F(0), F(1)))
 
 
+def _brute_flag(hit, den):
+    """(holds, witness, value) of a brute-force scan on int numerators whose
+    components are over den."""
+    if hit is None:
+        return True, None, None
+    witness, value = hit
+    return False, witness, tuple(F(x, den) for x in value)
+
+
+def _assert_checkers_match_brute_force(table, gamma, ric=None):
+    """The checkers return the first nonzero tuple of the full product-order
+    scan and its exact value. The scans run on the int numerators of the
+    tables, so their values are over the product of the denominators."""
+    m = table.dims[0]
+    t, dt = table.lattice()
+    gm, dg = gamma.lattice()
+    semi = brute_semi_symmetric(t, m)
+    local = brute_locally_symmetric(t, gm, m)
+    flags = [
+        (semi_symmetric_check(table), _brute_flag(semi, dt * dt)),
+        (locally_symmetric_check(table, gamma), _brute_flag(local, dt * dg)),
+    ]
+    if ric is not None:
+        # the Ricci scan runs on the Fraction entries, its value is exact
+        ricci = brute_ricci_semi_symmetric(table.nested(), ric, m)
+        expected = (True, None, None) if ricci is None else (False, *ricci)
+        flags.append((ricci_semi_symmetric_check(table, ric), expected))
+    for flag, expected in flags:
+        assert (flag.holds, flag.witness, flag.value) == expected
+    return tuple(flag.holds for flag, _ in flags)
+
+
 class TestCheckersAgainstBruteForce:
     def test_random_raw_tables(self):
-        # small raw tables with denominators, antisymmetrized in the first
-        # slot pair for half of them, and a Ricci table that is not always
-        # symmetric: every checker must return the first nonzero tuple of the
-        # full product-order scan and its exact value
+        # raw tables with denominators from about 5% to 100% nonzero,
+        # antisymmetrized in the first slot pair or not, with a connection of
+        # the same density and a Ricci table that is not always symmetric
         rng = random.Random(41)
-        m = 3
-        idx = range(m)
-        for trial in range(30):
-            raw = {
-                ix: F(rng.choice([0, 0, 0, 1, -2, 3]), rng.choice([1, 2, 5]))
-                for ix in product(idx, repeat=4)
-            }
-            if trial % 2:
+        cases = product((4, 5, 6), (0.05, 0.2, 0.5, 1.0), (False, True), range(2))
+        for m, density, antisymmetric, _ in cases:
+            idx = range(m)
+
+            def entry(values, dens):
+                if rng.random() >= density:
+                    return F(0)
+                return F(rng.choice(values), rng.choice(dens))
+
+            raw = {ix: entry((1, -2, 3, -1), (1, 2, 5)) for ix in product(idx, repeat=4)}
+            if antisymmetric:
                 raw = {(i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] for i, j, k, l in raw}
             table = tensor_from_function((m,) * 4, lambda *ix: raw[ix])
-            gamma = tensor_from_function(
-                (m,) * 3, lambda *ix: F(rng.choice([0, 0, 1, -1]), rng.choice([1, 3]))
-            )
+            gamma = tensor_from_function((m,) * 3, lambda *ix: entry((1, -1, 2), (1, 3)))
             ric = tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 7])) for _ in idx) for _ in idx)
-            if trial % 3 == 0:
+            if antisymmetric:
                 ric = tuple(tuple(ric[max(a, b)][min(a, b)] for b in idx) for a in idx)
-            t, gm = table.nested(), gamma.nested()
-            for flag, expected in (
-                (semi_symmetric_check(table), brute_semi_symmetric(t, m)),
-                (ricci_semi_symmetric_check(table, ric), brute_ricci_semi_symmetric(t, ric, m)),
-                (locally_symmetric_check(table, gamma), brute_locally_symmetric(t, gm, m)),
-            ):
-                if expected is None:
-                    assert flag.holds
-                else:
-                    assert (flag.holds, flag.witness, flag.value) == (False, *expected)
+            _assert_checkers_match_brute_force(table, gamma, ric)
+
+    def test_dense_passing_table(self):
+        # the conjugated family member's induced tables in a dense rational
+        # basis of the hypersurface: both flags are tensorial and hold. In any
+        # basis the table has the shape R(X,Y)Z in span(X, Y), so at most 200
+        # of its 625 entries can be nonzero; 184 are
+        _, _, amb, run = family_member(True)
+        p = [
+            [F(1), F(2), F(-1), F(1, 2), F(3)],
+            [F(0), F(1), F(1), F(-2), F(1)],
+            [F(2), F(-1), F(1), F(1), F(1, 3)],
+            [F(1), F(1), F(1), F(1), F(-1)],
+            [F(-1), F(3), F(2), F(1), F(1)],
+        ]
+        table = rebase(induced_curvature_gauss(run.sf, run.frame, amb), p)
+        gamma = rebase(run.sf.induced_gamma, p)
+        assert sum(1 for x in table.entries if x) == 184
+        assert sum(1 for x in gamma.entries if x) == 117
+        assert _assert_checkers_match_brute_force(table, gamma) == (True, True)
+
+    def test_one_entry_perturbations_of_the_family_table(self):
+        # every entry of the h = 3 family's induced table, perturbed one at a
+        # time: the table loses its antisymmetry, so every pair is scanned
+        _, _, amb, run = family_member(False)
+        table = induced_curvature_gauss(run.sf, run.frame, amb)
+        gamma = run.sf.induced_gamma
+        assert _assert_checkers_match_brute_force(table, gamma) == (True, True)
+        for i in range(len(table.entries)):
+            entries = list(table.entries)
+            entries[i] += F(1, 3) if i % 2 else F(-2)
+            perturbed = DenseTensor(table.dims, tuple(entries))
+            assert _assert_checkers_match_brute_force(perturbed, gamma) == (False, False)
 
 
 def _perturbed(sf, field: str, index: tuple, delta):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from helpers import (
+    all_hold,
     basis_span,
     derivation_action_direct,
     derivation_action_expansion,
@@ -311,7 +312,7 @@ class TestEquivalenceAudit:
         r13 = induced_curvature_gauss(run.sf, run.frame, amb)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
         flags = flags_from_table(r13, run.sf.induced_gamma, g, ga)
-        assert flags.all_hold()
+        assert all_hold(flags)
         verdict = symmetry_equivalence_audit(
             flags, "associated", amb.trsc, run.sf.rho, run.frame.b
         )
@@ -326,7 +327,7 @@ class TestEquivalenceAudit:
         table = synthetic_table(golden, fixture_run, -5)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
         flags = flags_from_table(table, fixture_run.sf.induced_gamma, g, ga)
-        assert not flags.all_hold()
+        assert not all_hold(flags)
         assert not flags.semi_symmetric.holds
         assert not flags.ricci_semi_symmetric.holds
         assert not flags.locally_symmetric.holds
