@@ -2,13 +2,14 @@
 
 Every verification path is exact: no floating point anywhere. Scalars at the
 boundaries (parsing, reported values, JSON) are `fractions.Fraction`:
-arbitrary precision, canonical gcd-reduced form, positive denominator. The
-hot component tables are computed as Python-int numerators over one common
-positive denominator, the lattice form of a :class:`DenseTensor`; this module
-is the only place that converts between the two forms. All row reduction
-is one fraction-free elimination on int rows, :class:`Echelon`, pivoting on
-the first nonzero entry in column order, so results are deterministic on
-every platform.
+arbitrary precision, canonical gcd-reduced form, positive denominator. A
+component table, :class:`DenseTensor`, holds only Python-int numerators over
+one common positive denominator in lowest terms, the lattice form the hot
+kernels compute in; its `Fraction` entries are built where a report, an
+error or a test reads them. This module is the only place that converts
+between the two forms. All row reduction is one fraction-free elimination on
+int rows, :class:`Echelon`, pivoting on the first nonzero entry in column
+order, so results are deterministic on every platform.
 
 Vectors are flat tuples, matrices are tuples of row tuples, and component
 tables of rank >= 2 use :class:`DenseTensor` (row-major, 0-based internally;
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import gcd, lcm, prod
@@ -118,8 +120,8 @@ class Echelon:
     pivot columns of the other rows. Each row is then the unique primitive
     multiple of a row of the rational RREF of the same row space, so entry
     sizes depend on the row space alone, not on the order of the rows. This
-    is the one elimination of the engine; `mat_rank`, `mat_inverse`,
-    `kernel_basis` and `solve_affine` are its Fraction-boundary wrappers."""
+    is the one elimination of the engine; `mat_inverse`, `kernel_basis` and
+    `solve_affine` are its Fraction-boundary wrappers."""
 
     def __init__(self, rows=()):
         self.rows: list[list[int]] = []
@@ -183,10 +185,6 @@ def _int_rows(m) -> list[tuple[int, ...]]:
     """Each row of a rational matrix scaled to ints by its own least common
     denominator; row scaling changes no row space."""
     return [lattice_vector(row)[0] for row in m]
-
-
-def mat_rank(m) -> int:
-    return len(Echelon(_int_rows(m)).pivots)
 
 
 def mat_inverse(m) -> Matrix:
@@ -345,92 +343,83 @@ def _nest(dims, flat):
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Dense component table of arbitrary rank, row-major, exact entries."""
+    """Dense component table of arbitrary rank: the row-major entries are
+    nums[i] / den. The form is canonical, den > 0 and gcd(den, *nums) == 1,
+    so den is the least common denominator of the entries and equal fields
+    mean equal entries; a table in any other form is rejected. Build tables
+    with `from_lattice`, which cancels, or `from_entries`. Fraction entries
+    are made only where they are read."""
 
     dims: tuple[int, ...]
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.entries) != prod(self.dims):
+        if len(self.nums) != prod(self.dims):
             raise ShapeError("entry count does not match dimensions")
+        if self.den <= 0 or gcd(self.den, *self.nums) != 1:
+            raise ValueError("table numerators and denominator are not in lowest terms")
+
+    @classmethod
+    def from_lattice(cls, dims, nums, den: int) -> "DenseTensor":
+        """Table whose row-major entries are nums[i] / den, for int nums and
+        den > 0; the common factor of nums and den is cancelled."""
+        nums = tuple(nums)
+        common = gcd(den, *nums)
+        if common != 1:
+            den //= common
+            nums = tuple(x // common for x in nums)
+        return cls(tuple(dims), nums, den)
+
+    @classmethod
+    def from_entries(cls, dims, entries) -> "DenseTensor":
+        """Table of the given row-major rational entries."""
+        (nums,), den = lattice_rows((tuple(entries),))
+        return cls(tuple(dims), nums, den)
 
     @property
     def rank(self) -> int:
         return len(self.dims)
 
-    def _offset(self, idx) -> int:
-        off = 0
-        for d, i in zip(self.dims, idx):
-            if not 0 <= i < d:
-                raise IndexError(f"index {idx} out of range for dims {self.dims}")
-            off = off * d + i
-        return off
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row-major entries as Fractions, built on each read."""
+        return rational_vector(self.nums, self.den)
 
     def __getitem__(self, idx) -> Fraction:
         if isinstance(idx, int):
             idx = (idx,)
         if len(idx) != len(self.dims):
             raise ShapeError(f"rank-{self.rank} tensor indexed with {len(idx)} indices")
-        return self.entries[self._offset(idx)]
+        off = 0
+        for d, i in zip(self.dims, idx):
+            if not 0 <= i < d:
+                raise IndexError(f"index {idx} out of range for dims {self.dims}")
+            off = off * d + i
+        return Fraction(self.nums[off], self.den)
 
-    def rows(self) -> Matrix:
-        if self.rank != 2:
-            raise ShapeError("rows() needs a rank-2 tensor")
-        n, m = self.dims
-        return tuple(self.entries[i * m : (i + 1) * m] for i in range(n))
-
-    @classmethod
-    def from_lattice(cls, dims, nums, den: int) -> "DenseTensor":
-        """Table whose row-major entries are nums[i] / den, for int nums and
-        den > 0. The common factor of nums and den is cancelled first, so the
-        lattice view this seeds is the one `lattice()` builds from the
-        entries; equal entries share one Fraction object."""
-        dims = tuple(dims)
-        nums = tuple(nums)
-        common = gcd(den, *nums)
-        if common != 1:
-            den //= common
-            nums = tuple(x // common for x in nums)
-        values = {x: Fraction(x, den) for x in set(nums)}
-        table = cls(dims, tuple(map(values.__getitem__, nums)))
-        object.__setattr__(table, "_lattice_memo", (_nest(dims, nums), den))
-        return table
-
-    def nested(self):
-        """Nested tuples, convenient for hot loops; memoized per instance
-        (the memo is not a dataclass field, so equality and repr ignore it)."""
-        cached = getattr(self, "_nested_memo", None)
-        if cached is None:
-            cached = _nest(self.dims, self.entries)
-            object.__setattr__(self, "_nested_memo", cached)
-        return cached
+    @cached_property
+    def _lattice_view(self):
+        return _nest(self.dims, self.nums)
 
     def lattice(self) -> tuple[tuple, int]:
-        """(nested int numerators, den) with entry = numerator / den and den
-        the least common positive denominator of the entries: the form the
-        hot kernels compute in. Memoized per instance like `nested()`."""
-        cached = getattr(self, "_lattice_memo", None)
-        if cached is None:
-            (nums,), den = lattice_rows((self.entries,))
-            cached = (_nest(self.dims, nums), den)
-            object.__setattr__(self, "_lattice_memo", cached)
-        return cached
+        """(nested int numerators, den): the form the hot kernels compute
+        in, memoized per instance."""
+        return self._lattice_view, self.den
+
+    def flat_lattice(self) -> tuple[tuple[int, ...], int]:
+        """(row-major int numerators, den)."""
+        return self.nums, self.den
 
     def nonzero(self):
         """Yield (index tuple, value) for every nonzero entry, row-major order."""
-        for ix, val in zip(product(*(range(d) for d in self.dims)), self.entries):
-            if val != 0:
-                yield ix, val
+        den = self.den
+        for ix, x in zip(product(*map(range, self.dims)), self.nums):
+            if x:
+                yield ix, Fraction(x, den)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def flat_lattice(self) -> tuple[tuple[int, ...], int]:
-        """The lattice view as (row-major int numerators, den)."""
-        nested, den = self.lattice()
-        for _ in range(self.rank - 1):
-            nested = chain.from_iterable(nested)
-        return tuple(nested), den
+        return not any(self.nums)
 
 
 def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> tuple[tuple[int, ...], int]:

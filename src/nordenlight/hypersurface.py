@@ -24,6 +24,7 @@ The radical section carries a gauge freedom xi -> c xi that rescales
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul
@@ -100,13 +101,11 @@ class LightlikeFrame:
     eta: tuple[Fraction, ...]  # eta(E_a) = <E_a, N> over the span basis
     b: Fraction | None = None
 
+    @cached_property
     def lattice(self) -> FrameLattice:
         """The int forms, built on first use and memoized per instance (the
         memo is not a dataclass field, so equality and repr ignore it and
         dataclasses.replace starts a fresh one)."""
-        cached = getattr(self, "_lattice_memo", None)
-        if cached is not None:
-            return cached
         m = len(self.span)
         n = len(self.xi)
         full_cols = list(self.span) + [self.transversal]
@@ -122,7 +121,7 @@ class LightlikeFrame:
         inner_cols = [unit_vector(m, i) for i in self.screen_indices] + [xi_span]
         inner = tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m))
         span = lattice_rows(self.span)
-        cached = FrameLattice(
+        return FrameLattice(
             span=span,
             span_cols=tuple(zip(*span[0])),
             screen_cols=tuple(zip(*(span[0][i] for i in self.screen_indices))),
@@ -132,44 +131,42 @@ class LightlikeFrame:
             xi_span=lattice_vector(xi_span),
             eta=lattice_vector(self.eta),
         )
-        object.__setattr__(self, "_lattice_memo", cached)
-        return cached
 
     @property
     def xi_span(self) -> Vector:
         """Span coordinates of the radical section."""
-        return rational_vector(*self.lattice().xi_span)
+        return rational_vector(*self.lattice.xi_span)
 
     def to_ambient(self, coords):
         """Ambient vectors of rows of span coordinates."""
         rows, den = coords
-        lat = self.lattice()
+        lat = self.lattice
         return int_matmul(rows, lat.span_cols), den * lat.span[1]
 
     def screen_to_ambient(self, coords):
         """Ambient vectors of rows of screen coordinates."""
         rows, den = coords
-        lat = self.lattice()
+        lat = self.lattice
         return int_matmul(rows, lat.screen_cols), den * lat.span[1]
 
     def frame_coords(self, vectors):
         """Rows of ambient vectors split along span + transversal: each row
         holds the span coordinates, then the transversal coefficient."""
         rows, den = vectors
-        inv, di = self.lattice().inverse
+        inv, di = self.lattice.inverse
         return int_matmul(rows, inv), den * di
 
     def screen_coords(self, coords):
         """Rows of span coordinates split along screen + radical: each row
         holds the screen coordinates, then the xi coefficient."""
         rows, den = coords
-        inner, dn = self.lattice().inner
+        inner, dn = self.lattice.inner
         return int_matmul(rows, inner), den * dn
 
     def p_projection(self):
         """Span coordinates of the screen projections P E_a, one row per
         basis field: P E_a = E_a - eta(E_a) xi."""
-        lat = self.lattice()
+        lat = self.lattice
         eta, de = lat.eta
         xi, dx = lat.xi_span
         one = de * dx
@@ -384,7 +381,7 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     m = len(frame.span)
     n = amb.spec.dim
     rows = range(m)
-    lat = frame.lattice()
+    lat = frame.lattice
     span, ds = lat.span
     transversal, dn = lat.transversal
     xi, dx = lat.xi_span
@@ -466,7 +463,7 @@ def umbilical_test(
     infeasible fit returns the first basis field whose xi-shape image is not
     aligned with its screen projection."""
     m = len(frame.span)
-    span = frame.lattice().span
+    span = frame.lattice.span
     g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
     b_form, d_b = lattice_rows(sf.b_form)
     sol = fit_tables(
@@ -519,7 +516,7 @@ def verify_frame_identities(
     rows = range(m)
     ns = amb.norden
     which = frame.inducing_metric
-    lat = frame.lattice()
+    lat = frame.lattice
     span = lat.span
     xi, _ = lat.xi_span
     eta, de = lat.eta

@@ -269,7 +269,7 @@ def lie_algebra_spec(mf: ManifoldFile) -> LieAlgebraSpec:
             table[i - 1][j - 1][k - 1] = q
             table[j - 1][i - 1][k - 1] = -q
     flat = tuple(table[i][j][k] for i in range(n) for j in range(n) for k in range(n))
-    return LieAlgebraSpec(n, mf.basis_labels, DenseTensor((n, n, n), flat))
+    return LieAlgebraSpec(n, mf.basis_labels, DenseTensor.from_entries((n, n, n), flat))
 
 
 def norden_from_file(mf: ManifoldFile) -> NordenStructure:

@@ -276,7 +276,7 @@ def _process_hypersurface(
 
         r13 = induced_curvature_gauss(sf, frame, amb)
         r13_closed = induced_curvature_closed_form(frame, sf, amb)
-        if r13.lattice() != r13_closed.lattice():  # equal lattice views mean equal tables
+        if r13 != r13_closed:
             index, gauss_value, closed_value = first_difference(
                 r13.dims, r13.entries, r13_closed.entries
             )

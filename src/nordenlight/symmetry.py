@@ -115,8 +115,8 @@ def induced_curvature_gauss(
     n = amb.spec.dim
     rows = range(m)
     amb13, den_r = amb.riemann13.lattice()
-    span, den_s = frame.lattice().span
-    inv, den_inv = frame.lattice().inverse
+    span, den_s = frame.lattice.span
+    inv, den_inv = frame.lattice.inverse
     b_form, den_b = lattice_rows(sf.b_form)
     a_n, den_a = lattice_rows(sf.a_n)
     (tau,), den_tau = lattice_rows((sf.tau,))
@@ -190,7 +190,7 @@ def closed_form_curvature(
     geometric route (with a = K - rho^2/b) and by synthetic audits."""
     m = len(frame.span)
     ns = amb.norden
-    span = frame.lattice().span
+    span = frame.lattice.span
     phi, d_phi = _phi_table(frame, amb)
     g_ind, d_g = ns.pairings(frame.inducing_metric, span, span)
     mj, d_mj = ns.pairings(frame.inducing_metric, span, ns.apply_j_rows(span))  # <E_a, J E_c>
@@ -265,7 +265,7 @@ def ricci_from_ambient_decomposition(
     rows = range(m)
     ns = amb.norden
     which = frame.inducing_metric
-    lat = frame.lattice()
+    lat = frame.lattice
     span, d_s = lat.span
     xi, d_xi = lat.xi_span
     t, d_t = r13_induced.lattice()
@@ -325,7 +325,7 @@ def closed_form_ricci(
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
 
     ns = amb.norden
-    span = frame.lattice().span
+    span = frame.lattice.span
     p_amb = frame.to_ambient(frame.p_projection())
     g_other, d_g = ns.pairings(other, span, span)
     g_proj, d_p = ns.pairings(other, p_amb, p_amb)

@@ -26,10 +26,13 @@ from nordenlight.ambient import (
 from nordenlight.errors import HypothesisFailure, InternalInconsistency
 from nordenlight.exact import (
     DenseTensor,
+    Echelon,
     LinearSolution,
     ShapeError,
+    _nest,
     format_rational,
     lattice_combination,
+    lattice_vector,
     mat_inverse,
     primitive_integer_vector,
     solve_affine,
@@ -42,6 +45,17 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # test-only table helpers
+
+
+def nested(t: DenseTensor):
+    """The Fraction entries of a table as nested tuples."""
+    return _nest(t.dims, t.entries)
+
+
+def mat_rank(m) -> int:
+    """Rank of a rational matrix by `Echelon`, each row scaled to ints by
+    its own least common denominator."""
+    return len(Echelon(lattice_vector(row)[0] for row in m).pivots)
 
 
 def mat_mul(a, b):
@@ -141,23 +155,22 @@ def gauge_rescale(frame, sf, c):
 
 def tensor_zeros(dims) -> DenseTensor:
     dims = tuple(dims)
-    return DenseTensor(dims, (F(0),) * prod(dims))
+    return DenseTensor(dims, (0,) * prod(dims), 1)
 
 
 def tensor_from_function(dims, fn) -> DenseTensor:
     """Table whose entry at each 0-based index tuple is fn(*index)."""
     dims = tuple(dims)
-    return DenseTensor(dims, tuple(F(fn(*ix)) for ix in product(*(range(d) for d in dims))))
+    return DenseTensor.from_entries(dims, [F(fn(*ix)) for ix in product(*(range(d) for d in dims))])
 
 
 def tensor_from_rows(rows) -> DenseTensor:
     rows = tuple(tuple(map(F, r)) for r in rows)
-    return DenseTensor((len(rows), len(rows[0])), tuple(x for r in rows for x in r))
+    return DenseTensor.from_entries((len(rows), len(rows[0])), [x for r in rows for x in r])
 
 
 def tensor_from_vector(v) -> DenseTensor:
-    v = tuple(map(F, v))
-    return DenseTensor((len(v),), v)
+    return DenseTensor.from_entries((len(v),), list(map(F, v)))
 
 
 def tensor_contract(t: DenseTensor, slot_t: int, u: DenseTensor, slot_u: int) -> DenseTensor:
@@ -221,8 +234,8 @@ def koszul_residuals(spec, metric, gamma):
     """Residuals of 2<D_i j, k> - (<[i,j],k> + <[k,i],j> + <[k,j],i>) over all
     basis triples; the connection is correct iff all vanish."""
     n = spec.dim
-    c = spec.brackets.nested()
-    gm = gamma.nested()
+    c = nested(spec.brackets)
+    gm = nested(gamma)
 
     def pair_bracket(a, b, k):
         return sum(c[a][b][m] * metric[m][k] for m in range(n))
@@ -235,6 +248,77 @@ def koszul_residuals(spec, metric, gamma):
                 rhs = pair_bracket(i, j, k) + pair_bracket(k, i, j) + pair_bracket(k, j, i)
                 out.append(lhs - rhs)
     return out
+
+
+def verify_torsion_free(spec: LieAlgebraSpec, gamma: DenseTensor) -> None:
+    n = spec.dim
+    gm = nested(gamma)
+    c = nested(spec.brackets)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if gm[i][j][k] - gm[j][i][k] != c[i][j][k]:
+                    raise InternalInconsistency(
+                        f"connection is not torsion-free at ({i + 1},{j + 1},{k + 1})"
+                    )
+
+
+def verify_metric_compatibility(gamma: DenseTensor, metric) -> None:
+    n = len(metric)
+    gm = nested(gamma)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                val = sum(gm[i][j][m] * metric[m][k] for m in range(n)) + sum(
+                    gm[i][k][m] * metric[m][j] for m in range(n)
+                )
+                if val != 0:
+                    raise InternalInconsistency(
+                        f"connection does not annihilate the metric at ({i + 1},{j + 1},{k + 1})"
+                    )
+
+
+def verify_curvature_symmetries(r04: DenseTensor) -> None:
+    """Slot antisymmetries, pair symmetry, and the first Bianchi identity."""
+    n = r04.dims[0]
+    t = nested(r04)
+    for i, j, k, l in product(range(n), repeat=4):
+        if t[i][j][k][l] != -t[j][i][k][l]:
+            raise InternalInconsistency(f"curvature not antisymmetric in slots 1,2 at {(i, j, k, l)}")
+        if t[i][j][k][l] != -t[i][j][l][k]:
+            raise InternalInconsistency(f"curvature not antisymmetric in slots 3,4 at {(i, j, k, l)}")
+        if t[i][j][k][l] != t[k][l][i][j]:
+            raise InternalInconsistency(f"curvature pair symmetry fails at {(i, j, k, l)}")
+        if t[i][j][k][l] + t[j][k][i][l] + t[k][i][j][l] != 0:
+            raise InternalInconsistency(f"first Bianchi identity fails at {(i, j, k, l)}")
+
+
+def verify_kaehler_curvature_identity(r04: DenseTensor, ns: NordenStructure) -> None:
+    """R(X, Y, JZ, JW) = -R(X, Y, Z, W), which also forces every holomorphic
+    sectional curvature to vanish; both are asserted."""
+    n = r04.dims[0]
+    t = nested(r04)
+    j = ns.j
+    for i, a, k, l in product(range(n), repeat=4):
+        val = sum(
+            j[m][k] * j[p][l] * t[i][a][m][p] for m in range(n) for p in range(n)
+            if j[m][k] != 0 and j[p][l] != 0
+        )
+        if val != -t[i][a][k][l]:
+            raise InternalInconsistency(f"Kaehler curvature identity fails at {(i, a, k, l)}")
+    for k in range(n):
+        x = tuple(Fraction(1 if m == k else 0) for m in range(n))
+        jx = tuple(row[k] for row in j)  # J X_k
+        val = sum(
+            x[i] * jx[a] * jx[p] * x[q] * t[i][a][p][q]
+            for i in range(n)
+            for a in range(n)
+            for p in range(n)
+            for q in range(n)
+            if x[i] != 0 and jx[a] != 0 and jx[p] != 0 and x[q] != 0
+        )
+        if val != 0:
+            raise InternalInconsistency(f"holomorphic section through basis vector {k + 1} is not flat")
 
 
 def symmetry_closure_table(dim, generators):
@@ -264,7 +348,7 @@ def symmetry_closure_table(dim, generators):
 def trace_ricci(r13):
     """Trace of Z -> R(Z, X)Y straight from the table."""
     m = r13.dims[0]
-    t = r13.nested()
+    t = nested(r13)
     return tuple(
         tuple(sum(t[c][a][b][c] for c in range(m)) for b in range(m)) for a in range(m)
     )
@@ -387,7 +471,7 @@ def derivation_action_expansion(frame, amb, a_coeff, k_coeff):
 def derivation_action_direct(r13, x, y, u, v, w):
     """(R(X,Y).R)(U,V,W) straight from the definition on a curvature table."""
     m = r13.dims[0]
-    t = r13.nested()
+    t = nested(r13)
     out = [F(0)] * m
     inner = t[u][v][w]
     for kk in range(m):
@@ -525,7 +609,7 @@ def reference_frame_identities(sf, frame, amb, rho):
     a_star_amb = tuple(span_to_ambient(v) for v in sf.a_star_xi)
     a_n_amb = tuple(span_to_ambient(v) for v in sf.a_n)
     p_amb = tuple(span_to_ambient(p_project_span(a)) for a in range(m))
-    gm = sf.induced_gamma.nested()
+    gm = nested(sf.induced_gamma)
     rows = range(m)
     # der[a][c][d] = <E_d, D_{E_a} E_c>
     der = [
@@ -777,7 +861,7 @@ def reference_signature(g):
 
 def reference_validate_lie_algebra(spec) -> ValidationReport:
     n = spec.dim
-    c = spec.brackets.nested()
+    c = nested(spec.brackets)
     checks = [
         Check(
             "dimension_even_and_at_least_four",
@@ -848,7 +932,7 @@ def reference_validate_norden(spec, ns) -> ValidationReport:
 
 def reference_validate_span(hs, amb) -> None:
     n = amb.spec.dim
-    c = amb.spec.brackets.nested()
+    c = nested(amb.spec.brackets)
     if len(hs.span) != n - 1:
         raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {len(hs.span)}")
     if reference_mat_rank(hs.span) != n - 1:
@@ -970,7 +1054,7 @@ def conjugate_instance(spec: LieAlgebraSpec, ns: NordenStructure, s, vectors):
     new coordinates."""
     n = spec.dim
     s_inv = mat_inverse(s)
-    c = spec.brackets.nested()
+    c = nested(spec.brackets)
 
     def new_bracket(i, j, r):
         total = F(0)
@@ -1023,8 +1107,6 @@ def random_norden_pair(rng: random.Random, half: int):
         jt = transpose(j)
         jmj = mat_mul(mat_mul(jt, sym), j)
         g = tuple(tuple(sym[i][k] - jmj[i][k] for k in range(n)) for i in range(n))
-        from nordenlight.exact import mat_rank
-
         if mat_rank(g) == n:
             return g, j
 
@@ -1054,7 +1136,7 @@ def instance_text(spec: LieAlgebraSpec, ns: NordenStructure, blocks) -> str:
     from nordenlight.exact import format_rational
 
     n = spec.dim
-    c = spec.brackets.nested()
+    c = nested(spec.brackets)
 
     def terms(values):
         return " ".join(f"{k + 1}:{format_rational(q)}" for k, q in enumerate(values) if q != 0)

@@ -19,6 +19,7 @@ from helpers import (
     gauge_rescale,
     derivation_action_direct,
     koszul_residuals,
+    nested,
     nonzero_rational,
     random_norden_pair,
     random_unimodular,
@@ -31,6 +32,8 @@ from helpers import (
     tensor_scale,
     tensor_sub,
     vec_scale,
+    verify_curvature_symmetries,
+    verify_kaehler_curvature_identity,
 )
 from nordenlight.ambient import (
     build_ambient_geometry,
@@ -39,8 +42,6 @@ from nordenlight.ambient import (
     pi_tensors,
     validate_lie_algebra,
     validate_norden,
-    verify_curvature_symmetries,
-    verify_kaehler_curvature_identity,
 )
 from nordenlight.exact import unit_vector
 from nordenlight.hypersurface import verify_frame_identities
@@ -221,8 +222,8 @@ def test_c08a_koszul_properties(instance_pool):
         assert validate_norden(spec, ns).ok
         assert all(r == 0 for r in koszul_residuals(spec, ns.g, gamma))
         n = spec.dim
-        gm = gamma.nested()
-        c = spec.brackets.nested()
+        gm = nested(gamma)
+        c = nested(spec.brackets)
         for i, j, k in product(range(n), repeat=3):
             # torsion-free against the bracket table
             assert gm[i][j][k] - gm[j][i][k] == c[i][j][k]
@@ -240,7 +241,7 @@ def test_c08b_curvature_symmetries(instance_pool):
         ns, r04 = amb.norden, amb.riemann04
         assert amb.kaehler.is_kaehler_norden and amb.kaehler.phi_agrees
         n = r04.dims[0]
-        t = r04.nested()
+        t = nested(r04)
         j = ns.j
         for i, a, k, l in product(range(n), repeat=4):
             # independent spot assertions of the same facts
@@ -390,7 +391,7 @@ def test_c09_synthetic_table_checkers(golden):
     # witness soundness: re-evaluating the defining expressions is nonzero
     x, y, u, v, w = (i - 1 for i in semi.witness)
     assert any(t != 0 for t in derivation_action_direct(bad, x, y, u, v, w))
-    t = bad.nested()
+    t = nested(bad)
     x, y, u, v = (i - 1 for i in ricci_semi.witness)
     val = -sum(t[x][y][u][k] * ric_bad[k][v] for k in range(3)) - sum(
         ric_bad[u][k] * t[x][y][v][k] for k in range(3)

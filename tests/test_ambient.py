@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     first_failure,
     koszul_residuals,
+    nested,
     symmetry_closure_table,
     tensor_add,
     tensor_from_function,
@@ -175,7 +176,7 @@ class TestKaehlerCheck:
         assert not check.is_kaehler_norden
         assert check.f_table[1, 1, 0] == F(-2)
         # oracle: recompute F from the connection and J tables directly
-        gm = gamma.nested()
+        gm = nested(gamma)
         n = 4
         for i in range(n):
             for a in range(n):
@@ -264,7 +265,7 @@ class TestConstantTrsc:
         entries = list(amb.riemann04.entries)
         offset = ((0 * 4 + 3) * 4 + 3) * 4 + 0  # overwrite the (1,4,4,1) slot
         entries[offset] = F(-5)
-        tampered = DenseTensor((4, 4, 4, 4), tuple(entries))
+        tampered = DenseTensor.from_entries((4, 4, 4, 4), entries)
         status = constant_trsc(tampered, amb.pi1, amb.pi2, amb.pi3)
         assert status.kind == "not_constant"
 
@@ -306,8 +307,8 @@ class TestAssociatedCurvature:
 
     def test_kaehler_identity_componentwise(self, golden):
         _, ns, amb = golden
-        t = amb.riemann04.nested()
-        ta = amb.assoc.r04_assoc.nested()
+        t = nested(amb.riemann04)
+        ta = nested(amb.assoc.r04_assoc)
         j = ns.j
         for i in range(4):
             for a in range(4):
@@ -344,7 +345,7 @@ class TestAmbientRicci:
         # -2(n-1) g(X, JY), and the built-in cross-check for nu = 0.
         _, ns, amb = golden
         ginv = mat_inverse(ns.g)
-        t = amb.pi3.nested()
+        t = nested(amb.pi3)
         r13 = tensor_from_function(
             (4, 4, 4, 4),
             lambda i, j, k, l: sum(ginv[l][m] * t[i][j][k][m] for m in range(4)),

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -12,7 +14,6 @@ from nordenlight.exact import (
     int_matmul,
     kernel_basis,
     lattice_rows,
-    mat_rank,
     parse_rational,
     primitive_integer_vector,
     signature,
@@ -20,6 +21,7 @@ from nordenlight.exact import (
 )
 from helpers import (
     echelon_fit,
+    mat_rank,
     mat_mul,
     tensor_contract,
     tensor_from_function,
@@ -229,15 +231,65 @@ class TestPrimitive:
 
 class TestLattice:
     def test_lattice_is_least_common_denominator(self):
-        t = DenseTensor((2, 2), (F(1, 2), F(-1, 3), F(0), F(2)))
+        t = DenseTensor.from_entries((2, 2), (F(1, 2), F(-1, 3), F(0), F(2)))
         assert t.lattice() == (((3, -2), (0, 12)), 6)
 
-    def test_from_lattice_cancels_and_seeds_the_same_view(self):
+    def test_from_lattice_cancels_to_the_entry_table(self):
         t = DenseTensor.from_lattice((2, 2), [4, -6, 0, 8], 12)
+        assert (t.nums, t.den) == ((2, -3, 0, 4), 6)
         assert t.entries == (F(1, 3), F(-1, 2), F(0), F(2, 3))
         assert t.lattice() == (((2, -3), (0, 4)), 6)
-        assert DenseTensor(t.dims, t.entries).lattice() == t.lattice()
+        assert DenseTensor.from_entries(t.dims, t.entries) == t
         assert DenseTensor.from_lattice((3,), [0, 0, 0], 7).lattice() == ((0, 0, 0), 1)
+
+    @staticmethod
+    def random_entries(rng, dims, kind):
+        size = prod(dims)
+        if kind == "zero":
+            return [F(0)] * size
+        dens = rng.choice([(1,), (1, 2, 3), (5, 7, 35, 12)])
+        return [
+            F(rng.randint(-20, 20), rng.choice(dens)) if rng.random() < 0.6 else F(0)
+            for _ in range(size)
+        ]
+
+    def test_random_tables_read_like_their_fraction_entries(self):
+        # ranks 1-4, all-zero tables, negative entries, and numerators given
+        # over a denominator with a common factor
+        rng = random.Random(71)
+        for trial in range(160):
+            dims = tuple(rng.randint(1, 4) for _ in range(1 + trial % 4))
+            entries = self.random_entries(rng, dims, "zero" if trial % 7 == 0 else "random")
+            t = DenseTensor.from_entries(dims, entries)
+            den = t.den * rng.randint(1, 6)
+            scaled = DenseTensor.from_lattice(dims, [x * den // t.den for x in t.nums], den)
+            assert scaled == t and hash(scaled) == hash(t), trial
+            assert t.den > 0 and gcd(t.den, *t.nums) == 1
+            assert t.entries == tuple(entries)
+            expected = [(ix, x) for ix, x in zip(product(*map(range, dims)), entries) if x != 0]
+            assert list(t.nonzero()) == expected
+            assert t.is_zero() == (not expected)
+            if not expected:
+                assert t.den == 1
+            for ix, x in zip(product(*map(range, dims)), entries):
+                assert t[ix] == x
+            if len(dims) == 1:
+                assert t[dims[0] - 1] == entries[-1]
+            slot = rng.randrange(len(dims))
+            for bad in (dims[slot], -1):
+                with pytest.raises(IndexError):
+                    t[tuple(bad if s == slot else 0 for s in range(len(dims)))]
+            with pytest.raises(ShapeError):
+                t[(0,) * (len(dims) + 1)]
+
+    def test_direct_construction_must_be_canonical(self):
+        assert DenseTensor((2,), (1, -3), 2).entries == (F(1, 2), F(-3, 2))
+        assert DenseTensor((2, 1), (0, 0), 1).is_zero()
+        for nums, den in (((2, 4), 6), ((0, 0), 7), ((1, 2), 0), ((1, 2), -1), ((-1, 2), -3)):
+            with pytest.raises(ValueError):
+                DenseTensor((2,), nums, den)
+        with pytest.raises(ShapeError):
+            DenseTensor((2, 2), (1, 2, 3), 1)
 
     def test_round_trip_and_arithmetic_random(self):
         rng = random.Random(23)
@@ -304,7 +356,7 @@ class TestFitTables:
             if shape == 3 or trial % 5 == 0:
                 entries = list(rhs.entries)
                 entries[rng.randrange(len(entries))] += F(rng.choice([-1, 1]), rng.randint(1, 3))
-                rhs = DenseTensor(dims, tuple(entries))
+                rhs = DenseTensor.from_entries(dims, entries)
             sol = fit(columns, rhs)
             assert sol == echelon_fit(columns, rhs), trial
             kinds.add(sol.kind)

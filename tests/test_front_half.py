@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     family_text,
+    mat_rank,
     random_unimodular,
     reference_construct_screen,
     reference_construct_transversal,
@@ -42,7 +43,6 @@ from nordenlight.exact import (
     ShapeError,
     kernel_basis,
     mat_inverse,
-    mat_rank,
     signature,
     solve_affine,
 )
@@ -169,7 +169,7 @@ def perturbed_brackets(spec: LieAlgebraSpec):
                 new[(j * n + i) * n + k] -= F(1, 2)
             elif closed:
                 continue
-            yield LieAlgebraSpec(n, spec.basis_labels, DenseTensor((n, n, n), tuple(new)))
+            yield LieAlgebraSpec(n, spec.basis_labels, DenseTensor.from_entries((n, n, n), new))
 
 
 def perturbed_structures(ns):

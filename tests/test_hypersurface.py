@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import basis_span, bilinear, frame_tables, gauge_rescale, run_hypersurface, vec_scale
-from nordenlight.errors import HypothesisFailure
+from nordenlight.errors import HypothesisFailure, InternalInconsistency
 from nordenlight.exact import unit_vector
 from nordenlight.hypersurface import (
     HypersurfaceSpec,
@@ -278,6 +278,16 @@ class TestGaugeRescale:
         frame2, sf2 = gauge_rescale(run.frame, run.sf, F(-1))
         assert (frame2.b, sf2.rho) == (F(1), F(2))
         assert sf2.rho ** 2 / frame2.b == F(4)
+
+    def test_frame_lattice_is_fresh_after_replace_and_checked_on_first_use(self, golden):
+        _, _, amb = golden
+        run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
+        assert run.frame.xi_span == (F(0), F(-1), F(0))
+        frame2, _ = gauge_rescale(run.frame, run.sf, F(2))
+        assert frame2.xi_span == (F(0), F(-2), F(0))
+        unframed = replace(run.frame, transversal=X2)  # inside the span
+        with pytest.raises(InternalInconsistency, match="do not frame the algebra"):
+            unframed.xi_span
 
     def test_zero_rejected(self, golden_run):
         frame, sf, _ = golden_run

@@ -283,7 +283,7 @@ class TestRouteDisagreement:
             table = closed_form(frame, sf, amb)
             entries = list(table.entries)
             entries[((0 * 3 + 2) * 3 + 2) * 3 + 0] += 1  # R(E1, E3)E3, first component
-            return DenseTensor(table.dims, tuple(entries))
+            return DenseTensor.from_entries(table.dims, entries)
 
         monkeypatch.setattr(pipeline, "induced_curvature_closed_form", perturbed)
         report = run_pipeline(golden_mf)
@@ -314,7 +314,7 @@ class TestRouteDisagreement:
             if g == g_assoc:  # the associated tensors of the cross-check
                 entries = list(tables[which].entries)
                 entries[((0 * 4 + 1) * 4 + 0) * 4 + 1] += F(1, 3)  # (X1, X2, X1, X2)
-                tables[which] = DenseTensor(tables[which].dims, tuple(entries))
+                tables[which] = DenseTensor.from_entries(tables[which].dims, entries)
             return tuple(tables)
 
         monkeypatch.setattr(ambient, "pi_tensors", perturbed)

@@ -16,21 +16,19 @@ from helpers import (
     brute_semi_symmetric,
     derivation_action_direct,
     family_member,
+    nested,
     non_invariant_screen_run,
     rebase,
     reference_frame_identities,
     run_hypersurface,
     tensor_from_function,
     vec_scale,
-)
-from nordenlight.ambient import (
-    TrscStatus,
-    ambient_ricci,
     verify_curvature_symmetries,
     verify_kaehler_curvature_identity,
     verify_metric_compatibility,
     verify_torsion_free,
 )
+from nordenlight.ambient import TrscStatus, ambient_ricci
 from nordenlight.errors import InternalInconsistency
 from nordenlight.exact import DenseTensor, unit_vector
 from nordenlight.hypersurface import verify_frame_identities
@@ -116,13 +114,13 @@ class TestEngineGuards:
         spec, ns, amb = golden
         entries = list(amb.riemann04.entries)
         entries[0] = F(1)  # breaks the antisymmetry in the first slot pair
-        bad = DenseTensor((4, 4, 4, 4), tuple(entries))
+        bad = DenseTensor.from_entries((4, 4, 4, 4), entries)
         with pytest.raises(InternalInconsistency):
             verify_curvature_symmetries(bad)
         gamma_entries = list(amb.gamma.entries)
         offset = (0 * 4 + 1) * 4 + 0  # derivative of the second field, first component
         gamma_entries[offset] += F(1)
-        bad_gamma = DenseTensor((4, 4, 4), tuple(gamma_entries))
+        bad_gamma = DenseTensor.from_entries((4, 4, 4), gamma_entries)
         with pytest.raises(InternalInconsistency):
             verify_torsion_free(spec, bad_gamma)
 
@@ -196,7 +194,7 @@ def _assert_checkers_match_brute_force(table, gamma, ric=None):
     ]
     if ric is not None:
         # the Ricci scan runs on the Fraction entries, its value is exact
-        ricci = brute_ricci_semi_symmetric(table.nested(), ric, m)
+        ricci = brute_ricci_semi_symmetric(nested(table), ric, m)
         expected = (True, None, None) if ricci is None else (False, *ricci)
         flags.append((ricci_semi_symmetric_check(table, ric), expected))
     for flag, expected in flags:
@@ -258,7 +256,7 @@ class TestCheckersAgainstBruteForce:
         for i in range(len(table.entries)):
             entries = list(table.entries)
             entries[i] += F(1, 3) if i % 2 else F(-2)
-            perturbed = DenseTensor(table.dims, tuple(entries))
+            perturbed = DenseTensor.from_entries(table.dims, entries)
             assert _assert_checkers_match_brute_force(perturbed, gamma) == (False, False)
 
 

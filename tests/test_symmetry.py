@@ -10,6 +10,7 @@ from helpers import (
     bilinear,
     derivation_action_direct,
     derivation_action_expansion,
+    nested,
     run_hypersurface,
     tensor_from_function,
     gram,
@@ -171,7 +172,7 @@ class TestSymmetryCheckers:
         flag = ricci_semi_symmetric_check(table, ric)
         assert not flag.holds
         x, y, u, v = (i - 1 for i in flag.witness)
-        t = table.nested()
+        t = nested(table)
         val = -sum(t[x][y][u][k] * ric[k][v] for k in range(3)) - sum(
             ric[u][k] * t[x][y][v][k] for k in range(3)
         )
@@ -182,8 +183,8 @@ class TestSymmetryCheckers:
         flag = locally_symmetric_check(table, fixture_run.sf.induced_gamma)
         assert not flag.holds
         u, x, y, z = (i - 1 for i in flag.witness)
-        gm = fixture_run.sf.induced_gamma.nested()
-        t = table.nested()
+        gm = nested(fixture_run.sf.induced_gamma)
+        t = nested(table)
         val = [F(0)] * 3
         for k in range(3):
             val_k = t[x][y][z][k]

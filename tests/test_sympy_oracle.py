@@ -22,6 +22,7 @@ from helpers import (
     brute_ricci_semi_symmetric,
     brute_semi_symmetric,
     family_member,
+    nested,
     tensor_from_function,
 )
 from nordenlight.symmetry import (
@@ -52,7 +53,7 @@ def sympy_connection(spec, metric):
     """gamma[i][j] = coordinates of D_{X_i} X_j from the Koszul formula,
     solved with the inverse metric matrix."""
     n = spec.dim
-    c = spec.brackets.nested()
+    c = nested(spec.brackets)
     g = sympy.Matrix(n, n, lambda i, k: q(metric[i][k]))
     g_inv = g.inv()
 
@@ -75,7 +76,7 @@ def sympy_curvature(spec, gamma):
     """r13[i][j][k][l]: with D_i the matrix whose row m holds D_{X_i} X_m,
     R(X_i, X_j) acts on row vectors as D_j D_i - D_i D_j - sum_m c_ij^m D_m."""
     n = spec.dim
-    c = spec.brackets.nested()
+    c = nested(spec.brackets)
     d = [sympy.Matrix(n, n, lambda m, l: gamma[i][m][l]) for i in range(n)]
     r13 = []
     for i in range(n):
