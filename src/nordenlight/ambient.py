@@ -41,13 +41,16 @@ from .exact import (
     Matrix,
     first_difference,
     fit_tables,
+    flat_matmul,
     format_rational,
     int_bilinear,
     int_matmul,
     lattice_combination,
     lattice_rows,
+    lattice_vector,
     mat,
     mat_inverse,
+    nonzero_rows,
     rational_rows,
     rational_vector,
     signature,
@@ -314,38 +317,40 @@ def curvature(
     spec: LieAlgebraSpec, gamma: DenseTensor, ns: NordenStructure
 ) -> tuple[DenseTensor, DenseTensor]:
     """Curvature tables: riemann13[i,j,k,l] holds the X_l coefficient of
-    R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric."""
+    R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric. Both are
+    accumulated from nonzero entries alone: the products of the matrices G_i
+    (row m is D_{X_i} X_m) from their nonzero rows, the bracket term from
+    the nonzero structure constants."""
     n = spec.dim
     gm, dgm = gamma.lattice()
     c, dc = spec.brackets.lattice()
     g, dg = ns.lattice("principal")
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
-    cols = [tuple(zip(*gm[i])) for i in range(n)]
-    g_cols = tuple(zip(*g))
-    # stacked[k][q][m] = q-component of D_m X_k, for the bracket term
-    stacked = tuple(tuple(tuple(gm[m][k][q] for m in range(n)) for q in range(n)) for k in range(n))
-    r13_nums = []
-    r04_nums = []
-    for i in range(n):
-        for j in range(n):
-            # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k, with G_i
-            # the matrix whose row m is D_{X_i} X_m
-            first = int_matmul(gm[j], cols[i])
-            second = int_matmul(gm[i], cols[j])
-            c_ij = c[i][j]
-            bracket = any(c_ij)
-            block = []
-            for k in range(n):
-                row = [f_prod * (a - b) for a, b in zip(first[k], second[k])]
-                if bracket:  # - D_{[X_i, X_j]} X_k
-                    row = [r - f_bracket * sum(map(mul, c_ij, s)) for r, s in zip(row, stacked[k])]
-                block.append(row)
-            r13_nums.extend(x for row in block for x in row)
-            r04_nums.extend(x for row in int_matmul(block, g_cols) for x in row)
+    gs = [nonzero_rows(gm[i]) for i in range(n)]
+    r13 = [0] * n**4
+    for i, j in product(range(n), repeat=2):
+        block = (i * n + j) * n  # the row of (i, j, 0)
+        # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k
+        for left, right, f in ((gs[j], gs[i], f_prod), (gs[i], gs[j], -f_prod)):
+            for k, items in left.items():
+                base = (block + k) * n
+                for m, x in items:
+                    fx = f * x
+                    for q, y in right.get(m, ()):
+                        r13[base + q] += fx * y
+        for p, x in enumerate(c[i][j]):  # - D_{[X_i, X_j]} X_k
+            if x:
+                fx = f_bracket * x
+                for k, items in gs[p].items():
+                    base = (block + k) * n
+                    for q, y in items:
+                        r13[base + q] -= fx * y
     dims = (n, n, n, n)
-    r13 = DenseTensor.from_lattice(dims, r13_nums, den)
-    return r13, DenseTensor.from_lattice(dims, r04_nums, den * dg)
+    return (
+        DenseTensor.from_lattice(dims, r13, den),
+        DenseTensor.from_lattice(dims, flat_matmul(r13, n, g), den * dg),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +366,35 @@ def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTen
                        - g(X,W)g(Y,JZ) + g(Y,W)g(X,JZ)
 
     Called with the associated metric it gives the associated-metric
-    counterparts.
+    counterparts. Each tensor is a sum of products p(Y,Z) q(X,W) minus the
+    same product with X and Y swapped, so it is accumulated from pairs of
+    nonzero entries of g and gJ, each pair written at both slot orders.
     """
     n = len(g)
-    rows = range(n)
     g, dg = lattice_rows(g)
     j, dj = lattice_rows(j)
     gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
-    pi1, pi2, pi3 = [], [], []
-    for a, b, k in product(rows, repeat=3):
-        ga, gb, gja, gjb = g[a], g[b], gj[a], gj[b]
-        gbk, gak, gjbk, gjak = gb[k], ga[k], gjb[k], gja[k]
-        pi1.extend(gbk * x - gak * y for x, y in zip(ga, gb))
-        pi2.extend(gjbk * x - gjak * y for x, y in zip(gja, gjb))
-        pi3.extend(
-            -gbk * x + gak * y - u * gjbk + v * gjak for x, y, u, v in zip(gja, gjb, ga, gb)
-        )
+
+    def entries(t):
+        return [(a, b, x) for a, row in enumerate(t) for b, x in enumerate(row) if x]
+
+    # (a, b, k, l) sits at a n^3 + b n^2 + k n + l
+    n2, n3 = n * n, n**3
+    g_nz, gj_nz = entries(g), entries(gj)
+    pi1, pi2, pi3 = [0] * n**4, [0] * n**4, [0] * n**4
+    for out, yz, xw, sign in (
+        (pi1, g_nz, g_nz, 1),
+        (pi2, gj_nz, gj_nz, 1),
+        (pi3, g_nz, gj_nz, -1),
+        (pi3, gj_nz, g_nz, -1),
+    ):
+        xw = [(a * n3 + l, a * n2 + l, y) for a, l, y in xw]
+        for b, k, x in yz:
+            here, swapped, sx = b * n2 + k * n, b * n3 + k * n, sign * x
+            for at, at_swapped, y in xw:
+                v = sx * y
+                out[here + at] += v  # sign p(Y,Z) q(X,W) at (X, Y, Z, W) = (a, b, k, l)
+                out[swapped + at_swapped] -= v  # and its negative at (b, a, k, l)
     dims = (n, n, n, n)
     return (
         DenseTensor.from_lattice(dims, pi1, dg * dg),
@@ -458,14 +476,10 @@ def associated_curvature(
     """R~(X,Y,Z,W) = R(X,Y,Z,JW), refitted against the associated-metric
     tensors. With constant curvatures the primed pair must be
     (-nu_assoc, nu); any other outcome is an engine inconsistency."""
-    n = r04.dims[0]
-    t, dt = r04.lattice()
+    t, dt = r04.flat_lattice()
     j, dj = ns.lattice("j")
-    j_cols = tuple(zip(*j))
-    nums = []
-    for i, a in product(range(n), repeat=2):
-        nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
-    assoc = DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
+    nums = flat_matmul(t, r04.dims[0], j)  # the last slot times J
+    assoc = DenseTensor.from_lattice(r04.dims, nums, dt * dj)
     # associated pi1 - associated pi2, and associated pi3
     p3, d3 = pi3.flat_lattice()
     sol = fit_tables(
@@ -497,17 +511,20 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
         (n, n), (sum(t[k][i][j][k] for k in range(n)) for i in range(n) for j in range(n)), den
     )
     if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
-        g = ns.g
-        j = ns.j
-        half = n // 2
-        for a in range(n):
-            for b in range(n):
-                gjy = sum(g[a][q] * j[q][b] for q in range(n))
-                expected = Fraction(-2 * (half - 1)) * trsc.nu_assoc * gjy
-                if ric[a, b] != expected:
-                    raise InternalInconsistency(
-                        f"ambient Ricci closed form fails at ({a + 1},{b + 1})"
-                    )
+        g, dg = ns.lattice("principal")
+        j, dj = ns.lattice("j")
+        (coeff,), dc = lattice_vector((-2 * (n // 2 - 1) * trsc.nu_assoc,))
+        gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+        expected = DenseTensor.from_lattice(
+            (n, n), (coeff * x for row in gj for x in row), dc * dg * dj
+        )
+        # both tables are in lowest terms, so equal fields are equal entries
+        if ric != expected:
+            (a, b), x, y = first_difference((n, n), ric.entries, expected.entries)
+            raise InternalInconsistency(
+                f"ambient Ricci closed form fails at ({a},{b}): "
+                f"Ricci {format_rational(x)}, closed form {format_rational(y)}"
+            )
     return ric
 
 

@@ -326,6 +326,34 @@ def int_bilinear(u, g, v) -> tuple[tuple[int, ...], ...]:
     return int_matmul(int_matmul(u, tuple(zip(*g))), v)
 
 
+def nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The nonzero rows of a sequence of int rows as {row index: ((column,
+    entry), ...)} over their nonzero entries, in ascending order: the sparse
+    operand of the row-wise products (F. G. Gustavson, "Two fast algorithms
+    for sparse matrices", ACM TOMS 4 (1978) 250-269) that the curvature
+    builders and the symmetry checkers run."""
+    return {
+        k: tuple((q, x) for q, x in enumerate(row) if x) for k, row in enumerate(rows) if any(row)
+    }
+
+
+def flat_matmul(nums, width: int, b) -> list[int]:
+    """a . b, flat row-major, for the int matrix a whose rows are the
+    consecutive runs of `width` entries of the flat sequence nums (a table
+    whose last slot is contracted) and an int matrix b with `width` rows.
+    Each row of the product is accumulated from the nonzero entries of its
+    row of a and the nonzero rows of b alone, as in Gustavson's product."""
+    b_rows = nonzero_rows(b)
+    cols = len(b[0])
+    out = [0] * (len(nums) // width * cols)
+    for r, items in nonzero_rows(zip(*[iter(nums)] * width)).items():
+        base = r * cols
+        for q, x in items:
+            for c, y in b_rows.get(q, ()):
+                out[base + c] += x * y
+    return out
+
+
 def _nest(dims, flat):
     """Row-major flat sequence as nested tuples of the given dimensions."""
     if not dims:

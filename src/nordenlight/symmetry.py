@@ -29,22 +29,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import lcm
-from operator import mul
+from operator import mul, ne
 
 from .ambient import AmbientGeometry, TrscStatus
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
+    Echelon,
     Matrix,
     Vector,
     first_difference,
+    flat_matmul,
     format_rational,
     int_bilinear,
     int_matmul,
     lattice_rows,
     lattice_vector,
+    nonzero_rows,
     rational_rows,
     rational_vector,
     solve_affine,
@@ -110,62 +113,84 @@ def induced_curvature_gauss(
 ) -> DenseTensor:
     """Tangential part of the ambient curvature corrected by B and the
     transversal shape operator. The transversal component must equal the
-    Codazzi expression built from B and tau; a residual is an engine bug."""
+    Codazzi expression built from B and tau at every basis triple; a
+    residual is an engine bug. Every table is accumulated from the nonzero
+    entries of its factors."""
     m = len(frame.span)
     n = amb.spec.dim
-    rows = range(m)
-    amb13, den_r = amb.riemann13.lattice()
+    w = m + 1  # frame coordinates: span, then transversal
+    amb13, den_r = amb.riemann13.flat_lattice()
     span, den_s = frame.lattice.span
     inv, den_inv = frame.lattice.inverse
     b_form, den_b = lattice_rows(sf.b_form)
     a_n, den_a = lattice_rows(sf.a_n)
     (tau,), den_tau = lattice_rows((sf.tau,))
-    gm, den_g = sf.induced_gamma.lattice()
+    gm, den_g = sf.induced_gamma.flat_lattice()
 
-    # stage the multilinear evaluation slot by slot, one span argument at a
-    # time: far fewer products than expanding all three at once. vec[a][b][c]
-    # is the ambient vector R(E_a, E_b)E_c over den_s^3 den_r
-    flat = tuple(tuple(chain.from_iterable(chain.from_iterable(amb13[i]))) for i in range(n))
-    stage1 = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k, q)
-    vec = []
-    for a in rows:
-        by_j = (stage1[a][j * n * n : (j + 1) * n * n] for j in range(n))
-        stage2 = int_matmul(span, tuple(zip(*by_j)))  # b -> (k, q)
-        by_b = []
-        for b in rows:
-            by_k = (stage2[b][k * n : (k + 1) * n] for k in range(n))
-            by_b.append(int_matmul(span, tuple(zip(*by_k))))  # c -> q
-        vec.append(by_b)
-    # frame coordinates (span, then transversal) are over d_amb, the shape
-    # terms over d_shape, the Codazzi expression over d_cod
+    # vec[(a, b, c)] holds the frame coordinates of R(E_a, E_b)E_c over
+    # d_amb: the last slot of the ambient table goes to frame coordinates,
+    # then the span is contracted into the leading slot three times, each
+    # contraction appending its span index, so (i, j, k) -> (j, k, a) ->
+    # (k, a, b) -> (a, b, c); only nonzero rows and span entries take part
+    vec = flat_matmul(amb13, n, tuple(zip(*inv)))
+    span_cols = nonzero_rows(zip(*span))
+    rest = n * n
+    for _ in range(3):
+        out = [0] * (len(vec) // n * m)
+        for r, items in nonzero_rows(zip(*[iter(vec)] * w)).items():
+            i, tail = divmod(r, rest)
+            for a, s in span_cols.get(i, ()):
+                base = (tail * m + a) * w
+                for q, x in items:
+                    out[base + q] += s * x
+        vec, rest = out, rest // n * m
     d_amb = den_s**3 * den_r * den_inv
     d_shape = den_b * den_a
     den = lcm(d_amb, d_shape)
     f_amb, f_shape = den // d_amb, den // d_shape
+    normal = vec[m::w]  # the transversal coordinate of each (a, b, c)
+    del vec[m::w]
+    nums = [f_amb * x for x in vec] if f_amb != 1 else vec
+    # - B(E_a, E_c) A_N E_b + B(E_b, E_c) A_N E_a: the product
+    # B(E_a, E_c) A_N E_b enters at (a, b, c) and negated at (b, a, c)
+    b_nz = [(a, c, x) for a, row in enumerate(b_form) for c, x in enumerate(row) if x]
+    for b, items in nonzero_rows(a_n).items():
+        for a, c, x in b_nz:
+            x *= f_shape
+            here, swapped = ((a * m + b) * m + c) * m, ((b * m + a) * m + c) * m
+            for r, y in items:
+                nums[here + r] -= x * y
+                nums[swapped + r] += x * y
+
+    # the Codazzi expression over d_cod at every (a, b, c):
+    #   f_gamma (D[b, a, c] - D[a, b, c]) + f_tau (tau_a B_bc - tau_b B_ac)
+    # with D[a, b, c] = sum_k gm[a][b][k] B[k][c] + gm[a][c][k] B[b][k]
     d_cod = den_b * lcm(den_g, den_tau)
     f_gamma, f_tau = d_cod // (den_g * den_b), d_cod // (den_tau * den_b)
-    b_cols = tuple(zip(*b_form))
-    gb = [int_matmul(gm[a], b_cols) for a in rows]  # gb[a][b][c] = sum_k gm[a][b][k] B[k][c]
-    gbt = [int_matmul(gm[a], b_form) for a in rows]  # gbt[a][c][b] = sum_k gm[a][c][k] B[b][k]
-
-    nums = []
-    for a in rows:
-        for b in rows:
-            for c in rows:
-                coords = [sum(map(mul, row, vec[a][b][c])) for row in inv]
-                bac, bbc = b_form[a][c], b_form[b][c]
-                # tangent part - B(E_a, E_c) A_N E_b + B(E_b, E_c) A_N E_a
-                nums.extend(
-                    f_amb * x - f_shape * (bac * y - bbc * z)
-                    for x, y, z in zip(coords, a_n[b], a_n[a])
-                )
-                d_a_b = -gb[a][b][c] - gbt[a][c][b]
-                d_b_a = -gb[b][a][c] - gbt[b][c][a]
-                codazzi = f_gamma * (d_a_b - d_b_a) + f_tau * (tau[a] * bbc - tau[b] * bac)
-                if coords[m] * d_cod != codazzi * d_amb:
-                    raise InternalInconsistency(
-                        f"Codazzi residual at basis triple ({a + 1},{b + 1},{c + 1})"
-                    )
+    codazzi = [0] * m**3
+    b_rows, b_cols = nonzero_rows(b_form), nonzero_rows(zip(*b_form))
+    for r, items in nonzero_rows(zip(*[iter(gm)] * m)).items():
+        a, p = divmod(r, m)
+        for k, x in items:
+            x *= f_gamma
+            for c, y in b_rows.get(k, ()):  # D[a, p, c]
+                codazzi[(a * m + p) * m + c] -= x * y
+                codazzi[(p * m + a) * m + c] += x * y
+            for b, y in b_cols.get(k, ()):  # D[a, b, p]
+                codazzi[(a * m + b) * m + p] -= x * y
+                codazzi[(b * m + a) * m + p] += x * y
+    for a, t in enumerate(tau):
+        if t:
+            for b, c, x in b_nz:
+                v = f_tau * t * x
+                codazzi[(a * m + b) * m + c] += v
+                codazzi[(b * m + a) * m + c] -= v
+    residual = list(map(ne, map(mul, normal, repeat(d_cod)), map(mul, codazzi, repeat(d_amb))))
+    if any(residual):
+        a, bc = divmod(residual.index(True), m * m)
+        raise InternalInconsistency(
+            f"Codazzi residual at basis triple ({a + 1},{bc // m + 1},{bc % m + 1})"
+        )
     return DenseTensor.from_lattice((m, m, m, m), nums, den)
 
 
@@ -399,14 +424,6 @@ def _scan_pairs(t) -> list[tuple[int, int]]:
     return list(product(range(m), repeat=2))
 
 
-def _nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The nonzero rows of an int matrix as {row index: ((column, entry), ...)}
-    over its nonzero entries, in ascending order."""
-    return {
-        k: tuple((q, x) for q, x in enumerate(row) if x) for k, row in enumerate(rows) if any(row)
-    }
-
-
 def _first_nonzero_derivation(a, blocks, pairs, m):
     """The first block (u, v) in `pairs` order at which the derivation with
     matrix a (row k holds a X_k) acts on the curvature table with a nonzero
@@ -416,7 +433,7 @@ def _first_nonzero_derivation(a, blocks, pairs, m):
 
     (u, v, w, int components) with w the least slot of that block whose
     component is nonzero, or None. a and every block blocks[u][v] =
-    R(X_u, X_v) are given by their nonzero rows (see `_nonzero_rows`), and
+    R(X_u, X_v) are given by their nonzero rows (see `nonzero_rows`), and
     the block's components are accumulated from those entries alone, row by
     row as in Gustavson's sparse product; the same index gives the blocks
     R(X_k, X_v) and R(X_u, X_k) of the last two terms."""
@@ -471,7 +488,7 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
     m = r13.dims[0]
     t, den = r13.lattice()
     pairs = _scan_pairs(t)
-    blocks = [[_nonzero_rows(block) for block in row] for row in t]
+    blocks = [[nonzero_rows(block) for block in row] for row in t]
     for x, y in pairs:
         a = blocks[x][y]
         hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
@@ -523,9 +540,9 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
     t, dt = r13.lattice()
     gm, dg = induced_gamma.lattice()
     pairs = _scan_pairs(t)
-    blocks = [[_nonzero_rows(block) for block in row] for row in t]
+    blocks = [[nonzero_rows(block) for block in row] for row in t]
     for u in range(m):
-        a = _nonzero_rows(gm[u])
+        a = nonzero_rows(gm[u])
         hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
         if hit is not None:
             x, y, z, val = hit
@@ -551,10 +568,15 @@ def almost_einstein_fit(ricci: Matrix, g_ind: Matrix, g_assoc_ind: Matrix) -> Ei
     if sol.kind != "infeasible":
         k, c = sol.particular
         return EinsteinFit(sol.kind, k, c, sol.nullspace)
+    # the witness ends the first infeasible prefix: the first row after which
+    # the right-hand side is a pivot column of the augmented rows, read off
+    # one incremental elimination (RREF is unique, so every prefix has the
+    # pivots it would have on its own)
     witness = None
-    for stop in range(1, len(rows) + 1):
-        if solve_affine(rows[:stop], rhs[:stop]).kind == "infeasible":
-            witness = pairs[stop - 1]
+    basis = Echelon()
+    for row, r, pair in zip(rows, rhs, pairs):
+        if basis.insert(lattice_vector((*row, r))[0]) and basis.pivots[-1] == 2:
+            witness = pair
             break
     return EinsteinFit("infeasible", None, None, (), witness)
 

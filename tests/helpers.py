@@ -6,15 +6,19 @@ curvature table from its generating components, the trace definition of
 Ricci, and the fully expanded derivation action on closed-form-shaped
 curvature tables. The Fraction references keep earlier forms of engine code
 that now runs on int rows (the eliminators, the front half of a verdict, the
-frame identities), and the test-only table arithmetic lives here too.
+frame identities), the dense references keep the table builders that now run
+from nonzero entries (curvature, pi-tensors, the associated table, the Gauss
+route) and the prefix scan of the Einstein witness, and the test-only table
+arithmetic lives here too.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import chain, product
+from math import lcm, prod
+from operator import mul
 
 from nordenlight.ambient import (
     Check,
@@ -31,7 +35,9 @@ from nordenlight.exact import (
     ShapeError,
     _nest,
     format_rational,
+    int_matmul,
     lattice_combination,
+    lattice_rows,
     lattice_vector,
     mat_inverse,
     primitive_integer_vector,
@@ -1022,6 +1028,157 @@ def reference_radical_transversal_check(frame, amb):
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
     return is_rt, b if is_rt else None, holomorphic, j_xi
+
+
+# ---------------------------------------------------------------------------
+# dense references of the nonzero-driven table builders
+
+
+def reference_curvature(spec, gamma: DenseTensor, ns: NordenStructure):
+    """Reference for `ambient.curvature`: (riemann13, riemann04), every
+    component from dense int matrix products, one (i, j) block at a time."""
+    n = spec.dim
+    gm, dgm = gamma.lattice()
+    c, dc = spec.brackets.lattice()
+    g, dg = ns.lattice("principal")
+    den = lcm(dgm * dgm, dc * dgm)
+    f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
+    cols = [tuple(zip(*gm[i])) for i in range(n)]
+    g_cols = tuple(zip(*g))
+    # stacked[k][q][m] = q-component of D_m X_k, for the bracket term
+    stacked = tuple(tuple(tuple(gm[m][k][q] for m in range(n)) for q in range(n)) for k in range(n))
+    r13_nums = []
+    r04_nums = []
+    for i in range(n):
+        for j in range(n):
+            # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k
+            first = int_matmul(gm[j], cols[i])
+            second = int_matmul(gm[i], cols[j])
+            c_ij = c[i][j]
+            bracket = any(c_ij)
+            block = []
+            for k in range(n):
+                row = [f_prod * (a - b) for a, b in zip(first[k], second[k])]
+                if bracket:  # - D_{[X_i, X_j]} X_k
+                    row = [r - f_bracket * sum(map(mul, c_ij, s)) for r, s in zip(row, stacked[k])]
+                block.append(row)
+            r13_nums.extend(x for row in block for x in row)
+            r04_nums.extend(x for row in int_matmul(block, g_cols) for x in row)
+    dims = (n, n, n, n)
+    r13 = DenseTensor.from_lattice(dims, r13_nums, den)
+    return r13, DenseTensor.from_lattice(dims, r04_nums, den * dg)
+
+
+def reference_pi_tensors(g, j):
+    """Reference for `ambient.pi_tensors`: every component of pi1, pi2 and
+    pi3 from its defining expression."""
+    n = len(g)
+    rows = range(n)
+    g, dg = lattice_rows(g)
+    j, dj = lattice_rows(j)
+    gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+    pi1, pi2, pi3 = [], [], []
+    for a, b, k in product(rows, repeat=3):
+        ga, gb, gja, gjb = g[a], g[b], gj[a], gj[b]
+        gbk, gak, gjbk, gjak = gb[k], ga[k], gjb[k], gja[k]
+        pi1.extend(gbk * x - gak * y for x, y in zip(ga, gb))
+        pi2.extend(gjbk * x - gjak * y for x, y in zip(gja, gjb))
+        pi3.extend(
+            -gbk * x + gak * y - u * gjbk + v * gjak for x, y, u, v in zip(gja, gjb, ga, gb)
+        )
+    dims = (n, n, n, n)
+    return (
+        DenseTensor.from_lattice(dims, pi1, dg * dg),
+        DenseTensor.from_lattice(dims, pi2, dg * dg * dj * dj),
+        DenseTensor.from_lattice(dims, pi3, dg * dg * dj),
+    )
+
+
+def reference_associated_table(r04: DenseTensor, ns: NordenStructure) -> DenseTensor:
+    """Reference for the table of `ambient.associated_curvature`,
+    R~(X,Y,Z,W) = R(X,Y,Z,JW), one dense product per (i, a) block."""
+    n = r04.dims[0]
+    t, dt = r04.lattice()
+    j, dj = ns.lattice("j")
+    j_cols = tuple(zip(*j))
+    nums = []
+    for i, a in product(range(n), repeat=2):
+        nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
+    return DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
+
+
+def reference_induced_curvature_gauss(sf, frame, amb) -> DenseTensor:
+    """Reference for `symmetry.induced_curvature_gauss`: the span contracted
+    slot by slot with dense products over the whole ambient table, and the
+    frame coordinates and the Codazzi comparison one basis triple at a
+    time, in product order."""
+    m = len(frame.span)
+    n = amb.spec.dim
+    rows = range(m)
+    amb13, den_r = amb.riemann13.lattice()
+    span, den_s = frame.lattice.span
+    inv, den_inv = frame.lattice.inverse
+    b_form, den_b = lattice_rows(sf.b_form)
+    a_n, den_a = lattice_rows(sf.a_n)
+    (tau,), den_tau = lattice_rows((sf.tau,))
+    gm, den_g = sf.induced_gamma.lattice()
+
+    # vec[a][b][c] is the ambient vector R(E_a, E_b)E_c over den_s^3 den_r
+    flat = tuple(tuple(chain.from_iterable(chain.from_iterable(amb13[i]))) for i in range(n))
+    stage1 = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k, q)
+    vec = []
+    for a in rows:
+        by_j = (stage1[a][j * n * n : (j + 1) * n * n] for j in range(n))
+        stage2 = int_matmul(span, tuple(zip(*by_j)))  # b -> (k, q)
+        by_b = []
+        for b in rows:
+            by_k = (stage2[b][k * n : (k + 1) * n] for k in range(n))
+            by_b.append(int_matmul(span, tuple(zip(*by_k))))  # c -> q
+        vec.append(by_b)
+    d_amb = den_s**3 * den_r * den_inv
+    d_shape = den_b * den_a
+    den = lcm(d_amb, d_shape)
+    f_amb, f_shape = den // d_amb, den // d_shape
+    d_cod = den_b * lcm(den_g, den_tau)
+    f_gamma, f_tau = d_cod // (den_g * den_b), d_cod // (den_tau * den_b)
+    b_cols = tuple(zip(*b_form))
+    gb = [int_matmul(gm[a], b_cols) for a in rows]  # gb[a][b][c] = sum_k gm[a][b][k] B[k][c]
+    gbt = [int_matmul(gm[a], b_form) for a in rows]  # gbt[a][c][b] = sum_k gm[a][c][k] B[b][k]
+
+    nums = []
+    for a in rows:
+        for b in rows:
+            for c in rows:
+                coords = [sum(map(mul, row, vec[a][b][c])) for row in inv]
+                bac, bbc = b_form[a][c], b_form[b][c]
+                # tangent part - B(E_a, E_c) A_N E_b + B(E_b, E_c) A_N E_a
+                nums.extend(
+                    f_amb * x - f_shape * (bac * y - bbc * z)
+                    for x, y, z in zip(coords, a_n[b], a_n[a])
+                )
+                d_a_b = -gb[a][b][c] - gbt[a][c][b]
+                d_b_a = -gb[b][a][c] - gbt[b][c][a]
+                codazzi = f_gamma * (d_a_b - d_b_a) + f_tau * (tau[a] * bbc - tau[b] * bac)
+                if coords[m] * d_cod != codazzi * d_amb:
+                    raise InternalInconsistency(
+                        f"Codazzi residual at basis triple ({a + 1},{b + 1},{c + 1})"
+                    )
+    return DenseTensor.from_lattice((m, m, m, m), nums, den)
+
+
+def reference_einstein_witness(ricci, g_ind, g_assoc_ind):
+    """Reference for the witness of an infeasible `symmetry.almost_einstein_fit`:
+    the 1-based index pair whose row ends the first infeasible prefix of the
+    component rows in product order, one `solve_affine` per prefix."""
+    m = len(ricci)
+    pairs = list(product(range(m), repeat=2))
+    rows = [(g_ind[a][b], g_assoc_ind[a][b]) for a, b in pairs]
+    rhs = [ricci[a][b] for a, b in pairs]
+    for stop in range(1, len(rows) + 1):
+        if solve_affine(rows[:stop], rhs[:stop]).kind == "infeasible":
+            a, b = pairs[stop - 1]
+            return a + 1, b + 1
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,35 @@ class TestEngineGuards:
         # Claiming nu = 0 with nu_assoc = 0 against the curved fixture's
         # tables must trip the closed-form cross-check.
         _, ns, amb = golden
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(
+            InternalInconsistency,
+            match=r"^ambient Ricci closed form fails at \(1,1\): Ricci 8, closed form 0$",
+        ):
             ambient_ricci(amb.riemann13, ns, TrscStatus("constant", F(0), F(0)))
+
+    def test_ambient_ricci_closed_form_guard_names_the_first_difference(self, golden):
+        # a raw table whose Ricci trace is the closed form -2(h-1) nu_assoc
+        # g(X, JY) with nu_assoc = 3/2 but for one entry: the table passes
+        # the guard, and the moved entry is named with both values
+        _, ns, _ = golden
+        closed = [
+            [F(-3) * sum(ns.g[a][q] * ns.j[q][b] for q in range(4)) for b in range(4)]
+            for a in range(4)
+        ]
+
+        def table(ric):  # R(X_1, X_a)X_b = Ric(X_a, X_b) X_1, the trace of Z -> R(Z, X)Y
+            return tensor_from_function(
+                (4, 4, 4, 4), lambda k, a, b, q: ric[a][b] if k == q == 0 else F(0)
+            )
+
+        status = TrscStatus("constant", F(0), F(3, 2))
+        assert ambient_ricci(table(closed), ns, status).entries == tuple(sum(closed, []))
+        closed[1][3] += F(1, 2)
+        with pytest.raises(
+            InternalInconsistency,
+            match=r"^ambient Ricci closed form fails at \(2,4\): Ricci 7/2, closed form 3$",
+        ):
+            ambient_ricci(table(closed), ns, status)
 
     def test_emit_report_rejects_unknown_format(self, golden_mf):
         report = run_pipeline(golden_mf)

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -11,6 +12,7 @@ from helpers import (
     derivation_action_direct,
     derivation_action_expansion,
     nested,
+    reference_einstein_witness,
     run_hypersurface,
     tensor_from_function,
     gram,
@@ -241,9 +243,36 @@ class TestAlmostEinstein:
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
         ric = [[F(0)] * 3 for _ in range(3)]
         ric[1][1] = F(1)  # no combination of g and g~ touches this slot alone
-        fit = almost_einstein_fit(tuple(tuple(r) for r in ric), g, ga)
+        ric = tuple(tuple(r) for r in ric)
+        fit = almost_einstein_fit(ric, g, ga)
         assert fit.kind == "infeasible"
-        assert fit.witness is not None
+        assert fit.witness == reference_einstein_witness(ric, g, ga) == (2, 2)
+
+    def test_infeasible_witness_matches_the_prefix_scan(self):
+        # seeded systems Ric = k g + c g~ with some entries moved: the one
+        # elimination must name the pair that one solve per prefix names
+        rng = random.Random(9105)
+        witnesses = set()
+        for trial in range(150):
+            m = 2 + trial % 5
+
+            def q(density):
+                return F(rng.randint(-4, 4), rng.choice((1, 2, 3))) if rng.random() < density else F(0)
+
+            density = (0.3, 0.7, 1.0)[trial % 3]
+            g = [[q(density) for _ in range(m)] for _ in range(m)]
+            ga = [[q(density) for _ in range(m)] for _ in range(m)]
+            if trial % 4 == 0:  # dependent metrics
+                ga = [[2 * x for x in row] for row in g]
+            k, c = q(1), q(1)
+            ric = [[k * x + c * y for x, y in zip(rg, ra)] for rg, ra in zip(g, ga)]
+            for _ in range(1 + trial % 3):
+                ric[rng.randrange(m)][rng.randrange(m)] += F(rng.choice((-1, 1)), rng.choice((1, 2)))
+            fit = almost_einstein_fit(ric, g, ga)
+            if fit.kind == "infeasible":
+                witnesses.add(fit.witness)
+                assert fit.witness == reference_einstein_witness(ric, g, ga), trial
+        assert len(witnesses) > 12
 
     def test_synthetic_nonzero_coefficient_infeasible(self, golden, fixture_run):
         _, ns, _ = golden
