@@ -31,17 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
-from operator import mul
 
 from .errors import InternalInconsistency, ValidationFailure
 from .exact import (
     DenseTensor,
     Matrix,
-    first_difference,
+    RowIndex,
+    add_row,
     fit_tables,
-    flat_matmul,
     format_rational,
     int_bilinear,
     int_matmul,
@@ -51,8 +50,8 @@ from .exact import (
     mat,
     mat_inverse,
     nonzero_rows,
+    row_index,
     rational_rows,
-    rational_vector,
     signature,
 )
 
@@ -116,18 +115,27 @@ class NordenStructure:
             raise ValueError(f"unknown metric selector {which!r}")
         return self._lattices[which]
 
+    @cached_property
+    def operands(self) -> dict[str, RowIndex]:
+        """The right operands of `int_matmul` that the products below reuse:
+        the rows J X_a ("jt") and the rows of each metric."""
+        return {
+            "jt": row_index(tuple(zip(*self.lattice("j")[0]))),
+            "principal": row_index(self.lattice("principal")[0]),
+            "associated": row_index(self.lattice("associated")[0]),
+        }
+
     def apply_j_rows(self, vectors):
         """J applied to every row of an int table of ambient vectors, both
         given as (rows, den)."""
         rows, den = vectors
-        j, dj = self.lattice("j")
-        return int_matmul(rows, j), den * dj
+        return int_matmul(rows, self.operands["jt"]), den * self.lattice("j")[1]
 
     def pairings(self, which: str, u, v):
         """(rows, den) of the pairings <u_a, v_b> in `metric(which)` for int
         tables of ambient vectors u and v given as (rows, den)."""
         g, dg = self.lattice(which)
-        return int_bilinear(u[0], g, v[0]), u[1] * dg * v[1]
+        return int_bilinear(u[0], self.operands[which], v[0]), u[1] * dg * v[1]
 
 
 def norden_structure(g_rows, j_rows) -> NordenStructure:
@@ -135,7 +143,7 @@ def norden_structure(g_rows, j_rows) -> NordenStructure:
     j = mat(j_rows)
     (gi, dg), (ji, dj) = lattice_rows(g), lattice_rows(j)
     # row i of J^T G: g_assoc[i][k] = sum_q j[q][i] g[q][k]
-    g_assoc = rational_rows(int_matmul(tuple(zip(*ji)), tuple(zip(*gi))), dj * dg)
+    g_assoc = rational_rows(int_matmul(tuple(zip(*ji)), gi), dj * dg)
     return NordenStructure(g=g, j=j, g_assoc=g_assoc)
 
 
@@ -173,15 +181,16 @@ def validate_lie_algebra(spec: LieAlgebraSpec) -> ValidationReport:
 
     jac_witness = None
     if witness is None:
-        # ad[a][b][k] = [X_a, [X_b, X_k]]: the inner brackets are the rows of
-        # c[b], and ad_a maps them through the columns of c[a]
-        cols = [tuple(zip(*c[a])) for a in range(n)]
-        ad = [[int_matmul(c[b], cols[a]) for b in range(n)] for a in range(n)]
+        # row k of ad[a][b] is [X_a, [X_b, X_k]]: the nonzero rows of the
+        # slice c[b] mapped through the slice c[a]
+        blocks, zero = spec.brackets.blocks, (0,) * n
+        right = [RowIndex(blocks.get(a, {}), n) for a in range(n)]
+        ad = [[int_matmul(blocks.get(b, {}), right[a]) for b in range(n)] for a in range(n)]
         jac_witness = next(
             (
                 (i + 1, j + 1, k + 1)
                 for i, j, k in combinations(range(n), 3)
-                if any(x + y + z for x, y, z in zip(ad[i][j][k], ad[j][k][i], ad[k][i][j]))
+                if any(map(sum, zip(ad[i][j].get(k, zero), ad[j][k].get(i, zero), ad[k][i].get(j, zero))))
             ),
             None,
         )
@@ -202,7 +211,7 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
     checks.append(Check("metric_symmetric", w is None, w))
 
     one = dj * dj
-    jj = int_matmul(j, tuple(zip(*j)))  # J^2 over dj^2
+    jj = int_matmul(j, j)  # J^2 over dj^2
     w = next(
         ((q + 1, k + 1) for q in range(n) for k in range(n) if jj[q][k] != (-one if q == k else 0)),
         None,
@@ -246,18 +255,21 @@ def koszul_connection(spec: LieAlgebraSpec, metric: Matrix) -> DenseTensor:
     so no derivative terms appear. Table layout: D_{X_i} X_j = sum_k t[i,j,k] X_k.
     """
     n = spec.dim
-    c, dc = spec.brackets.lattice()
     g, dg = lattice_rows(metric)
     ginv, di = lattice_rows(mat_inverse(metric))
-    g_cols = tuple(zip(*g))
-    # bg[a][b][k] = <[X_a, X_b], X_k> over dc * dg, computed once
-    bg = [int_matmul(c[a], g_cols) for a in range(n)]
-    nums = []
-    for i in range(n):
-        for jj in range(n):
-            rhs = [bg[i][jj][k] + bg[k][i][jj] + bg[k][jj][i] for k in range(n)]
-            nums.extend(sum(map(mul, row, rhs)) for row in ginv)
-    return DenseTensor.from_lattice((n, n, n), nums, 2 * dc * dg * di)
+    # row a * n + b of bg is <[X_a, X_b], X_k> over dc * dg, from the
+    # nonzero brackets; each entry enters the right-hand side
+    # <[X_i,X_j],X_k> + <[X_k,X_i],X_j> + <[X_k,X_j],X_i> of row i * n + j
+    # at three places
+    rhs: dict[int, list[int]] = {}
+    for r, row in int_matmul(spec.brackets.rows, row_index(g)).items():
+        a, b = divmod(r, n)
+        for k, x in enumerate(row):
+            if x:
+                for at, q in ((r, k), (b * n + k, a), (k * n + b, a)):
+                    (rhs.get(at) or rhs.setdefault(at, [0] * n))[q] += x
+    t = int_matmul(nonzero_rows(rhs), row_index(tuple(zip(*ginv))))
+    return DenseTensor.from_rows((n, n, n), t, 2 * spec.brackets.den * dg * di)
 
 
 def levi_civita(spec: LieAlgebraSpec, ns: NordenStructure) -> DenseTensor:
@@ -279,22 +291,21 @@ class KaehlerCheck:
 
 def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor) -> KaehlerCheck:
     n = spec.dim
-    gm, dgm = gamma.lattice()
     j, dj = ns.lattice("j")
-    g, dg = ns.lattice("principal")
+    _, dg = ns.lattice("principal")
     jt = tuple(zip(*j))  # row a holds J X_a
-    g_cols = tuple(zip(*g))
-    nums = []
+    diff = {}
     for i in range(n):
         # row a of J^T G_i - G_i J^T is D_{X_i}(J X_a) - J(D_{X_i} X_a), with
-        # G_i the matrix whose row m is D_{X_i} X_m; each row is built once
-        # and then paired with every X_k
-        d_j = int_matmul(jt, tuple(zip(*gm[i])))
-        jd = int_matmul(gm[i], j)
-        diff = tuple(tuple(map(int.__sub__, p, q)) for p, q in zip(d_j, jd))
-        for row in int_matmul(diff, g_cols):
-            nums.extend(row)
-    f_table = DenseTensor.from_lattice((n, n, n), nums, dj * dgm * dg)
+        # G_i the slice of gamma whose row m is D_{X_i} X_m; the rows are
+        # then paired with every X_k
+        g_i = gamma.blocks.get(i, {})
+        for a, row in enumerate(int_matmul(jt, RowIndex(g_i, n))):
+            diff[i * n + a] = row
+        for a, row in int_matmul(g_i, ns.operands["jt"]).items():
+            add_row(diff, i * n + a, -1, row)
+    f_rows = int_matmul(nonzero_rows(diff), ns.operands["principal"])
+    f_table = DenseTensor.from_rows((n, n, n), f_rows, dj * gamma.den * dg)
     f_witness = next((ix for ix, _ in f_table.nonzero()), None)
     is_kaehler = f_witness is None
 
@@ -304,7 +315,7 @@ def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor)
     symmetric = all(ga[i][k] == ga[k][i] for i in range(n) for k in range(n))
     if symmetric and signature(ga)[2] == 0:
         gamma_assoc = koszul_connection(spec, ns.g_assoc)
-        phi_table = DenseTensor.from_lattice(gamma.dims, *lattice_combination(gamma_assoc, gamma, -1))
+        phi_table = lattice_combination(gamma_assoc, gamma, -1)
         phi_agrees = phi_table.is_zero() == is_kaehler
         if not phi_agrees:
             raise InternalInconsistency(
@@ -322,35 +333,33 @@ def curvature(
     (row m is D_{X_i} X_m) from their nonzero rows, the bracket term from
     the nonzero structure constants."""
     n = spec.dim
-    gm, dgm = gamma.lattice()
-    c, dc = spec.brackets.lattice()
-    g, dg = ns.lattice("principal")
+    dgm, dc = gamma.den, spec.brackets.den
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
-    gs = [nonzero_rows(gm[i]) for i in range(n)]
-    r13 = [0] * n**4
-    for i, j in product(range(n), repeat=2):
-        block = (i * n + j) * n  # the row of (i, j, 0)
-        # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k
-        for left, right, f in ((gs[j], gs[i], f_prod), (gs[i], gs[j], -f_prod)):
-            for k, items in left.items():
-                base = (block + k) * n
-                for m, x in items:
-                    fx = f * x
-                    for q, y in right.get(m, ()):
-                        r13[base + q] += fx * y
-        for p, x in enumerate(c[i][j]):  # - D_{[X_i, X_j]} X_k
-            if x:
-                fx = f_bracket * x
-                for k, items in gs[p].items():
-                    base = (block + k) * n
-                    for q, y in items:
-                        r13[base + q] -= fx * y
+    # the slices G_i (row m is D_{X_i} X_m) side by side: row m holds
+    # D_{X_i} X_m at columns i * n + q, so row (j, k) of gamma times it holds
+    # row k of every product G_j G_i, D_i D_j X_k
+    beside: dict[int, list[tuple[int, int]]] = {}
+    for r, items in gamma.rows.items():
+        i, m = divmod(r, n)
+        beside.setdefault(m, []).extend((i * n + q, x) for q, x in items)
+    rows: dict[int, list[int]] = {}  # row (i * n + j) * n + k: R(X_i, X_j)X_k
+    for r, row in int_matmul(gamma.rows, RowIndex(beside, n * n)).items():
+        j, k = divmod(r, n)
+        for i in range(n):
+            if any(sl := row[i * n : (i + 1) * n]):  # enters R(X_i, X_j)X_k, negated R(X_j, X_i)X_k
+                add_row(rows, (i * n + j) * n + k, f_prod, sl)
+                add_row(rows, (j * n + i) * n + k, -f_prod, sl)
+    # - D_{[X_i, X_j]} X_k: row (i, j) of the bracket table times the rows of gamma
+    for r, row in int_matmul(spec.brackets.rows, gamma.leading).items():
+        for k in range(n):
+            if any(sl := row[k * n : (k + 1) * n]):
+                add_row(rows, r * n + k, -f_bracket, sl)
     dims = (n, n, n, n)
-    return (
-        DenseTensor.from_lattice(dims, r13, den),
-        DenseTensor.from_lattice(dims, flat_matmul(r13, n, g), den * dg),
-    )
+    r13 = DenseTensor.from_rows(dims, rows, den)
+    _, dg = ns.lattice("principal")
+    r04 = int_matmul(r13.rows, ns.operands["principal"])
+    return r13, DenseTensor.from_rows(dims, r04, r13.den * dg)
 
 
 # ---------------------------------------------------------------------------
@@ -367,39 +376,43 @@ def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTen
 
     Called with the associated metric it gives the associated-metric
     counterparts. Each tensor is a sum of products p(Y,Z) q(X,W) minus the
-    same product with X and Y swapped, so it is accumulated from pairs of
-    nonzero entries of g and gJ, each pair written at both slot orders.
+    same product with X and Y swapped, so its rows over W are accumulated
+    from pairs of nonzero entries of g and gJ, each pair written at both
+    slot orders.
     """
     n = len(g)
     g, dg = lattice_rows(g)
     j, dj = lattice_rows(j)
-    gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+    gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
 
-    def entries(t):
-        return [(a, b, x) for a, row in enumerate(t) for b, x in enumerate(row) if x]
-
-    # (a, b, k, l) sits at a n^3 + b n^2 + k n + l
-    n2, n3 = n * n, n**3
-    g_nz, gj_nz = entries(g), entries(gj)
-    pi1, pi2, pi3 = [0] * n**4, [0] * n**4, [0] * n**4
+    # row (a * n + b) * n + k holds the entries at (X, Y, Z) = (a, b, k)
+    n2 = n * n
+    g_rows, gj_rows = nonzero_rows(g), nonzero_rows(gj)
+    g_nz = [(b, k, x) for b, items in g_rows.items() for k, x in items]
+    gj_nz = [(b, k, x) for b, items in gj_rows.items() for k, x in items]
+    pi1, pi2, pi3 = {}, {}, {}
     for out, yz, xw, sign in (
-        (pi1, g_nz, g_nz, 1),
-        (pi2, gj_nz, gj_nz, 1),
-        (pi3, g_nz, gj_nz, -1),
-        (pi3, gj_nz, g_nz, -1),
+        (pi1, g_nz, g_rows, 1),
+        (pi2, gj_nz, gj_rows, 1),
+        (pi3, g_nz, gj_rows, -1),
+        (pi3, gj_nz, g_rows, -1),
     ):
-        xw = [(a * n3 + l, a * n2 + l, y) for a, l, y in xw]
+        xw = [(a * n2, a * n, items) for a, items in xw.items()]
         for b, k, x in yz:
-            here, swapped, sx = b * n2 + k * n, b * n3 + k * n, sign * x
-            for at, at_swapped, y in xw:
-                v = sx * y
-                out[here + at] += v  # sign p(Y,Z) q(X,W) at (X, Y, Z, W) = (a, b, k, l)
-                out[swapped + at_swapped] -= v  # and its negative at (b, a, k, l)
+            sx, bk, bk_ = sign * x, b * n + k, b * n2 + k
+            for a_, a_n, items in xw:
+                # sign p(Y,Z) q(X,W) at (a, b, k, l), and its negative at (b, a, k, l)
+                here = out.get(a_ + bk) or out.setdefault(a_ + bk, [0] * n)
+                there = out.get(bk_ + a_n) or out.setdefault(bk_ + a_n, [0] * n)
+                for l, y in items:
+                    v = sx * y
+                    here[l] += v
+                    there[l] -= v
     dims = (n, n, n, n)
     return (
-        DenseTensor.from_lattice(dims, pi1, dg * dg),
-        DenseTensor.from_lattice(dims, pi2, dg * dg * dj * dj),
-        DenseTensor.from_lattice(dims, pi3, dg * dg * dj),
+        DenseTensor.from_rows(dims, pi1, dg * dg),
+        DenseTensor.from_rows(dims, pi2, dg * dg * dj * dj),
+        DenseTensor.from_rows(dims, pi3, dg * dg * dj),
     )
 
 
@@ -410,20 +423,22 @@ def verify_pi_assoc_relations(
     verified componentwise against the definitional construction. A failure
     names the first differing 1-based index in product order and both values."""
     a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
-    p3, d3 = pi3.flat_lattice()
-    for name, own, (nums, den), other in (
-        ("pi1", a1, pi2.flat_lattice(), "pi2"),
-        ("pi2", a2, pi1.flat_lattice(), "pi1"),
-        ("pi3", a3, (tuple(-x for x in p3), d3), "-pi3"),
+    for name, own, table, other in (
+        ("pi1", a1, pi2, "pi2"),
+        ("pi2", a2, pi1, "pi1"),
+        ("pi3", a3, _negated(pi3), "-pi3"),
     ):
-        # both sides are lattice views in lowest terms, so equal tables have
-        # equal numerators and denominators
-        if own.flat_lattice() != (nums, den):
-            index, x, y = first_difference(own.dims, own.entries, rational_vector(nums, den))
+        # both sides are in lowest terms, so equal tables have equal fields
+        if own != table:
+            index, x, y = own.difference(table)
             raise InternalInconsistency(
                 f"associated {name} does not equal {other} at ({','.join(map(str, index))}): "
                 f"associated {name} {format_rational(x)}, {other} {format_rational(y)}"
             )
+
+
+def _negated(t: DenseTensor) -> DenseTensor:
+    return DenseTensor(t.dims, t.offsets, tuple(-x for x in t.nums), t.den)
 
 
 @dataclass(frozen=True)
@@ -447,7 +462,7 @@ def constant_trsc(
     constant with the canonical representative and a degeneracy mark, never
     silently resolved.
     """
-    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3.flat_lattice()), r04.flat_lattice())
+    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3), r04)
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
     nu, nu_assoc = sol.particular
@@ -475,16 +490,18 @@ def associated_curvature(
 ) -> AssociatedCurvature:
     """R~(X,Y,Z,W) = R(X,Y,Z,JW), refitted against the associated-metric
     tensors. With constant curvatures the primed pair must be
-    (-nu_assoc, nu); any other outcome is an engine inconsistency."""
-    t, dt = r04.flat_lattice()
+    (-nu_assoc, nu); any other outcome is an engine inconsistency.
+
+    The associated tensors are pi2 - pi1 and -pi3 (see
+    `verify_pi_assoc_relations`), so the fit runs on the columns of
+    `constant_trsc`, pi1 - pi2 and pi3, against -R~: each of its rows is
+    the negative of a row of the associated system, and a row scaled by -1
+    leaves the picked rows, the RREF and so the solution unchanged."""
     j, dj = ns.lattice("j")
-    nums = flat_matmul(t, r04.dims[0], j)  # the last slot times J
-    assoc = DenseTensor.from_lattice(r04.dims, nums, dt * dj)
-    # associated pi1 - associated pi2, and associated pi3
-    p3, d3 = pi3.flat_lattice()
-    sol = fit_tables(
-        (lattice_combination(pi2, pi1, -1), (tuple(-x for x in p3), d3)), (nums, dt * dj)
-    )
+    n = r04.dims[-1]
+    # the last slot times J
+    assoc = DenseTensor.from_rows(r04.dims, int_matmul(r04.rows, row_index(j)), r04.den * dj)
+    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3), _negated(assoc))
     if sol.kind == "infeasible":
         if trsc.kind == "constant":
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")
@@ -506,26 +523,38 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
     Ric(X, Y) = -2(n-1) nu_assoc g(X, JY) must hold; cross-checked.
     """
     n = r13.dims[0]
-    t, den = r13.lattice()
-    ric = DenseTensor.from_lattice(
-        (n, n), (sum(t[k][i][j][k] for k in range(n)) for i in range(n) for j in range(n)), den
-    )
+    ric = ricci_trace(r13)
     if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
         g, dg = ns.lattice("principal")
         j, dj = ns.lattice("j")
         (coeff,), dc = lattice_vector((-2 * (n // 2 - 1) * trsc.nu_assoc,))
-        gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+        gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
         expected = DenseTensor.from_lattice(
             (n, n), (coeff * x for row in gj for x in row), dc * dg * dj
         )
         # both tables are in lowest terms, so equal fields are equal entries
         if ric != expected:
-            (a, b), x, y = first_difference((n, n), ric.entries, expected.entries)
+            (a, b), x, y = ric.difference(expected)
             raise InternalInconsistency(
                 f"ambient Ricci closed form fails at ({a},{b}): "
                 f"Ricci {format_rational(x)}, closed form {format_rational(y)}"
             )
     return ric
+
+
+def ricci_trace(r13: DenseTensor) -> DenseTensor:
+    """The table Ric(X_i, X_j) = sum_k R13[k, i, j, k], the trace of
+    Z -> R(Z, X)Y, from the nonzero entries of R13."""
+    n = r13.dims[0]
+    trace: dict[int, list[int]] = {}
+    for r, items in r13.rows.items():  # row (k * n + i) * n + j
+        k, ij = divmod(r, n * n)
+        for q, x in items:
+            if q == k:
+                i, j = divmod(ij, n)
+                (trace.get(i) or trace.setdefault(i, [0] * n))[j] += x
+                break
+    return DenseTensor.from_rows((n, n), trace, r13.den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Exact rational linear algebra and dense component tables.
+"""Exact rational linear algebra and sparse component tables.
 
 Every verification path is exact: no floating point anywhere. Scalars at the
 boundaries (parsing, reported values, JSON) are `fractions.Fraction`:
 arbitrary precision, canonical gcd-reduced form, positive denominator. A
-component table, :class:`DenseTensor`, holds only Python-int numerators over
-one common positive denominator in lowest terms, the lattice form the hot
-kernels compute in; its `Fraction` entries are built where a report, an
-error or a test reads them. This module is the only place that converts
-between the two forms. All row reduction is one fraction-free elimination on
-int rows, :class:`Echelon`, pivoting on the first nonzero entry in column
+component table, :class:`DenseTensor`, stores only its nonzero entries, as
+ascending row-major offsets and Python-int numerators over one common
+positive denominator in lowest terms, the lattice form the hot kernels
+compute in; its `Fraction` entries are built where a report, an error or a
+test reads them. This module is the only place that converts between the two
+forms. Every int matrix product runs through one row-wise sparse kernel,
+:func:`int_matmul`, and all row reduction is one fraction-free elimination
+on int rows, :class:`Echelon`, pivoting on the first nonzero entry in column
 order, so results are deterministic on every platform.
 
 Vectors are flat tuples, matrices are tuples of row tuples, and component
@@ -19,13 +21,15 @@ all external formats are 1-based).
 from __future__ import annotations
 
 import re
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, product, repeat
+from heapq import merge
+from itertools import chain, compress, count, groupby, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, ne
+from operator import add, floordiv, itemgetter, lt, mod, mul, neg
+from typing import NamedTuple
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -84,15 +88,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_is_zero(u) -> bool:
     return all(a == 0 for a in u)
-
-
-def first_difference(dims, a, b) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
-    """First position, in row-major order, where two flat row-major tables of
-    shape dims differ: (1-based index, value in a, value in b), or None."""
-    for ix, x, y in zip(product(*map(range, dims)), a, b):
-        if x != y:
-            return tuple(i + 1 for i in ix), x, y
-    return None
 
 
 def primitive_integer_vector(v: Vector) -> Vector:
@@ -310,48 +305,69 @@ def rational_rows(rows, den: int) -> Matrix:
     return tuple(rational_vector(row, den) for row in rows)
 
 
-def int_matmul(a, b_cols) -> tuple[tuple[int, ...], ...]:
-    """a . b for int matrices, with b given by its columns (`tuple(zip(*b))`)
-    so callers can reuse them: one C-level dot product per entry, and every
-    all-zero row of a gives a zero row without any."""
-    zero = (0,) * len(b_cols)
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in b_cols) if any(row) else zero for row in a
-    )
+def nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The nonzero rows of a sequence of int rows, or of a mapping {row:
+    int row}, as {row: ((column, entry), ...)} over their nonzero entries in
+    ascending order: the sparse form in which `int_matmul` reads them."""
+    pairs = rows.items() if isinstance(rows, dict) else enumerate(rows)
+    return {k: tuple(compress(enumerate(row), row)) for k, row in pairs if any(row)}
+
+
+class RowIndex(NamedTuple):
+    """An int matrix given by its nonzero rows (`nonzero_rows`) and its
+    width: the form in which `int_matmul` reads its right operand. Callers
+    that reuse an operand build it once with `row_index`."""
+
+    rows: dict[int, tuple[tuple[int, int], ...]]
+    width: int
+
+
+def row_index(b) -> RowIndex:
+    return RowIndex(nonzero_rows(b), len(b[0]) if b else 0)
+
+
+def int_matmul(a, b):
+    """a . b for int matrices: the one product kernel of the engine. Each
+    product row is accumulated from the nonzero entries of its row of a and
+    the nonzero rows of b alone, as in the row-wise sparse product of
+    F. G. Gustavson, "Two fast algorithms for sparse matrices", ACM TOMS 4
+    (1978) 250-269. b is given by its rows or by its `row_index`. a is given
+    by its rows, and the product is then a tuple of int rows, or by its
+    nonzero rows as {row: ((column, entry), ...)} (`nonzero_rows`,
+    `DenseTensor.rows`), and the product is then {row: int list} over the
+    rows of a that meet a nonzero row of b; every other product row is
+    zero."""
+    b_rows, width = b if isinstance(b, RowIndex) else row_index(b)
+
+    def times(items):
+        out = None
+        for q, x in items:
+            b_q = x and b_rows.get(q)
+            if b_q:
+                if out is None:
+                    out = [0] * width
+                for c, y in b_q:
+                    out[c] += x * y
+        return out
+
+    if isinstance(a, dict):
+        return {r: row for r, items in a.items() if (row := times(items)) is not None}
+    zero = (0,) * width
+    return tuple(tuple(row) if (row := times(enumerate(a_row))) else zero for a_row in a)
+
+
+def add_row(rows: dict, key, f: int, row) -> None:
+    """rows[key] += f * row for int rows of one width, where an absent key
+    holds the zero row."""
+    scaled = map(mul, row, repeat(f))
+    acc = rows.get(key)
+    rows[key] = list(scaled) if acc is None else list(map(add, acc, scaled))
 
 
 def int_bilinear(u, g, v) -> tuple[tuple[int, ...], ...]:
     """The int matrix of pairings u_a^T g v_b, for the rows u_a of u and v_b
     of v."""
-    return int_matmul(int_matmul(u, tuple(zip(*g))), v)
-
-
-def nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The nonzero rows of a sequence of int rows as {row index: ((column,
-    entry), ...)} over their nonzero entries, in ascending order: the sparse
-    operand of the row-wise products (F. G. Gustavson, "Two fast algorithms
-    for sparse matrices", ACM TOMS 4 (1978) 250-269) that the curvature
-    builders and the symmetry checkers run."""
-    return {
-        k: tuple((q, x) for q, x in enumerate(row) if x) for k, row in enumerate(rows) if any(row)
-    }
-
-
-def flat_matmul(nums, width: int, b) -> list[int]:
-    """a . b, flat row-major, for the int matrix a whose rows are the
-    consecutive runs of `width` entries of the flat sequence nums (a table
-    whose last slot is contracted) and an int matrix b with `width` rows.
-    Each row of the product is accumulated from the nonzero entries of its
-    row of a and the nonzero rows of b alone, as in Gustavson's product."""
-    b_rows = nonzero_rows(b)
-    cols = len(b[0])
-    out = [0] * (len(nums) // width * cols)
-    for r, items in nonzero_rows(zip(*[iter(nums)] * width)).items():
-        base = r * cols
-        for q, x in items:
-            for c, y in b_rows.get(q, ()):
-                out[base + c] += x * y
-    return out
+    return int_matmul(int_matmul(u, g), tuple(zip(*v)))
 
 
 def _nest(dims, flat):
@@ -366,44 +382,77 @@ def _nest(dims, flat):
 
 
 # ---------------------------------------------------------------------------
-# dense tensors
+# component tables
 
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Dense component table of arbitrary rank: the row-major entries are
-    nums[i] / den. The form is canonical, den > 0 and gcd(den, *nums) == 1,
-    so den is the least common denominator of the entries and equal fields
-    mean equal entries; a table in any other form is rejected. Build tables
-    with `from_lattice`, which cancels, or `from_entries`. Fraction entries
-    are made only where they are read."""
+    """Component table of arbitrary rank, stored by its nonzero entries: the
+    entry at row-major offset offsets[i] is nums[i] / den, and every other
+    entry is zero. The form is canonical: offsets ascend strictly inside
+    the table, no stored numerator is zero, den > 0 and gcd(den, *nums) ==
+    1, so den is the least common denominator of the entries and equal
+    fields mean equal tables; a table in any other form is rejected. Build
+    tables with `from_rows` or `from_lattice`, which cancel, or
+    `from_entries`. The read API (`entries`, indexing, `nonzero()`,
+    `lattice()`) shows the full table; Fraction entries are made only where
+    they are read."""
 
     dims: tuple[int, ...]
+    offsets: tuple[int, ...]
     nums: tuple[int, ...]
     den: int
 
     def __post_init__(self):
-        if len(self.nums) != prod(self.dims):
-            raise ShapeError("entry count does not match dimensions")
-        if self.den <= 0 or gcd(self.den, *self.nums) != 1:
+        offsets, nums = self.offsets, self.nums
+        if len(offsets) != len(nums):
+            raise ShapeError("offset and numerator counts differ")
+        if offsets and not (
+            0 <= offsets[0] and offsets[-1] < prod(self.dims) and all(map(lt, offsets, offsets[1:]))
+        ):
+            raise ValueError("table offsets are not ascending, distinct and inside the table")
+        if 0 in nums:
+            raise ValueError("table stores a zero numerator")
+        if self.den <= 0 or gcd(self.den, *nums) != 1:
             raise ValueError("table numerators and denominator are not in lowest terms")
+
+    @classmethod
+    def from_rows(cls, dims, rows, den: int) -> "DenseTensor":
+        """Table whose row r (the row-major offset of its leading indices)
+        is rows[r] / den, for int rows over the last slot (absent rows are
+        zero) and den > 0: the constructor of the tables accumulated from
+        nonzero entries. Zeros are dropped and common factors cancelled."""
+        width = dims[-1]
+        keys = sorted(rows)
+        flat = list(chain.from_iterable(map(rows.__getitem__, keys)))
+        spots = list(compress(count(), flat))  # positions in the concatenated rows
+        shift = [(r - i) * width for i, r in enumerate(keys)]
+        offsets = map(add, spots, map(shift.__getitem__, map(floordiv, spots, repeat(width))))
+        return cls._cancelled(dims, offsets, filter(None, flat), den)
 
     @classmethod
     def from_lattice(cls, dims, nums, den: int) -> "DenseTensor":
         """Table whose row-major entries are nums[i] / den, for int nums and
         den > 0; the common factor of nums and den is cancelled."""
         nums = tuple(nums)
+        if len(nums) != prod(dims):
+            raise ShapeError("entry count does not match dimensions")
+        return cls._cancelled(dims, compress(count(), nums), filter(None, nums), den)
+
+    @classmethod
+    def _cancelled(cls, dims, offsets, nums, den: int) -> "DenseTensor":
+        nums = tuple(nums)
         common = gcd(den, *nums)
         if common != 1:
             den //= common
             nums = tuple(x // common for x in nums)
-        return cls(tuple(dims), nums, den)
+        return cls(tuple(dims), tuple(offsets), nums, den)
 
     @classmethod
     def from_entries(cls, dims, entries) -> "DenseTensor":
         """Table of the given row-major rational entries."""
         (nums,), den = lattice_rows((tuple(entries),))
-        return cls(tuple(dims), nums, den)
+        return cls.from_lattice(dims, nums, den)
 
     @property
     def rank(self) -> int:
@@ -412,7 +461,10 @@ class DenseTensor:
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """The row-major entries as Fractions, built on each read."""
-        return rational_vector(self.nums, self.den)
+        out = [Fraction(0)] * prod(self.dims)
+        for k, x in zip(self.offsets, self.nums):
+            out[k] = Fraction(x, self.den)
+        return tuple(out)
 
     def __getitem__(self, idx) -> Fraction:
         if isinstance(idx, int):
@@ -424,41 +476,116 @@ class DenseTensor:
             if not 0 <= i < d:
                 raise IndexError(f"index {idx} out of range for dims {self.dims}")
             off = off * d + i
-        return Fraction(self.nums[off], self.den)
+        return Fraction(self.num(off), self.den)
+
+    def num(self, offset: int) -> int:
+        """The numerator of the entry at a row-major offset."""
+        pos = bisect_left(self.offsets, offset)
+        return self.nums[pos] if pos < len(self.offsets) and self.offsets[pos] == offset else 0
+
+    def indexes(self, offsets):
+        """The 0-based index tuples of row-major offsets."""
+        slots = []
+        for d in reversed(self.dims[1:]):
+            slots.append(list(map(mod, offsets, repeat(d))))
+            offsets = list(map(floordiv, offsets, repeat(d)))
+        slots.append(offsets)
+        return zip(*reversed(slots))
+
+    # the views below are memoized per instance and read the stored entries
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """The nonzero rows over the last slot, {row offset: ((last index,
+        numerator), ...)} in ascending order, as `nonzero_rows` gives them."""
+        return self._grouped(self.dims[-1])
+
+    @cached_property
+    def blocks(self) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """The nonzero rows of each matrix slice over the last two slots,
+        {lead offset: {row: ((column, numerator), ...)}}: R(X_u, X_v) at
+        u * n + v of a curvature table R13, D_{X_i} at i of a connection."""
+        blocks: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+        for r, items in self.rows.items():
+            lead, k = divmod(r, self.dims[-2])
+            blocks.setdefault(lead, {})[k] = items
+        return blocks
+
+    @cached_property
+    def leading(self) -> RowIndex:
+        """The table as a matrix from its leading slot to the offsets of
+        the others: the operand that contracts rows into the leading slot."""
+        width = prod(self.dims[1:])
+        return RowIndex(self._grouped(width), width)
+
+    def _grouped(self, width: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        offsets, widths = self.offsets, repeat(width)
+        entries = zip(map(floordiv, offsets, widths), zip(map(mod, offsets, widths), self.nums))
+        return {r: tuple(map(itemgetter(1), row)) for r, row in groupby(entries, itemgetter(0))}
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        """Whether the table changes sign when its first two slots swap:
+        every nonzero entry meets its negative at the swapped index."""
+        d, rest = self.dims[0], prod(self.dims[2:])
+        swapped = [k % rest + (k // rest % d * d + k // (d * rest)) * rest for k in self.offsets]
+        entries = dict(zip(self.offsets, self.nums))
+        return self.dims[1] == d and dict(zip(swapped, map(neg, self.nums))) == entries
+
+    def difference(self, other: "DenseTensor") -> tuple[tuple[int, ...], Fraction, Fraction] | None:
+        """The first position, in row-major order, where two tables of one
+        shape differ: (1-based index, value here, value in other), or None."""
+        own, theirs = dict(zip(self.offsets, self.nums)), dict(zip(other.offsets, other.nums))
+        for k in sorted(own.keys() | theirs.keys()):
+            x, y = Fraction(own.get(k, 0), self.den), Fraction(theirs.get(k, 0), other.den)
+            if x != y:
+                (ix,) = self.indexes((k,))
+                return tuple(i + 1 for i in ix), x, y
+        return None
 
     @cached_property
     def _lattice_view(self):
-        return _nest(self.dims, self.nums)
+        flat = [0] * prod(self.dims)
+        for k, x in zip(self.offsets, self.nums):
+            flat[k] = x
+        return _nest(self.dims, flat)
 
     def lattice(self) -> tuple[tuple, int]:
-        """(nested int numerators, den): the form the hot kernels compute
-        in, memoized per instance."""
+        """(nested int numerators, den) of the full table, memoized."""
         return self._lattice_view, self.den
-
-    def flat_lattice(self) -> tuple[tuple[int, ...], int]:
-        """(row-major int numerators, den)."""
-        return self.nums, self.den
 
     def nonzero(self):
         """Yield (index tuple, value) for every nonzero entry, row-major order."""
         den = self.den
-        for ix, x in zip(product(*map(range, self.dims)), self.nums):
-            if x:
-                yield ix, Fraction(x, den)
+        for ix, x in zip(self.indexes(self.offsets), self.nums):
+            yield ix, Fraction(x, den)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.nums
 
 
-def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> tuple[tuple[int, ...], int]:
-    """a + sign * b as (flat int numerators, den), with no Fraction entries:
-    the column form of `fit_tables`."""
+def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> DenseTensor:
+    """a + sign * b, from the nonzero entries of both tables."""
     if a.dims != b.dims:
         raise ShapeError("shape mismatch in tensor addition or subtraction")
-    (x, dx), (y, dy) = a.flat_lattice(), b.flat_lattice()
-    den = lcm(dx, dy)
-    fx, fy = den // dx, sign * (den // dy)
-    return tuple(fx * p + fy * q for p, q in zip(x, y)), den
+    den = lcm(a.den, b.den)
+    out = _combine(((a, den // a.den), (b, sign * (den // b.den))))
+    offsets = sorted(out)
+    nums = list(map(out.__getitem__, offsets))
+    return DenseTensor._cancelled(a.dims, compress(offsets, nums), filter(None, nums), den)
+
+
+def _combine(terms) -> dict[int, int]:
+    """sum f * t over the (table, int factor) pairs of terms, as {offset:
+    numerator} over the union of the supports (zero sums included)."""
+    out: dict[int, int] = {}
+    for t, f in terms:
+        scaled = dict(zip(t.offsets, map(mul, t.nums, repeat(f))))
+        common = list(out.keys() & scaled.keys())
+        sums = list(map(add, map(out.__getitem__, common), map(scaled.__getitem__, common)))
+        out.update(scaled)
+        out.update(zip(common, sums))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,43 +593,38 @@ def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> tuple[tupl
 
 
 def fit_tables(columns, rhs) -> LinearSolution:
-    """Solve sum_j x_j columns[j] = rhs over every component of tables of one
-    shape, with the outcome `solve_affine` gives on all component rows. Each
-    table is given as (flat int numerators, den) with den > 0, e.g. by
-    `DenseTensor.flat_lattice`.
+    """Solve sum_j x_j columns[j] = rhs over every component of `DenseTensor`s
+    of one shape, with the outcome `solve_affine` gives on all component
+    rows, reading nonzero entries only.
 
-    Rows of the coefficient matrix that are independent of the earlier ones
-    are picked in order on the numerators (scaling a column by its
-    denominator changes no rank), and only they go to `solve_affine`. When
-    the full system is feasible its augmented row space equals that of the
-    picked rows, so the kind, the particular solution and the null space are
-    those of the full system; the full system is feasible exactly when that
-    particular solution satisfies every component, checked in cross-multiplied
-    ints. All-zero coefficient tables pick the first row."""
-    flat = [tuple(nums) for nums, _ in columns]
-    dens = [den for _, den in columns]
-    b, db = tuple(rhs[0]), rhs[1]
-    if any(len(col) != len(b) for col in flat):
+    Rows of the coefficient matrix independent of the earlier ones are
+    picked in order on the numerators (scaling a column by its denominator
+    changes no rank); rows outside the union of the column supports are
+    zero and never picked. Only the picked rows go to `solve_affine`: when
+    the full system is feasible its augmented row space is theirs, so the
+    kind, particular solution and null space are those of the full system,
+    and it is feasible exactly when that solution satisfies every component,
+    checked in ints over the union of all supports (elsewhere 0 = 0).
+    All-zero coefficient tables pick the first row, at offset 0."""
+    if any(col.dims != rhs.dims for col in columns):
         raise ShapeError("fit tables differ in shape")
     picked: list[int] = []
     basis = Echelon()
-    for i, row in enumerate(zip(*flat)):
-        if any(row) and basis.insert(row):
+    for i, _ in groupby(merge(*(col.offsets for col in columns))):  # the union of the supports
+        if basis.insert([col.num(i) for col in columns]):
             picked.append(i)
             if len(picked) == len(columns):
                 break
     picked = picked or [0]
     sol = solve_affine(
-        [tuple(Fraction(col[i], d) for col, d in zip(flat, dens)) for i in picked],
-        [Fraction(b[i], db) for i in picked],
+        [tuple(Fraction(col.num(i), col.den) for col in columns) for i in picked],
+        [Fraction(rhs.num(i), rhs.den) for i in picked],
     )
     if sol.kind == "infeasible":
         return sol
     x, dx = lattice_vector(sol.particular)
-    den = lcm(*dens)
-    lhs = repeat(0)
-    for col, xj, dj in zip(flat, x, dens):
-        lhs = map(add, lhs, map(mul, col, repeat(xj * (den // dj) * db)))
-    if any(map(ne, lhs, map(mul, b, repeat(dx * den)))):
+    den = lcm(*(col.den for col in columns))
+    terms = [(col, xj * (den // col.den) * rhs.den) for col, xj in zip(columns, x)]
+    if any(_combine(terms + [(rhs, -dx * den)]).values()):
         return LinearSolution("infeasible", None, ())
     return sol

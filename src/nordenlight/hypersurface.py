@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import mul
 
 from .ambient import AmbientGeometry, Check
 from .errors import HypothesisFailure, InternalInconsistency
@@ -35,6 +34,7 @@ from .exact import (
     DenseTensor,
     Echelon,
     Matrix,
+    RowIndex,
     ShapeError,
     Vector,
     fit_tables,
@@ -45,6 +45,7 @@ from .exact import (
     primitive_integer_vector,
     rational_rows,
     rational_vector,
+    row_index,
     unit_vector,
     vec_is_zero,
 )
@@ -73,17 +74,21 @@ class Classification:
 @dataclass(frozen=True)
 class FrameLattice:
     """Int forms of a frame's tables as (int rows or vector, den) pairs, and
-    the columns of the span and screen rows for `int_matmul` (over the span
-    denominator)."""
+    the right operands of the frame's `int_matmul` products as `RowIndex`es,
+    built once per frame: the span rows and the screen rows (over the span
+    denominator), and the transposes of `inverse` and `inner` (over their
+    denominators)."""
 
     span: tuple  # rows: the span vectors in ambient coordinates
-    span_cols: tuple
-    screen_cols: tuple
     inverse: tuple  # row r gives the r-th frame coordinate (span, then N)
     inner: tuple  # row r gives the r-th coordinate along screen, then xi
     transversal: tuple  # one row: N
     xi_span: tuple  # span coordinates of the radical section
     eta: tuple
+    span_index: RowIndex
+    screen_index: RowIndex
+    inverse_index: RowIndex
+    inner_index: RowIndex
 
 
 @dataclass(frozen=True)
@@ -121,15 +126,18 @@ class LightlikeFrame:
         inner_cols = [unit_vector(m, i) for i in self.screen_indices] + [xi_span]
         inner = tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m))
         span = lattice_rows(self.span)
+        inverse, inner = lattice_rows(full_inv), lattice_rows(mat_inverse(inner))
         return FrameLattice(
             span=span,
-            span_cols=tuple(zip(*span[0])),
-            screen_cols=tuple(zip(*(span[0][i] for i in self.screen_indices))),
-            inverse=lattice_rows(full_inv),
-            inner=lattice_rows(mat_inverse(inner)),
+            inverse=inverse,
+            inner=inner,
             transversal=lattice_rows((self.transversal,)),
             xi_span=lattice_vector(xi_span),
             eta=lattice_vector(self.eta),
+            span_index=row_index(span[0]),
+            screen_index=row_index(tuple(span[0][i] for i in self.screen_indices)),
+            inverse_index=row_index(tuple(zip(*inverse[0]))),
+            inner_index=row_index(tuple(zip(*inner[0]))),
         )
 
     @property
@@ -141,27 +149,27 @@ class LightlikeFrame:
         """Ambient vectors of rows of span coordinates."""
         rows, den = coords
         lat = self.lattice
-        return int_matmul(rows, lat.span_cols), den * lat.span[1]
+        return int_matmul(rows, lat.span_index), den * lat.span[1]
 
     def screen_to_ambient(self, coords):
         """Ambient vectors of rows of screen coordinates."""
         rows, den = coords
         lat = self.lattice
-        return int_matmul(rows, lat.screen_cols), den * lat.span[1]
+        return int_matmul(rows, lat.screen_index), den * lat.span[1]
 
     def frame_coords(self, vectors):
         """Rows of ambient vectors split along span + transversal: each row
         holds the span coordinates, then the transversal coefficient."""
         rows, den = vectors
-        inv, di = self.lattice.inverse
-        return int_matmul(rows, inv), den * di
+        lat = self.lattice
+        return int_matmul(rows, lat.inverse_index), den * lat.inverse[1]
 
     def screen_coords(self, coords):
         """Rows of span coordinates split along screen + radical: each row
         holds the screen coordinates, then the xi coefficient."""
         rows, den = coords
-        inner, dn = self.lattice.inner
-        return int_matmul(rows, inner), den * dn
+        lat = self.lattice
+        return int_matmul(rows, lat.inner_index), den * lat.inner[1]
 
     def p_projection(self):
         """Span coordinates of the screen projections P E_a, one row per
@@ -217,13 +225,11 @@ def validate_span(hs: HypersurfaceSpec, amb: AmbientGeometry) -> None:
     basis = Echelon(span)
     if len(basis.pivots) != n - 1:
         raise HypothesisFailure("hypersurface span is linearly dependent")
-    c, _ = amb.spec.brackets.lattice()
     # by_a[a][j * n + k] = sum_i u_a[i] c[i][j][k], then paired with every u_b
-    flat = tuple(tuple(chain.from_iterable(c[i])) for i in range(n))
-    by_a = int_matmul(span, tuple(zip(*flat)))
+    by_a = int_matmul(span, amb.spec.brackets.leading)
     for a in range(n - 1):
-        d_cols = tuple(zip(*(by_a[a][j * n : (j + 1) * n] for j in range(n))))
-        for b, w in enumerate(int_matmul(span[a + 1 :], d_cols), start=a + 1):
+        d_a = tuple(by_a[a][j * n : (j + 1) * n] for j in range(n))
+        for b, w in enumerate(int_matmul(span[a + 1 :], d_a), start=a + 1):
             if any(basis.reduce(w)):
                 raise HypothesisFailure(
                     f"span is not a subalgebra: bracket of span vectors {a + 1} and {b + 1} "
@@ -244,7 +250,7 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     kern = Echelon(g_ind).kernel(m)
     if len(kern) == 0:
         g, _ = ns.lattice(hs.inducing_metric)
-        normal = Echelon(int_matmul(span[0], tuple(zip(*g)))).kernel(len(g))  # <w, .> for span w
+        normal = Echelon(int_matmul(span[0], g)).kernel(len(g))  # <w, .> for span w
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
         return Classification("nondegenerate", gram, None, None, primitive_integer_vector(normal[0][0]))
@@ -253,7 +259,7 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
         )
     coords, dk = kern[0]
-    (ambient,) = int_matmul((coords,), tuple(zip(*span[0])))
+    (ambient,) = int_matmul((coords,), span[0])
     return Classification(
         "lightlike", gram, rational_vector(coords, dk), rational_vector(ambient, dk * span[1]), None
     )
@@ -314,7 +320,7 @@ def construct_transversal(
     # N is unchanged when V is rescaled, so V is an int kernel vector; with
     # p / dp = <V, xi> and q / dq = <V, V>,
     # N = V / <V, xi> - <V, V> xi / (2 <V, xi>^2) = dp (2 dq p dx V - q dp x) / (2 dq p^2 dx)
-    for v, _ in Echelon(int_matmul(screen_rows[0], tuple(zip(*g)))).kernel(len(g)):
+    for v, _ in Echelon(int_matmul(screen_rows[0], g)).kernel(len(g)):
         p, dp = pair(v, 1, x, dx)
         if p:
             break
@@ -385,17 +391,17 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     span, ds = lat.span
     transversal, dn = lat.transversal
     xi, dx = lat.xi_span
-    gm, dg = amb.gamma.lattice()
+    xi_col = tuple((x,) for x in xi)
+    dg = amb.gamma.den
 
     # D_{E_a} X_j for every a, then paired with the span rows and with N
-    flat = tuple(tuple(chain.from_iterable(gm[i])) for i in range(n))
-    by_a = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k), over ds * dg
+    by_a = int_matmul(span, amb.gamma.leading)  # a -> (j, k), over ds * dg
     derivs = []  # row a * m + b: D_{E_a} E_b
     along_n = []  # row a: D_{E_a} N
     for a in rows:
-        d_cols = tuple(zip(*(by_a[a][j * n : (j + 1) * n] for j in range(n))))
-        derivs.extend(int_matmul(span, d_cols))
-        along_n.extend(int_matmul(transversal, d_cols))
+        d_a = row_index(tuple(by_a[a][j * n : (j + 1) * n] for j in range(n)))
+        derivs.extend(int_matmul(span, d_a))
+        along_n.extend(int_matmul(transversal, d_a))
     split, d_b = frame.frame_coords((derivs, ds * ds * dg))
     induced = [split[a * m : (a + 1) * m] for a in rows]  # induced[a][b][:m] = D_{E_a} E_b
     b_form = tuple(tuple(row[m] for row in induced[a]) for a in rows)
@@ -404,16 +410,15 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
         for b in range(a + 1, m):
             if b_form[a][b] != b_form[b][a]:
                 raise InternalInconsistency("second fundamental form is not symmetric")
-    for a in rows:
-        if sum(map(mul, b_form[a], xi)) != 0:
-            raise InternalInconsistency("second fundamental form does not vanish on the radical")
+    if any(row[0] for row in int_matmul(b_form, xi_col)):
+        raise InternalInconsistency("second fundamental form does not vanish on the radical")
 
     n_split, d_tau = frame.frame_coords((along_n, ds * dn * dg))
     a_n = tuple(tuple(-x for x in row[:m]) for row in n_split)
     tau = tuple(row[m] for row in n_split)
 
     # row a: the induced derivative of xi along E_a, sum_b xi_b D_{E_a} E_b
-    nabla_xi = [int_matmul((xi,), tuple(zip(*(row[:m] for row in induced[a]))))[0] for a in rows]
+    nabla_xi = [int_matmul((xi,), [row[:m] for row in induced[a]])[0] for a in rows]
     xi_split, d_star = frame.screen_coords((nabla_xi, dx * d_b))
     a_star = []
     for a in rows:
@@ -423,7 +428,7 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
         for pos, idx in enumerate(frame.screen_indices):
             image[idx] = -xi_split[a][pos]
         a_star.append(image)
-    if any(int_matmul((xi,), tuple(zip(*a_star)))[0]):
+    if any(int_matmul((xi,), a_star)[0]):
         raise InternalInconsistency("xi-shape operator does not annihilate the radical section")
 
     screen_split, d_c = frame.screen_coords(
@@ -467,7 +472,8 @@ def umbilical_test(
     g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
     b_form, d_b = lattice_rows(sf.b_form)
     sol = fit_tables(
-        ((tuple(chain.from_iterable(g_ind)), den),), (tuple(chain.from_iterable(b_form)), d_b)
+        (DenseTensor.from_lattice((m, m), chain.from_iterable(g_ind), den),),
+        DenseTensor.from_lattice((m, m), chain.from_iterable(b_form), d_b),
     )
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)
@@ -550,7 +556,8 @@ def verify_frame_identities(
         "second_fundamental_symmetric",
         ((a + 1, c + 1) for a in rows for c in range(a + 1, m) if b_form[a][c] != b_form[c][a]),
     )
-    add("second_fundamental_kills_radical", ((a + 1,) for a in rows if sum(map(mul, b_form[a], xi))))
+    b_xi = int_matmul(b_form, tuple((x,) for x in xi))
+    add("second_fundamental_kills_radical", ((a + 1,) for a in rows if b_xi[a][0]))
 
     pair, dp = ns.pairings(which, span, (a_star_amb, d_star))  # pair[c][a] = <E_c, A*_xi E_a>
     add(
@@ -576,8 +583,9 @@ def verify_frame_identities(
     # (D_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y) over all basis triples,
     # with <E_d, D_{E_a} E_c> = sum_q gamma[a][c][q] <E_d, E_q> = der[a][c][d]
     gram, d_gram = ns.pairings(which, span, span)
-    gm, d_gm = sf.induced_gamma.lattice()
-    der = [int_matmul(gm[a], gram) for a in rows]
+    d_gm = sf.induced_gamma.den
+    der = int_matmul(sf.induced_gamma.rows, tuple(zip(*gram)))  # row a * m + c, over d_gm * d_gram
+    zero = (0,) * m
     d_lhs, d_rhs = d_gm * d_gram, db * de
     add(
         "metric_derivative_split",
@@ -586,7 +594,7 @@ def verify_frame_identities(
             for a in rows
             for c in rows
             for d in rows
-            if -(der[a][c][d] + der[a][d][c]) * d_rhs
+            if -(der.get(a * m + c, zero)[d] + der.get(a * m + d, zero)[c]) * d_rhs
             != (b_form[a][c] * eta[d] + b_form[a][d] * eta[c]) * d_lhs
         ),
     )
@@ -611,13 +619,15 @@ def verify_frame_identities(
     # B(X, Y) = -b C(X, J(PY))
     coords, d_coords = screen_coords_of((j_p, d_jp))
     d_val = dk * dc * d_coords
+    # c_coords[a][c] = C(E_a, J(P E_c)) over dc * d_coords, where J(P E_c) is screen-valued
+    c_coords = int_matmul(c_form, tuple(zip(*(row or (0,) * (m - 1) for row in coords))))
 
     def form_duality():
         for c in rows:
             if coords[c] is None:
                 yield (c + 1,)
             for a in rows:
-                if b_form[a][c] * d_val != neg_b * sum(map(mul, coords[c], c_form[a])) * db:
+                if b_form[a][c] * d_val != neg_b * c_coords[a][c] * db:
                     yield (a + 1, c + 1)
 
     add("fundamental_form_duality", form_duality())
@@ -632,7 +642,7 @@ def verify_frame_identities(
         rhs, d_r = ns.apply_j_rows(frame.screen_to_ambient((nabla, d_ns)))
         for a in rows:
             nabla_a = nabla[a * (m - 1) : (a + 1) * (m - 1)]
-            lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, tuple(zip(*nabla_a))), d_jw * d_ns))
+            lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, nabla_a), d_jw * d_ns))
             for pos in range(m - 1):
                 if _differs(lhs[pos], d_l, rhs[a * (m - 1) + pos], d_r):
                     yield (a + 1, pos + 1)

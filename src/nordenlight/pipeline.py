@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .ambient import AmbientGeometry, build_ambient_geometry, validate_lie_algebra, validate_norden
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
-from .exact import Vector, first_difference, format_rational
+from .exact import Vector, format_rational
 from .hypersurface import (
     HypersurfaceSpec,
     construct_screen,
@@ -277,9 +277,7 @@ def _process_hypersurface(
         r13 = induced_curvature_gauss(sf, frame, amb)
         r13_closed = induced_curvature_closed_form(frame, sf, amb)
         if r13 != r13_closed:
-            index, gauss_value, closed_value = first_difference(
-                r13.dims, r13.entries, r13_closed.entries
-            )
+            index, gauss_value, closed_value = r13.difference(r13_closed)
             at = ",".join(map(str, index))
             raise InternalInconsistency(
                 f"gauss and closed-form curvature routes disagree at ({at}): "

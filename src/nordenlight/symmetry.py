@@ -29,19 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import lcm
-from operator import mul, ne
 
-from .ambient import AmbientGeometry, TrscStatus
+from .ambient import AmbientGeometry, TrscStatus, ricci_trace
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
     Echelon,
     Matrix,
     Vector,
-    first_difference,
-    flat_matmul,
+    add_row,
     format_rational,
     int_bilinear,
     int_matmul,
@@ -50,6 +48,7 @@ from .exact import (
     nonzero_rows,
     rational_rows,
     rational_vector,
+    row_index,
     solve_affine,
 )
 from .hypersurface import LightlikeFrame, SecondFundamental
@@ -119,48 +118,45 @@ def induced_curvature_gauss(
     m = len(frame.span)
     n = amb.spec.dim
     w = m + 1  # frame coordinates: span, then transversal
-    amb13, den_r = amb.riemann13.flat_lattice()
-    span, den_s = frame.lattice.span
-    inv, den_inv = frame.lattice.inverse
+    amb13 = amb.riemann13
+    lat = frame.lattice
+    span, den_s = lat.span
     b_form, den_b = lattice_rows(sf.b_form)
     a_n, den_a = lattice_rows(sf.a_n)
     (tau,), den_tau = lattice_rows((sf.tau,))
-    gm, den_g = sf.induced_gamma.flat_lattice()
+    gamma = sf.induced_gamma
+    den_g = gamma.den
 
     # vec[(a, b, c)] holds the frame coordinates of R(E_a, E_b)E_c over
     # d_amb: the last slot of the ambient table goes to frame coordinates,
     # then the span is contracted into the leading slot three times, each
     # contraction appending its span index, so (i, j, k) -> (j, k, a) ->
     # (k, a, b) -> (a, b, c); only nonzero rows and span entries take part
-    vec = flat_matmul(amb13, n, tuple(zip(*inv)))
+    vec = int_matmul(amb13.rows, lat.inverse_index)
     span_cols = nonzero_rows(zip(*span))
     rest = n * n
     for _ in range(3):
-        out = [0] * (len(vec) // n * m)
-        for r, items in nonzero_rows(zip(*[iter(vec)] * w)).items():
+        out: dict[int, list[int]] = {}  # row tail * m + a sums span[a][i] times row (i, tail)
+        for r, row in vec.items():
             i, tail = divmod(r, rest)
             for a, s in span_cols.get(i, ()):
-                base = (tail * m + a) * w
-                for q, x in items:
-                    out[base + q] += s * x
+                add_row(out, tail * m + a, s, row)
         vec, rest = out, rest // n * m
-    d_amb = den_s**3 * den_r * den_inv
+    d_amb = den_s**3 * amb13.den * lat.inverse[1]
     d_shape = den_b * den_a
     den = lcm(d_amb, d_shape)
     f_amb, f_shape = den // d_amb, den // d_shape
-    normal = vec[m::w]  # the transversal coordinate of each (a, b, c)
-    del vec[m::w]
-    nums = [f_amb * x for x in vec] if f_amb != 1 else vec
+    zero = (0,) * w
+    normal = [vec.get(r, zero)[m] for r in range(m**3)]  # the transversal coordinate of (a, b, c)
+    nums = {r: [f_amb * x for x in row[:m]] for r, row in vec.items()}
     # - B(E_a, E_c) A_N E_b + B(E_b, E_c) A_N E_a: the product
     # B(E_a, E_c) A_N E_b enters at (a, b, c) and negated at (b, a, c)
     b_nz = [(a, c, x) for a, row in enumerate(b_form) for c, x in enumerate(row) if x]
-    for b, items in nonzero_rows(a_n).items():
-        for a, c, x in b_nz:
-            x *= f_shape
-            here, swapped = ((a * m + b) * m + c) * m, ((b * m + a) * m + c) * m
-            for r, y in items:
-                nums[here + r] -= x * y
-                nums[swapped + r] += x * y
+    for b, row in enumerate(a_n):
+        if any(row):
+            for a, c, x in b_nz:
+                add_row(nums, (a * m + b) * m + c, -f_shape * x, row)
+                add_row(nums, (b * m + a) * m + c, f_shape * x, row)
 
     # the Codazzi expression over d_cod at every (a, b, c):
     #   f_gamma (D[b, a, c] - D[a, b, c]) + f_tau (tau_a B_bc - tau_b B_ac)
@@ -169,7 +165,7 @@ def induced_curvature_gauss(
     f_gamma, f_tau = d_cod // (den_g * den_b), d_cod // (den_tau * den_b)
     codazzi = [0] * m**3
     b_rows, b_cols = nonzero_rows(b_form), nonzero_rows(zip(*b_form))
-    for r, items in nonzero_rows(zip(*[iter(gm)] * m)).items():
+    for r, items in gamma.rows.items():
         a, p = divmod(r, m)
         for k, x in items:
             x *= f_gamma
@@ -185,13 +181,13 @@ def induced_curvature_gauss(
                 v = f_tau * t * x
                 codazzi[(a * m + b) * m + c] += v
                 codazzi[(b * m + a) * m + c] -= v
-    residual = list(map(ne, map(mul, normal, repeat(d_cod)), map(mul, codazzi, repeat(d_amb))))
+    residual = [x * d_cod != y * d_amb for x, y in zip(normal, codazzi)]
     if any(residual):
         a, bc = divmod(residual.index(True), m * m)
         raise InternalInconsistency(
             f"Codazzi residual at basis triple ({a + 1},{bc // m + 1},{bc % m + 1})"
         )
-    return DenseTensor.from_lattice((m, m, m, m), nums, den)
+    return DenseTensor.from_rows((m, m, m, m), nums, den)
 
 
 def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry):
@@ -222,14 +218,18 @@ def closed_form_curvature(
     (sc, mc), d_c = lattice_vector((screen_coeff, metric_coeff))
     den = d_c * lcm(d_g * d_phi, d_mj)
     fs, fm = sc * (den // (d_c * d_g * d_phi)), mc * (den // (d_c * d_mj))
-    nums = []
-    for a, b, c in product(range(m), repeat=3):
-        sa, sb = fs * g_ind[a][c], fs * g_ind[b][c]
-        vec = [sa * x - sb * y for x, y in zip(phi[b], phi[a])]
-        vec[b] += fm * mj[a][c]
-        vec[a] -= fm * mj[b][c]
-        nums.extend(vec)
-    return DenseTensor.from_lattice((m, m, m, m), nums, den)
+    # R(E_a, E_b)E_c = fs (g_ac phi_b - g_bc phi_a) + fm (mj_ac E_b - mj_bc E_a):
+    # the terms of each nonzero g_pc or mj_pc enter the row (p, q, c) and,
+    # negated, the row (q, p, c)
+    rows: dict[int, list[int]] = {}
+    for p, c, q in product(range(m), repeat=3):
+        x, y = fs * g_ind[p][c], fm * mj[p][c]
+        if (x and any(phi[q])) or y:
+            vec = [x * z for z in phi[q]]
+            vec[q] += y
+            add_row(rows, (p * m + q) * m + c, 1, vec)
+            add_row(rows, (q * m + p) * m + c, -1, vec)
+    return DenseTensor.from_rows((m, m, m, m), rows, den)
 
 
 def induced_curvature_closed_form(
@@ -267,12 +267,8 @@ def induced_curvature_closed_form(
 
 def canonical_ricci(r13: DenseTensor) -> Matrix:
     """Ric(X, Y) = trace of Z -> R(Z, X)Y; no metric enters the trace."""
-    m = r13.dims[0]
-    t, den = r13.lattice()
-    return tuple(
-        rational_vector((sum(t[c][a][b][c] for c in range(m)) for b in range(m)), den)
-        for a in range(m)
-    )
+    rows, den = ricci_trace(r13).lattice()
+    return rational_rows(rows, den)
 
 
 def ricci_from_ambient_decomposition(
@@ -293,7 +289,6 @@ def ricci_from_ambient_decomposition(
     lat = frame.lattice
     span, d_s = lat.span
     xi, d_xi = lat.xi_span
-    t, d_t = r13_induced.lattice()
     amb_ric, d_ric = amb.ricci.lattice()
     b_form, d_b = lattice_rows(sf.b_form)
     a_n, d_an = lattice_rows(sf.a_n)
@@ -303,9 +298,13 @@ def ricci_from_ambient_decomposition(
     shape, d_shape = ns.pairings(
         which, frame.to_ambient((a_n, d_an)), frame.to_ambient(lattice_rows(sf.a_star_xi))
     )
-    # span coordinates of R(xi, E_b)E_a, row b * m + a
-    r_xi = [int_matmul((xi,), tuple(zip(*(t[i][b][a] for i in rows))))[0] for b in rows for a in rows]
-    radial, d_radial = ns.pairings(which, frame.to_ambient((r_xi, d_xi * d_t)), lat.transversal)
+    # span coordinates of R(xi, E_b)E_a, row b * m + a: xi contracted into
+    # the leading slot
+    (r_xi,) = int_matmul((xi,), r13_induced.leading)
+    r_xi = tuple(r_xi[r * m : (r + 1) * m] for r in range(m * m))
+    radial, d_radial = ns.pairings(
+        which, frame.to_ambient((r_xi, d_xi * r13_induced.den)), lat.transversal
+    )
 
     parts = (d_s * d_s * d_ric, d_b * d_an, d_shape, d_radial)
     den = lcm(*parts)
@@ -391,8 +390,9 @@ def induced_ricci(
     if amb.trsc.kind == "constant" and sf.rho is not None:
         closed = closed_form_ricci(frame, sf, amb)
     m = len(canonical)
+    table = DenseTensor.from_entries((m, m), chain(*canonical))
     for name, other in (("ambient split", split), ("closed form", closed)):
-        diff = None if other is None else first_difference((m, m), chain(*canonical), chain(*other))
+        diff = None if other is None else table.difference(DenseTensor.from_entries((m, m), chain(*other)))
         if diff is not None:
             (a, b), own, theirs = diff
             raise InternalInconsistency(
@@ -406,20 +406,14 @@ def induced_ricci(
 # symmetry checkers (raw tables)
 
 
-def _scan_pairs(t) -> list[tuple[int, int]]:
+def _scan_pairs(r13: DenseTensor) -> list[tuple[int, int]]:
     """The pairs (x, y) of the first two slots a checker scans, in product
-    order. When the int table t is antisymmetric in those slots, every
-    checked expression is antisymmetric in (X, Y): the pairs x >= y add no
+    order. When the table is antisymmetric in those slots, every checked
+    expression is antisymmetric in (X, Y): the pairs x >= y add no
     vanishing condition, and the first nonzero tuple in product order has
     x < y, so only those pairs are scanned. Other tables get every pair."""
-    m = len(t)
-    antisym = all(
-        t[i][j][k] == tuple(-x for x in t[j][i][k])
-        for i in range(m)
-        for j in range(i, m)
-        for k in range(m)
-    )
-    if antisym:
+    m = r13.dims[0]
+    if r13.antisymmetric:
         return [(x, y) for x in range(m) for y in range(x + 1, m)]
     return list(product(range(m), repeat=2))
 
@@ -432,39 +426,44 @@ def _first_nonzero_derivation(a, blocks, pairs, m):
         (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W):
 
     (u, v, w, int components) with w the least slot of that block whose
-    component is nonzero, or None. a and every block blocks[u][v] =
-    R(X_u, X_v) are given by their nonzero rows (see `nonzero_rows`), and
-    the block's components are accumulated from those entries alone, row by
-    row as in Gustavson's sparse product; the same index gives the blocks
-    R(X_k, X_v) and R(X_u, X_k) of the last two terms."""
+    component is nonzero, or None. a and every block blocks[u * m + v] =
+    R(X_u, X_v) are given by their nonzero rows (see `DenseTensor.blocks`),
+    and the block's components are accumulated from those entries alone,
+    row by row as in Gustavson's sparse product; the same index gives the
+    blocks R(X_k, X_v) and R(X_u, X_k) of the last two terms."""
+    none: dict = {}
+    a_rows = list(a.items())
     for u, v in pairs:
-        b = blocks[u][v]
+        b = blocks.get(u * m + v)
         acc = {}  # w -> components of the block at W = X_w
-        for w, items in b.items():  # a R(U,V,W)
-            for k, x in items:
-                a_k = a.get(k)
-                if a_k:
-                    out = acc.get(w) or acc.setdefault(w, [0] * m)
-                    for q, y in a_k:
-                        out[q] += x * y
-        for w, items in a.items():  # -R(U,V,a W)
-            for k, x in items:
-                b_k = b.get(k)
-                if b_k:
-                    out = acc.get(w) or acc.setdefault(w, [0] * m)
-                    for q, y in b_k:
-                        out[q] -= x * y
+        if b:
+            for w, items in b.items():  # a R(U,V,W)
+                out = None
+                for k, x in items:
+                    a_k = a.get(k)
+                    if a_k:
+                        out = out or acc.get(w) or acc.setdefault(w, [0] * m)
+                        for q, y in a_k:
+                            out[q] += x * y
+            for w, items in a_rows:  # -R(U,V,a W)
+                out = None
+                for k, x in items:
+                    b_k = b.get(k)
+                    if b_k:
+                        out = out or acc.get(w) or acc.setdefault(w, [0] * m)
+                        for q, y in b_k:
+                            out[q] -= x * y
         for k, x in a.get(u, ()):  # -R(a U,V,W)
-            for w, items in blocks[k][v].items():
+            for w, items in blocks.get(k * m + v, none).items():
                 out = acc.get(w) or acc.setdefault(w, [0] * m)
                 for q, y in items:
                     out[q] -= x * y
         for k, x in a.get(v, ()):  # -R(U,a V,W)
-            for w, items in blocks[u][k].items():
+            for w, items in blocks.get(u * m + k, none).items():
                 out = acc.get(w) or acc.setdefault(w, [0] * m)
                 for q, y in items:
                     out[q] -= x * y
-        w = min((w for w, out in acc.items() if any(out)), default=None)
+        w = min((w for w, out in acc.items() if any(out)), default=None) if acc else None
         if w is not None:
             return u, v, w, acc[w]
     return None
@@ -486,16 +485,15 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
     block at a time, all w at once, stopping at the first block with a
     nonzero component; its least such w completes the witness."""
     m = r13.dims[0]
-    t, den = r13.lattice()
-    pairs = _scan_pairs(t)
-    blocks = [[nonzero_rows(block) for block in row] for row in t]
+    pairs = _scan_pairs(r13)
+    blocks = r13.blocks
     for x, y in pairs:
-        a = blocks[x][y]
+        a = blocks.get(x * m + y)
         hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
         if hit is not None:
             u, v, w, val = hit
             witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
-            return FlagResult(False, witness, rational_vector(val, den * den))
+            return FlagResult(False, witness, rational_vector(val, r13.den * r13.den))
     return FlagResult(True)
 
 
@@ -503,22 +501,29 @@ def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
     """Vanishing of -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) on basis 4-tuples;
     stops at the first nonzero component in product order. With A the
     matrix of R(X_x, X_y) (row u holds R(X_x, X_y)X_u) the component at
-    (u, v) is -(A Ric)[u][v] - (A Ric^T)[v][u], one matrix product per pair
-    when Ric is symmetric; pairs are scanned as in `_scan_pairs`."""
+    (u, v) is -(A Ric)[u][v] - (A Ric^T)[v][u], one sparse product per pair
+    when Ric is symmetric; it can be nonzero only at (u, v) with row u of
+    A Ric or row v of A Ric^T nonzero. Pairs are scanned as in
+    `_scan_pairs`."""
     m = r13.dims[0]
-    t, dt = r13.lattice()
     ric, dric = lattice_rows(ricci)
-    ric_cols = tuple(zip(*ric))
-    symmetric = ric == ric_cols
-    for x, y in _scan_pairs(t):
-        a = t[x][y]
-        p = int_matmul(a, ric_cols)
-        q = p if symmetric else int_matmul(a, ric)
-        for u, v in product(range(m), repeat=2):
-            val = -p[u][v] - q[v][u]
+    ric_t = tuple(zip(*ric))
+    by_ric = row_index(ric)
+    by_ric_t = by_ric if ric == ric_t else row_index(ric_t)
+    zero = (0,) * m
+    for x, y in _scan_pairs(r13):
+        a = r13.blocks.get(x * m + y)
+        if not a:
+            continue
+        p = int_matmul(a, by_ric)
+        q = p if by_ric_t is by_ric else int_matmul(a, by_ric_t)
+        cells = {(u, v) for u, row in p.items() for v, z in enumerate(row) if z}
+        cells.update((u, v) for v, row in q.items() for u, z in enumerate(row) if z)
+        for u, v in sorted(cells):
+            val = -p.get(u, zero)[v] - q.get(v, zero)[u]
             if val:
                 witness = (x + 1, y + 1, u + 1, v + 1)
-                return FlagResult(False, witness, rational_vector((val,), dt * dric))
+                return FlagResult(False, witness, rational_vector((val,), r13.den * dric))
     return FlagResult(True)
 
 
@@ -537,17 +542,14 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
     at a time, all z at once, stopping at the first block with a nonzero
     component; its least such z completes the witness."""
     m = r13.dims[0]
-    t, dt = r13.lattice()
-    gm, dg = induced_gamma.lattice()
-    pairs = _scan_pairs(t)
-    blocks = [[nonzero_rows(block) for block in row] for row in t]
+    pairs = _scan_pairs(r13)
     for u in range(m):
-        a = nonzero_rows(gm[u])
-        hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
+        a = induced_gamma.blocks.get(u)
+        hit = _first_nonzero_derivation(a, r13.blocks, pairs, m) if a else None
         if hit is not None:
             x, y, z, val = hit
             witness = (u + 1, x + 1, y + 1, z + 1)
-            return FlagResult(False, witness, rational_vector(val, dt * dg))
+            return FlagResult(False, witness, rational_vector(val, r13.den * induced_gamma.den))
     return FlagResult(True)
 
 

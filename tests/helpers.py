@@ -8,8 +8,10 @@ curvature tables. The Fraction references keep earlier forms of engine code
 that now runs on int rows (the eliminators, the front half of a verdict, the
 frame identities), the dense references keep the table builders that now run
 from nonzero entries (curvature, pi-tensors, the associated table, the Gauss
-route) and the prefix scan of the Einstein witness, and the test-only table
-arithmetic lives here too.
+route), the kernels that now read nonzero entries only (the dot-product
+`int_matmul`, the flat-table product, the table combination and the fit) and
+the prefix scan of the Einstein witness, and the test-only table arithmetic
+and the golden-corpus inputs live here too.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from nordenlight.exact import (
     ShapeError,
     _nest,
     format_rational,
-    int_matmul,
     lattice_combination,
     lattice_rows,
     lattice_vector,
@@ -115,16 +116,16 @@ def apply_j(ns: NordenStructure, v):
 
 
 def tensor_add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    return DenseTensor.from_lattice(a.dims, *lattice_combination(a, b, 1))
+    return lattice_combination(a, b, 1)
 
 
 def tensor_sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    return DenseTensor.from_lattice(a.dims, *lattice_combination(a, b, -1))
+    return lattice_combination(a, b, -1)
 
 
 def tensor_scale(a: DenseTensor, c) -> DenseTensor:
     c = F(c)
-    nums, den = a.flat_lattice()
+    nums, den = flat_lattice(a)
     return DenseTensor.from_lattice(a.dims, (c.numerator * x for x in nums), den * c.denominator)
 
 
@@ -161,7 +162,7 @@ def gauge_rescale(frame, sf, c):
 
 def tensor_zeros(dims) -> DenseTensor:
     dims = tuple(dims)
-    return DenseTensor(dims, (0,) * prod(dims), 1)
+    return DenseTensor(tuple(dims), (), (), 1)
 
 
 def tensor_from_function(dims, fn) -> DenseTensor:
@@ -548,6 +549,82 @@ def brute_locally_symmetric(t, gm, m):
         if any(val):
             return (u + 1, x + 1, y + 1, z + 1), val
     return None
+
+
+# ---------------------------------------------------------------------------
+# dense references of the product kernel, the table combination and the fit
+
+
+def flat_lattice(t: DenseTensor) -> tuple[tuple[int, ...], int]:
+    """(row-major int numerators of every entry, den) of a table."""
+    nums = [0] * prod(t.dims)
+    for k, x in zip(t.offsets, t.nums):
+        nums[k] = x
+    return tuple(nums), t.den
+
+
+def reference_int_matmul(a, b_cols) -> tuple[tuple[int, ...], ...]:
+    """Reference for `exact.int_matmul`: a . b for int matrices, with b given
+    by its columns (`tuple(zip(*b))`), one dot product per entry, and every
+    all-zero row of a gives a zero row without any."""
+    zero = (0,) * len(b_cols)
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in b_cols) if any(row) else zero for row in a
+    )
+
+
+def reference_flat_matmul(nums, width: int, b) -> list[int]:
+    """Reference for the product of a flat table's last slot with b: a . b,
+    flat row-major, for the int matrix a whose rows are the consecutive runs
+    of `width` entries of nums and an int matrix b with `width` rows."""
+    rows = zip(*[iter(nums)] * width)
+    return [x for row in reference_int_matmul(rows, tuple(zip(*b))) for x in row]
+
+
+def reference_lattice_combination(a: DenseTensor, b: DenseTensor, sign: int):
+    """Reference for `exact.lattice_combination`: a + sign * b as (flat int
+    numerators, den) over every entry."""
+    if a.dims != b.dims:
+        raise ShapeError("shape mismatch in tensor addition or subtraction")
+    (x, dx), (y, dy) = flat_lattice(a), flat_lattice(b)
+    den = lcm(dx, dy)
+    fx, fy = den // dx, sign * (den // dy)
+    return tuple(fx * p + fy * q for p, q in zip(x, y)), den
+
+
+def reference_fit_tables(columns, rhs) -> LinearSolution:
+    """Reference for `exact.fit_tables` on (flat int numerators, den) pairs
+    over every component: independent coefficient rows picked in order on
+    the numerators, `solve_affine` on them, and every component checked in
+    cross-multiplied ints. All-zero coefficient tables pick the first row."""
+    flat = [tuple(nums) for nums, _ in columns]
+    dens = [den for _, den in columns]
+    b, db = tuple(rhs[0]), rhs[1]
+    if any(len(col) != len(b) for col in flat):
+        raise ShapeError("fit tables differ in shape")
+    picked: list[int] = []
+    basis = Echelon()
+    for i, row in enumerate(zip(*flat)):
+        if any(row) and basis.insert(row):
+            picked.append(i)
+            if len(picked) == len(columns):
+                break
+    picked = picked or [0]
+    sol = solve_affine(
+        [tuple(Fraction(col[i], d) for col, d in zip(flat, dens)) for i in picked],
+        [Fraction(b[i], db) for i in picked],
+    )
+    if sol.kind == "infeasible":
+        return sol
+    x, dx = lattice_vector(sol.particular)
+    den = lcm(*dens)
+    lhs = [0] * len(b)
+    for col, xj, dj in zip(flat, x, dens):
+        f = xj * (den // dj) * db
+        lhs = [s + f * c for s, c in zip(lhs, col)]
+    if any(s != v * dx * den for s, v in zip(lhs, b)):
+        return LinearSolution("infeasible", None, ())
+    return sol
 
 
 def echelon_fit(columns, rhs):
@@ -1052,8 +1129,8 @@ def reference_curvature(spec, gamma: DenseTensor, ns: NordenStructure):
     for i in range(n):
         for j in range(n):
             # row k of G_j G_i - G_i G_j is D_i D_j X_k - D_j D_i X_k
-            first = int_matmul(gm[j], cols[i])
-            second = int_matmul(gm[i], cols[j])
+            first = reference_int_matmul(gm[j], cols[i])
+            second = reference_int_matmul(gm[i], cols[j])
             c_ij = c[i][j]
             bracket = any(c_ij)
             block = []
@@ -1063,7 +1140,7 @@ def reference_curvature(spec, gamma: DenseTensor, ns: NordenStructure):
                     row = [r - f_bracket * sum(map(mul, c_ij, s)) for r, s in zip(row, stacked[k])]
                 block.append(row)
             r13_nums.extend(x for row in block for x in row)
-            r04_nums.extend(x for row in int_matmul(block, g_cols) for x in row)
+            r04_nums.extend(x for row in reference_int_matmul(block, g_cols) for x in row)
     dims = (n, n, n, n)
     r13 = DenseTensor.from_lattice(dims, r13_nums, den)
     return r13, DenseTensor.from_lattice(dims, r04_nums, den * dg)
@@ -1076,7 +1153,7 @@ def reference_pi_tensors(g, j):
     rows = range(n)
     g, dg = lattice_rows(g)
     j, dj = lattice_rows(j)
-    gj = int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
+    gj = reference_int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
     pi1, pi2, pi3 = [], [], []
     for a, b, k in product(rows, repeat=3):
         ga, gb, gja, gjb = g[a], g[b], gj[a], gj[b]
@@ -1103,7 +1180,7 @@ def reference_associated_table(r04: DenseTensor, ns: NordenStructure) -> DenseTe
     j_cols = tuple(zip(*j))
     nums = []
     for i, a in product(range(n), repeat=2):
-        nums.extend(x for row in int_matmul(t[i][a], j_cols) for x in row)
+        nums.extend(x for row in reference_int_matmul(t[i][a], j_cols) for x in row)
     return DenseTensor.from_lattice((n, n, n, n), nums, dt * dj)
 
 
@@ -1125,15 +1202,15 @@ def reference_induced_curvature_gauss(sf, frame, amb) -> DenseTensor:
 
     # vec[a][b][c] is the ambient vector R(E_a, E_b)E_c over den_s^3 den_r
     flat = tuple(tuple(chain.from_iterable(chain.from_iterable(amb13[i]))) for i in range(n))
-    stage1 = int_matmul(span, tuple(zip(*flat)))  # a -> (j, k, q)
+    stage1 = reference_int_matmul(span, tuple(zip(*flat)))  # a -> (j, k, q)
     vec = []
     for a in rows:
         by_j = (stage1[a][j * n * n : (j + 1) * n * n] for j in range(n))
-        stage2 = int_matmul(span, tuple(zip(*by_j)))  # b -> (k, q)
+        stage2 = reference_int_matmul(span, tuple(zip(*by_j)))  # b -> (k, q)
         by_b = []
         for b in rows:
             by_k = (stage2[b][k * n : (k + 1) * n] for k in range(n))
-            by_b.append(int_matmul(span, tuple(zip(*by_k))))  # c -> q
+            by_b.append(reference_int_matmul(span, tuple(zip(*by_k))))  # c -> q
         vec.append(by_b)
     d_amb = den_s**3 * den_r * den_inv
     d_shape = den_b * den_a
@@ -1142,8 +1219,8 @@ def reference_induced_curvature_gauss(sf, frame, amb) -> DenseTensor:
     d_cod = den_b * lcm(den_g, den_tau)
     f_gamma, f_tau = d_cod // (den_g * den_b), d_cod // (den_tau * den_b)
     b_cols = tuple(zip(*b_form))
-    gb = [int_matmul(gm[a], b_cols) for a in rows]  # gb[a][b][c] = sum_k gm[a][b][k] B[k][c]
-    gbt = [int_matmul(gm[a], b_form) for a in rows]  # gbt[a][c][b] = sum_k gm[a][c][k] B[b][k]
+    gb = [reference_int_matmul(gm[a], b_cols) for a in rows]  # gb[a][b][c] = sum_k gm[a][b][k] B[k][c]
+    gbt = [reference_int_matmul(gm[a], b_form) for a in rows]  # gbt[a][c][b] = sum_k gm[a][c][k] B[b][k]
 
     nums = []
     for a in rows:
@@ -1316,13 +1393,13 @@ def instance_text(spec: LieAlgebraSpec, ns: NordenStructure, blocks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def conjugated_family_text(h: int) -> str:
-    """The family at h with its bracket scaled by 5/7, in the seeded basis
-    that keeps X1 and X_{h+1} and changes both (X2, ..., Xh) and
-    (X_{h+2}, ..., X_2h) by one unimodular matrix. The change commutes with
-    J and maps span(X2, ..., X_2h) onto itself, so the block (the span of
-    every field but X1) is the same radical-transversal hyperplane and runs
-    the full path in denser coordinates."""
+def conjugated_family(h: int):
+    """(spec, norden) of the family at h with its bracket scaled by 5/7, in
+    the seeded basis that keeps X1 and X_{h+1} and changes both
+    (X2, ..., Xh) and (X_{h+2}, ..., X_2h) by one unimodular matrix. The
+    change commutes with J and maps span(X2, ..., X_2h) onto itself, so the
+    block (the span of every field but X1) is the same radical-transversal
+    hyperplane and runs the full path in denser coordinates."""
     from nordenlight.manifold_file import lie_algebra_spec, norden_from_file, parse_manifold_file
 
     n = 2 * h
@@ -1336,15 +1413,61 @@ def conjugated_family_text(h: int) -> str:
     spec, ns, _ = conjugate_instance(
         scale_brackets(lie_algebra_spec(mf), F(5, 7)), norden_from_file(mf), s, ()
     )
+    return spec, ns
+
+
+def conjugated_family_text(h: int) -> str:
+    """`conjugated_family(h)` as `.mf` text with its one block."""
+    spec, ns = conjugated_family(h)
+    return instance_text(spec, ns, [("assoc", range(2, 2 * h + 1))])
+
+
+def invalid_family_text(cause: str, h: int = 3) -> str:
+    """The family at h broken in one known way, so that validation rejects
+    it with exit 3; the causes are those of the benchmark's invalid inputs.
+    "j_scaled" (J -> 2J, so J^2 = -4 I), "metric_scaled" (g(X1, X1)
+    doubled: no anti-isometry) and "jacobi" ([X2, X_{h+2}] = X1) break
+    `conjugated_family(h)`; "kaehler" swaps J X1 = X_{h+2} and
+    J X2 = X_{h+1} in the family as written, an anti-isometry with
+    J^2 = -I that is not parallel."""
+    n = 2 * h
+    if cause == "kaehler":
+        swapped = {1: f"{h + 2}:1", 2: f"{h + 1}:1", h + 1: "2:-1", h + 2: "1:-1"}
+        lines = [
+            f"J {int(line.split()[1])} = {swapped[int(line.split()[1])]}"
+            if line.startswith("J ") and int(line.split()[1]) in swapped
+            else line
+            for line in family_text(h).splitlines()
+        ]
+        return "\n".join(lines) + "\n"
+    spec, ns = conjugated_family(h)
+    if cause == "j_scaled":
+        ns = norden_structure(ns.g, tuple(tuple(2 * x for x in row) for row in ns.j))
+    elif cause == "metric_scaled":
+        g = [list(row) for row in ns.g]
+        g[0][0] *= 2
+        ns = norden_structure(g, ns.j)
+    elif cause == "jacobi":
+        c = [[list(row) for row in plane] for plane in nested(spec.brackets)]
+        c[1][h + 1][0], c[h + 1][1][0] = F(1), F(-1)
+        brackets = DenseTensor.from_entries((n, n, n), chain.from_iterable(chain.from_iterable(c)))
+        spec = LieAlgebraSpec(n, spec.basis_labels, brackets)
+    else:
+        raise ValueError(f"unknown cause {cause!r}")
     return instance_text(spec, ns, [("assoc", range(2, n + 1))])
+
+
+INVALID_CAUSES = ("j_scaled", "metric_scaled", "jacobi", "kaehler")
 
 
 def golden_corpus() -> list[tuple[str, str]]:
     """(name, `.mf` text) of the inputs whose report digests are pinned in
     tests/golden/report_digests.json: both fixtures, the family at h = 2-6
     as written and conjugated, one input failing validation (a bracket that
-    breaks Jacobi) and one with four blocks (full path, nondegenerate, not a
-    subalgebra, not umbilical)."""
+    breaks Jacobi), one with four blocks (full path, nondegenerate, not a
+    subalgebra, not umbilical), the family at h = 8 (dim 16, `MAX_DIM`) as
+    written and conjugated, and one input for each cause of
+    `invalid_family_text`."""
     from pathlib import Path
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1363,6 +1486,9 @@ def golden_corpus() -> list[tuple[str, str]]:
         + f"HYPERSURFACE metric=assoc span={spans[2]}\n"
         + f"HYPERSURFACE metric=assoc span={spans[4]}\n",
     ))
+    corpus.append(("family_h8", family_text(8)))
+    corpus.append(("family_h8_conjugated", conjugated_family_text(8)))
+    corpus += [(f"invalid_{cause}_h3", invalid_family_text(cause)) for cause in INVALID_CAUSES]
     return corpus
 
 

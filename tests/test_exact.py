@@ -8,7 +8,6 @@ import pytest
 from nordenlight.exact import (
     DenseTensor,
     ShapeError,
-    first_difference,
     fit_tables,
     format_rational,
     int_matmul,
@@ -21,6 +20,7 @@ from nordenlight.exact import (
 )
 from helpers import (
     echelon_fit,
+    flat_lattice,
     mat_rank,
     mat_mul,
     tensor_contract,
@@ -236,7 +236,7 @@ class TestLattice:
 
     def test_from_lattice_cancels_to_the_entry_table(self):
         t = DenseTensor.from_lattice((2, 2), [4, -6, 0, 8], 12)
-        assert (t.nums, t.den) == ((2, -3, 0, 4), 6)
+        assert (t.offsets, t.nums, t.den) == ((0, 1, 3), (2, -3, 4), 6)
         assert t.entries == (F(1, 3), F(-1, 2), F(0), F(2, 3))
         assert t.lattice() == (((2, -3), (0, 4)), 6)
         assert DenseTensor.from_entries(t.dims, t.entries) == t
@@ -261,10 +261,28 @@ class TestLattice:
             dims = tuple(rng.randint(1, 4) for _ in range(1 + trial % 4))
             entries = self.random_entries(rng, dims, "zero" if trial % 7 == 0 else "random")
             t = DenseTensor.from_entries(dims, entries)
+            nums, _ = flat_lattice(t)
             den = t.den * rng.randint(1, 6)
-            scaled = DenseTensor.from_lattice(dims, [x * den // t.den for x in t.nums], den)
+            factor = den // t.den
+            scaled = DenseTensor.from_lattice(dims, [x * factor for x in nums], den)
             assert scaled == t and hash(scaled) == hash(t), trial
+            # the row constructor, with its rows in random order and zero
+            # rows and entries among them, and the direct one
+            width = dims[-1]
+            rows = [
+                (r, [x * factor for x in nums[r * width : (r + 1) * width]])
+                for r in range(len(nums) // width)
+            ]
+            rows = [(r, row) for r, row in rows if any(row) or rng.random() < 0.3]
+            rng.shuffle(rows)
+            for other in (
+                DenseTensor.from_rows(dims, dict(rows), den),
+                DenseTensor(dims, t.offsets, t.nums, t.den),
+            ):
+                assert other == t and hash(other) == hash(t), trial
             assert t.den > 0 and gcd(t.den, *t.nums) == 1
+            assert t.offsets == tuple(k for k, x in enumerate(entries) if x)
+            assert 0 not in t.nums
             assert t.entries == tuple(entries)
             expected = [(ix, x) for ix, x in zip(product(*map(range, dims)), entries) if x != 0]
             assert list(t.nonzero()) == expected
@@ -283,13 +301,28 @@ class TestLattice:
                 t[(0,) * (len(dims) + 1)]
 
     def test_direct_construction_must_be_canonical(self):
-        assert DenseTensor((2,), (1, -3), 2).entries == (F(1, 2), F(-3, 2))
-        assert DenseTensor((2, 1), (0, 0), 1).is_zero()
-        for nums, den in (((2, 4), 6), ((0, 0), 7), ((1, 2), 0), ((1, 2), -1), ((-1, 2), -3)):
+        assert DenseTensor((2,), (0, 1), (1, -3), 2).entries == (F(1, 2), F(-3, 2))
+        assert DenseTensor((3,), (2,), (5,), 1).entries == (F(0), F(0), F(5))
+        assert DenseTensor((2, 1), (), (), 1).is_zero()
+        for offsets, nums, den in (
+            ((1, 0), (1, 2), 1),  # unsorted
+            ((1, 1), (1, 2), 1),  # duplicated
+            ((0, 2), (1, 2), 1),  # past the end
+            ((-1, 0), (1, 2), 1),  # before the start
+            ((0, 1), (1, 0), 1),  # a stored zero
+            ((), (), 7),  # all zero, not over 1
+            ((0, 1), (2, 4), 6),  # common factor
+            ((0, 1), (1, 2), 0),
+            ((0, 1), (1, 2), -1),
+            ((0, 1), (-1, 2), -3),
+        ):
             with pytest.raises(ValueError):
-                DenseTensor((2,), nums, den)
+                DenseTensor((2,), offsets, nums, den)
         with pytest.raises(ShapeError):
-            DenseTensor((2, 2), (1, 2, 3), 1)
+            DenseTensor((2, 2), (0, 1, 2), (1, 2), 1)
+        for nums in ((1, 2, 3), (1, 2, 3, 4, 0)):
+            with pytest.raises(ShapeError):
+                DenseTensor.from_lattice((2, 2), nums, 1)
 
     def test_round_trip_and_arithmetic_random(self):
         rng = random.Random(23)
@@ -312,17 +345,14 @@ class TestLattice:
         rows, den = lattice_rows(((F(1, 2), F(0)), (F(0), F(0)), (F(1), F(-1, 4))))
         assert (rows, den) == (((2, 0), (0, 0), (4, -1)), 4)
         b = ((1, 2), (3, 4))
-        assert int_matmul(rows, tuple(zip(*b))) == ((2, 4), (0, 0), (1, 4))
+        assert int_matmul(rows, b) == ((2, 4), (0, 0), (1, 4))
 
     def test_first_difference_is_row_major(self):
         a = (F(1), F(2), F(3), F(4))
-        assert first_difference((2, 2), a, a) is None
-        assert first_difference((2, 2), a, (F(1), F(2), F(0), F(0))) == ((2, 1), F(3), F(0))
-
-
-def fit(columns, rhs):
-    """`fit_tables` on the lattice views of DenseTensor columns and rhs."""
-    return fit_tables([t.flat_lattice() for t in columns], rhs.flat_lattice())
+        t = DenseTensor.from_entries((2, 2), a)
+        assert t.difference(t) is None
+        other = DenseTensor.from_entries((2, 2), (F(1), F(2), F(0), F(0)))
+        assert t.difference(other) == ((2, 1), F(3), F(0))
 
 
 class TestFitTables:
@@ -357,7 +387,7 @@ class TestFitTables:
                 entries = list(rhs.entries)
                 entries[rng.randrange(len(entries))] += F(rng.choice([-1, 1]), rng.randint(1, 3))
                 rhs = DenseTensor.from_entries(dims, entries)
-            sol = fit(columns, rhs)
+            sol = fit_tables(columns, rhs)
             assert sol == echelon_fit(columns, rhs), trial
             kinds.add(sol.kind)
         assert kinds == {"unique", "parametric", "infeasible"}
@@ -375,8 +405,8 @@ class TestFitTables:
             ((lead, late), tensor_add(tensor_add(lead, tensor_scale(late, 3)), second), "infeasible"),
             ((lead, tensor_scale(lead, 2)), tensor_scale(lead, 5), "parametric"),
         ):
-            sol = fit(columns, rhs)
+            sol = fit_tables(columns, rhs)
             assert sol.kind == kind
             assert sol == echelon_fit(columns, rhs)
         with pytest.raises(ShapeError):
-            fit((zero,), tensor_zeros((3, 3)))
+            fit_tables((zero,), tensor_zeros((3, 3)))

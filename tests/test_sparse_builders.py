@@ -18,9 +18,8 @@ from itertools import product
 import pytest
 
 from helpers import (
-    conjugated_family_text,
+    INVALID_CAUSES,
     family_member,
-    family_text,
     golden_corpus,
     reference_associated_table,
     reference_curvature,
@@ -47,16 +46,14 @@ from nordenlight.manifold_file import (
 )
 from nordenlight.symmetry import induced_curvature_gauss
 
-INPUTS = [name for name, _ in golden_corpus() if name != "jacobi_broken_h3"]
-INPUTS += ["family_h8", "family_h8_conjugated", "family_member_conjugated"]
+INVALID = {"jacobi_broken_h3"} | {f"invalid_{cause}_h3" for cause in INVALID_CAUSES}
+INPUTS = [name for name, _ in golden_corpus() if name not in INVALID]
+INPUTS += ["family_member_conjugated"]
 
 
 @cache
 def texts():
-    corpus = dict(golden_corpus())
-    corpus["family_h8"] = family_text(8)
-    corpus["family_h8_conjugated"] = conjugated_family_text(8)
-    return corpus
+    return dict(golden_corpus())
 
 
 @cache
