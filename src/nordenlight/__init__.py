@@ -32,7 +32,6 @@ from .exact import (
     LinearSolution,
     Rational,
     format_rational,
-    kernel_basis,
     parse_rational,
     solve_affine,
 )

@@ -37,7 +37,6 @@ from math import lcm
 from .errors import InternalInconsistency, ValidationFailure
 from .exact import (
     DenseTensor,
-    Matrix,
     RowIndex,
     add_row,
     fit_tables,
@@ -45,13 +44,9 @@ from .exact import (
     int_bilinear,
     int_matmul,
     lattice_combination,
-    lattice_rows,
-    lattice_vector,
-    mat,
     mat_inverse,
     nonzero_rows,
     row_index,
-    rational_rows,
     signature,
 )
 
@@ -87,13 +82,14 @@ class LieAlgebraSpec:
 @dataclass(frozen=True)
 class NordenStructure:
     """Metric table g, complex structure J (column k holds the coordinates of
-    J X_k), and the derived associated metric g_assoc(X, Y) = g(JX, Y)."""
+    J X_k), and the derived associated metric g_assoc(X, Y) = g(JX, Y), as
+    n x n tables."""
 
-    g: Matrix
-    j: Matrix
-    g_assoc: Matrix
+    g: DenseTensor
+    j: DenseTensor
+    g_assoc: DenseTensor
 
-    def metric(self, which: str) -> Matrix:
+    def metric(self, which: str) -> DenseTensor:
         if which == "principal":
             return self.g
         if which == "associated":
@@ -101,49 +97,33 @@ class NordenStructure:
         raise ValueError(f"unknown metric selector {which!r}")
 
     @cached_property
-    def _lattices(self) -> dict[str, tuple[tuple[tuple[int, ...], ...], int]]:
-        return {
-            "j": lattice_rows(self.j),
-            "principal": lattice_rows(self.g),
-            "associated": lattice_rows(self.g_assoc),
-        }
-
-    def lattice(self, which: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(int rows, den) of J (which = "j") or of `metric(which)`. Built on
-        first use and memoized per instance like `DenseTensor.lattice()`."""
-        if which not in self._lattices:
-            raise ValueError(f"unknown metric selector {which!r}")
-        return self._lattices[which]
-
-    @cached_property
     def operands(self) -> dict[str, RowIndex]:
         """The right operands of `int_matmul` that the products below reuse:
         the rows J X_a ("jt") and the rows of each metric."""
+        n = self.g.dims[0]
         return {
-            "jt": row_index(tuple(zip(*self.lattice("j")[0]))),
-            "principal": row_index(self.lattice("principal")[0]),
-            "associated": row_index(self.lattice("associated")[0]),
+            "jt": row_index(tuple(zip(*self.j.lattice()[0]))),
+            "principal": RowIndex(self.g.rows, n),
+            "associated": RowIndex(self.g_assoc.rows, n),
         }
 
     def apply_j_rows(self, vectors):
         """J applied to every row of an int table of ambient vectors, both
         given as (rows, den)."""
         rows, den = vectors
-        return int_matmul(rows, self.operands["jt"]), den * self.lattice("j")[1]
+        return int_matmul(rows, self.operands["jt"]), den * self.j.den
 
     def pairings(self, which: str, u, v):
         """(rows, den) of the pairings <u_a, v_b> in `metric(which)` for int
         tables of ambient vectors u and v given as (rows, den)."""
-        g, dg = self.lattice(which)
-        return int_bilinear(u[0], self.operands[which], v[0]), u[1] * dg * v[1]
+        den = u[1] * self.metric(which).den * v[1]
+        return int_bilinear(u[0], self.operands[which], v[0]), den
 
 
-def norden_structure(g_rows, j_rows) -> NordenStructure:
-    g = mat(g_rows)
-    j = mat(j_rows)
-    (gi, dg), (ji, dj) = lattice_rows(g), lattice_rows(j)
+def norden_structure(g: DenseTensor, j: DenseTensor) -> NordenStructure:
+    (gi, dg), (ji, dj) = g.lattice(), j.lattice()
     # row i of J^T G: g_assoc[i][k] = sum_q j[q][i] g[q][k]
-    g_assoc = rational_rows(int_matmul(tuple(zip(*ji)), gi), dj * dg)
+    g_assoc = DenseTensor.from_rows(g.dims, int_matmul(tuple(zip(*ji)), gi), dj * dg)
     return NordenStructure(g=g, j=j, g_assoc=g_assoc)
 
 
@@ -203,8 +183,8 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
     symmetry, nondegeneracy, neutral signature (n, n), and symmetry of the
     derived associated metric."""
     n = spec.dim
-    g, dg = ns.lattice("principal")
-    j, dj = ns.lattice("j")
+    g, dg = ns.g.lattice()
+    j, dj = ns.j.lattice()
     checks = []
 
     w = next(((i + 1, k + 1) for i in range(n) for k in range(i + 1, n) if g[i][k] != g[k][i]), None)
@@ -228,12 +208,12 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
         w = (i + 1, k + 1)
     checks.append(Check("metric_anti_isometry", w is None, w, detail))
 
-    pos, neg, zero = signature(g)
+    pos, neg, zero = signature(ns.g)
     checks.append(Check("metric_nondegenerate", zero == 0, None if zero == 0 else (zero,)))
     neutral = zero == 0 and pos == neg == n // 2
     checks.append(Check("metric_signature_neutral", neutral, None if neutral else (pos, neg)))
 
-    ga, _ = ns.lattice("associated")
+    ga, _ = ns.g_assoc.lattice()
     w = next(
         ((i + 1, k + 1) for i in range(n) for k in range(i + 1, n) if ga[i][k] != ga[k][i]), None
     )
@@ -245,7 +225,7 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
 # connection and curvature
 
 
-def koszul_connection(spec: LieAlgebraSpec, metric: Matrix) -> DenseTensor:
+def koszul_connection(spec: LieAlgebraSpec, metric: DenseTensor) -> DenseTensor:
     """Connection table of the Levi-Civita connection of a left-invariant
     metric, solved exactly from the Koszul formula
 
@@ -255,8 +235,8 @@ def koszul_connection(spec: LieAlgebraSpec, metric: Matrix) -> DenseTensor:
     so no derivative terms appear. Table layout: D_{X_i} X_j = sum_k t[i,j,k] X_k.
     """
     n = spec.dim
-    g, dg = lattice_rows(metric)
-    ginv, di = lattice_rows(mat_inverse(metric))
+    g, dg = metric.lattice()
+    ginv, di = mat_inverse(metric).lattice()
     # row a * n + b of bg is <[X_a, X_b], X_k> over dc * dg, from the
     # nonzero brackets; each entry enters the right-hand side
     # <[X_i,X_j],X_k> + <[X_k,X_i],X_j> + <[X_k,X_j],X_i> of row i * n + j
@@ -291,8 +271,8 @@ class KaehlerCheck:
 
 def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor) -> KaehlerCheck:
     n = spec.dim
-    j, dj = ns.lattice("j")
-    _, dg = ns.lattice("principal")
+    j, dj = ns.j.lattice()
+    dg = ns.g.den
     jt = tuple(zip(*j))  # row a holds J X_a
     diff = {}
     for i in range(n):
@@ -311,9 +291,9 @@ def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor)
 
     phi_table = None
     phi_agrees = None
-    ga, _ = ns.lattice("associated")
+    ga, _ = ns.g_assoc.lattice()
     symmetric = all(ga[i][k] == ga[k][i] for i in range(n) for k in range(n))
-    if symmetric and signature(ga)[2] == 0:
+    if symmetric and signature(ns.g_assoc)[2] == 0:
         gamma_assoc = koszul_connection(spec, ns.g_assoc)
         phi_table = lattice_combination(gamma_assoc, gamma, -1)
         phi_agrees = phi_table.is_zero() == is_kaehler
@@ -357,16 +337,15 @@ def curvature(
                 add_row(rows, r * n + k, -f_bracket, sl)
     dims = (n, n, n, n)
     r13 = DenseTensor.from_rows(dims, rows, den)
-    _, dg = ns.lattice("principal")
     r04 = int_matmul(r13.rows, ns.operands["principal"])
-    return r13, DenseTensor.from_rows(dims, r04, r13.den * dg)
+    return r13, DenseTensor.from_rows(dims, r04, r13.den * ns.g.den)
 
 
 # ---------------------------------------------------------------------------
 # curvature-type tensors and the constant-curvature fit
 
 
-def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
+def pi_tensors(g: DenseTensor, j: DenseTensor) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
     """The three curvature-type tensors built from a metric g and J:
 
         pi1(X,Y,Z,W) = g(Y,Z)g(X,W) - g(X,Z)g(Y,W)
@@ -380,9 +359,9 @@ def pi_tensors(g: Matrix, j: Matrix) -> tuple[DenseTensor, DenseTensor, DenseTen
     from pairs of nonzero entries of g and gJ, each pair written at both
     slot orders.
     """
-    n = len(g)
-    g, dg = lattice_rows(g)
-    j, dj = lattice_rows(j)
+    n = g.dims[0]
+    g, dg = g.lattice()
+    j, dj = j.lattice()
     gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
 
     # row (a * n + b) * n + k holds the entries at (X, Y, Z) = (a, b, k)
@@ -426,7 +405,7 @@ def verify_pi_assoc_relations(
     for name, own, table, other in (
         ("pi1", a1, pi2, "pi2"),
         ("pi2", a2, pi1, "pi1"),
-        ("pi3", a3, _negated(pi3), "-pi3"),
+        ("pi3", a3, -pi3, "-pi3"),
     ):
         # both sides are in lowest terms, so equal tables have equal fields
         if own != table:
@@ -435,10 +414,6 @@ def verify_pi_assoc_relations(
                 f"associated {name} does not equal {other} at ({','.join(map(str, index))}): "
                 f"associated {name} {format_rational(x)}, {other} {format_rational(y)}"
             )
-
-
-def _negated(t: DenseTensor) -> DenseTensor:
-    return DenseTensor(t.dims, t.offsets, tuple(-x for x in t.nums), t.den)
 
 
 @dataclass(frozen=True)
@@ -451,10 +426,9 @@ class TrscStatus:
     degenerate: bool = False
 
 
-def constant_trsc(
-    r04: DenseTensor, pi1: DenseTensor, pi2: DenseTensor, pi3: DenseTensor
-) -> TrscStatus:
-    """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component.
+def constant_trsc(r04: DenseTensor, columns: tuple[DenseTensor, DenseTensor]) -> TrscStatus:
+    """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component,
+    on the fit columns (pi1 - pi2, pi3).
 
     A unique solution means both totally real sectional curvatures are
     constant; an infeasible system means they are not. A parametric fit (the
@@ -462,10 +436,10 @@ def constant_trsc(
     constant with the canonical representative and a degeneracy mark, never
     silently resolved.
     """
-    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3), r04)
+    sol = fit_tables(columns, r04)
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
-    nu, nu_assoc = sol.particular
+    nu, nu_assoc = sol.particular.entries
     return TrscStatus("constant", nu, nu_assoc, degenerate=sol.kind == "parametric")
 
 
@@ -483,9 +457,7 @@ class AssociatedCurvature:
 def associated_curvature(
     r04: DenseTensor,
     ns: NordenStructure,
-    pi1: DenseTensor,
-    pi2: DenseTensor,
-    pi3: DenseTensor,
+    columns: tuple[DenseTensor, DenseTensor],
     trsc: TrscStatus,
 ) -> AssociatedCurvature:
     """R~(X,Y,Z,W) = R(X,Y,Z,JW), refitted against the associated-metric
@@ -497,16 +469,15 @@ def associated_curvature(
     `constant_trsc`, pi1 - pi2 and pi3, against -R~: each of its rows is
     the negative of a row of the associated system, and a row scaled by -1
     leaves the picked rows, the RREF and so the solution unchanged."""
-    j, dj = ns.lattice("j")
-    n = r04.dims[-1]
+    j, dj = ns.j.lattice()
     # the last slot times J
     assoc = DenseTensor.from_rows(r04.dims, int_matmul(r04.rows, row_index(j)), r04.den * dj)
-    sol = fit_tables((lattice_combination(pi1, pi2, -1), pi3), _negated(assoc))
+    sol = fit_tables(columns, -assoc)
     if sol.kind == "infeasible":
         if trsc.kind == "constant":
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")
         return AssociatedCurvature(assoc, None, None, False)
-    nu_prime, nu_assoc_prime = sol.particular
+    nu_prime, nu_assoc_prime = sol.particular.entries
     if trsc.kind == "constant" and not trsc.degenerate:
         if nu_prime != -trsc.nu_assoc or nu_assoc_prime != trsc.nu:
             raise InternalInconsistency(
@@ -525,12 +496,11 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
     n = r13.dims[0]
     ric = ricci_trace(r13)
     if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
-        g, dg = ns.lattice("principal")
-        j, dj = ns.lattice("j")
-        (coeff,), dc = lattice_vector((-2 * (n // 2 - 1) * trsc.nu_assoc,))
+        (g, dg), (j, dj) = ns.g.lattice(), ns.j.lattice()
+        coeff = -2 * (n // 2 - 1) * trsc.nu_assoc
         gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
         expected = DenseTensor.from_lattice(
-            (n, n), (coeff * x for row in gj for x in row), dc * dg * dj
+            (n, n), (coeff.numerator * x for row in gj for x in row), coeff.denominator * dg * dj
         )
         # both tables are in lowest terms, so equal fields are equal entries
         if ric != expected:
@@ -604,8 +574,9 @@ def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> Ambient
     r13, r04 = curvature(spec, gamma, ns)
     pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
     verify_pi_assoc_relations(ns, pi1, pi2, pi3)
-    trsc = constant_trsc(r04, pi1, pi2, pi3)
-    assoc = associated_curvature(r04, ns, pi1, pi2, pi3, trsc)
+    columns = (lattice_combination(pi1, pi2, -1), pi3)
+    trsc = constant_trsc(r04, columns)
+    assoc = associated_curvature(r04, ns, columns, trsc)
     ricci = ambient_ricci(r13, ns, trsc)
     return AmbientGeometry(
         spec=spec,

@@ -1,21 +1,23 @@
 """Exact rational linear algebra and sparse component tables.
 
-Every verification path is exact: no floating point anywhere. Scalars at the
-boundaries (parsing, reported values, JSON) are `fractions.Fraction`:
-arbitrary precision, canonical gcd-reduced form, positive denominator. A
-component table, :class:`DenseTensor`, stores only its nonzero entries, as
-ascending row-major offsets and Python-int numerators over one common
-positive denominator in lowest terms, the lattice form the hot kernels
-compute in; its `Fraction` entries are built where a report, an error or a
-test reads them. This module is the only place that converts between the two
-forms. Every int matrix product runs through one row-wise sparse kernel,
-:func:`int_matmul`, and all row reduction is one fraction-free elimination
-on int rows, :class:`Echelon`, pivoting on the first nonzero entry in column
-order, so results are deterministic on every platform.
+Every verification path is exact: no floating point anywhere. Scalars (the
+curvature constants, rho, b, the Einstein coefficients) are
+`fractions.Fraction`: arbitrary precision, canonical gcd-reduced form,
+positive denominator. Every vector, matrix and component table passed
+between stages is a :class:`DenseTensor`, which stores only its nonzero
+entries, as ascending row-major offsets and Python-int numerators over one
+common positive denominator in lowest terms, the lattice form the kernels
+compute in. `DenseTensor.from_entries` is the one conversion from
+`Fraction`s (the parser's entries, and the scalars a kernel scales by), and
+the report renders numerators over the denominator with `format_ratio`; a
+table builds `Fraction` entries only where one is read by index, in an error
+message or a test. Every int matrix product runs through one row-wise sparse
+kernel, :func:`int_matmul`, and all row reduction is one fraction-free
+elimination on int rows, :class:`Echelon`, pivoting on the first nonzero
+entry in column order, so results are deterministic on every platform.
 
-Vectors are flat tuples, matrices are tuples of row tuples, and component
-tables of rank >= 2 use :class:`DenseTensor` (row-major, 0-based internally;
-all external formats are 1-based).
+Tables are row-major and 0-based internally; all external formats are
+1-based.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from operator import add, floordiv, itemgetter, lt, mod, mul, neg
 from typing import NamedTuple
 
 Rational = Fraction
-Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
 
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
@@ -65,43 +65,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_ratio(num: int, den: int) -> str:
+    """Serialize the rational num / den, for den > 0, as `format_rational`
+    does, after one gcd and without building a Fraction."""
+    common = gcd(num, den)
+    return str(num // common) if common == den else f"{num // common}/{den // common}"
+
+
 def rational_bits(value: Fraction) -> int:
     """Bit length of the larger of numerator and denominator (lowest terms)."""
     return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-
-
-# ---------------------------------------------------------------------------
-# vectors and matrices
-
-
-def vec(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def mat(rows) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def vec_is_zero(u) -> bool:
-    return all(a == 0 for a in u)
-
-
-def primitive_integer_vector(v: Vector) -> Vector:
-    """Rescale to coprime integer coordinates with positive leading nonzero."""
-    if vec_is_zero(v):
-        raise ValueError("zero vector has no primitive form")
-    denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = gcd(*(abs(x) for x in ints))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return vec(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +88,8 @@ class Echelon:
     pivot columns of the other rows. Each row is then the unique primitive
     multiple of a row of the rational RREF of the same row space, so entry
     sizes depend on the row space alone, not on the order of the rows. This
-    is the one elimination of the engine; `mat_inverse`, `kernel_basis` and
-    `solve_affine` are its Fraction-boundary wrappers."""
+    is the one elimination of the engine; `mat_inverse` and `solve_affine`
+    run on it."""
 
     def __init__(self, rows=()):
         self.rows: list[list[int]] = []
@@ -176,38 +149,19 @@ class Echelon:
         return basis
 
 
-def _int_rows(m) -> list[tuple[int, ...]]:
-    """Each row of a rational matrix scaled to ints by its own least common
-    denominator; row scaling changes no row space."""
-    return [lattice_vector(row)[0] for row in m]
-
-
-def mat_inverse(m) -> Matrix:
-    """Exact inverse of a square matrix; raises ShapeError when singular."""
-    n = len(m)
-    rows = []
-    for i, row in enumerate(m):
-        nums, den = lattice_vector(row)
-        rows.append(nums + tuple(den if j == i else 0 for j in range(n)))
-    basis = Echelon(rows)
+def mat_inverse(m: DenseTensor) -> DenseTensor:
+    """Exact inverse of a square table; raises ShapeError when singular. For
+    m = rows / den the echelon of [rows | I] is [P | P rows^-1] with P
+    diagonal, so row r of the inverse is den times its right half over its
+    pivot."""
+    rows, den = m.lattice()
+    n = len(rows)
+    basis = Echelon(row + tuple(int(j == i) for j in range(n)) for i, row in enumerate(rows))
     if basis.pivots != list(range(n)):
         raise ShapeError("matrix is singular")
-    return tuple(rational_vector(er[n:], er[r]) for r, er in enumerate(basis.rows))
-
-
-def kernel_basis(m) -> list[Vector]:
-    """Basis of the exact null space of a rectangular matrix.
-
-    Returned vectors are linearly independent and span the kernel; the list is
-    empty exactly when the matrix is injective. Deterministic: free columns in
-    ascending order, each basis vector has a 1 in its free column.
-    """
-    if not m:
-        raise ShapeError("kernel_basis needs at least one row")
-    ncols = len(m[0])
-    if any(len(r) != ncols for r in m):
-        raise ShapeError("matrix is not rectangular")
-    return [rational_vector(v, den) for v, den in Echelon(_int_rows(m)).kernel(ncols)]
+    common = lcm(*(er[r] for r, er in enumerate(basis.rows)))
+    inverse = [[x * den * (common // er[r]) for x in er[n:]] for r, er in enumerate(basis.rows)]
+    return DenseTensor.from_rows((n, n), inverse, common)
 
 
 @dataclass(frozen=True)
@@ -215,39 +169,42 @@ class LinearSolution:
     """Exact classification of an affine system a.x = b."""
 
     kind: str  # "unique" | "parametric" | "infeasible"
-    particular: Vector | None
-    nullspace: tuple[Vector, ...]
+    particular: DenseTensor | None
+    nullspace: tuple[DenseTensor, ...]
 
 
 def solve_affine(a, b) -> LinearSolution:
-    """Solve a.x = b exactly: unique, parametric (with nullspace), or infeasible."""
+    """Solve a.x = b exactly for an int matrix a and an int vector b (a
+    rational system with its rows scaled to ints): unique, parametric (with
+    a null space basis as in `Echelon.kernel`), or infeasible."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if len(b) != nrows:
         raise ShapeError("right-hand side length does not match row count")
     if not nrows:
         raise ShapeError("solve_affine needs at least one row")
-    basis = Echelon(_int_rows((*row, rhs) for row, rhs in zip(a, b)))
+    basis = Echelon((*row, rhs) for row, rhs in zip(a, b))
     if ncols in basis.pivots:
         return LinearSolution("infeasible", None, ())
-    x = [Fraction(0)] * ncols
+    den = lcm(*(er[p] for p, er in zip(basis.pivots, basis.rows)))
+    x = [0] * ncols
     for p, er in zip(basis.pivots, basis.rows):
-        x[p] = Fraction(er[ncols], er[p])
-    nullspace = tuple(rational_vector(v, den) for v, den in basis.kernel(ncols))
+        x[p] = er[ncols] * (den // er[p])
+    nullspace = tuple(DenseTensor.from_lattice((ncols,), v, d) for v, d in basis.kernel(ncols))
     kind = "unique" if not nullspace else "parametric"
-    return LinearSolution(kind, tuple(x), nullspace)
+    return LinearSolution(kind, DenseTensor.from_lattice((ncols,), x, den), nullspace)
 
 
-def signature(g) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix, by symmetric
-    elimination on int rows. A zero pivot is repaired by a congruence: a
-    later nonzero diagonal entry is swapped in, or else the first later
-    index j with a nonzero entry in the pivot row has its row and column
-    added (valid away from characteristic 2). Eliminating with pivot p
+def signature(g: DenseTensor) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric table, by symmetric
+    elimination on its int numerators. A zero pivot is repaired by a
+    congruence: a later nonzero diagonal entry is swapped in, or else the
+    first later index j with a nonzero entry in the pivot row has its row and
+    column added (valid away from characteristic 2). Eliminating with pivot p
     leaves |p| times the Schur complement, divided by its content: positive
     rescalings, so every later pivot keeps the sign it has over the
     rationals."""
-    m = [list(row) for row in lattice_rows(g)[0]]
+    m = [list(row) for row in g.lattice()[0]]
     n = len(m)
     pos = neg = 0
     while m:
@@ -278,31 +235,7 @@ def signature(g) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# lattice form: int numerators over one common positive denominator
-
-
-def lattice_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Int numerators of a matrix (or a tuple of vectors) over the least
-    common positive denominator of its entries."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
-
-
-def lattice_vector(v) -> tuple[tuple[int, ...], int]:
-    """Int numerators of a vector over the least common positive denominator
-    of its entries."""
-    (nums,), den = lattice_rows((v,))
-    return nums, den
-
-
-def rational_vector(nums, den: int) -> Vector:
-    """The rationals nums[i] / den."""
-    return tuple(Fraction(x, den) for x in nums)
-
-
-def rational_rows(rows, den: int) -> Matrix:
-    """The rational matrix rows[i][j] / den."""
-    return tuple(rational_vector(row, den) for row in rows)
+# sparse int products
 
 
 def nonzero_rows(rows) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -393,8 +326,9 @@ class DenseTensor:
     the table, no stored numerator is zero, den > 0 and gcd(den, *nums) ==
     1, so den is the least common denominator of the entries and equal
     fields mean equal tables; a table in any other form is rejected. Build
-    tables with `from_rows` or `from_lattice`, which cancel, or
-    `from_entries`. The read API (`entries`, indexing, `nonzero()`,
+    tables with `from_rows` or `from_lattice`, which cancel, or, from parsed
+    Fraction entries, `from_entries`. A vector is a rank-1 table and a
+    matrix a rank-2 one. The read API (`entries`, indexing, `nonzero()`,
     `lattice()`) shows the full table; Fraction entries are made only where
     they are read."""
 
@@ -419,9 +353,12 @@ class DenseTensor:
     @classmethod
     def from_rows(cls, dims, rows, den: int) -> "DenseTensor":
         """Table whose row r (the row-major offset of its leading indices)
-        is rows[r] / den, for int rows over the last slot (absent rows are
-        zero) and den > 0: the constructor of the tables accumulated from
-        nonzero entries. Zeros are dropped and common factors cancelled."""
+        is rows[r] / den, for int rows over the last slot given as a mapping
+        (absent rows are zero) or as a sequence of every row, and den > 0:
+        the constructor of the tables accumulated from nonzero entries and
+        of int matrices. Zeros are dropped and common factors cancelled."""
+        if not isinstance(rows, dict):
+            rows = dict(enumerate(rows))
         width = dims[-1]
         keys = sorted(rows)
         flat = list(chain.from_iterable(map(rows.__getitem__, keys)))
@@ -450,9 +387,14 @@ class DenseTensor:
 
     @classmethod
     def from_entries(cls, dims, entries) -> "DenseTensor":
-        """Table of the given row-major rational entries."""
-        (nums,), den = lattice_rows((tuple(entries),))
-        return cls.from_lattice(dims, nums, den)
+        """Table of the given row-major rational entries, over their least
+        common denominator."""
+        entries = tuple(entries)
+        den = lcm(*(x.denominator for x in entries))
+        return cls.from_lattice(dims, (x.numerator * (den // x.denominator) for x in entries), den)
+
+    def __neg__(self) -> "DenseTensor":
+        return DenseTensor(self.dims, self.offsets, tuple(map(neg, self.nums)), self.den)
 
     @property
     def rank(self) -> int:
@@ -564,6 +506,15 @@ class DenseTensor:
         return not self.nums
 
 
+def primitive_integer_vector(v: DenseTensor) -> DenseTensor:
+    """The vector rescaled to coprime integer coordinates with a positive
+    leading nonzero entry."""
+    if v.is_zero():
+        raise ValueError("zero vector has no primitive form")
+    content = gcd(*v.nums) if v.nums[0] > 0 else -gcd(*v.nums)
+    return DenseTensor(v.dims, v.offsets, tuple(x // content for x in v.nums), 1)
+
+
 def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> DenseTensor:
     """a + sign * b, from the nonzero entries of both tables."""
     if a.dims != b.dims:
@@ -595,7 +546,8 @@ def _combine(terms) -> dict[int, int]:
 def fit_tables(columns, rhs) -> LinearSolution:
     """Solve sum_j x_j columns[j] = rhs over every component of `DenseTensor`s
     of one shape, with the outcome `solve_affine` gives on all component
-    rows, reading nonzero entries only.
+    rows (each scaled by the common denominator of the tables), reading
+    nonzero entries only.
 
     Rows of the coefficient matrix independent of the earlier ones are
     picked in order on the numerators (scaling a column by its denominator
@@ -616,15 +568,15 @@ def fit_tables(columns, rhs) -> LinearSolution:
             if len(picked) == len(columns):
                 break
     picked = picked or [0]
+    den = lcm(rhs.den, *(col.den for col in columns))
     sol = solve_affine(
-        [tuple(Fraction(col.num(i), col.den) for col in columns) for i in picked],
-        [Fraction(rhs.num(i), rhs.den) for i in picked],
+        [[col.num(i) * (den // col.den) for col in columns] for i in picked],
+        [rhs.num(i) * (den // rhs.den) for i in picked],
     )
     if sol.kind == "infeasible":
         return sol
-    x, dx = lattice_vector(sol.particular)
-    den = lcm(*(col.den for col in columns))
-    terms = [(col, xj * (den // col.den) * rhs.den) for col, xj in zip(columns, x)]
-    if any(_combine(terms + [(rhs, -dx * den)]).values()):
+    x, dx = sol.particular.lattice()
+    terms = [(col, xj * (den // col.den)) for col, xj in zip(columns, x)]
+    if any(_combine(terms + [(rhs, -dx * (den // rhs.den))]).values()):
         return LinearSolution("infeasible", None, ())
     return sol

@@ -33,58 +33,42 @@ from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
     Echelon,
-    Matrix,
     RowIndex,
     ShapeError,
-    Vector,
     fit_tables,
     int_matmul,
-    lattice_rows,
-    lattice_vector,
     mat_inverse,
     primitive_integer_vector,
-    rational_rows,
-    rational_vector,
     row_index,
-    unit_vector,
-    vec_is_zero,
 )
 
 
 @dataclass(frozen=True)
 class HypersurfaceSpec:
-    """A codimension-1 span of ambient vectors plus the metric that induces
-    the geometry on it. The optional xi hint fixes the gauge of the radical
-    section; it must lie on the radical line."""
+    """A codimension-1 span of ambient vectors (the rows of `span`) plus the
+    metric that induces the geometry on it. The optional xi hint fixes the
+    gauge of the radical section; it must lie on the radical line."""
 
-    span: tuple[Vector, ...]
+    span: DenseTensor
     inducing_metric: str  # "principal" | "associated"
-    xi_hint: Vector | None = None
+    xi_hint: DenseTensor | None = None
 
 
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "nondegenerate" | "lightlike"
-    gram: Matrix
-    radical_span_coords: Vector | None
-    radical_ambient: Vector | None
-    normal_direction: Vector | None  # raw (not normalized) for the nondegenerate case
+    gram: DenseTensor
+    radical_span_coords: DenseTensor | None
+    radical_ambient: DenseTensor | None
+    normal_direction: DenseTensor | None  # raw (not normalized) for the nondegenerate case
 
 
 @dataclass(frozen=True)
 class FrameLattice:
-    """Int forms of a frame's tables as (int rows or vector, den) pairs, and
-    the right operands of the frame's `int_matmul` products as `RowIndex`es,
-    built once per frame: the span rows and the screen rows (over the span
-    denominator), and the transposes of `inverse` and `inner` (over their
-    denominators)."""
+    """The right operands of a frame's `int_matmul` products, built once per
+    frame: the span rows and the screen rows (over the span denominator),
+    and the transposes of the frame's `inverse` and `inner` tables."""
 
-    span: tuple  # rows: the span vectors in ambient coordinates
-    inverse: tuple  # row r gives the r-th frame coordinate (span, then N)
-    inner: tuple  # row r gives the r-th coordinate along screen, then xi
-    transversal: tuple  # one row: N
-    xi_span: tuple  # span coordinates of the radical section
-    eta: tuple
     span_index: RowIndex
     screen_index: RowIndex
     inverse_index: RowIndex
@@ -95,88 +79,92 @@ class FrameLattice:
 class LightlikeFrame:
     """A lightlike frame. It owns its exact decomposition: ambient vectors
     split along span + transversal, span coordinates along screen + radical.
-    The decomposition works on whole int tables given as (rows, den)."""
+    The decomposition works on whole int tables given as (rows, den). The
+    derived tables are built on first use and memoized per instance (the
+    memos are not dataclass fields, so equality and repr ignore them and
+    dataclasses.replace starts fresh ones)."""
 
-    span: tuple[Vector, ...]
+    span: DenseTensor  # row a: E_a
     inducing_metric: str
-    xi: Vector
-    transversal: Vector
+    xi: DenseTensor
+    transversal: DenseTensor
     screen_indices: tuple[int, ...]  # positions inside span
-    screen: tuple[Vector, ...]
-    eta: tuple[Fraction, ...]  # eta(E_a) = <E_a, N> over the span basis
+    screen: DenseTensor  # the span rows at screen_indices
+    eta: DenseTensor  # eta(E_a) = <E_a, N> over the span basis
     b: Fraction | None = None
 
     @cached_property
-    def lattice(self) -> FrameLattice:
-        """The int forms, built on first use and memoized per instance (the
-        memo is not a dataclass field, so equality and repr ignore it and
-        dataclasses.replace starts a fresh one)."""
-        m = len(self.span)
-        n = len(self.xi)
-        full_cols = list(self.span) + [self.transversal]
-        full = tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n))
+    def inverse(self) -> DenseTensor:
+        """Row r gives the r-th frame coordinate (span, then N) of an
+        ambient vector: the inverse of the matrix whose columns are the span
+        vectors and N."""
+        span, ds = self.span.lattice()
+        tr, dn = self.transversal.lattice()
+        full = [[x * dn for x in col] + [y * ds] for col, y in zip(zip(*span), tr)]
         try:
-            full_inv = mat_inverse(full)
+            return mat_inverse(DenseTensor.from_rows((len(tr), len(tr)), full, ds * dn))
         except ShapeError as exc:  # singular: span + transversal must frame the algebra
             raise InternalInconsistency("hypersurface basis and transversal do not frame the algebra") from exc
-        coords = tuple(sum(full_inv[r][q] * self.xi[q] for q in range(n)) for r in range(m + 1))
-        if coords[m] != 0:
-            raise InternalInconsistency("radical section has a transversal component")
-        xi_span = coords[:m]
-        inner_cols = [unit_vector(m, i) for i in self.screen_indices] + [xi_span]
-        inner = tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m))
-        span = lattice_rows(self.span)
-        inverse, inner = lattice_rows(full_inv), lattice_rows(mat_inverse(inner))
-        return FrameLattice(
-            span=span,
-            inverse=inverse,
-            inner=inner,
-            transversal=lattice_rows((self.transversal,)),
-            xi_span=lattice_vector(xi_span),
-            eta=lattice_vector(self.eta),
-            span_index=row_index(span[0]),
-            screen_index=row_index(tuple(span[0][i] for i in self.screen_indices)),
-            inverse_index=row_index(tuple(zip(*inverse[0]))),
-            inner_index=row_index(tuple(zip(*inner[0]))),
-        )
 
-    @property
-    def xi_span(self) -> Vector:
+    @cached_property
+    def xi_span(self) -> DenseTensor:
         """Span coordinates of the radical section."""
-        return rational_vector(*self.lattice.xi_span)
+        m = self.span.dims[0]
+        x, dx = self.xi.lattice()
+        coords = int_matmul(self.inverse.lattice()[0], tuple((y,) for y in x))
+        if coords[m][0]:
+            raise InternalInconsistency("radical section has a transversal component")
+        return DenseTensor.from_lattice((m,), (row[0] for row in coords[:m]), self.inverse.den * dx)
+
+    @cached_property
+    def inner(self) -> DenseTensor:
+        """Row r gives the r-th coordinate along screen, then xi, of span
+        coordinates: the inverse of the matrix whose columns are the screen
+        unit vectors and xi_span."""
+        x, dx = self.xi_span.lattice()
+        unit = {idx: pos for pos, idx in enumerate(self.screen_indices)}
+        cols = len(self.screen_indices)
+        rows = [[dx * (unit.get(r) == c) for c in range(cols)] + [y] for r, y in enumerate(x)]
+        return mat_inverse(DenseTensor.from_rows((len(x), len(x)), rows, dx))
+
+    @cached_property
+    def lattice(self) -> FrameLattice:
+        """The product operands of the decomposition below."""
+        span, _ = self.span.lattice()
+        return FrameLattice(
+            span_index=RowIndex(self.span.rows, self.span.dims[1]),
+            screen_index=row_index(tuple(span[i] for i in self.screen_indices)),
+            inverse_index=row_index(tuple(zip(*self.inverse.lattice()[0]))),
+            inner_index=row_index(tuple(zip(*self.inner.lattice()[0]))),
+        )
 
     def to_ambient(self, coords):
         """Ambient vectors of rows of span coordinates."""
         rows, den = coords
-        lat = self.lattice
-        return int_matmul(rows, lat.span_index), den * lat.span[1]
+        return int_matmul(rows, self.lattice.span_index), den * self.span.den
 
     def screen_to_ambient(self, coords):
         """Ambient vectors of rows of screen coordinates."""
         rows, den = coords
-        lat = self.lattice
-        return int_matmul(rows, lat.screen_index), den * lat.span[1]
+        return int_matmul(rows, self.lattice.screen_index), den * self.span.den
 
     def frame_coords(self, vectors):
         """Rows of ambient vectors split along span + transversal: each row
         holds the span coordinates, then the transversal coefficient."""
         rows, den = vectors
-        lat = self.lattice
-        return int_matmul(rows, lat.inverse_index), den * lat.inverse[1]
+        return int_matmul(rows, self.lattice.inverse_index), den * self.inverse.den
 
     def screen_coords(self, coords):
         """Rows of span coordinates split along screen + radical: each row
         holds the screen coordinates, then the xi coefficient."""
         rows, den = coords
-        lat = self.lattice
-        return int_matmul(rows, lat.inner_index), den * lat.inner[1]
+        return int_matmul(rows, self.lattice.inner_index), den * self.inner.den
 
     def p_projection(self):
         """Span coordinates of the screen projections P E_a, one row per
         basis field: P E_a = E_a - eta(E_a) xi."""
-        lat = self.lattice
-        eta, de = lat.eta
-        xi, dx = lat.xi_span
+        eta, de = self.eta.lattice()
+        xi, dx = self.xi_span.lattice()
         one = de * dx
         return tuple(
             tuple((one if q == a else 0) - ea * x for q, x in enumerate(xi)) for a, ea in enumerate(eta)
@@ -187,13 +175,13 @@ class LightlikeFrame:
 class SecondFundamental:
     """Tables over the hypersurface basis (and the screen, for C)."""
 
-    b_form: Matrix  # B(E_a, E_b)
-    c_form: Matrix  # C(E_a, W_w), second slot restricted to the screen
-    a_star_xi: tuple[Vector, ...]  # span coords of the xi-shape operator image
-    a_n: tuple[Vector, ...]  # span coords of the N-shape operator image
-    tau: tuple[Fraction, ...]
+    b_form: DenseTensor  # B(E_a, E_b)
+    c_form: DenseTensor  # C(E_a, W_w), second slot restricted to the screen
+    a_star_xi: DenseTensor  # row a: span coords of the xi-shape operator image of E_a
+    a_n: DenseTensor  # row a: span coords of the N-shape operator image of E_a
+    tau: DenseTensor
     induced_gamma: DenseTensor  # D_{E_a} E_b inside the hypersurface
-    nabla_star: tuple[tuple[Vector, ...], ...]  # screen coords of the screen connection
+    nabla_star: DenseTensor  # [a][w][v]: screen coords of the screen connection of W_w along E_a
     rho: Fraction | None = None
 
 
@@ -202,7 +190,7 @@ class RTCheck:
     is_radical_transversal: bool
     b: Fraction | None
     screen_holomorphic: bool
-    j_xi: Vector
+    j_xi: DenseTensor
 
 
 @dataclass(frozen=True)
@@ -210,7 +198,7 @@ class UmbilicalResult:
     umbilical: bool
     rho: Fraction | None
     witness_index: int | None  # basis position whose shape image breaks proportionality
-    witness_image: Vector | None  # ambient coordinates of that image
+    witness_image: DenseTensor | None  # ambient coordinates of that image
 
 
 def validate_span(hs: HypersurfaceSpec, amb: AmbientGeometry) -> None:
@@ -219,9 +207,9 @@ def validate_span(hs: HypersurfaceSpec, amb: AmbientGeometry) -> None:
     echelon is taken once, and the brackets of all span pairs, formed in
     staged products, are reduced against it."""
     n = amb.spec.dim
-    if len(hs.span) != n - 1:
-        raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {len(hs.span)}")
-    span, _ = lattice_rows(hs.span)
+    if hs.span.dims[0] != n - 1:
+        raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {hs.span.dims[0]}")
+    span, _ = hs.span.lattice()
     basis = Echelon(span)
     if len(basis.pivots) != n - 1:
         raise HypothesisFailure("hypersurface span is linearly dependent")
@@ -243,17 +231,18 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     that radical. A larger kernel cannot occur under a nondegenerate ambient
     metric and is flagged as an engine inconsistency."""
     ns = amb.norden
-    m = len(hs.span)
-    span = lattice_rows(hs.span)
+    m = hs.span.dims[0]
+    span = hs.span.lattice()
     g_ind, den = ns.pairings(hs.inducing_metric, span, span)
-    gram = rational_rows(g_ind, den)
+    gram = DenseTensor.from_rows((m, m), g_ind, den)
     kern = Echelon(g_ind).kernel(m)
     if len(kern) == 0:
-        g, _ = ns.lattice(hs.inducing_metric)
+        g, _ = ns.metric(hs.inducing_metric).lattice()
         normal = Echelon(int_matmul(span[0], g)).kernel(len(g))  # <w, .> for span w
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
-        return Classification("nondegenerate", gram, None, None, primitive_integer_vector(normal[0][0]))
+        direction = DenseTensor.from_lattice((len(g),), *normal[0])
+        return Classification("nondegenerate", gram, None, None, primitive_integer_vector(direction))
     if len(kern) > 1:
         raise InternalInconsistency(
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
@@ -261,7 +250,11 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     coords, dk = kern[0]
     (ambient,) = int_matmul((coords,), span[0])
     return Classification(
-        "lightlike", gram, rational_vector(coords, dk), rational_vector(ambient, dk * span[1]), None
+        "lightlike",
+        gram,
+        DenseTensor.from_lattice((m,), coords, dk),
+        DenseTensor.from_lattice(hs.span.dims[1:], ambient, dk * span[1]),
+        None,
     )
 
 
@@ -270,8 +263,8 @@ def construct_screen(hs: HypersurfaceSpec, cls: Classification) -> tuple[int, ..
     matrix is nondegenerate. Such a subset exists because a symmetric matrix
     of rank r has a nonsingular principal r x r submatrix; nondegeneracy of
     the subset Gram also forces it to complement the radical."""
-    m = len(hs.span)
-    g, _ = lattice_rows(cls.gram)
+    m = hs.span.dims[0]
+    g, _ = cls.gram.lattice()
     for indices in combinations(range(m), m - 1):
         if len(Echelon([g[a][b] for b in indices] for a in indices).pivots) == m - 1:
             return indices
@@ -297,20 +290,18 @@ def construct_transversal(
 
     radical = cls.radical_ambient
     if hs.xi_hint is not None:
-        if vec_is_zero(hs.xi_hint):
+        if hs.xi_hint.is_zero():
             raise HypothesisFailure("xi hint is the zero vector")
-        scaled_hint = primitive_integer_vector(hs.xi_hint)
-        scaled_rad = primitive_integer_vector(radical)
-        if scaled_hint != scaled_rad:
+        if primitive_integer_vector(hs.xi_hint) != primitive_integer_vector(radical):
             raise HypothesisFailure("xi hint does not lie in the radical")
         xi = hs.xi_hint
     else:
         xi = primitive_integer_vector(radical)
 
-    g, _ = ns.lattice(which)
-    screen = tuple(hs.span[i] for i in screen_indices)
-    screen_rows = lattice_rows(screen)
-    x, dx = lattice_vector(xi)
+    g, _ = ns.metric(which).lattice()
+    span, ds = hs.span.lattice()
+    screen_rows = (tuple(span[i] for i in screen_indices), ds)
+    x, dx = xi.lattice()
 
     def pair(u, du, v, dv):
         """<u / du, v / dv> for int vectors u and v, as (numerator, den)."""
@@ -337,15 +328,16 @@ def construct_transversal(
     if any(row[0] for row in ns.pairings(which, screen_rows, n_row)[0]):
         raise InternalInconsistency("transversal is not orthogonal to the screen")
 
-    eta, d_eta = ns.pairings(which, lattice_rows(hs.span), n_row)
+    eta, d_eta = ns.pairings(which, (span, ds), n_row)
+    m = hs.span.dims[0]
     return LightlikeFrame(
         span=hs.span,
         inducing_metric=which,
         xi=xi,
-        transversal=rational_vector(nums, den),
+        transversal=DenseTensor.from_lattice((len(nums),), nums, den),
         screen_indices=screen_indices,
-        screen=screen,
-        eta=rational_vector((row[0] for row in eta), d_eta),
+        screen=DenseTensor.from_rows((m - 1, len(nums)), screen_rows[0], ds),
+        eta=DenseTensor.from_lattice((m,), (row[0] for row in eta), d_eta),
     )
 
 
@@ -356,22 +348,24 @@ def radical_transversal_check(frame: LightlikeFrame, amb: AmbientGeometry) -> RT
     input. Holomorphy reduces J W, for every screen vector W, against one
     echelon of the screen."""
     ns = amb.norden
-    (j_xi,), d_jxi = ns.apply_j_rows(lattice_rows((frame.xi,)))
-    (tr,), d_tr = lattice_rows((frame.transversal,))
+    x, dx = frame.xi.lattice()
+    (j_xi,), d_jxi = ns.apply_j_rows(((x,), dx))
+    tr, d_tr = frame.transversal.lattice()
     pivot = next(q for q, x in enumerate(tr) if x)
     # b = (j_xi[pivot] / d_jxi) / (tr[pivot] / d_tr)
     b = Fraction(j_xi[pivot] * d_tr, tr[pivot] * d_jxi)
     proportional = all(x * tr[pivot] == j_xi[pivot] * y for x, y in zip(j_xi, tr))
     is_rt = proportional and b != 0
 
-    screen = lattice_rows(frame.screen)
+    screen = frame.screen.lattice()
     basis = Echelon(screen[0])
     holomorphic = not any(any(basis.reduce(jw)) for jw in ns.apply_j_rows(screen)[0])
     if is_rt != holomorphic:
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
-    return RTCheck(is_rt, b if is_rt else None, holomorphic, rational_vector(j_xi, d_jxi))
+    j_xi = DenseTensor.from_lattice((len(tr),), j_xi, d_jxi)
+    return RTCheck(is_rt, b if is_rt else None, holomorphic, j_xi)
 
 
 def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFundamental:
@@ -383,14 +377,19 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     recovers the xi-shape operator and tau a second time. The two tau
     extractions must agree and B must be symmetric with B(., xi) = 0; failures
     are engine inconsistencies, not input properties.
+
+    On a radical-transversal frame of left-invariant fields tau vanishes:
+    J xi = b N with b constant and J parallel give J(D_X xi) = b D_X N,
+    whose N-components are -b tau(X) and b tau(X). `verify_frame_identities`
+    checks it, and `symmetry.pde_residuals` relies on it.
     """
-    m = len(frame.span)
+    m = frame.span.dims[0]
     n = amb.spec.dim
     rows = range(m)
-    lat = frame.lattice
-    span, ds = lat.span
-    transversal, dn = lat.transversal
-    xi, dx = lat.xi_span
+    span, ds = frame.span.lattice()
+    tr, dn = frame.transversal.lattice()
+    transversal = (tr,)
+    xi, dx = frame.xi_span.lattice()
     xi_col = tuple((x,) for x in xi)
     dg = amb.gamma.den
 
@@ -434,21 +433,18 @@ def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFunda
     screen_split, d_c = frame.screen_coords(
         ([induced[a][idx][:m] for a in rows for idx in frame.screen_indices], d_b)
     )
-    c_form = [tuple(row[m - 1] for row in screen_split[a * (m - 1) : (a + 1) * (m - 1)]) for a in rows]
-    nabla_star = tuple(
-        rational_rows((row[: m - 1] for row in screen_split[a * (m - 1) : (a + 1) * (m - 1)]), d_c)
-        for a in rows
-    )
+    # row a * (m - 1) + w of screen_split: the screen coordinates, then the xi
+    # coordinate, of the induced derivative of W_w along E_a
     return SecondFundamental(
-        b_form=rational_rows(b_form, d_b),
-        c_form=rational_rows(c_form, d_c),
-        a_star_xi=rational_rows(a_star, d_star),
-        a_n=rational_rows(a_n, d_tau),
-        tau=rational_vector(tau, d_tau),
+        b_form=DenseTensor.from_rows((m, m), b_form, d_b),
+        c_form=DenseTensor.from_lattice((m, m - 1), (row[m - 1] for row in screen_split), d_c),
+        a_star_xi=DenseTensor.from_rows((m, m), a_star, d_star),
+        a_n=DenseTensor.from_rows((m, m), a_n, d_tau),
+        tau=DenseTensor.from_lattice((m,), tau, d_tau),
         induced_gamma=DenseTensor.from_lattice(
             (m, m, m), (x for block in induced for row in block for x in row[:m]), d_b
         ),
-        nabla_star=nabla_star,
+        nabla_star=DenseTensor.from_rows((m, m - 1, m - 1), [row[: m - 1] for row in screen_split], d_c),
     )
 
 
@@ -467,24 +463,20 @@ def umbilical_test(
     factor rho means totally umbilical (rho = 0 is totally geodesic); an
     infeasible fit returns the first basis field whose xi-shape image is not
     aligned with its screen projection."""
-    m = len(frame.span)
-    span = frame.lattice.span
+    m = frame.span.dims[0]
+    span = frame.span.lattice()
     g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
-    b_form, d_b = lattice_rows(sf.b_form)
-    sol = fit_tables(
-        (DenseTensor.from_lattice((m, m), chain.from_iterable(g_ind), den),),
-        DenseTensor.from_lattice((m, m), chain.from_iterable(b_form), d_b),
-    )
+    sol = fit_tables((DenseTensor.from_rows((m, m), g_ind, den),), sf.b_form)
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)
     if sol.kind == "parametric":
         raise InternalInconsistency("induced metric vanished identically on a hypersurface")
     p, _ = frame.p_projection()
-    images, d_star = lattice_rows(sf.a_star_xi)
+    images, d_star = sf.a_star_xi.lattice()
 
     def witness(a: int) -> UmbilicalResult:
-        image, den = frame.to_ambient(((images[a],), d_star))
-        return UmbilicalResult(False, None, a, rational_vector(image[0], den))
+        (image,), den = frame.to_ambient(((images[a],), d_star))
+        return UmbilicalResult(False, None, a, DenseTensor.from_lattice((len(image),), image, den))
 
     for a in range(m):
         if not _aligned(images[a], p[a]):
@@ -518,18 +510,20 @@ def verify_frame_identities(
 
     Every table is int rows over one denominator; each identity is a scan
     whose first witness, in the order written, is recorded."""
-    m = len(frame.span)
+    m = frame.span.dims[0]
     rows = range(m)
     ns = amb.norden
     which = frame.inducing_metric
-    lat = frame.lattice
-    span = lat.span
-    xi, _ = lat.xi_span
-    eta, de = lat.eta
-    transversal = lat.transversal
-    b_form, db = lattice_rows(sf.b_form)
-    c_form, dc = lattice_rows(sf.c_form)
-    scalars, dk = lattice_vector((-frame.b,) if rho is None else (-frame.b, rho / frame.b))
+    span = frame.span.lattice()
+    xi, _ = frame.xi_span.lattice()
+    eta, de = frame.eta.lattice()
+    tr, dn = frame.transversal.lattice()
+    transversal = ((tr,), dn)
+    b_form, db = sf.b_form.lattice()
+    c_form, dc = sf.c_form.lattice()
+    tau, _ = sf.tau.lattice()
+    ratio = 0 if rho is None else rho / frame.b
+    scalars, dk = DenseTensor.from_entries((2,), (-frame.b, ratio)).lattice()
     neg_b = scalars[0]
     checks: list[Check] = []
 
@@ -538,8 +532,8 @@ def verify_frame_identities(
         checks.append(Check(name, w is None, w))
 
     # hoisted tables reused by several identities
-    a_star_amb, d_star = frame.to_ambient(lattice_rows(sf.a_star_xi))
-    a_n_amb, d_an = frame.to_ambient(lattice_rows(sf.a_n))
+    a_star_amb, d_star = frame.to_ambient(sf.a_star_xi.lattice())
+    a_n_amb, d_an = frame.to_ambient(sf.a_n.lattice())
     j_p, d_jp = ns.apply_j_rows(frame.to_ambient(frame.p_projection()))
     j_span, d_js = ns.apply_j_rows(span)
 
@@ -600,7 +594,6 @@ def verify_frame_identities(
     )
 
     # J X = J(PX) + b eta(X) N
-    (tr,), dn = lat.transversal
     f_jp, d_exp = dk * de * dn, d_jp * dk * de * dn
     expected = [[f_jp * y - neg_b * e * d_jp * x for y, x in zip(row, tr)] for row, e in zip(j_p, eta)]
     add(
@@ -638,17 +631,17 @@ def verify_frame_identities(
     def screen_j():
         if None in j_screen:
             yield (0, j_screen.index(None) + 1)
-        nabla, d_ns = lattice_rows(tuple(chain.from_iterable(sf.nabla_star)))
-        rhs, d_r = ns.apply_j_rows(frame.screen_to_ambient((nabla, d_ns)))
+        nabla, d_ns = sf.nabla_star.lattice()
+        rhs, d_r = ns.apply_j_rows(frame.screen_to_ambient((tuple(chain.from_iterable(nabla)), d_ns)))
         for a in rows:
-            nabla_a = nabla[a * (m - 1) : (a + 1) * (m - 1)]
+            nabla_a = nabla[a]
             lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, nabla_a), d_jw * d_ns))
             for pos in range(m - 1):
                 if _differs(lhs[pos], d_l, rhs[a * (m - 1) + pos], d_r):
                     yield (a + 1, pos + 1)
 
     add("screen_connection_preserves_j", screen_j())
-    add("tau_vanishes_for_constant_gauge", ((a + 1,) for a in rows if sf.tau[a] != 0))
+    add("tau_vanishes_for_constant_gauge", ((a + 1,) for a in rows if tau[a]))
     if rho is not None:
         expected = [[scalars[1] * y for y in row] for row in j_p]  # rho / b over dk
         add(

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .ambient import LieAlgebraSpec, NordenStructure, norden_structure
 from .errors import ParseError
-from .exact import DenseTensor, Vector, format_rational, parse_rational, rational_bits, unit_vector
+from .exact import DenseTensor, format_rational, parse_rational, rational_bits
 from .hypersurface import HypersurfaceSpec
 
 Terms = tuple[tuple[int, Fraction], ...]  # (1-based index, coefficient)
@@ -258,7 +259,8 @@ def _parse_index(text: str, dim: int, line_no: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# conversion to engine inputs
+# conversion to engine inputs: the only place where parsed Fraction entries
+# become tables
 
 
 def lie_algebra_spec(mf: ManifoldFile) -> LieAlgebraSpec:
@@ -282,18 +284,24 @@ def norden_from_file(mf: ManifoldFile) -> NordenStructure:
     for i, terms in mf.j_entries:
         for k, q in terms:
             j_table[k - 1][i - 1] = q  # column i holds J X_i
-    return norden_structure(g, j_table)
+    return norden_structure(
+        DenseTensor.from_entries((n, n), chain.from_iterable(g)),
+        DenseTensor.from_entries((n, n), chain.from_iterable(j_table)),
+    )
 
 
 def hypersurface_specs(mf: ManifoldFile) -> tuple[HypersurfaceSpec, ...]:
+    n = mf.dim
     out = []
     for block in mf.hypersurfaces:
-        span = tuple(unit_vector(mf.dim, i - 1) for i in block.span_indices)
-        hint: Vector | None = None
+        # row r of the span is the unit vector of its r-th index
+        offsets = tuple(r * n + i - 1 for r, i in enumerate(block.span_indices))
+        span = DenseTensor((len(offsets), n), offsets, (1,) * len(offsets), 1)
+        hint = None
         if block.xi_hint is not None:
-            coords = [Fraction(0)] * mf.dim
+            coords = [Fraction(0)] * n
             for k, q in block.xi_hint:
                 coords[k - 1] = q
-            hint = tuple(coords)
+            hint = DenseTensor.from_entries((n,), coords)
         out.append(HypersurfaceSpec(span, block.inducing_metric, hint))
     return tuple(out)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .ambient import AmbientGeometry, build_ambient_geometry, validate_lie_algebra, validate_norden
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
-from .exact import Vector, format_rational
+from .exact import DenseTensor, format_ratio, format_rational
 from .hypersurface import (
     HypersurfaceSpec,
     construct_screen,
@@ -67,28 +67,27 @@ def _fr(x: Fraction) -> str:
     return format_rational(x)
 
 
-def _vector(v) -> list[str]:
-    return [_fr(x) for x in v]
+def _vector(v: DenseTensor) -> list[str]:
+    """The entries of a vector table, each formatted from its numerator."""
+    nums, den = v.lattice()
+    return [format_ratio(x, den) for x in nums]
 
 
-def _rows(rows) -> list[list[str]]:
-    return [[_fr(x) for x in row] for row in rows]
+def _rows(m: DenseTensor) -> list[list[str]]:
+    """The rows of a matrix table, formatted as `_vector` does."""
+    rows, den = m.lattice()
+    return [[format_ratio(x, den) for x in row] for row in rows]
 
 
-def _combo(coords: Vector, labels) -> str:
+def _combo(coords: DenseTensor, labels) -> str:
     """Render a coordinate vector as a linear combination of basis labels."""
     parts = []
-    for c, label in zip(coords, labels):
-        if c == 0:
+    for x, label in zip(coords.lattice()[0], labels):
+        if not x:
             continue
-        if c == 1:
-            parts.append(f"+ {label}")
-        elif c == -1:
-            parts.append(f"- {label}")
-        elif c > 0:
-            parts.append(f"+ {_fr(c)}*{label}")
-        else:
-            parts.append(f"- {_fr(-c)}*{label}")
+        text = format_ratio(abs(x), coords.den)
+        term = label if text == "1" else f"{text}*{label}"
+        parts.append(f"+ {term}" if x > 0 else f"- {term}")
     if not parts:
         return "0"
     head = parts[0]
@@ -110,8 +109,12 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _tensor_nonzeros(tensor) -> list[dict]:
-    return [{"index": [i + 1 for i in ix], "value": _fr(val)} for ix, val in tensor.nonzero()]
+def _tensor_nonzeros(tensor: DenseTensor) -> list[dict]:
+    den = tensor.den
+    return [
+        {"index": [i + 1 for i in ix], "value": format_ratio(x, den)}
+        for ix, x in zip(tensor.indexes(tensor.offsets), tensor.nums)
+    ]
 
 
 def run_pipeline(mf: ManifoldFile) -> Report:
@@ -296,9 +299,7 @@ def _process_hypersurface(
             "curvature_routes_match": True,
             "curvature_nonzero": _tensor_nonzeros(r13),
             "ricci": _rows(ricci),
-            "ricci_opposite_trace": _rows(
-                tuple(tuple(-x for x in row) for row in ricci)
-            ),
+            "ricci_opposite_trace": _rows(-ricci),
             "ricci_routes_match": ricci_routes.agree,
             "ricci_sign_note": RICCI_SIGN_NOTE,
         }
@@ -343,7 +344,7 @@ def _flag_dict(flag) -> dict:
     d: dict = {"holds": flag.holds}
     if not flag.holds:
         d["witness"] = list(flag.witness)
-        d["value"] = [_fr(x) for x in flag.value]
+        d["value"] = _vector(flag.value)
     return d
 
 

@@ -29,25 +29,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import lcm
+from operator import mul
 
 from .ambient import AmbientGeometry, TrscStatus, ricci_trace
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
     Echelon,
-    Matrix,
-    Vector,
     add_row,
+    format_ratio,
     format_rational,
     int_bilinear,
     int_matmul,
-    lattice_rows,
-    lattice_vector,
     nonzero_rows,
-    rational_rows,
-    rational_vector,
     row_index,
     solve_affine,
 )
@@ -58,7 +54,7 @@ from .hypersurface import LightlikeFrame, SecondFundamental
 class FlagResult:
     holds: bool
     witness: tuple | None = None
-    value: tuple | None = None  # nonzero components at the witness
+    value: DenseTensor | None = None  # the components at the witness
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class EinsteinFit:
     kind: str  # "unique" | "parametric" | "infeasible"
     k: Fraction | None
     c: Fraction | None
-    nullspace: tuple[Vector, ...]
+    nullspace: tuple[DenseTensor, ...]
     witness: tuple | None = None  # index pair that breaks feasibility
 
     @property
@@ -87,7 +83,7 @@ class SymmetryFlags:
 @dataclass(frozen=True)
 class PdeResiduals:
     radial: Fraction
-    screen_directions: tuple[Fraction, ...]
+    screen_directions: DenseTensor
 
 
 @dataclass(frozen=True)
@@ -115,15 +111,14 @@ def induced_curvature_gauss(
     Codazzi expression built from B and tau at every basis triple; a
     residual is an engine bug. Every table is accumulated from the nonzero
     entries of its factors."""
-    m = len(frame.span)
+    m = frame.span.dims[0]
     n = amb.spec.dim
     w = m + 1  # frame coordinates: span, then transversal
     amb13 = amb.riemann13
-    lat = frame.lattice
-    span, den_s = lat.span
-    b_form, den_b = lattice_rows(sf.b_form)
-    a_n, den_a = lattice_rows(sf.a_n)
-    (tau,), den_tau = lattice_rows((sf.tau,))
+    span, den_s = frame.span.lattice()
+    b_form, den_b = sf.b_form.lattice()
+    a_n, den_a = sf.a_n.lattice()
+    tau, den_tau = sf.tau.lattice()
     gamma = sf.induced_gamma
     den_g = gamma.den
 
@@ -132,7 +127,7 @@ def induced_curvature_gauss(
     # then the span is contracted into the leading slot three times, each
     # contraction appending its span index, so (i, j, k) -> (j, k, a) ->
     # (k, a, b) -> (a, b, c); only nonzero rows and span entries take part
-    vec = int_matmul(amb13.rows, lat.inverse_index)
+    vec = int_matmul(amb13.rows, frame.lattice.inverse_index)
     span_cols = nonzero_rows(zip(*span))
     rest = n * n
     for _ in range(3):
@@ -142,7 +137,7 @@ def induced_curvature_gauss(
             for a, s in span_cols.get(i, ()):
                 add_row(out, tail * m + a, s, row)
         vec, rest = out, rest // n * m
-    d_amb = den_s**3 * amb13.den * lat.inverse[1]
+    d_amb = den_s**3 * amb13.den * frame.inverse.den
     d_shape = den_b * den_a
     den = lcm(d_amb, d_shape)
     f_amb, f_shape = den // d_amb, den // d_shape
@@ -193,7 +188,7 @@ def induced_curvature_gauss(
 def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry):
     """Span coordinates of J(P E_a) for every basis field, as (rows, den);
     J-invariance of the screen keeps these tangent."""
-    m = len(frame.span)
+    m = frame.span.dims[0]
     p_amb = frame.to_ambient(frame.p_projection())
     coords, den = frame.frame_coords(amb.norden.apply_j_rows(p_amb))
     if any(row[m] for row in coords):
@@ -209,13 +204,13 @@ def closed_form_curvature(
 ) -> DenseTensor:
     """Curvature table of the stated shape with free coefficients; used by the
     geometric route (with a = K - rho^2/b) and by synthetic audits."""
-    m = len(frame.span)
+    m = frame.span.dims[0]
     ns = amb.norden
-    span = frame.lattice.span
+    span = frame.span.lattice()
     phi, d_phi = _phi_table(frame, amb)
     g_ind, d_g = ns.pairings(frame.inducing_metric, span, span)
     mj, d_mj = ns.pairings(frame.inducing_metric, span, ns.apply_j_rows(span))  # <E_a, J E_c>
-    (sc, mc), d_c = lattice_vector((screen_coeff, metric_coeff))
+    (sc, mc), d_c = DenseTensor.from_entries((2,), (screen_coeff, metric_coeff)).lattice()
     den = d_c * lcm(d_g * d_phi, d_mj)
     fs, fm = sc * (den // (d_c * d_g * d_phi)), mc * (den // (d_c * d_mj))
     # R(E_a, E_b)E_c = fs (g_ac phi_b - g_bc phi_a) + fm (mj_ac E_b - mj_bc E_a):
@@ -265,10 +260,9 @@ def induced_curvature_closed_form(
 # Ricci routes
 
 
-def canonical_ricci(r13: DenseTensor) -> Matrix:
+def canonical_ricci(r13: DenseTensor) -> DenseTensor:
     """Ric(X, Y) = trace of Z -> R(Z, X)Y; no metric enters the trace."""
-    rows, den = ricci_trace(r13).lattice()
-    return rational_rows(rows, den)
+    return ricci_trace(r13)
 
 
 def ricci_from_ambient_decomposition(
@@ -276,57 +270,56 @@ def ricci_from_ambient_decomposition(
     sf: SecondFundamental,
     frame: LightlikeFrame,
     amb: AmbientGeometry,
-) -> Matrix:
+) -> DenseTensor:
     """Ricci through the ambient trace and the shape operators:
 
         Ric(X, Y) = Ric_ambient(X, Y) + B(X, Y) tr A_N
                     - <A_N X, A*_xi Y> - <R(xi, Y)X, N>.
     """
-    m = len(frame.span)
+    m = frame.span.dims[0]
     rows = range(m)
     ns = amb.norden
     which = frame.inducing_metric
-    lat = frame.lattice
-    span, d_s = lat.span
-    xi, d_xi = lat.xi_span
+    span, d_s = frame.span.lattice()
+    xi, d_xi = frame.xi_span.lattice()
     amb_ric, d_ric = amb.ricci.lattice()
-    b_form, d_b = lattice_rows(sf.b_form)
-    a_n, d_an = lattice_rows(sf.a_n)
+    b_form, d_b = sf.b_form.lattice()
+    a_n, d_an = sf.a_n.lattice()
 
     ric = int_bilinear(span, amb_ric, span)
     tr_an = sum(a_n[a][a] for a in rows)
     shape, d_shape = ns.pairings(
-        which, frame.to_ambient((a_n, d_an)), frame.to_ambient(lattice_rows(sf.a_star_xi))
+        which, frame.to_ambient((a_n, d_an)), frame.to_ambient(sf.a_star_xi.lattice())
     )
     # span coordinates of R(xi, E_b)E_a, row b * m + a: xi contracted into
     # the leading slot
     (r_xi,) = int_matmul((xi,), r13_induced.leading)
     r_xi = tuple(r_xi[r * m : (r + 1) * m] for r in range(m * m))
-    radial, d_radial = ns.pairings(
-        which, frame.to_ambient((r_xi, d_xi * r13_induced.den)), lat.transversal
-    )
+    tr, d_tr = frame.transversal.lattice()
+    radial, d_radial = ns.pairings(which, frame.to_ambient((r_xi, d_xi * r13_induced.den)), ((tr,), d_tr))
 
     parts = (d_s * d_s * d_ric, d_b * d_an, d_shape, d_radial)
     den = lcm(*parts)
     f_ric, f_b, f_shape, f_radial = (den // d for d in parts)
-    return rational_rows(
-        (
-            (
+    return DenseTensor.from_rows(
+        (m, m),
+        [
+            [
                 f_ric * ric[a][b]
                 + f_b * b_form[a][b] * tr_an
                 - f_shape * shape[a][b]
                 - f_radial * radial[b * m + a][0]
                 for b in rows
-            )
+            ]
             for a in rows
-        ),
+        ],
         den,
     )
 
 
 def closed_form_ricci(
     frame: LightlikeFrame, sf: SecondFundamental, amb: AmbientGeometry
-) -> Matrix:
+) -> DenseTensor:
     """Closed-form Ricci: with K the nonvanishing ambient constant and h the
     complex dimension,
 
@@ -349,27 +342,22 @@ def closed_form_ricci(
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
 
     ns = amb.norden
-    span = frame.lattice.span
+    span = frame.span.lattice()
     p_amb = frame.to_ambient(frame.p_projection())
     g_other, d_g = ns.pairings(other, span, span)
     g_proj, d_p = ns.pairings(other, p_amb, p_amb)
-    (n_lead, n_corr), d_c = lattice_vector((lead, corr_sign * a_coeff))
+    (n_lead, n_corr), d_c = DenseTensor.from_entries((2,), (lead, corr_sign * a_coeff)).lattice()
     den = d_c * lcm(d_g, d_p)
     f_lead, f_corr = n_lead * (den // (d_c * d_g)), n_corr * (den // (d_c * d_p))
-    return rational_rows(
-        (
-            (f_lead * x + f_corr * y for x, y in zip(g_row, p_row))
-            for g_row, p_row in zip(g_other, g_proj)
-        ),
-        den,
-    )
+    rows = [[f_lead * x + f_corr * y for x, y in zip(gr, pr)] for gr, pr in zip(g_other, g_proj)]
+    return DenseTensor.from_rows((len(rows), len(rows)), rows, den)
 
 
 @dataclass(frozen=True)
 class RicciRoutes:
-    canonical: Matrix
-    ambient_split: Matrix
-    closed_form: Matrix | None
+    canonical: DenseTensor
+    ambient_split: DenseTensor
+    closed_form: DenseTensor | None
 
     @property
     def agree(self) -> bool:
@@ -389,12 +377,10 @@ def induced_ricci(
     closed = None
     if amb.trsc.kind == "constant" and sf.rho is not None:
         closed = closed_form_ricci(frame, sf, amb)
-    m = len(canonical)
-    table = DenseTensor.from_entries((m, m), chain(*canonical))
     for name, other in (("ambient split", split), ("closed form", closed)):
-        diff = None if other is None else table.difference(DenseTensor.from_entries((m, m), chain(*other)))
-        if diff is not None:
-            (a, b), own, theirs = diff
+        # both tables are in lowest terms, so equal fields are equal entries
+        if other is not None and other != canonical:
+            (a, b), own, theirs = canonical.difference(other)
             raise InternalInconsistency(
                 f"Ricci routes disagree beyond the documented sign note at ({a},{b}): "
                 f"canonical {format_rational(own)}, {name} {format_rational(theirs)}"
@@ -493,11 +479,11 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
         if hit is not None:
             u, v, w, val = hit
             witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
-            return FlagResult(False, witness, rational_vector(val, r13.den * r13.den))
+            return FlagResult(False, witness, DenseTensor.from_lattice((m,), val, r13.den * r13.den))
     return FlagResult(True)
 
 
-def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
+def ricci_semi_symmetric_check(r13: DenseTensor, ricci: DenseTensor) -> FlagResult:
     """Vanishing of -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) on basis 4-tuples;
     stops at the first nonzero component in product order. With A the
     matrix of R(X_x, X_y) (row u holds R(X_x, X_y)X_u) the component at
@@ -506,7 +492,7 @@ def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
     A Ric or row v of A Ric^T nonzero. Pairs are scanned as in
     `_scan_pairs`."""
     m = r13.dims[0]
-    ric, dric = lattice_rows(ricci)
+    ric, dric = ricci.lattice()
     ric_t = tuple(zip(*ric))
     by_ric = row_index(ric)
     by_ric_t = by_ric if ric == ric_t else row_index(ric_t)
@@ -523,7 +509,7 @@ def ricci_semi_symmetric_check(r13: DenseTensor, ricci: Matrix) -> FlagResult:
             val = -p.get(u, zero)[v] - q.get(v, zero)[u]
             if val:
                 witness = (x + 1, y + 1, u + 1, v + 1)
-                return FlagResult(False, witness, rational_vector((val,), r13.den * dric))
+                return FlagResult(False, witness, DenseTensor.from_lattice((1,), (val,), r13.den * dric))
     return FlagResult(True)
 
 
@@ -549,26 +535,26 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
         if hit is not None:
             x, y, z, val = hit
             witness = (u + 1, x + 1, y + 1, z + 1)
-            return FlagResult(False, witness, rational_vector(val, r13.den * induced_gamma.den))
+            value = DenseTensor.from_lattice((m,), val, r13.den * induced_gamma.den)
+            return FlagResult(False, witness, value)
     return FlagResult(True)
 
 
-def almost_einstein_fit(ricci: Matrix, g_ind: Matrix, g_assoc_ind: Matrix) -> EinsteinFit:
+def almost_einstein_fit(ricci: DenseTensor, g_ind: DenseTensor, g_assoc_ind: DenseTensor) -> EinsteinFit:
     """Exact affine fit Ric = k g + c g~ over every index pair. A parametric
     outcome (the two induced metrics dependent as component vectors) is
     reported as a family, never collapsed to one representative."""
-    m = len(ricci)
-    rows = []
-    rhs = []
-    pairs = []
-    for a in range(m):
-        for b in range(m):
-            rows.append((g_ind[a][b], g_assoc_ind[a][b]))
-            rhs.append(ricci[a][b])
-            pairs.append((a + 1, b + 1))
+    m = ricci.dims[0]
+    den = lcm(ricci.den, g_ind.den, g_assoc_ind.den)
+    (g, fg), (ga, fa), (ric, fr) = (
+        (t.lattice()[0], den // t.den) for t in (g_ind, g_assoc_ind, ricci)
+    )
+    pairs = list(product(range(m), repeat=2))
+    rows = [(fg * g[a][b], fa * ga[a][b]) for a, b in pairs]
+    rhs = [fr * ric[a][b] for a, b in pairs]
     sol = solve_affine(rows, rhs)
     if sol.kind != "infeasible":
-        k, c = sol.particular
+        k, c = sol.particular.entries
         return EinsteinFit(sol.kind, k, c, sol.nullspace)
     # the witness ends the first infeasible prefix: the first row after which
     # the right-hand side is a pivot column of the augmented rows, read off
@@ -576,9 +562,9 @@ def almost_einstein_fit(ricci: Matrix, g_ind: Matrix, g_assoc_ind: Matrix) -> Ei
     # pivots it would have on its own)
     witness = None
     basis = Echelon()
-    for row, r, pair in zip(rows, rhs, pairs):
-        if basis.insert(lattice_vector((*row, r))[0]) and basis.pivots[-1] == 2:
-            witness = pair
+    for row, r, (a, b) in zip(rows, rhs, pairs):
+        if basis.insert((*row, r)) and basis.pivots[-1] == 2:
+            witness = (a + 1, b + 1)
             break
     return EinsteinFit("infeasible", None, None, (), witness)
 
@@ -596,28 +582,36 @@ def pde_residuals(
         b K - rho^2 + rho tau(xi) = 0   and   rho tau(PX) = 0
 
     per basis direction, K being the ambient constant attached to the other
-    metric. Nonzero residuals on validated input are engine bugs."""
+    metric. Nonzero residuals on validated input are engine bugs.
+
+    tau vanishes on left-invariant frames (see
+    `hypersurface.gauss_weingarten`), so the radial residual forces
+    K = rho^2 / b: condition (iii) of the equivalence audit holds on every
+    geometric input, and only synthetic `closed_form_curvature` tables reach
+    the negative side of the audit."""
     if amb.trsc.kind != "constant":
         raise HypothesisFailure("residual check needs constant ambient curvatures")
     if sf.rho is None:
         raise HypothesisFailure("residual check needs a totally umbilical frame")
-    m = len(frame.span)
-    xi_span = frame.xi_span
+    m = frame.span.dims[0]
+    (x, dx), (t, dt), (e, de) = frame.xi_span.lattice(), sf.tau.lattice(), frame.eta.lattice()
     k_coeff = amb.trsc.nu_assoc if frame.inducing_metric == "principal" else amb.trsc.nu
-    tau_xi = sum(xi_span[a] * sf.tau[a] for a in range(m))
+    tau_xi = Fraction(sum(map(mul, x, t)), dx * dt)
     radial = frame.b * k_coeff - sf.rho * sf.rho + sf.rho * tau_xi
-    screen_terms = tuple(
-        sf.rho * (sf.tau[a] - frame.eta[a] * tau_xi) for a in range(m)
+    # rho (tau(E_a) - eta(E_a) tau(xi)) with rho = r / s and tau(xi) = p / q
+    (r, s), (p, q) = (sf.rho.numerator, sf.rho.denominator), (tau_xi.numerator, tau_xi.denominator)
+    screen = DenseTensor.from_lattice(
+        (m,), (r * (ta * de * q - ea * p * dt) for ta, ea in zip(t, e)), s * dt * de * q
     )
-    if radial != 0 or any(s != 0 for s in screen_terms):
+    if radial != 0 or not screen.is_zero():
         raise InternalInconsistency(
             "umbilical residuals do not vanish: radial "
             + format_rational(radial)
             + ", screen ("
-            + ", ".join(format_rational(s) for s in screen_terms)
+            + ", ".join(format_ratio(v, screen.den) for v in screen.lattice()[0])
             + ")"
         )
-    return PdeResiduals(radial, screen_terms)
+    return PdeResiduals(radial, screen)
 
 
 def symmetry_equivalence_audit(

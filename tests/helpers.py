@@ -6,9 +6,12 @@ curvature table from its generating components, the trace definition of
 Ricci, and the fully expanded derivation action on closed-form-shaped
 curvature tables. The Fraction references keep earlier forms of engine code
 that now runs on int rows (the eliminators, the front half of a verdict, the
-frame identities), the dense references keep the table builders that now run
-from nonzero entries (curvature, pi-tensors, the associated table, the Gauss
-route), the kernels that now read nonzero entries only (the dot-product
+frame identities, the Gauss/Weingarten decomposition and the Ricci routes);
+the engine passes `DenseTensor` tables between stages, and `nested`,
+`matrix`, `vector`, `norden`, `hyper_spec` and `fraction_solution` convert
+between them and the Fraction tuples the references use. The dense
+references keep the table builders that now run from nonzero entries
+(curvature, pi-tensors, the associated table, the Gauss route), the kernels that now read nonzero entries only (the dot-product
 `int_matmul`, the flat-table product, the table combination and the fit) and
 the prefix scan of the Einstein witness, and the test-only table arithmetic
 and the golden-corpus inputs live here too.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from nordenlight.ambient import (
@@ -38,14 +41,9 @@ from nordenlight.exact import (
     _nest,
     format_rational,
     lattice_combination,
-    lattice_rows,
-    lattice_vector,
-    mat_inverse,
-    primitive_integer_vector,
     solve_affine,
-    unit_vector,
-    vec_is_zero,
 )
+from nordenlight.hypersurface import HypersurfaceSpec
 
 F = Fraction
 
@@ -55,14 +53,66 @@ F = Fraction
 
 
 def nested(t: DenseTensor):
-    """The Fraction entries of a table as nested tuples."""
+    """The Fraction entries of a table as nested tuples: a vector as a
+    tuple, a matrix as a tuple of rows."""
     return _nest(t.dims, t.entries)
+
+
+def unit_vector(n: int, i: int):
+    return tuple(F(1 if k == i else 0) for k in range(n))
+
+
+def int_row(v) -> tuple[int, ...]:
+    """A rational row scaled to ints by its least common denominator."""
+    v = tuple(map(F, v))
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
+
+
+def matrix(rows) -> DenseTensor:
+    """The table of a rational matrix given by its rows; tables pass through."""
+    return rows if isinstance(rows, DenseTensor) else tensor_from_rows(rows)
+
+
+def vector(v) -> DenseTensor:
+    """The table of a rational vector; tables pass through."""
+    return v if isinstance(v, DenseTensor) else tensor_from_vector(v)
+
+
+def norden(g, j) -> NordenStructure:
+    """`norden_structure` of rational matrices or tables."""
+    return norden_structure(matrix(g), matrix(j))
+
+
+def hyper_spec(span, inducing: str, xi_hint=None) -> HypersurfaceSpec:
+    """A `HypersurfaceSpec` of rational span vectors and hint, or tables."""
+    return HypersurfaceSpec(matrix(span), inducing, None if xi_hint is None else vector(xi_hint))
+
+
+def fraction_solution(sol: LinearSolution) -> LinearSolution:
+    """A solution of `solve_affine` or `fit_tables` with its vectors read as
+    Fraction tuples, the form of `reference_solve_affine`."""
+    particular = None if sol.particular is None else sol.particular.entries
+    return LinearSolution(sol.kind, particular, tuple(v.entries for v in sol.nullspace))
+
+
+def solve(a, b) -> LinearSolution:
+    """`solve_affine` on a rational system a.x = b, each augmented row scaled
+    to ints by its least common denominator, read back in Fractions."""
+    rows = [int_row((*row, rhs)) for row, rhs in zip(a, b)]
+    return fraction_solution(solve_affine([row[:-1] for row in rows], [row[-1] for row in rows]))
+
+
+def kernel(m):
+    """`Echelon.kernel` of a rational matrix as Fraction vectors, each row
+    scaled to ints by its least common denominator."""
+    return [tuple(F(x, den) for x in v) for v, den in Echelon(map(int_row, m)).kernel(len(m[0]))]
 
 
 def mat_rank(m) -> int:
     """Rank of a rational matrix by `Echelon`, each row scaled to ints by
     its own least common denominator."""
-    return len(Echelon(lattice_vector(row)[0] for row in m).pivots)
+    return len(Echelon(map(int_row, m)).pivots)
 
 
 def mat_mul(a, b):
@@ -112,7 +162,8 @@ def bilinear_map(t, u, v):
 
 def apply_j(ns: NordenStructure, v):
     """J v for the rational matrix of J (column k holds J X_k)."""
-    return tuple(sum(ns.j[q][k] * v[k] for k in range(len(v))) for q in range(len(ns.j)))
+    j = nested(ns.j)
+    return tuple(sum(j[q][k] * v[k] for k in range(len(v))) for q in range(len(j)))
 
 
 def tensor_add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -144,17 +195,17 @@ def gauge_rescale(frame, sf, c):
         raise ValueError("gauge factor must be nonzero")
     new_frame = replace(
         frame,
-        xi=vec_scale(frame.xi, c),
-        transversal=vec_scale(frame.transversal, 1 / c),
-        eta=tuple(e / c for e in frame.eta),
+        xi=tensor_scale(frame.xi, c),
+        transversal=tensor_scale(frame.transversal, 1 / c),
+        eta=tensor_scale(frame.eta, 1 / c),
         b=None if frame.b is None else c * c * frame.b,
     )
     new_sf = replace(
         sf,
-        b_form=tuple(tuple(c * x for x in row) for row in sf.b_form),
-        c_form=tuple(tuple(x / c for x in row) for row in sf.c_form),
-        a_star_xi=tuple(vec_scale(v, c) for v in sf.a_star_xi),
-        a_n=tuple(vec_scale(v, 1 / c) for v in sf.a_n),
+        b_form=tensor_scale(sf.b_form, c),
+        c_form=tensor_scale(sf.c_form, 1 / c),
+        a_star_xi=tensor_scale(sf.a_star_xi, c),
+        a_n=tensor_scale(sf.a_n, 1 / c),
         rho=None if sf.rho is None else c * sf.rho,
     )
     return new_frame, new_sf
@@ -212,7 +263,7 @@ def rebase(t: DenseTensor, p) -> DenseTensor:
     """Components of a tensor with lower slots first and one upper slot last
     (a curvature or connection table) in the basis X'_a = sum_i p[a][i] X_i:
     p enters every lower slot and its inverse the upper one."""
-    pm, inverse = tensor_from_rows(p), tensor_from_rows(mat_inverse(p))
+    pm, inverse = tensor_from_rows(p), tensor_from_rows(reference_mat_inverse(p))
     for _ in range(t.rank - 1):
         t = tensor_contract(t, 0, pm, 1)  # the new index moves to the end
     return tensor_contract(t, 0, inverse, 0)
@@ -243,6 +294,7 @@ def koszul_residuals(spec, metric, gamma):
     n = spec.dim
     c = nested(spec.brackets)
     gm = nested(gamma)
+    metric = nested(metric)
 
     def pair_bracket(a, b, k):
         return sum(c[a][b][m] * metric[m][k] for m in range(n))
@@ -270,7 +322,8 @@ def verify_torsion_free(spec: LieAlgebraSpec, gamma: DenseTensor) -> None:
                     )
 
 
-def verify_metric_compatibility(gamma: DenseTensor, metric) -> None:
+def verify_metric_compatibility(gamma: DenseTensor, metric: DenseTensor) -> None:
+    metric = nested(metric)
     n = len(metric)
     gm = nested(gamma)
     for i in range(n):
@@ -305,7 +358,7 @@ def verify_kaehler_curvature_identity(r04: DenseTensor, ns: NordenStructure) -> 
     sectional curvature to vanish; both are asserted."""
     n = r04.dims[0]
     t = nested(r04)
-    j = ns.j
+    j = nested(ns.j)
     for i, a, k, l in product(range(n), repeat=4):
         val = sum(
             j[m][k] * j[p][l] * t[i][a][m][p] for m in range(n) for p in range(n)
@@ -364,23 +417,24 @@ def trace_ricci(r13):
 def frame_tables(frame, amb):
     """Induced-metric, J-pairing, projector, and J-after-projector tables of a
     frame, recomputed from scratch for oracle use."""
-    m = len(frame.span)
-    metric = amb.norden.metric(frame.inducing_metric)
+    span, eta = nested(frame.span), frame.eta.entries
+    m = len(span)
+    metric = nested(amb.norden.metric(frame.inducing_metric))
 
     def pair(u, v):
         return sum(u[i] * sum(metric[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
-    span_cols = list(zip(*frame.span))
+    span_cols = list(zip(*span))
 
     def span_coords(v):
-        sol = solve_affine(span_cols, list(v))
+        sol = reference_solve_affine(span_cols, list(v))
         assert sol.kind != "infeasible"
         return sol.particular
 
-    xi_span = span_coords(frame.xi)
-    g_ind = tuple(tuple(pair(frame.span[a], frame.span[b]) for b in range(m)) for a in range(m))
+    xi_span = span_coords(frame.xi.entries)
+    g_ind = tuple(tuple(pair(span[a], span[b]) for b in range(m)) for a in range(m))
     mj = tuple(
-        tuple(pair(frame.span[a], apply_j(amb.norden, frame.span[c])) for c in range(m))
+        tuple(pair(span[a], apply_j(amb.norden, span[c])) for c in range(m))
         for a in range(m)
     )
     proj = []
@@ -388,10 +442,10 @@ def frame_tables(frame, amb):
     for a in range(m):
         p = list(unit_vector(m, a))
         for q in range(m):
-            p[q] -= frame.eta[a] * xi_span[q]
+            p[q] -= eta[a] * xi_span[q]
         proj.append(tuple(p))
         p_amb = tuple(
-            sum(p[q] * frame.span[q][r] for q in range(m)) for r in range(len(frame.xi))
+            sum(p[q] * span[q][r] for q in range(m)) for r in range(len(span[0]))
         )
         phi.append(span_coords(apply_j(amb.norden, p_amb)))
     return {
@@ -595,8 +649,9 @@ def reference_lattice_combination(a: DenseTensor, b: DenseTensor, sign: int):
 def reference_fit_tables(columns, rhs) -> LinearSolution:
     """Reference for `exact.fit_tables` on (flat int numerators, den) pairs
     over every component: independent coefficient rows picked in order on
-    the numerators, `solve_affine` on them, and every component checked in
-    cross-multiplied ints. All-zero coefficient tables pick the first row."""
+    the numerators, `reference_solve_affine` on them, and every component
+    checked in cross-multiplied ints. All-zero coefficient tables pick the
+    first row."""
     flat = [tuple(nums) for nums, _ in columns]
     dens = [den for _, den in columns]
     b, db = tuple(rhs[0]), rhs[1]
@@ -610,13 +665,14 @@ def reference_fit_tables(columns, rhs) -> LinearSolution:
             if len(picked) == len(columns):
                 break
     picked = picked or [0]
-    sol = solve_affine(
+    sol = reference_solve_affine(
         [tuple(Fraction(col[i], d) for col, d in zip(flat, dens)) for i in picked],
         [Fraction(b[i], db) for i in picked],
     )
     if sol.kind == "infeasible":
         return sol
-    x, dx = lattice_vector(sol.particular)
+    dx = lcm(*(q.denominator for q in sol.particular))
+    x = [int(q * dx) for q in sol.particular]
     den = lcm(*dens)
     lhs = [0] * len(b)
     for col, xj, dj in zip(flat, x, dens):
@@ -628,27 +684,30 @@ def reference_fit_tables(columns, rhs) -> LinearSolution:
 
 
 def echelon_fit(columns, rhs):
-    """Reference for `exact.fit_tables`: `solve_affine` on every component
-    row of the system sum_j x_j columns[j] = rhs."""
-    return solve_affine(list(zip(*(t.entries for t in columns))), list(rhs.entries))
+    """Reference for `exact.fit_tables`: `reference_solve_affine` on every
+    component row of the system sum_j x_j columns[j] = rhs."""
+    return reference_solve_affine(list(zip(*(t.entries for t in columns))), list(rhs.entries))
 
 
 def reference_frame_identities(sf, frame, amb, rho):
     """Reference for `hypersurface.verify_frame_identities`: the same
     identities, scan orders and witnesses, evaluated one vector at a time in
     Fraction arithmetic from the frame's defining vectors."""
-    m = len(frame.span)
-    n = len(frame.xi)
+    span, xi, transversal, eta = nested(frame.span), frame.xi.entries, frame.transversal.entries, frame.eta.entries
+    b_form, c_form, a_star_xi, a_n = nested(sf.b_form), nested(sf.c_form), nested(sf.a_star_xi), nested(sf.a_n)
+    tau, nabla_star = sf.tau.entries, nested(sf.nabla_star)
+    m = len(span)
+    n = len(xi)
     b = frame.b
-    metric = amb.norden.metric(frame.inducing_metric)
+    metric = nested(amb.norden.metric(frame.inducing_metric))
     def j_of(v):
         return apply_j(amb.norden, v)
 
-    full_cols = list(frame.span) + [frame.transversal]
-    full_inv = mat_inverse(tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n)))
-    xi_span = tuple(sum(full_inv[r][q] * frame.xi[q] for q in range(n)) for r in range(m))
+    full_cols = list(span) + [transversal]
+    full_inv = reference_mat_inverse(tuple(tuple(full_cols[c][r] for c in range(n)) for r in range(n)))
+    xi_span = tuple(sum(full_inv[r][q] * xi[q] for q in range(n)) for r in range(m))
     inner_cols = [unit_vector(m, i) for i in frame.screen_indices] + [xi_span]
-    inner_inv = mat_inverse(tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m)))
+    inner_inv = reference_mat_inverse(tuple(tuple(inner_cols[c][r] for c in range(m)) for r in range(m)))
 
     def metric_times(v):
         return tuple(sum(metric[i][j] * v[j] for j in range(n)) for i in range(n))
@@ -660,7 +719,7 @@ def reference_frame_identities(sf, frame, amb, rho):
         return dot(u, metric_times(v))
 
     def span_to_ambient(coords):
-        return tuple(sum(coords[a] * frame.span[a][q] for a in range(m)) for q in range(n))
+        return tuple(sum(coords[a] * span[a][q] for a in range(m)) for q in range(n))
 
     def split_tangent(v):
         coords = tuple(sum(full_inv[r][q] * v[q] for q in range(n)) for r in range(m + 1))
@@ -677,7 +736,7 @@ def reference_frame_identities(sf, frame, amb, rho):
         return tuple(out)
 
     def p_project_span(a):
-        return tuple(F(1 if q == a else 0) - frame.eta[a] * xi_span[q] for q in range(m))
+        return tuple(F(1 if q == a else 0) - eta[a] * xi_span[q] for q in range(m))
 
     def screen_coords_of(vec_ambient):
         tm, ncoef = split_tangent(vec_ambient)
@@ -689,14 +748,14 @@ def reference_frame_identities(sf, frame, amb, rho):
     def first(witnesses):
         return next(witnesses, None)
 
-    a_star_amb = tuple(span_to_ambient(v) for v in sf.a_star_xi)
-    a_n_amb = tuple(span_to_ambient(v) for v in sf.a_n)
+    a_star_amb = tuple(span_to_ambient(v) for v in a_star_xi)
+    a_n_amb = tuple(span_to_ambient(v) for v in a_n)
     p_amb = tuple(span_to_ambient(p_project_span(a)) for a in range(m))
     gm = nested(sf.induced_gamma)
     rows = range(m)
     # der[a][c][d] = <E_d, D_{E_a} E_c>
     der = [
-        [[dot(e, w) for e in frame.span] for w in (metric_times(span_to_ambient(v)) for v in gm[a])]
+        [[dot(e, w) for e in span] for w in (metric_times(span_to_ambient(v)) for v in gm[a])]
         for a in rows
     ]
     g_star = [metric_times(v) for v in a_star_amb]
@@ -704,28 +763,28 @@ def reference_frame_identities(sf, frame, amb, rho):
     screen = list(enumerate(frame.screen_indices))
     out = [
         ("second_fundamental_symmetric", first(
-            (a + 1, c + 1) for a in rows for c in range(a + 1, m) if sf.b_form[a][c] != sf.b_form[c][a]
+            (a + 1, c + 1) for a in rows for c in range(a + 1, m) if b_form[a][c] != b_form[c][a]
         )),
         ("second_fundamental_kills_radical", first(
-            (a + 1,) for a in rows if sum(sf.b_form[a][c] * xi_span[c] for c in rows) != 0
+            (a + 1,) for a in rows if sum(b_form[a][c] * xi_span[c] for c in rows) != 0
         )),
         ("b_equals_xi_shape_pairing", first(
             (a + 1, c + 1)
             for a in rows
             for c in rows
-            if sf.b_form[a][c] != dot(frame.span[c], g_star[a])
+            if b_form[a][c] != dot(span[c], g_star[a])
         )),
         ("xi_shape_operator_screen_valued", first(
-            (a + 1,) for a in rows if pair(a_star_amb[a], frame.transversal) != 0
+            (a + 1,) for a in rows if pair(a_star_amb[a], transversal) != 0
         )),
         ("c_equals_transversal_shape_pairing", first(
             (a + 1, pos + 1)
             for a in rows
             for pos, idx in screen
-            if sf.c_form[a][pos] != dot(frame.span[idx], g_n[a])
+            if c_form[a][pos] != dot(span[idx], g_n[a])
         )),
         ("transversal_shape_operator_screen_valued", first(
-            (a + 1,) for a in rows if pair(a_n_amb[a], frame.transversal) != 0
+            (a + 1,) for a in rows if pair(a_n_amb[a], transversal) != 0
         )),
         ("metric_derivative_split", first(
             (a + 1, c + 1, d + 1)
@@ -733,13 +792,13 @@ def reference_frame_identities(sf, frame, amb, rho):
             for c in rows
             for d in rows
             if -der[a][c][d] - der[a][d][c]
-            != sf.b_form[a][c] * frame.eta[d] + sf.b_form[a][d] * frame.eta[c]
+            != b_form[a][c] * eta[d] + b_form[a][d] * eta[c]
         )),
         ("tangential_j_decomposition", first(
             (a + 1,)
             for a in rows
-            if j_of(frame.span[a])
-            != tuple(x + b * frame.eta[a] * y for x, y in zip(j_of(p_amb[a]), frame.transversal))
+            if j_of(span[a])
+            != tuple(x + b * eta[a] * y for x, y in zip(j_of(p_amb[a]), transversal))
         )),
         ("shape_operator_duality", first(
             (a + 1,) for a in rows if a_star_amb[a] != tuple(-b * x for x in j_of(a_n_amb[a]))
@@ -755,32 +814,32 @@ def reference_frame_identities(sf, frame, amb, rho):
         w = first(
             (a + 1, c + 1)
             for a in rows
-            if sf.b_form[a][c] != -b * sum(coords[pos] * sf.c_form[a][pos] for pos in range(m - 1))
+            if b_form[a][c] != -b * sum(coords[pos] * c_form[a][pos] for pos in range(m - 1))
         )
         if w:
             break
     out.append(("fundamental_form_duality", w))
 
     w = None
-    j_screen = [screen_coords_of(j_of(frame.span[idx])) for idx in frame.screen_indices]
+    j_screen = [screen_coords_of(j_of(span[idx])) for idx in frame.screen_indices]
     if None in j_screen:
         w = (0, j_screen.index(None) + 1)
     else:
         for a in rows:
             for pos in range(m - 1):
                 lhs = [
-                    sum(j_screen[pos][v] * sf.nabla_star[a][v][q] for v in range(m - 1))
+                    sum(j_screen[pos][v] * nabla_star[a][v][q] for v in range(m - 1))
                     for q in range(m - 1)
                 ]
                 lhs_ambient = span_to_ambient(screen_coords_to_span(lhs))
-                rhs_vec = span_to_ambient(screen_coords_to_span(sf.nabla_star[a][pos]))
+                rhs_vec = span_to_ambient(screen_coords_to_span(nabla_star[a][pos]))
                 if lhs_ambient != j_of(rhs_vec):
                     w = (a + 1, pos + 1)
                     break
             if w:
                 break
     out.append(("screen_connection_preserves_j", w))
-    out.append(("tau_vanishes_for_constant_gauge", first((a + 1,) for a in rows if sf.tau[a] != 0)))
+    out.append(("tau_vanishes_for_constant_gauge", first((a + 1,) for a in rows if tau[a] != 0)))
     if rho is not None:
         out.append(("umbilical_shape_alignment", first(
             (a + 1,) for a in rows if a_n_amb[a] != tuple(rho / b * x for x in j_of(p_amb[a]))
@@ -980,7 +1039,7 @@ def reference_validate_lie_algebra(spec) -> ValidationReport:
 
 def reference_validate_norden(spec, ns) -> ValidationReport:
     n = spec.dim
-    g, j = ns.g, ns.j
+    g, j = nested(ns.g), nested(ns.j)
     checks = []
     w = next(((i + 1, k + 1) for i in range(n) for k in range(i + 1, n) if g[i][k] != g[k][i]), None)
     checks.append(Check("metric_symmetric", w is None, w))
@@ -1016,65 +1075,84 @@ def reference_validate_norden(spec, ns) -> ValidationReport:
 def reference_validate_span(hs, amb) -> None:
     n = amb.spec.dim
     c = nested(amb.spec.brackets)
-    if len(hs.span) != n - 1:
-        raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {len(hs.span)}")
-    if reference_mat_rank(hs.span) != n - 1:
+    span = nested(hs.span)
+    if len(span) != n - 1:
+        raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {len(span)}")
+    if reference_mat_rank(span) != n - 1:
         raise HypothesisFailure("hypersurface span is linearly dependent")
-    for a in range(len(hs.span)):
-        for b in range(a + 1, len(hs.span)):
-            w = bilinear_map(c, hs.span[a], hs.span[b])
-            if reference_solve_affine(list(zip(*hs.span)), list(w)).kind == "infeasible":
+    for a in range(len(span)):
+        for b in range(a + 1, len(span)):
+            w = bilinear_map(c, span[a], span[b])
+            if reference_solve_affine(list(zip(*span)), list(w)).kind == "infeasible":
                 raise HypothesisFailure(
                     f"span is not a subalgebra: bracket of span vectors {a + 1} and {b + 1} "
                     "leaves the span"
                 )
 
 
+def reference_primitive_integer_vector(v):
+    """Rescale to coprime integer coordinates with positive leading nonzero."""
+    if all(x == 0 for x in v):
+        raise ValueError("zero vector has no primitive form")
+    denom = lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = gcd(*(abs(x) for x in ints))
+    ints = [x // g for x in ints]
+    lead = next(x for x in ints if x != 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(map(F, ints))
+
+
 def reference_induce_and_classify(hs, amb):
     """(kind, gram, radical span coordinates, radical, normal direction)."""
-    metric = amb.norden.metric(hs.inducing_metric)
-    m = len(hs.span)
-    g_ind = gram(metric, hs.span)
+    metric = nested(amb.norden.metric(hs.inducing_metric))
+    span = nested(hs.span)
+    m = len(span)
+    g_ind = gram(metric, span)
     kern = reference_kernel_basis(g_ind)
     if len(kern) == 0:
-        pairing = [[sum(w[q] * metric[q][k] for q in range(len(w))) for k in range(len(w))] for w in hs.span]
+        pairing = [[sum(w[q] * metric[q][k] for q in range(len(w))) for k in range(len(w))] for w in span]
         normal = reference_kernel_basis(pairing)
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
-        return "nondegenerate", g_ind, None, None, primitive_integer_vector(normal[0])
+        return "nondegenerate", g_ind, None, None, reference_primitive_integer_vector(normal[0])
     if len(kern) > 1:
         raise InternalInconsistency(
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
         )
     coords = kern[0]
-    ambient = tuple(sum(coords[a] * hs.span[a][q] for a in range(m)) for q in range(len(hs.span[0])))
+    ambient = tuple(sum(coords[a] * span[a][q] for a in range(m)) for q in range(len(span[0])))
     return "lightlike", g_ind, coords, ambient, None
 
 
 def reference_construct_screen(hs, cls):
     from itertools import combinations
 
-    m = len(hs.span)
+    m = hs.span.dims[0]
+    g = nested(cls.gram)
     for indices in combinations(range(m), m - 1):
-        if reference_mat_rank([[cls.gram[a][b] for b in indices] for a in indices]) == m - 1:
+        if reference_mat_rank([[g[a][b] for b in indices] for a in indices]) == m - 1:
             return indices
     raise InternalInconsistency("no nondegenerate screen complement exists")
 
 
 def reference_construct_transversal(hs, amb, cls, screen_indices):
     """(xi, transversal, eta) of the frame."""
-    metric = amb.norden.metric(hs.inducing_metric)
+    metric = nested(amb.norden.metric(hs.inducing_metric))
+    span = nested(hs.span)
     n = amb.spec.dim
-    radical = cls.radical_ambient
+    radical = cls.radical_ambient.entries
     if hs.xi_hint is not None:
-        if vec_is_zero(hs.xi_hint):
+        hint = hs.xi_hint.entries
+        if all(x == 0 for x in hint):
             raise HypothesisFailure("xi hint is the zero vector")
-        if primitive_integer_vector(hs.xi_hint) != primitive_integer_vector(radical):
+        if reference_primitive_integer_vector(hint) != reference_primitive_integer_vector(radical):
             raise HypothesisFailure("xi hint does not lie in the radical")
-        xi = hs.xi_hint
+        xi = hint
     else:
-        xi = primitive_integer_vector(radical)
-    pairing = [[sum(w[q] * metric[q][k] for q in range(n)) for k in range(n)] for w in (hs.span[i] for i in screen_indices)]
+        xi = reference_primitive_integer_vector(radical)
+    pairing = [[sum(w[q] * metric[q][k] for q in range(n)) for k in range(n)] for w in (span[i] for i in screen_indices)]
     v = next((cand for cand in reference_kernel_basis(pairing) if bilinear(metric, cand, xi) != 0), None)
     if v is None:
         raise InternalInconsistency("no transversal candidate pairs with the radical section")
@@ -1084,27 +1162,153 @@ def reference_construct_transversal(hs, amb, cls, screen_indices):
     if bilinear(metric, transversal, xi) != 1 or bilinear(metric, transversal, transversal) != 0:
         raise InternalInconsistency("transversal conditions fail on the constructed vector")
     for i in screen_indices:
-        if bilinear(metric, transversal, hs.span[i]) != 0:
+        if bilinear(metric, transversal, span[i]) != 0:
             raise InternalInconsistency("transversal is not orthogonal to the screen")
-    return xi, transversal, tuple(bilinear(metric, e, transversal) for e in hs.span)
+    return xi, transversal, tuple(bilinear(metric, e, transversal) for e in span)
 
 
 def reference_radical_transversal_check(frame, amb):
     """(is radical transversal, b, screen holomorphic, J xi)."""
-    j_xi = apply_j(amb.norden, frame.xi)
-    pivot = next(q for q, x in enumerate(frame.transversal) if x != 0)
-    b = j_xi[pivot] / frame.transversal[pivot]
-    is_rt = j_xi == vec_scale(frame.transversal, b) and b != 0
-    screen_cols = list(zip(*frame.screen))
+    transversal, screen = frame.transversal.entries, nested(frame.screen)
+    j_xi = apply_j(amb.norden, frame.xi.entries)
+    pivot = next(q for q, x in enumerate(transversal) if x != 0)
+    b = j_xi[pivot] / transversal[pivot]
+    is_rt = j_xi == vec_scale(transversal, b) and b != 0
+    screen_cols = list(zip(*screen))
     holomorphic = all(
         reference_solve_affine(screen_cols, list(apply_j(amb.norden, w))).kind != "infeasible"
-        for w in frame.screen
+        for w in screen
     )
     if is_rt != holomorphic:
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
     return is_rt, b if is_rt else None, holomorphic, j_xi
+
+
+# ---------------------------------------------------------------------------
+# Fraction references of the Gauss/Weingarten decomposition and the three
+# Ricci routes: every ambient derivative and every Ricci entry from its
+# defining sums, one Fraction vector at a time, as they were written before
+# their tables became int forms. Tests compare the engine with them bit for
+# bit.
+
+
+class FractionFrame:
+    """A lightlike frame's decomposition in Fraction arithmetic, from its
+    defining vectors alone."""
+
+    def __init__(self, frame):
+        self.span, self.xi = nested(frame.span), frame.xi.entries
+        self.transversal, self.eta = frame.transversal.entries, frame.eta.entries
+        self.screen_indices = frame.screen_indices
+        m, n = len(self.span), len(self.xi)
+        cols = list(self.span) + [self.transversal]
+        self.full_inv = reference_mat_inverse(tuple(tuple(col[r] for col in cols) for r in range(n)))
+        self.xi_span = self.split_tangent(self.xi)[0]
+        inner = [unit_vector(m, i) for i in self.screen_indices] + [self.xi_span]
+        self.inner_inv = reference_mat_inverse(tuple(tuple(col[r] for col in inner) for r in range(m)))
+
+    def split_tangent(self, v):
+        """(span coordinates, transversal coefficient) of an ambient vector."""
+        coords = tuple(sum(map(mul, row, v)) for row in self.full_inv)
+        return coords[:-1], coords[-1]
+
+    def screen_radical_split(self, tm):
+        """(screen coordinates, xi coefficient) of span coordinates."""
+        coords = tuple(sum(map(mul, row, tm)) for row in self.inner_inv)
+        return coords[:-1], coords[-1]
+
+    def to_ambient(self, coords):
+        return tuple(sum(c * e[q] for c, e in zip(coords, self.span)) for q in range(len(self.xi)))
+
+    def p_project(self, a):
+        """Span coordinates of P E_a = E_a - eta(E_a) xi."""
+        return tuple(F(1 if q == a else 0) - self.eta[a] * x for q, x in enumerate(self.xi_span))
+
+
+def reference_gauss_weingarten(frame, amb):
+    """Reference for `hypersurface.gauss_weingarten`: (b_form, c_form,
+    a_star_xi, a_n, tau, induced_gamma, nabla_star) as nested Fraction
+    tuples, with the same consistency checks in the same order."""
+    fr = FractionFrame(frame)
+    m = len(fr.span)
+    rows = range(m)
+    gamma = nested(amb.gamma)
+    induced, b_form = [], []
+    for a in rows:
+        splits = [fr.split_tangent(bilinear_map(gamma, fr.span[a], e)) for e in fr.span]
+        induced.append(tuple(tm for tm, _ in splits))
+        b_form.append(tuple(coef for _, coef in splits))
+    if any(b_form[a][b] != b_form[b][a] for a in rows for b in range(a + 1, m)):
+        raise InternalInconsistency("second fundamental form is not symmetric")
+    if any(sum(map(mul, row, fr.xi_span)) != 0 for row in b_form):
+        raise InternalInconsistency("second fundamental form does not vanish on the radical")
+    splits = [fr.split_tangent(bilinear_map(gamma, e, fr.transversal)) for e in fr.span]
+    a_n = tuple(tuple(-x for x in tm) for tm, _ in splits)
+    tau = tuple(coef for _, coef in splits)
+    a_star = []
+    for a in rows:
+        d_xi = tuple(sum(fr.xi_span[b] * induced[a][b][q] for b in rows) for q in rows)
+        screen_part, xi_coef = fr.screen_radical_split(d_xi)
+        if -xi_coef != tau[a]:
+            raise InternalInconsistency("tau from the transversal and radical decompositions disagree")
+        image = [F(0)] * m
+        for pos, idx in enumerate(fr.screen_indices):
+            image[idx] = -screen_part[pos]
+        a_star.append(tuple(image))
+    if any(sum(fr.xi_span[a] * a_star[a][q] for a in rows) != 0 for q in rows):
+        raise InternalInconsistency("xi-shape operator does not annihilate the radical section")
+    screen = [[fr.screen_radical_split(induced[a][idx]) for idx in fr.screen_indices] for a in rows]
+    c_form = tuple(tuple(coef for _, coef in row) for row in screen)
+    nabla_star = tuple(tuple(part for part, _ in row) for row in screen)
+    return tuple(b_form), c_form, tuple(a_star), a_n, tau, tuple(induced), nabla_star
+
+
+def reference_ricci_routes(r13_induced, sf, frame, amb):
+    """Reference for the three routes of `symmetry.induced_ricci`: the
+    canonical trace, the ambient split
+
+        Ric(X, Y) = Ric_ambient(X, Y) + B(X, Y) tr A_N
+                    - <A_N X, A*_xi Y> - <R(xi, Y)X, N>
+
+    and the closed form (None without constant curvatures or rho), as
+    nested Fraction tuples."""
+    fr = FractionFrame(frame)
+    m = len(fr.span)
+    rows = range(m)
+    t = nested(r13_induced)
+    metric = nested(amb.norden.metric(frame.inducing_metric))
+    amb_ric = nested(amb.ricci)
+    b_form, a_n, a_star = nested(sf.b_form), nested(sf.a_n), nested(sf.a_star_xi)
+    tr_an = sum(a_n[a][a] for a in rows)
+
+    def split(a, b):
+        r_vec = tuple(sum(fr.xi_span[i] * t[i][b][a][q] for i in rows) for q in rows)
+        return (
+            bilinear(amb_ric, fr.span[a], fr.span[b])
+            + b_form[a][b] * tr_an
+            - bilinear(metric, fr.to_ambient(a_n[a]), fr.to_ambient(a_star[b]))
+            - bilinear(metric, fr.to_ambient(r_vec), fr.transversal)
+        )
+
+    closed = None
+    if amb.trsc.kind == "constant" and sf.rho is not None:
+        h = amb.half_dim
+        if frame.inducing_metric == "principal":
+            other, k, lead, sign = nested(amb.norden.g_assoc), amb.trsc.nu_assoc, -2 * (h - 1), 1
+        else:
+            other, k, lead, sign = nested(amb.norden.g), amb.trsc.nu, 2 * (h - 1), -1
+        a_coeff = k - sf.rho * sf.rho / frame.b
+        p = [fr.to_ambient(fr.p_project(a)) for a in rows]
+        closed = tuple(
+            tuple(
+                lead * k * bilinear(other, fr.span[a], fr.span[b]) + sign * a_coeff * bilinear(other, p[a], p[b])
+                for b in rows
+            )
+            for a in rows
+        )
+    return trace_ricci(r13_induced), tuple(tuple(split(a, b) for b in rows) for a in rows), closed
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1321,7 @@ def reference_curvature(spec, gamma: DenseTensor, ns: NordenStructure):
     n = spec.dim
     gm, dgm = gamma.lattice()
     c, dc = spec.brackets.lattice()
-    g, dg = ns.lattice("principal")
+    g, dg = ns.g.lattice()
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
     cols = [tuple(zip(*gm[i])) for i in range(n)]
@@ -1149,10 +1353,10 @@ def reference_curvature(spec, gamma: DenseTensor, ns: NordenStructure):
 def reference_pi_tensors(g, j):
     """Reference for `ambient.pi_tensors`: every component of pi1, pi2 and
     pi3 from its defining expression."""
-    n = len(g)
+    n = g.dims[0]
     rows = range(n)
-    g, dg = lattice_rows(g)
-    j, dj = lattice_rows(j)
+    g, dg = g.lattice()
+    j, dj = j.lattice()
     gj = reference_int_matmul(g, tuple(zip(*j)))  # g(X_a, J X_b) over dg * dj
     pi1, pi2, pi3 = [], [], []
     for a, b, k in product(rows, repeat=3):
@@ -1176,7 +1380,7 @@ def reference_associated_table(r04: DenseTensor, ns: NordenStructure) -> DenseTe
     R~(X,Y,Z,W) = R(X,Y,Z,JW), one dense product per (i, a) block."""
     n = r04.dims[0]
     t, dt = r04.lattice()
-    j, dj = ns.lattice("j")
+    j, dj = ns.j.lattice()
     j_cols = tuple(zip(*j))
     nums = []
     for i, a in product(range(n), repeat=2):
@@ -1189,15 +1393,15 @@ def reference_induced_curvature_gauss(sf, frame, amb) -> DenseTensor:
     slot by slot with dense products over the whole ambient table, and the
     frame coordinates and the Codazzi comparison one basis triple at a
     time, in product order."""
-    m = len(frame.span)
+    m = frame.span.dims[0]
     n = amb.spec.dim
     rows = range(m)
     amb13, den_r = amb.riemann13.lattice()
-    span, den_s = frame.lattice.span
-    inv, den_inv = frame.lattice.inverse
-    b_form, den_b = lattice_rows(sf.b_form)
-    a_n, den_a = lattice_rows(sf.a_n)
-    (tau,), den_tau = lattice_rows((sf.tau,))
+    span, den_s = frame.span.lattice()
+    inv, den_inv = frame.inverse.lattice()
+    b_form, den_b = sf.b_form.lattice()
+    a_n, den_a = sf.a_n.lattice()
+    tau, den_tau = sf.tau.lattice()
     gm, den_g = sf.induced_gamma.lattice()
 
     # vec[a][b][c] is the ambient vector R(E_a, E_b)E_c over den_s^3 den_r
@@ -1252,7 +1456,7 @@ def reference_einstein_witness(ricci, g_ind, g_assoc_ind):
     rows = [(g_ind[a][b], g_assoc_ind[a][b]) for a, b in pairs]
     rhs = [ricci[a][b] for a, b in pairs]
     for stop in range(1, len(rows) + 1):
-        if solve_affine(rows[:stop], rhs[:stop]).kind == "infeasible":
+        if reference_solve_affine(rows[:stop], rhs[:stop]).kind == "infeasible":
             a, b = pairs[stop - 1]
             return a + 1, b + 1
     return None
@@ -1287,7 +1491,7 @@ def conjugate_instance(spec: LieAlgebraSpec, ns: NordenStructure, s, vectors):
     new (spec, norden) pair plus the given ambient vectors rewritten in the
     new coordinates."""
     n = spec.dim
-    s_inv = mat_inverse(s)
+    s_inv = reference_mat_inverse(s)
     c = nested(spec.brackets)
 
     def new_bracket(i, j, r):
@@ -1307,9 +1511,9 @@ def conjugate_instance(spec: LieAlgebraSpec, ns: NordenStructure, s, vectors):
 
     brackets = tensor_from_function((n, n, n), lambda i, j, r: new_bracket(i, j, r))
     new_spec = LieAlgebraSpec(n, spec.basis_labels, brackets)
-    g_new = mat_mul(mat_mul(transpose(s), ns.g), s)
-    j_new = mat_mul(mat_mul(s_inv, ns.j), s)
-    new_ns = norden_structure(g_new, j_new)
+    g_new = mat_mul(mat_mul(transpose(s), nested(ns.g)), s)
+    j_new = mat_mul(mat_mul(s_inv, nested(ns.j)), s)
+    new_ns = norden(g_new, j_new)
     new_vectors = tuple(
         tuple(sum(s_inv[r][q] * v[q] for q in range(n)) for r in range(n)) for v in vectors
     )
@@ -1334,7 +1538,7 @@ def random_norden_pair(rng: random.Random, half: int):
         j0[i][half + i] = F(-1)
     while True:
         s = random_unimodular(rng, n)
-        s_inv = mat_inverse(s)
+        s_inv = reference_mat_inverse(s)
         j = mat_mul(mat_mul(s, j0), s_inv)
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         sym = [[(m[i][k] + m[k][i]) / 2 for k in range(n)] for i in range(n)]
@@ -1371,6 +1575,7 @@ def instance_text(spec: LieAlgebraSpec, ns: NordenStructure, blocks) -> str:
 
     n = spec.dim
     c = nested(spec.brackets)
+    g, j = nested(ns.g), nested(ns.j)
 
     def terms(values):
         return " ".join(f"{k + 1}:{format_rational(q)}" for k, q in enumerate(values) if q != 0)
@@ -1383,12 +1588,12 @@ def instance_text(spec: LieAlgebraSpec, ns: NordenStructure, blocks) -> str:
         if any(c[i][j])
     ]
     lines += [
-        f"METRIC {i + 1} {j + 1} = {format_rational(ns.g[i][j])}"
+        f"METRIC {i + 1} {k + 1} = {format_rational(g[i][k])}"
         for i in range(n)
-        for j in range(i, n)
-        if ns.g[i][j] != 0
+        for k in range(i, n)
+        if g[i][k] != 0
     ]
-    lines += [f"J {i + 1} = {terms(ns.j[q][i] for q in range(n))}" for i in range(n)]
+    lines += [f"J {i + 1} = {terms(j[q][i] for q in range(n))}" for i in range(n)]
     lines += [f"HYPERSURFACE metric={m} span={','.join(map(str, span))}" for m, span in blocks]
     return "\n".join(lines) + "\n"
 
@@ -1442,11 +1647,11 @@ def invalid_family_text(cause: str, h: int = 3) -> str:
         return "\n".join(lines) + "\n"
     spec, ns = conjugated_family(h)
     if cause == "j_scaled":
-        ns = norden_structure(ns.g, tuple(tuple(2 * x for x in row) for row in ns.j))
+        ns = norden_structure(ns.g, tensor_scale(ns.j, 2))
     elif cause == "metric_scaled":
-        g = [list(row) for row in ns.g]
+        g = [list(row) for row in nested(ns.g)]
         g[0][0] *= 2
-        ns = norden_structure(g, ns.j)
+        ns = norden(g, ns.j)
     elif cause == "jacobi":
         c = [[list(row) for row in plane] for plane in nested(spec.brackets)]
         c[1][h + 1][0], c[h + 1][1][0] = F(1), F(-1)
@@ -1458,12 +1663,15 @@ def invalid_family_text(cause: str, h: int = 3) -> str:
 
 
 INVALID_CAUSES = ("j_scaled", "metric_scaled", "jacobi", "kaehler")
+# the hand-written fixtures; fixtures/family_h3.mf and family_h4.mf are
+# family_text(3) and family_text(4), which the corpus holds already
+FIXTURE_STEMS = ("abelian_flat", "sl2c_borel")
 
 
 def golden_corpus() -> list[tuple[str, str]]:
     """(name, `.mf` text) of the inputs whose report digests are pinned in
-    tests/golden/report_digests.json: both fixtures, the family at h = 2-6
-    as written and conjugated, one input failing validation (a bracket that
+    tests/golden/report_digests.json: the hand-written fixtures, the family
+    at h = 2-6 as written and conjugated, one input failing validation (a bracket that
     breaks Jacobi), one with four blocks (full path, nondegenerate, not a
     subalgebra, not umbilical), the family at h = 8 (dim 16, `MAX_DIM`) as
     written and conjugated, and one input for each cause of
@@ -1471,7 +1679,7 @@ def golden_corpus() -> list[tuple[str, str]]:
     from pathlib import Path
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-    corpus = [(p.stem, p.read_text(encoding="utf-8")) for p in sorted(fixtures.glob("*.mf"))]
+    corpus = [(stem, (fixtures / f"{stem}.mf").read_text(encoding="utf-8")) for stem in FIXTURE_STEMS]
     for h in range(2, 7):
         corpus.append((f"family_h{h}", family_text(h)))
         corpus.append((f"family_h{h}_conjugated", conjugated_family_text(h)))
@@ -1514,8 +1722,8 @@ def family_member(conjugated: bool):
         for row in s:
             row[1] *= 2
             row[4] *= 3
-        spec, ns, span = conjugate_instance(scale_brackets(spec, F(5, 7)), ns, s, span)
-        ns = norden_structure(tuple(tuple(x / 3 for x in row) for row in ns.g), ns.j)
+        spec, ns, span = conjugate_instance(scale_brackets(spec, F(5, 7)), ns, s, nested(span))
+        ns = norden_structure(tensor_scale(ns.g, F(1, 3)), ns.j)
     amb = build_ambient_geometry(spec, ns)
     return spec, ns, amb, run_hypersurface(amb, span, "associated")
 
@@ -1530,7 +1738,6 @@ def non_invariant_screen_run():
     from dataclasses import replace
 
     from nordenlight.hypersurface import (
-        HypersurfaceSpec,
         construct_screen,
         construct_transversal,
         gauss_weingarten,
@@ -1540,7 +1747,7 @@ def non_invariant_screen_run():
     spec, ns, amb, _ = family_member(False)
     x = [unit_vector(6, i) for i in range(6)]
     span = (x[4], x[2], x[3], tuple(a + b for a, b in zip(x[1], x[3])), x[5])
-    hs = HypersurfaceSpec(span, "associated")
+    hs = hyper_spec(span, "associated")
     cls = induce_and_classify(hs, amb)
     frame = construct_transversal(hs, amb, cls, construct_screen(hs, cls))
     frame = replace(frame, b=F(2))
@@ -1569,7 +1776,6 @@ def run_hypersurface(amb, span, inducing, xi_hint=None) -> HyperRun:
     from dataclasses import replace
 
     from nordenlight.hypersurface import (
-        HypersurfaceSpec,
         construct_screen,
         construct_transversal,
         gauss_weingarten,
@@ -1579,7 +1785,7 @@ def run_hypersurface(amb, span, inducing, xi_hint=None) -> HyperRun:
         validate_span,
     )
 
-    hs = HypersurfaceSpec(tuple(span), inducing, xi_hint)
+    hs = hyper_spec(span, inducing, xi_hint)
     validate_span(hs, amb)
     cls = induce_and_classify(hs, amb)
     if cls.kind != "lightlike":

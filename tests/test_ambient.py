@@ -6,6 +6,7 @@ from helpers import (
     first_failure,
     koszul_residuals,
     nested,
+    norden,
     symmetry_closure_table,
     tensor_add,
     tensor_from_function,
@@ -23,7 +24,6 @@ from nordenlight.ambient import (
     kaehler_check,
     koszul_connection,
     levi_civita,
-    norden_structure,
     pi_tensors,
     validate_lie_algebra,
     validate_norden,
@@ -99,14 +99,14 @@ class TestValidateNorden:
     def test_fixture_passes_with_expected_associated_metric(self, golden):
         spec, ns, _ = golden
         assert validate_norden(spec, ns).ok
-        assert ns.g_assoc[1][3] == F(-1)  # pairs X2 with X4
-        assert ns.g_assoc[0][2] == F(-1)  # pairs X1 with X3
-        assert sum(1 for row in ns.g_assoc for x in row if x != 0) == 4
+        assert ns.g_assoc[1, 3] == F(-1)  # pairs X2 with X4
+        assert ns.g_assoc[0, 2] == F(-1)  # pairs X1 with X3
+        assert sum(1 for row in nested(ns.g_assoc) for x in row if x != 0) == 4
 
     def test_identity_j_fails(self, golden):
         spec, ns, _ = golden
         eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        bad = norden_structure(ns.g, eye)
+        bad = norden(ns.g, eye)
         report = validate_norden(spec, bad)
         assert not report.ok
         assert first_failure(report).name == "complex_structure_squares_to_minus_identity"
@@ -116,7 +116,7 @@ class TestValidateNorden:
         # evaluates to g(X3, X3) + g(X1, X1) = 2 on the fixture's J.
         spec, ns, _ = golden
         eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        bad = norden_structure(eye, ns.j)
+        bad = norden(eye, ns.j)
         report = validate_norden(spec, bad)
         assert not report.ok
         failing = first_failure(report)
@@ -168,27 +168,28 @@ class TestKaehlerCheck:
         # reported componentwise. Direct evaluation gives
         # g((D_{X2} J)X2, X1) = -2.
         spec, ns, _ = golden
-        g2 = [list(row) for row in ns.g]
+        g2 = [list(row) for row in nested(ns.g)]
         g2[0][0] = F(2)
-        broken = norden_structure(g2, ns.j)
+        broken = norden(g2, ns.j)
         gamma = koszul_connection(spec, broken.g)
         check = kaehler_check(spec, broken, gamma)
         assert not check.is_kaehler_norden
         assert check.f_table[1, 1, 0] == F(-2)
         # oracle: recompute F from the connection and J tables directly
         gm = nested(gamma)
+        j, g = nested(broken.j), nested(broken.g)
         n = 4
         for i in range(n):
             for a in range(n):
                 d_j = [F(0)] * n
                 for m in range(n):
                     for q in range(n):
-                        d_j[q] += broken.j[m][a] * gm[i][m][q]
+                        d_j[q] += j[m][a] * gm[i][m][q]
                 jd = [
-                    sum(broken.j[q][m] * gm[i][a][m] for m in range(n)) for q in range(n)
+                    sum(j[q][m] * gm[i][a][m] for m in range(n)) for q in range(n)
                 ]
                 for k in range(n):
-                    val = sum((d_j[q] - jd[q]) * broken.g[q][k] for q in range(n))
+                    val = sum((d_j[q] - jd[q]) * g[q][k] for q in range(n))
                     assert check.f_table[i, a, k] == val
         # the associated table of the broken pair is asymmetric, so the
         # connection-difference cross-check is skipped rather than asserted
@@ -196,9 +197,9 @@ class TestKaehlerCheck:
 
     def test_build_rejects_non_kaehler(self, golden):
         spec, ns, _ = golden
-        g2 = [list(row) for row in ns.g]
+        g2 = [list(row) for row in nested(ns.g)]
         g2[0][0] = F(2)
-        broken = norden_structure(g2, ns.j)
+        broken = norden(g2, ns.j)
         from nordenlight.ambient import build_ambient_geometry
 
         with pytest.raises(ValidationFailure):
@@ -256,7 +257,7 @@ class TestConstantTrsc:
         gamma = levi_civita(spec, ns)
         _, r04 = curvature(spec, gamma, ns)
         pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
-        status = constant_trsc(r04, pi1, pi2, pi3)
+        status = constant_trsc(r04, (tensor_sub(pi1, pi2), pi3))
         assert status.kind == "constant"
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
 
@@ -266,12 +267,12 @@ class TestConstantTrsc:
         offset = ((0 * 4 + 3) * 4 + 3) * 4 + 0  # overwrite the (1,4,4,1) slot
         entries[offset] = F(-5)
         tampered = DenseTensor.from_entries((4, 4, 4, 4), entries)
-        status = constant_trsc(tampered, amb.pi1, amb.pi2, amb.pi3)
+        status = constant_trsc(tampered, (tensor_sub(amb.pi1, amb.pi2), amb.pi3))
         assert status.kind == "not_constant"
 
     def test_degenerate_fit_is_flagged(self):
         zero = tensor_zeros((2, 2, 2, 2))
-        status = constant_trsc(zero, zero, zero, zero)
+        status = constant_trsc(zero, (zero, zero))
         assert status.kind == "constant"
         assert status.degenerate
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
@@ -283,7 +284,7 @@ class TestConstantTrsc:
         pi2 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(j - k + 1, 3))
         pi3 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(i * l - j, 5))
         r04 = tensor_add(tensor_scale(tensor_sub(pi1, pi2), F(7, 4)), tensor_scale(pi3, -3))
-        status = constant_trsc(r04, pi1, pi2, pi3)
+        status = constant_trsc(r04, (tensor_sub(pi1, pi2), pi3))
         assert (status.kind, status.nu, status.nu_assoc) == ("constant", F(7, 4), F(-3))
         assert not status.degenerate
 
@@ -301,15 +302,16 @@ class TestAssociatedCurvature:
         pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
         from nordenlight.ambient import associated_curvature
 
-        status = constant_trsc(r04, pi1, pi2, pi3)
-        assoc = associated_curvature(r04, ns, pi1, pi2, pi3, status)
+        columns = (tensor_sub(pi1, pi2), pi3)
+        status = constant_trsc(r04, columns)
+        assoc = associated_curvature(r04, ns, columns, status)
         assert (assoc.nu_prime, assoc.nu_assoc_prime) == (F(0), F(0))
 
     def test_kaehler_identity_componentwise(self, golden):
         _, ns, amb = golden
         t = nested(amb.riemann04)
         ta = nested(amb.assoc.r04_assoc)
-        j = ns.j
+        j = nested(ns.j)
         for i in range(4):
             for a in range(4):
                 for k in range(4):
@@ -330,7 +332,7 @@ class TestAmbientRicci:
         # full table equals 8 g on the fixture
         for a in range(4):
             for b in range(4):
-                assert amb.ricci[a, b] == 8 * ns.g[a][b]
+                assert amb.ricci[a, b] == 8 * ns.g[a, b]
 
     def test_flat_ricci(self, golden):
         _, ns, _ = golden
@@ -344,7 +346,7 @@ class TestAmbientRicci:
         # unit coefficient: brute-force trace against the closed form
         # -2(n-1) g(X, JY), and the built-in cross-check for nu = 0.
         _, ns, amb = golden
-        ginv = mat_inverse(ns.g)
+        ginv = nested(mat_inverse(ns.g))
         t = nested(amb.pi3)
         r13 = tensor_from_function(
             (4, 4, 4, 4),
@@ -354,6 +356,6 @@ class TestAmbientRicci:
         oracle = trace_ricci(r13)
         for a in range(4):
             for b in range(4):
-                gjy = sum(ns.g[a][q] * ns.j[q][b] for q in range(4))
+                gjy = sum(ns.g[a, q] * ns.j[q, b] for q in range(4))
                 assert ric[a, b] == -2 * (2 - 1) * gjy
                 assert ric[a, b] == oracle[a][b]

@@ -1,10 +1,10 @@
 """The front half of a verdict against its Fraction references, bit for bit.
 
-The elimination (`mat_rank`, `mat_inverse`, `kernel_basis`, `solve_affine`,
-`signature`), the validators, the span check, the classification and the
-frame construction run on int rows; `tests/helpers.py` keeps the Fraction
-versions they replaced. Every result, witness, detail and error message must
-be the same.
+The elimination (`mat_rank`, `mat_inverse`, `Echelon.kernel`,
+`solve_affine`, `signature`), the validators, the span check, the
+classification and the frame construction run on int rows; `tests/helpers.py`
+keeps the Fraction versions they replaced. Every result, witness, detail and
+error message must be the same.
 """
 
 import random
@@ -14,7 +14,11 @@ import pytest
 
 from helpers import (
     family_text,
+    hyper_spec,
+    kernel,
     mat_rank,
+    nested,
+    norden,
     random_unimodular,
     reference_construct_screen,
     reference_construct_transversal,
@@ -28,12 +32,13 @@ from helpers import (
     reference_validate_lie_algebra,
     reference_validate_norden,
     reference_validate_span,
+    solve,
     symmetric_diagonal,
+    tensor_from_rows,
 )
 from nordenlight.ambient import (
     LieAlgebraSpec,
     build_ambient_geometry,
-    norden_structure,
     validate_lie_algebra,
     validate_norden,
 )
@@ -41,10 +46,8 @@ from nordenlight.errors import EngineError
 from nordenlight.exact import (
     DenseTensor,
     ShapeError,
-    kernel_basis,
     mat_inverse,
     signature,
-    solve_affine,
 )
 from nordenlight.hypersurface import (
     HypersurfaceSpec,
@@ -109,18 +112,18 @@ def test_elimination_matches_the_fraction_reference_on_random_systems():
     kinds, singular = set(), 0
     for trial in range(360):
         a, b = random_system(rng, trial)
-        sol = solve_affine(a, b)
+        sol = solve(a, b)
         assert sol == reference_solve_affine(a, b), trial
-        assert kernel_basis(a) == reference_kernel_basis(a), trial
+        assert kernel(a) == reference_kernel_basis(a), trial
         assert mat_rank(a) == reference_mat_rank(a), trial
         kinds.add(sol.kind)
         if len(a) == len(a[0]):
-            inverse = outcome(mat_inverse, a)
+            inverse = outcome(lambda m: nested(mat_inverse(tensor_from_rows(m))), a)
             assert inverse == outcome(reference_mat_inverse, a), trial
             singular += inverse == ("ShapeError", "matrix is singular")
         sym = [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))] if len(a) == len(a[0]) else None
         if sym is not None:
-            assert signature(sym) == reference_signature(sym), trial
+            assert signature(tensor_from_rows(sym)) == reference_signature(sym), trial
     assert kinds == {"unique", "parametric", "infeasible"}
     assert singular > 0
 
@@ -136,13 +139,13 @@ def test_signature_on_symmetric_matrices_with_zero_diagonals():
                 if (i == k and rng.random() < 0.25) or (i != k and rng.random() < 0.5):
                     m[i][k] = m[k][i] = F(rng.randint(-4, 4), rng.randint(1, 3))
         expected = reference_signature(m)
-        assert signature(m) == expected, trial
+        assert signature(tensor_from_rows(m)) == expected, trial
         assert sum(expected) == n
         seen.add(any(m[i][i] == 0 for i in range(n)) and expected[2] < n)
     assert seen == {True, False}
     # hyperbolic planes: every diagonal entry zero, repaired by row additions
-    assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert signature([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == (1, 1, 1)
+    assert signature(tensor_from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert signature(tensor_from_rows([[0, 0, 2], [0, 0, 0], [2, 0, 0]])) == (1, 1, 1)
     assert symmetric_diagonal([[0, 1], [1, 0]]) == (F(2), F(-1, 2))
 
 
@@ -175,20 +178,20 @@ def perturbed_brackets(spec: LieAlgebraSpec):
 def perturbed_structures(ns):
     """Every one-entry perturbation of the metric (alone and with its
     symmetric partner; shifted, zeroed and negated) and of J."""
-    n = len(ns.g)
+    n = ns.g.dims[0]
     for i in range(n):
         for k in range(n):
-            old = ns.g[i][k]
+            old = ns.g[i, k]
             for value in {old + F(1, 3), F(0), -old} - {old}:
                 for closed in (False, True) if i != k else (False,):
-                    g = [list(row) for row in ns.g]
+                    g = [list(row) for row in nested(ns.g)]
                     g[i][k] = value
                     if closed:
                         g[k][i] = value
-                    yield norden_structure(g, ns.j)
-            j = [list(row) for row in ns.j]
+                    yield norden(g, ns.j)
+            j = [list(row) for row in nested(ns.j)]
             j[i][k] -= 2
-            yield norden_structure(ns.g, j)
+            yield norden(ns.g, j)
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -242,7 +245,8 @@ def front_half(hs, amb):
         if isinstance(cls, tuple):
             out.append(cls)
             continue
-        out.append((cls.kind, cls.gram, cls.radical_span_coords, cls.radical_ambient, cls.normal_direction))
+        fields = (cls.gram, cls.radical_span_coords, cls.radical_ambient, cls.normal_direction)
+        out.append((cls.kind, *(None if t is None else nested(t) for t in fields)))
         if which != hs.inducing_metric or cls.kind != "lightlike":
             continue
         screen = construct_screen(hs, cls)
@@ -251,9 +255,11 @@ def front_half(hs, amb):
         if isinstance(frame, tuple):
             out.append(frame)
             continue
-        out.append((frame.xi, frame.transversal, frame.eta))
+        out.append((nested(frame.xi), nested(frame.transversal), nested(frame.eta)))
         rt = outcome(radical_transversal_check, frame, amb)
-        out.append(rt if isinstance(rt, tuple) else (rt.is_radical_transversal, rt.b, rt.screen_holomorphic, rt.j_xi))
+        out.append(
+            rt if isinstance(rt, tuple) else (rt.is_radical_transversal, rt.b, rt.screen_holomorphic, nested(rt.j_xi))
+        )
     return out
 
 
@@ -298,7 +304,7 @@ def test_spans_that_are_not_unit_vectors_match_the_reference(h):
         hint = None
         if trial % 4 == 3:
             hint = tuple(F(rng.choice((-2, -1, 1, 3))) * x for x in unit[h])
-        hs = HypersurfaceSpec(span, ("principal", "associated")[trial % 3 != 0], hint)
+        hs = hyper_spec(span, ("principal", "associated")[trial % 3 != 0], hint)
         engine = front_half(hs, amb)
         assert engine == reference_front_half(hs, amb), trial
         outcomes.add(engine[0] is None)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import family_text
+from helpers import FIXTURE_STEMS, family_text
 from nordenlight.errors import ParseError
 from nordenlight.exact import format_rational
 from nordenlight.manifold_file import parse_manifold_file
@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-BASES = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.mf"))]
+BASES = [(FIXTURES / f"{stem}.mf").read_text(encoding="utf-8") for stem in FIXTURE_STEMS]
 BASES += [family_text(2), family_text(3)]
 NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 VALUES = ("0", "1", "-1", "2", "-2", "3", "5", "7", "1/2", "-1/3", "17")

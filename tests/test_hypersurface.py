@@ -3,11 +3,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import basis_span, bilinear, frame_tables, gauge_rescale, run_hypersurface, vec_scale
+from helpers import (
+    basis_span,
+    bilinear,
+    frame_tables,
+    gauge_rescale,
+    hyper_spec,
+    matrix,
+    nested,
+    run_hypersurface,
+    unit_vector,
+    vec_scale,
+    vector,
+)
 from nordenlight.errors import HypothesisFailure, InternalInconsistency
-from nordenlight.exact import unit_vector
 from nordenlight.hypersurface import (
-    HypersurfaceSpec,
     construct_screen,
     construct_transversal,
     induce_and_classify,
@@ -26,34 +36,34 @@ NEG_X3 = vec_scale(X3, F(-1))
 class TestClassify:
     def test_associated_span_234_is_lightlike(self, golden):
         _, _, amb = golden
-        cls = induce_and_classify(HypersurfaceSpec(basis_span(4, (2, 3, 4)), "associated"), amb)
+        cls = induce_and_classify(hyper_spec(basis_span(4, (2, 3, 4)), "associated"), amb)
         assert cls.kind == "lightlike"
-        assert cls.radical_ambient == X3
-        assert cls.radical_span_coords == (F(0), F(1), F(0))
+        assert nested(cls.radical_ambient) == X3
+        assert nested(cls.radical_span_coords) == (F(0), F(1), F(0))
 
     def test_principal_span_234_is_nondegenerate(self, golden):
         _, _, amb = golden
-        cls = induce_and_classify(HypersurfaceSpec(basis_span(4, (2, 3, 4)), "principal"), amb)
+        cls = induce_and_classify(hyper_spec(basis_span(4, (2, 3, 4)), "principal"), amb)
         assert cls.kind == "nondegenerate"
-        assert cls.gram == ((F(1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(-1)))
-        assert cls.normal_direction == X1
+        assert nested(cls.gram) == ((F(1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(-1)))
+        assert nested(cls.normal_direction) == X1
 
     def test_associated_span_124_is_lightlike(self, golden):
         _, _, amb = golden
-        cls = induce_and_classify(HypersurfaceSpec(basis_span(4, (1, 2, 4)), "associated"), amb)
+        cls = induce_and_classify(hyper_spec(basis_span(4, (1, 2, 4)), "associated"), amb)
         assert cls.kind == "lightlike"
-        assert cls.radical_ambient == X1
+        assert nested(cls.radical_ambient) == X1
 
     def test_span_must_be_subalgebra(self, golden):
         _, _, amb = golden
         # {X1, X3, X4} brackets produce X2 components; not closed.
-        hs = HypersurfaceSpec(basis_span(4, (1, 3, 4)), "associated")
+        hs = hyper_spec(basis_span(4, (1, 3, 4)), "associated")
         with pytest.raises(HypothesisFailure, match="subalgebra"):
             validate_span(hs, amb)
 
     def test_dependent_span_rejected(self, golden):
         _, _, amb = golden
-        hs = HypersurfaceSpec((X2, X2, X4), "associated")
+        hs = hyper_spec((X2, X2, X4), "associated")
         with pytest.raises(HypothesisFailure, match="dependent"):
             validate_span(hs, amb)
 
@@ -61,20 +71,20 @@ class TestClassify:
 class TestScreen:
     def test_fixture_screen(self, golden):
         _, _, amb = golden
-        hs = HypersurfaceSpec(basis_span(4, (2, 3, 4)), "associated")
+        hs = hyper_spec(basis_span(4, (2, 3, 4)), "associated")
         cls = induce_and_classify(hs, amb)
         indices = construct_screen(hs, cls)
         assert indices == (0, 2)  # X2 and X4 inside the span
 
     def test_deterministic_pick_on_flat_fixture(self, abelian):
         _, _, amb, _ = abelian
-        hs = HypersurfaceSpec(basis_span(4, (2, 3, 4)), "associated")
+        hs = hyper_spec(basis_span(4, (2, 3, 4)), "associated")
         cls = induce_and_classify(hs, amb)
         assert construct_screen(hs, cls) == (0, 2)
 
     def test_alternative_order_gives_valid_screen(self, golden):
         _, _, amb = golden
-        hs = HypersurfaceSpec(basis_span(4, (4, 3, 2)), "associated")
+        hs = hyper_spec(basis_span(4, (4, 3, 2)), "associated")
         cls = induce_and_classify(hs, amb)
         indices = construct_screen(hs, cls)
         assert indices == (0, 2)  # now X4 first, X2 second
@@ -89,25 +99,25 @@ class TestTransversal:
     def test_fixture_transversal(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        assert run.frame.xi == NEG_X3
-        assert run.frame.transversal == X1
+        assert nested(run.frame.xi) == NEG_X3
+        assert nested(run.frame.transversal) == X1
 
     def test_rescaled_section_halves_transversal(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", vec_scale(X3, F(-2)))
-        assert run.frame.transversal == vec_scale(X1, F(1, 2))
+        assert nested(run.frame.transversal) == vec_scale(X1, F(1, 2))
 
     def test_defining_conditions_replayed(self, golden):
         _, ns, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        fr = run.frame
-        assert bilinear(ns.g_assoc, fr.transversal, fr.xi) == 1
-        assert bilinear(ns.g_assoc, fr.transversal, fr.transversal) == 0
-        assert all(bilinear(ns.g_assoc, fr.transversal, w) == 0 for w in fr.screen)
+        g, transversal = nested(ns.g_assoc), nested(run.frame.transversal)
+        assert bilinear(g, transversal, nested(run.frame.xi)) == 1
+        assert bilinear(g, transversal, transversal) == 0
+        assert all(bilinear(g, transversal, w) == 0 for w in nested(run.frame.screen))
 
     def test_bad_hint_rejected(self, golden):
         _, _, amb = golden
-        hs = HypersurfaceSpec(basis_span(4, (2, 3, 4)), "associated", X2)
+        hs = hyper_spec(basis_span(4, (2, 3, 4)), "associated", X2)
         cls = induce_and_classify(hs, amb)
         screen = construct_screen(hs, cls)
         with pytest.raises(HypothesisFailure, match="radical"):
@@ -132,19 +142,19 @@ class TestRadicalTransversal:
         run = run_hypersurface(amb, basis_span(4, (1, 2, 4)), "associated", X1)
         assert run.rt.is_radical_transversal
         assert run.rt.b == F(-1)
-        assert run.frame.transversal == NEG_X3
+        assert nested(run.frame.transversal) == NEG_X3
 
 
 class TestGaussWeingarten:
     def test_fixture_shape_operator_and_tau(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        sf = run.sf
+        a_star_xi = nested(run.sf.a_star_xi)
         # span order (X2, X3, X4): shape images -2 X2 and -2 X4
-        assert sf.a_star_xi[0] == (F(-2), F(0), F(0))
-        assert sf.a_star_xi[2] == (F(0), F(0), F(-2))
-        assert sf.a_star_xi[1] == (F(0), F(0), F(0))
-        assert sf.tau == (F(0), F(0), F(0))
+        assert a_star_xi[0] == (F(-2), F(0), F(0))
+        assert a_star_xi[2] == (F(0), F(0), F(-2))
+        assert a_star_xi[1] == (F(0), F(0), F(0))
+        assert nested(run.sf.tau) == (F(0), F(0), F(0))
 
     def test_fixture_b_table(self, golden):
         _, _, amb = golden
@@ -154,13 +164,13 @@ class TestGaussWeingarten:
             (F(0), F(0), F(0)),
             (F(2), F(0), F(0)),
         )
-        assert run.sf.b_form == expected
+        assert nested(run.sf.b_form) == expected
 
     def test_flat_fixture_is_totally_geodesic(self, abelian):
         _, _, amb, _ = abelian
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated")
-        assert all(x == 0 for row in run.sf.b_form for x in row)
-        assert all(x == 0 for v in run.sf.a_star_xi for x in v)
+        assert all(x == 0 for row in nested(run.sf.b_form) for x in row)
+        assert all(x == 0 for v in nested(run.sf.a_star_xi) for x in v)
         assert run.umb.umbilical and run.umb.rho == F(0)
 
 
@@ -176,8 +186,8 @@ class TestUmbilical:
         run = run_hypersurface(amb, basis_span(4, (1, 2, 4)), "associated", X1)
         assert not run.umb.umbilical
         # witness: the shape image of X2 is -2 X4, not proportional to X2
-        assert run.frame.span[run.umb.witness_index] == X2
-        assert run.umb.witness_image == vec_scale(X4, F(-2))
+        assert nested(run.frame.span)[run.umb.witness_index] == X2
+        assert nested(run.umb.witness_image) == vec_scale(X4, F(-2))
 
     def test_principal_lightlike_span_is_not_umbilical(self, golden):
         # A principal-metric lightlike subalgebra: {X2, X4, X1 + X3}.
@@ -202,15 +212,16 @@ class TestUmbilical:
         t = (F(2), F(5), F(3))
         sf = replace(
             run.sf,
-            b_form=tuple(tuple(x + (a == b == 0) for b, x in enumerate(row)) for a, row in enumerate(g)),
-            a_star_xi=tuple(tuple(c * x for x in row) for c, row in zip(t, proj)),
+            b_form=matrix(tuple(x + (a == b == 0) for b, x in enumerate(row)) for a, row in enumerate(g)),
+            a_star_xi=matrix(tuple(c * x for x in row) for c, row in zip(t, proj)),
         )
         umb = umbilical_test(sf, run.frame, amb)
         nonzero = [a for a in range(3) if any(proj[a])]
         bad = next(a for a in nonzero if t[a] != t[nonzero[0]])
         assert (umb.umbilical, umb.witness_index) == (False, bad)
-        assert umb.witness_image == tuple(
-            sum(t[bad] * proj[bad][q] * run.frame.span[q][r] for q in range(3)) for r in range(4)
+        span = nested(run.frame.span)
+        assert nested(umb.witness_image) == tuple(
+            sum(t[bad] * proj[bad][q] * span[q][r] for q in range(3)) for r in range(4)
         )
 
 
@@ -222,7 +233,7 @@ class TestFrameIdentities:
         assert all(c.ok for c in checks)
         assert len(checks) == 13
         # transversal shape operator aligns with J: image of X2 is -2 X4
-        assert run.sf.a_n[0] == (F(0), F(0), F(-2))
+        assert nested(run.sf.a_n)[0] == (F(0), F(0), F(-2))
 
     def test_flat_fixture_all_pass(self, abelian):
         _, _, amb, _ = abelian
@@ -282,10 +293,10 @@ class TestGaugeRescale:
     def test_frame_lattice_is_fresh_after_replace_and_checked_on_first_use(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        assert run.frame.xi_span == (F(0), F(-1), F(0))
+        assert nested(run.frame.xi_span) == (F(0), F(-1), F(0))
         frame2, _ = gauge_rescale(run.frame, run.sf, F(2))
-        assert frame2.xi_span == (F(0), F(-2), F(0))
-        unframed = replace(run.frame, transversal=X2)  # inside the span
+        assert nested(frame2.xi_span) == (F(0), F(-2), F(0))
+        unframed = replace(run.frame, transversal=vector(X2))  # inside the span
         with pytest.raises(InternalInconsistency, match="do not frame the algebra"):
             unframed.xi_span
 

@@ -35,12 +35,12 @@ class TestParsing:
         assert spec.brackets[1, 0, 3] == F(2)
         assert spec.brackets[0, 1, 0] == F(0)
         ns = norden_from_file(mf)
-        assert ns.g[0][0] == F(1) and ns.g[2][2] == F(-1)
-        assert ns.j[2][0] == F(1)  # J X1 = X3
-        assert ns.j[1][3] == F(-1)  # J X4 = -X2
+        assert ns.g[0, 0] == F(1) and ns.g[2, 2] == F(-1)
+        assert ns.j[2, 0] == F(1)  # J X1 = X3
+        assert ns.j[1, 3] == F(-1)  # J X4 = -X2
         hs = hypersurface_specs(mf)[0]
         assert hs.inducing_metric == "associated"
-        assert hs.xi_hint == (F(0), F(0), F(-1), F(0))
+        assert hs.xi_hint.entries == (F(0), F(0), F(-1), F(0))
 
     def test_default_labels_and_zero_entries(self):
         mf = parse_manifold_file(MINIMAL)
@@ -62,7 +62,7 @@ class TestParsing:
     def test_multi_term_hint(self):
         text = MINIMAL + "HYPERSURFACE metric=assoc span=2,3,4 xi=1:1/2,3:-2\n"
         hs = hypersurface_specs(parse_manifold_file(text))[0]
-        assert hs.xi_hint == (F(1, 2), F(0), F(-2), F(0))
+        assert hs.xi_hint.entries == (F(1, 2), F(0), F(-2), F(0))
 
 
 class TestParseErrors:

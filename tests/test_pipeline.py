@@ -3,18 +3,43 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from helpers import family_text, nested, tensor_from_rows
 from nordenlight.cli import main
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
 @pytest.fixture(scope="module")
 def golden_report(golden_mf):
     return run_pipeline(golden_mf)
+
+
+@pytest.mark.parametrize("h", [3, 4])
+def test_family_fixtures_meet_the_closed_forms(h):
+    # the committed family members, read back from the structured report:
+    # nu = 4 lambda^2 (lambda = 1), rho^2 / b = nu and k = 2 (h - 1) nu
+    text = (FIXTURES / f"family_h{h}.mf").read_text(encoding="utf-8")
+    assert parse_manifold_file(text) == parse_manifold_file(family_text(h))
+    report = run_pipeline(parse_manifold_file(text))
+    data = json.loads(emit_report(report, "structured"))
+    assert report.exit_code == 0
+    nu = F(data["ambient"]["constant_curvatures"]["nu"])
+    (block,) = data["hypersurfaces"]
+    rho, b = F(block["umbilical"]["rho"]), F(block["radical_transversal"]["b"])
+    einstein = block["flags"]["almost_einstein"]
+    assert nu == 4
+    assert rho * rho / b == nu
+    assert (F(einstein["k"]), F(einstein["c"])) == (2 * (h - 1) * nu, 0)
+    assert block["audit"]["condition_iii"] == {"lhs": str(nu), "rhs": str(nu)}
+    assert block["audit"]["consistent"] is True
 
 
 class TestGoldenPipeline:
@@ -329,9 +354,9 @@ class TestRouteDisagreement:
         split = symmetry.ricci_from_ambient_decomposition
 
         def perturbed(*args):
-            rows = [list(row) for row in split(*args)]
+            rows = [list(row) for row in nested(split(*args))]
             rows[1][2] += F(1, 2)
-            return tuple(tuple(row) for row in rows)
+            return tensor_from_rows(rows)
 
         monkeypatch.setattr(symmetry, "ricci_from_ambient_decomposition", perturbed)
         report = run_pipeline(golden_mf)
