@@ -48,7 +48,7 @@ from .hypersurface import (
     verify_frame_identities,
 )
 from .manifold_file import ManifoldFile, parse_manifold_file
-from .pipeline import Report, emit_report, run_pipeline
+from .pipeline import Nonzeros, Report, emit_report, run_pipeline
 from .symmetry import (
     AuditVerdict,
     EinsteinFit,

@@ -17,9 +17,11 @@ others.
 from __future__ import annotations
 
 import hashlib
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, floordiv, mod
 
 from . import __version__
 from .ambient import AmbientGeometry, build_ambient_geometry, validate_lie_algebra, validate_norden
@@ -63,8 +65,32 @@ class Report:
     exit_code: int
 
 
-def _fr(x: Fraction) -> str:
-    return format_rational(x)
+@dataclass(frozen=True)
+class Nonzeros(Sequence):
+    """The nonzero entries of a table, row-major, as a read-only sequence of
+    {"index": [1-based indices], "value": "p/q"} dicts built on each read."""
+
+    table: DenseTensor
+
+    def __len__(self) -> int:
+        return len(self.table.nums)
+
+    def __getitem__(self, i: int) -> dict:
+        k = range(len(self))[i]
+        (ix,) = self.table.indexes((self.table.offsets[k],))
+        return {"index": [j + 1 for j in ix], "value": format_ratio(self.table.nums[k], self.table.den)}
+
+    def render(self, names, open_: str, sep: str, close: str, end: str = "") -> list[str]:
+        """Each entry as open_ + its index names (names[i] for index i) joined
+        by sep + close + value + end, built once per table row and value."""
+        t, n = self.table, self.table.dims[-1]
+        values = {x: close + format_ratio(x, t.den) + end for x in set(t.nums)}
+        named = [name + sep for name in names]
+        rows = t.indexes([r * n for r in t.rows])
+        heads = {r: open_ + "".join(map(named.__getitem__, ix[:-1])) for r, ix in zip(t.rows, rows)}
+        leads = map(heads.__getitem__, map(floordiv, t.offsets, repeat(n)))
+        lasts = map(names.__getitem__, map(mod, t.offsets, repeat(n)))
+        return list(map(add, map(add, leads, lasts), map(values.__getitem__, t.nums)))
 
 
 def _vector(v: DenseTensor) -> list[str]:
@@ -109,14 +135,6 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _tensor_nonzeros(tensor: DenseTensor) -> list[dict]:
-    den = tensor.den
-    return [
-        {"index": [i + 1 for i in ix], "value": format_ratio(x, den)}
-        for ix, x in zip(tensor.indexes(tensor.offsets), tensor.nums)
-    ]
-
-
 def run_pipeline(mf: ManifoldFile) -> Report:
     digest = hashlib.sha256(mf.to_text().encode("utf-8")).hexdigest()
     data: dict = {
@@ -156,24 +174,27 @@ def run_pipeline(mf: ManifoldFile) -> Report:
         "dim": spec.dim,
         "basis_labels": list(labels),
         "kaehler_norden": True,
-        "connection_nonzero": _tensor_nonzeros(amb.gamma),
-        "curvature_nonzero": _tensor_nonzeros(amb.riemann04),
+        "connection_nonzero": Nonzeros(amb.gamma),
+        "curvature_nonzero": Nonzeros(amb.riemann04),
         "constant_curvatures": (
             {
                 "kind": "constant",
-                "nu": _fr(trsc.nu),
-                "nu_assoc": _fr(trsc.nu_assoc),
+                "nu": format_rational(trsc.nu),
+                "nu_assoc": format_rational(trsc.nu_assoc),
                 "degenerate_fit": trsc.degenerate,
             }
             if trsc.kind == "constant"
             else {"kind": "not_constant"}
         ),
         "associated_constants": (
-            {"nu_prime": _fr(amb.assoc.nu_prime), "nu_assoc_prime": _fr(amb.assoc.nu_assoc_prime)}
+            {
+                "nu_prime": format_rational(amb.assoc.nu_prime),
+                "nu_assoc_prime": format_rational(amb.assoc.nu_assoc_prime),
+            }
             if amb.assoc.nu_prime is not None
             else None
         ),
-        "ricci_nonzero": _tensor_nonzeros(amb.ricci),
+        "ricci_nonzero": Nonzeros(amb.ricci),
         "ricci_sign_note": RICCI_SIGN_NOTE,
     }
     data["ambient"] = ambient_dict
@@ -231,7 +252,7 @@ def _process_hypersurface(
         }
         out["radical_transversal"] = {
             "holds": rt.is_radical_transversal,
-            "b": _fr(rt.b) if rt.b is not None else None,
+            "b": format_rational(rt.b) if rt.b is not None else None,
             "screen_holomorphic": rt.screen_holomorphic,
         }
         if not rt.is_radical_transversal:
@@ -266,14 +287,14 @@ def _process_hypersurface(
                 "hypersurface is not totally umbilical; audit skipped"
             )
         sf = replace(sf, rho=umb.rho)
-        out["umbilical"] = {"holds": True, "rho": _fr(umb.rho)}
+        out["umbilical"] = {"holds": True, "rho": format_rational(umb.rho)}
 
         identity_checks = verify_frame_identities(sf, frame, amb, umb.rho)
         _record_identities(out, identity_checks)
 
         residuals = pde_residuals(sf, frame, amb)
         out["residuals"] = {
-            "radial": _fr(residuals.radial),
+            "radial": format_rational(residuals.radial),
             "screen": _vector(residuals.screen_directions),
         }
 
@@ -284,7 +305,7 @@ def _process_hypersurface(
             at = ",".join(map(str, index))
             raise InternalInconsistency(
                 f"gauss and closed-form curvature routes disagree at ({at}): "
-                f"gauss {_fr(gauss_value)}, closed form {_fr(closed_value)}"
+                f"gauss {format_rational(gauss_value)}, closed form {format_rational(closed_value)}"
             )
         ricci_routes = induced_ricci(r13, sf, frame, amb)
         ricci = ricci_routes.canonical
@@ -297,7 +318,7 @@ def _process_hypersurface(
 
         out["induced"] = {
             "curvature_routes_match": True,
-            "curvature_nonzero": _tensor_nonzeros(r13),
+            "curvature_nonzero": Nonzeros(r13),
             "ricci": _rows(ricci),
             "ricci_opposite_trace": _rows(-ricci),
             "ricci_routes_match": ricci_routes.agree,
@@ -313,7 +334,7 @@ def _process_hypersurface(
         verdict = symmetry_equivalence_audit(flags, hs.inducing_metric, amb.trsc, umb.rho, frame.b)
         audit: dict = {"applicable": verdict.applicable}
         if verdict.lhs is not None:
-            audit["condition_iii"] = {"lhs": _fr(verdict.lhs), "rhs": _fr(verdict.rhs)}
+            audit["condition_iii"] = {"lhs": format_rational(verdict.lhs), "rhs": format_rational(verdict.rhs)}
             audit["condition_iii_holds"] = verdict.condition_holds
         audit["consistent"] = verdict.consistent
         audit["notes"] = list(verdict.notes)
@@ -351,7 +372,7 @@ def _flag_dict(flag) -> dict:
 def _einstein_dict(fit) -> dict:
     if fit.kind == "infeasible":
         return {"kind": "infeasible", "witness": list(fit.witness) if fit.witness else None}
-    d = {"kind": fit.kind, "k": _fr(fit.k), "c": _fr(fit.c)}
+    d = {"kind": fit.kind, "k": format_rational(fit.k), "c": format_rational(fit.c)}
     if fit.kind == "parametric":
         d["family"] = [_vector(v) for v in fit.nullspace]
     return d
@@ -363,10 +384,43 @@ def _einstein_dict(fit) -> dict:
 
 def emit_report(report: Report, fmt: str = "text") -> str:
     if fmt == "structured":
-        return json.dumps(report.data, indent=2, ensure_ascii=True) + "\n"
+        out: list[str] = []
+        _write_json(report.data, "", out)
+        return "".join(out) + "\n"
     if fmt == "text":
         return _render_text(report)
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _write_json(obj, pad: str, out: list[str]) -> None:
+    """Append at indent pad what json.dumps writes with indent=2 and
+    ensure_ascii=True, for str, int, bool, None, list, str-keyed dict and
+    `Nonzeros`; other types raise TypeError. (Indented, json.dumps is pure Python.)"""
+    inner = pad + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif not isinstance(obj, (dict, list, Nonzeros)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, Nonzeros):
+        names = [f"{inner}    {i + 1}" for i in range(max(obj.table.dims))]
+        parts = ('{q}{{\n{q}  "index": [\n', ",\n", '\n{q}  ],\n{q}  "value": "', '"\n{q}}}')
+        entries = obj.render(names, *(part.format(q=inner) for part in parts))
+        out.append("[\n" + ",\n".join(entries) + "\n" + pad + "]")
+    else:
+        keyed = isinstance(obj, dict)
+        keys = [encode_basestring_ascii(key) + ": " for key in obj] if keyed else repeat("")
+        sep = ("{" if keyed else "[") + "\n" + inner
+        for key, value in zip(keys, obj.values() if keyed else obj):
+            out.append(sep + key)
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + ("}" if keyed else "]"))
 
 
 def _render_text(report: Report) -> str:
@@ -402,18 +456,14 @@ def _render_text(report: Report) -> str:
     lines.append(f"dimension: {amb['dim']}")
     lines.append("kaehler-norden: yes")
     lines.append("connection nonzeros:")
-    grouped: dict[tuple[int, int], list[str]] = {}
-    for e in amb["connection_nonzero"]:
-        i, j, k = e["index"]
-        coef = e["value"]
-        term = labels[k - 1] if coef == "1" else f"{coef}*{labels[k - 1]}"
-        grouped.setdefault((i, j), []).append(term)
-    for (i, j), terms in grouped.items():
-        lines.append(f"  nabla_{{{labels[i - 1]}}} {labels[j - 1]} = " + " + ".join(terms))
+    gamma = amb["connection_nonzero"].table
+    coefs = {x: format_ratio(x, gamma.den) for x in set(gamma.nums)}
+    for row, items in gamma.rows.items():
+        i, j = divmod(row, gamma.dims[1])
+        terms = [labels[k] if coefs[x] == "1" else f"{coefs[x]}*{labels[k]}" for k, x in items]
+        lines.append(f"  nabla_{{{labels[i]}}} {labels[j]} = " + " + ".join(terms))
     lines.append("curvature nonzeros:")
-    for e in amb["curvature_nonzero"]:
-        args = ",".join(labels[i - 1] for i in e["index"])
-        lines.append(f"  R({args}) = {e['value']}")
+    lines += amb["curvature_nonzero"].render(labels, "  R(", ",", ") = ")
     cc = amb["constant_curvatures"]
     if cc["kind"] == "constant":
         lines.append(

@@ -13,8 +13,9 @@ between them and the Fraction tuples the references use. The dense
 references keep the table builders that now run from nonzero entries
 (curvature, pi-tensors, the associated table, the Gauss route), the kernels that now read nonzero entries only (the dot-product
 `int_matmul`, the flat-table product, the table combination and the fit) and
-the prefix scan of the Einstein witness, and the test-only table arithmetic
-and the golden-corpus inputs live here too.
+the prefix scan of the Einstein witness, and `reference_tensor_nonzeros`
+keeps the per-entry dict builder of the report listings; the test-only table
+arithmetic and the golden-corpus inputs live here too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from nordenlight.exact import (
     LinearSolution,
     ShapeError,
     _nest,
+    format_ratio,
     format_rational,
     lattice_combination,
     solve_affine,
@@ -603,6 +605,17 @@ def brute_locally_symmetric(t, gm, m):
         if any(val):
             return (u + 1, x + 1, y + 1, z + 1), val
     return None
+
+
+def reference_tensor_nonzeros(tensor: DenseTensor) -> list[dict]:
+    """Reference for `pipeline.Nonzeros`: the report listing of a table, one
+    {"index": [1-based indices], "value": "p/q"} dict per nonzero entry in
+    row-major order, built entry by entry."""
+    den = tensor.den
+    return [
+        {"index": [i + 1 for i in ix], "value": format_ratio(x, den)}
+        for ix, x in zip(tensor.indexes(tensor.offsets), tensor.nums)
+    ]
 
 
 # ---------------------------------------------------------------------------
