@@ -30,7 +30,6 @@ from .errors import (
 from .exact import (
     DenseTensor,
     LinearSolution,
-    Rational,
     format_rational,
     parse_rational,
     solve_affine,
@@ -54,7 +53,6 @@ from .symmetry import (
     EinsteinFit,
     SymmetryFlags,
     almost_einstein_fit,
-    canonical_ricci,
     induced_curvature_closed_form,
     induced_curvature_gauss,
     induced_ricci,

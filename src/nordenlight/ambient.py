@@ -58,7 +58,6 @@ class Check:
     name: str
     ok: bool
     witness: tuple | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,19 @@ def norden_structure(g: DenseTensor, j: DenseTensor) -> NordenStructure:
     return NordenStructure(g=g, j=j, g_assoc=g_assoc)
 
 
+def require_equal(own: DenseTensor, other: DenseTensor, what: str, own_name: str, other_name: str) -> None:
+    """Raise InternalInconsistency unless two tables are equal, naming the
+    first differing 1-based index in row-major order and both values there:
+    "<what> at (i,j,...): <own_name> x, <other_name> y". Both tables are in
+    lowest terms, so equal fields are equal entries."""
+    if own != other:
+        index, x, y = own.difference(other)
+        raise InternalInconsistency(
+            f"{what} at ({','.join(map(str, index))}): "
+            f"{own_name} {format_rational(x)}, {other_name} {format_rational(y)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -183,7 +195,7 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
     symmetry, nondegeneracy, neutral signature (n, n), and symmetry of the
     derived associated metric."""
     n = spec.dim
-    g, dg = ns.g.lattice()
+    g, _ = ns.g.lattice()
     j, dj = ns.j.lattice()
     checks = []
 
@@ -199,14 +211,9 @@ def validate_norden(spec: LieAlgebraSpec, ns: NordenStructure) -> ValidationRepo
     checks.append(Check("complex_structure_squares_to_minus_identity", w is None, w))
 
     jt = tuple(zip(*j))  # row a holds J X_a
-    jgj = int_bilinear(jt, g, jt)  # g(J X_i, J X_k) over dg * dj^2
-    w = next(((i, k) for i in range(n) for k in range(i, n) if jgj[i][k] + one * g[i][k]), None)
-    detail = ""
-    if w is not None:
-        i, k = w
-        detail = format_rational(Fraction(jgj[i][k] + one * g[i][k], dg * one))
-        w = (i + 1, k + 1)
-    checks.append(Check("metric_anti_isometry", w is None, w, detail))
+    jgj = int_bilinear(jt, g, jt)  # g(J X_i, J X_k) over dj^2 and the den of g
+    w = next(((i + 1, k + 1) for i in range(n) for k in range(i, n) if jgj[i][k] + one * g[i][k]), None)
+    checks.append(Check("metric_anti_isometry", w is None, w))
 
     pos, neg, zero = signature(ns.g)
     checks.append(Check("metric_nondegenerate", zero == 0, None if zero == 0 else (zero,)))
@@ -407,13 +414,7 @@ def verify_pi_assoc_relations(
         ("pi2", a2, pi1, "pi1"),
         ("pi3", a3, -pi3, "-pi3"),
     ):
-        # both sides are in lowest terms, so equal tables have equal fields
-        if own != table:
-            index, x, y = own.difference(table)
-            raise InternalInconsistency(
-                f"associated {name} does not equal {other} at ({','.join(map(str, index))}): "
-                f"associated {name} {format_rational(x)}, {other} {format_rational(y)}"
-            )
+        require_equal(own, table, f"associated {name} does not equal {other}", f"associated {name}", other)
 
 
 @dataclass(frozen=True)
@@ -502,13 +503,7 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
         expected = DenseTensor.from_lattice(
             (n, n), (coeff.numerator * x for row in gj for x in row), coeff.denominator * dg * dj
         )
-        # both tables are in lowest terms, so equal fields are equal entries
-        if ric != expected:
-            (a, b), x, y = ric.difference(expected)
-            raise InternalInconsistency(
-                f"ambient Ricci closed form fails at ({a},{b}): "
-                f"Ricci {format_rational(x)}, closed form {format_rational(y)}"
-            )
+        require_equal(ric, expected, "ambient Ricci closed form fails", "Ricci", "closed form")
     return ric
 
 

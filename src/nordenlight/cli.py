@@ -2,8 +2,9 @@
 
     nordenlight check <file> [--report text|structured] [--out <path>]
 
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4 hypothesis
-failure, 5 internal inconsistency.
+Exit codes: 0 success, 2 parse error or unreadable input or unwritable
+output, 3 validation failure, 4 hypothesis failure, 5 internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -53,7 +54,11 @@ def main(argv=None) -> int:
     report = run_pipeline(mf)
     rendered = emit_report(report, args.report)
     if args.out is not None:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return report.exit_code

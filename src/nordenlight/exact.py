@@ -33,8 +33,6 @@ from math import gcd, lcm, prod
 from operator import add, floordiv, itemgetter, lt, mod, mul, neg
 from typing import NamedTuple
 
-Rational = Fraction
-
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 

@@ -12,9 +12,9 @@ comment):
 
 Indices are 1-based; rationals are ``p`` or ``p/q`` with q > 0; omitted
 bracket and metric entries default to zero. Duplicate entries (including the
-mirrored index pair of a BRACKET or METRIC line) are rejected with the line
-number, as are unknown keywords, out-of-range indices and malformed
-rationals.
+mirrored index pair of a BRACKET or METRIC line, and a key repeated on a
+HYPERSURFACE line) are rejected with the line number, as are unknown
+keywords, out-of-range indices and malformed rationals.
 
 Two resource limits are checked at parse time, before any table is built:
 DIM is at most MAX_DIM (a verdict at that size takes seconds), and every
@@ -181,10 +181,14 @@ def parse_manifold_file(text: str) -> ManifoldFile:
             metric_sel = None
             span: tuple[int, ...] | None = None
             xi: Terms | None = None
+            keys: set[str] = set()
             for tok in tokens[1:]:
                 if "=" not in tok:
                     raise ParseError(f"expected key=value, got {tok!r}", line_no)
                 key, value = tok.split("=", 1)
+                if key in keys:
+                    raise ParseError(f"duplicate hypersurface key {key!r}", line_no)
+                keys.add(key)
                 if key == "metric":
                     if value == "principal":
                         metric_sel = "principal"

@@ -33,7 +33,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .ambient import AmbientGeometry, TrscStatus, ricci_trace
+from .ambient import AmbientGeometry, TrscStatus, require_equal, ricci_trace
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
@@ -260,11 +260,6 @@ def induced_curvature_closed_form(
 # Ricci routes
 
 
-def canonical_ricci(r13: DenseTensor) -> DenseTensor:
-    """Ric(X, Y) = trace of Z -> R(Z, X)Y; no metric enters the trace."""
-    return ricci_trace(r13)
-
-
 def ricci_from_ambient_decomposition(
     r13_induced: DenseTensor,
     sf: SecondFundamental,
@@ -353,39 +348,22 @@ def closed_form_ricci(
     return DenseTensor.from_rows((len(rows), len(rows)), rows, den)
 
 
-@dataclass(frozen=True)
-class RicciRoutes:
-    canonical: DenseTensor
-    ambient_split: DenseTensor
-    closed_form: DenseTensor | None
-
-    @property
-    def agree(self) -> bool:
-        if self.canonical != self.ambient_split:
-            return False
-        return self.closed_form is None or self.canonical == self.closed_form
-
-
 def induced_ricci(
     r13_induced: DenseTensor,
     sf: SecondFundamental,
     frame: LightlikeFrame,
     amb: AmbientGeometry,
-) -> RicciRoutes:
-    canonical = canonical_ricci(r13_induced)
-    split = ricci_from_ambient_decomposition(r13_induced, sf, frame, amb)
-    closed = None
+) -> DenseTensor:
+    """The canonical Ricci, the trace of Z -> R(Z, X)Y (no metric enters
+    it), checked against the ambient split and, with constant curvatures and
+    rho, the closed form."""
+    canonical = ricci_trace(r13_induced)
+    routes = [("ambient split", ricci_from_ambient_decomposition(r13_induced, sf, frame, amb))]
     if amb.trsc.kind == "constant" and sf.rho is not None:
-        closed = closed_form_ricci(frame, sf, amb)
-    for name, other in (("ambient split", split), ("closed form", closed)):
-        # both tables are in lowest terms, so equal fields are equal entries
-        if other is not None and other != canonical:
-            (a, b), own, theirs = canonical.difference(other)
-            raise InternalInconsistency(
-                f"Ricci routes disagree beyond the documented sign note at ({a},{b}): "
-                f"canonical {format_rational(own)}, {name} {format_rational(theirs)}"
-            )
-    return RicciRoutes(canonical, split, closed)
+        routes.append(("closed form", closed_form_ricci(frame, sf, amb)))
+    for name, other in routes:
+        require_equal(canonical, other, "Ricci routes disagree beyond the documented sign note", "canonical", name)
+    return canonical
 
 
 # ---------------------------------------------------------------------------

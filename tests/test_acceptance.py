@@ -42,6 +42,7 @@ from nordenlight.ambient import (
     build_ambient_geometry,
     constant_trsc,
     pi_tensors,
+    ricci_trace,
     validate_lie_algebra,
     validate_norden,
 )
@@ -51,8 +52,8 @@ from nordenlight.pipeline import emit_report, run_pipeline
 from nordenlight.symmetry import (
     SymmetryFlags,
     almost_einstein_fit,
-    canonical_ricci,
     closed_form_curvature,
+    closed_form_ricci,
     induced_curvature_closed_form,
     induced_curvature_gauss,
     induced_ricci,
@@ -157,7 +158,7 @@ def test_c04_frame_reproduction(golden):
     _, _, amb = golden
     run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
     assert nested(run.frame.transversal) == unit_vector(4, 0)  # N = X1
-    assert nested(run.frame.screen) == (unit_vector(4, 1), unit_vector(4, 3))  # X2, X4
+    assert run.frame.screen_indices == (0, 2)  # X2, X4 of the span (X2, X3, X4)
     assert run.frame.b == F(1)
     assert run.sf.rho == F(-2)
     assert nested(run.sf.tau) == (F(0), F(0), F(0))
@@ -183,13 +184,13 @@ def test_c06_oracle_equivalence(golden):
     run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
     r13 = induced_curvature_gauss(run.sf, run.frame, amb)
     assert r13 == induced_curvature_closed_form(run.frame, run.sf, amb)
-    routes = induced_ricci(r13, run.sf, run.frame, amb)
-    assert routes.agree and routes.closed_form is not None
+    ric = induced_ricci(r13, run.sf, run.frame, amb)  # raises unless the three routes agree
+    assert ric == closed_form_ricci(run.frame, run.sf, amb) == ricci_trace(r13)
     span = basis_span(4, (2, 3, 4))
     g = tuple(tuple(bilinear(nested(ns.g), span[a], span[b]) for b in range(3)) for a in range(3))
     ga = tuple(tuple(bilinear(nested(ns.g_assoc), span[a], span[b]) for b in range(3)) for a in range(3))
-    assert nested(routes.canonical) == tuple(tuple(8 * x for x in row) for row in g)
-    fit = almost_einstein_fit(routes.canonical, matrix(g), matrix(ga))
+    assert nested(ric) == tuple(tuple(8 * x for x in row) for row in g)
+    fit = almost_einstein_fit(ric, matrix(g), matrix(ga))
     assert fit.kind == "unique" and (fit.k, fit.c) == (F(8), F(0))
     _ok(6, "gauss/closed-form and ricci route equivalence")
 
@@ -319,8 +320,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
 
         r13 = induced_curvature_gauss(sf, frame, amb)
         assert r13 == induced_curvature_closed_form(frame, sf, amb)
-        routes = induced_ricci(r13, sf, frame, amb)
-        ric = routes.canonical
+        ric = induced_ricci(r13, sf, frame, amb)
 
         span = nested(frame.span)
         m = len(span)
@@ -354,13 +354,13 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
         assert r13_rescaled == r13
         assert sf2.induced_gamma == sf.induced_gamma
         if count % 10 == 0:
-            routes2 = induced_ricci(r13_rescaled, sf2, frame2, amb)
-            assert routes2.canonical == ric
+            ric2 = induced_ricci(r13_rescaled, sf2, frame2, amb)
+            assert ric2 == ric
             flags2 = SymmetryFlags(
                 semi_symmetric_check(r13_rescaled),
-                ricci_semi_symmetric_check(r13_rescaled, routes2.canonical),
+                ricci_semi_symmetric_check(r13_rescaled, ric2),
                 locally_symmetric_check(r13_rescaled, sf2.induced_gamma),
-                almost_einstein_fit(routes2.canonical, g, ga),
+                almost_einstein_fit(ric2, g, ga),
             )
             verdict2 = symmetry_equivalence_audit(
                 flags2, "associated", amb.trsc, sf2.rho, frame2.b
@@ -387,7 +387,7 @@ def test_c09_synthetic_table_checkers(golden):
 
     bad = closed_form_curvature(run.frame, amb, F(1), F(4))
     semi = semi_symmetric_check(bad)
-    ric_bad = canonical_ricci(bad)
+    ric_bad = ricci_trace(bad)
     ricci_semi = ricci_semi_symmetric_check(bad, ric_bad)
     locally = locally_symmetric_check(bad, run.sf.induced_gamma)
     assert not semi.holds and not ricci_semi.holds and not locally.holds
@@ -405,7 +405,7 @@ def test_c09_synthetic_table_checkers(golden):
 
     good = closed_form_curvature(run.frame, amb, F(0), F(4))
     assert semi_symmetric_check(good).holds
-    assert ricci_semi_symmetric_check(good, canonical_ricci(good)).holds
+    assert ricci_semi_symmetric_check(good, ricci_trace(good)).holds
     assert locally_symmetric_check(good, run.sf.induced_gamma).holds
     _ok(9, "synthetic-table checkers with sound witnesses")
 

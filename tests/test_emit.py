@@ -3,9 +3,9 @@
 `emit_report(..., "structured")` writes its JSON with the recursive writer
 of `pipeline`, not `json.dumps`; these tests pin it to the bytes of
 `json.dumps(tree, indent=2, ensure_ascii=True)` on seeded random trees and on
-every golden-corpus report, and pin the `Nonzeros` listings of a report to
-the per-entry dict builder they replaced (`helpers.reference_tensor_nonzeros`):
-length, iteration, indexing and both rendered forms.
+every golden-corpus report, and pin both rendered forms of the `Nonzeros`
+listings of a report to the per-entry dict builder they replaced
+(`helpers.reference_tensor_nonzeros`).
 """
 
 import json
@@ -61,12 +61,14 @@ def random_tree(rng: random.Random, depth: int):
 
 
 def expanded(tree):
-    """The tree with every `Nonzeros` listing replaced by the list of its
-    entries, as json.dumps can write it."""
+    """The tree with every `Nonzeros` listing replaced by the reference list
+    of its entries, as json.dumps can write it."""
     if isinstance(tree, dict):
         return {key: expanded(value) for key, value in tree.items()}
-    if isinstance(tree, (list, Nonzeros)):
+    if isinstance(tree, list):
         return [expanded(value) for value in tree]
+    if isinstance(tree, Nonzeros):
+        return reference_tensor_nonzeros(tree.table)
     return tree
 
 
@@ -110,13 +112,6 @@ TABLES = [
 @pytest.mark.parametrize("table", TABLES, ids=[f"dims{t.dims}-den{t.den}-nnz{len(t.nums)}" for t in TABLES])
 def test_listing_matches_reference(table):
     listing, reference = Nonzeros(table), reference_tensor_nonzeros(table)
-    assert len(listing) == len(reference)
-    assert list(listing) == reference
-    assert [listing[i] for i in range(len(listing))] == reference
-    if reference:
-        assert listing[-1] == reference[-1]
-    with pytest.raises(IndexError):
-        listing[len(reference)]
     assert written({"listing": listing}) == dumps({"listing": reference})
     labels = [f"e{i}" for i in range(1, max(table.dims) + 1)]
     assert listing.render(labels, "  R(", ",", ") = ") == [

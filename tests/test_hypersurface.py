@@ -113,7 +113,8 @@ class TestTransversal:
         g, transversal = nested(ns.g_assoc), nested(run.frame.transversal)
         assert bilinear(g, transversal, nested(run.frame.xi)) == 1
         assert bilinear(g, transversal, transversal) == 0
-        assert all(bilinear(g, transversal, w) == 0 for w in nested(run.frame.screen))
+        span = nested(run.frame.span)
+        assert all(bilinear(g, transversal, span[i]) == 0 for i in run.frame.screen_indices)
 
     def test_bad_hint_rejected(self, golden):
         _, _, amb = golden

@@ -124,6 +124,17 @@ class TestParseErrors:
             MINIMAL + "HYPERSURFACE metric=dual span=2,3,4\n", "principal or assoc", line=10
         )
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            "metric=principal metric=assoc span=2,3,4",
+            "metric=assoc span=2,3,4 span=1,3,4",
+            "metric=assoc span=2,3,4 xi=3:-1 xi=3:1",
+        ],
+    )
+    def test_repeated_hypersurface_key(self, keys):
+        self.expect_error(MINIMAL + f"HYPERSURFACE {keys}\n", "duplicate hypersurface key", line=10)
+
     def test_missing_span(self):
         self.expect_error(MINIMAL + "HYPERSURFACE metric=assoc\n", "needs span", line=10)
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -57,7 +58,7 @@ class TestGoldenPipeline:
             "degenerate_fit": False,
         }
         assert amb["associated_constants"] == {"nu_prime": "0", "nu_assoc_prime": "4"}
-        assert len(amb["connection_nonzero"]) == 8
+        assert len(amb["connection_nonzero"].table.nums) == 8
 
     def test_hypersurface_section(self, golden_report):
         h = golden_report.data["hypersurfaces"][0]
@@ -238,6 +239,21 @@ class TestCli:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.mf"]) == 2
 
+    def test_input_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.mf"
+        path.write_bytes(b"DIM 4\n\xff\xfe\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, tmp_path, golden_text, capsys):
+        path, out_path = tmp_path / "m.mf", tmp_path / "missing" / "report.txt"
+        path.write_text(golden_text)
+        assert main(["check", str(path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_validation_failure_exit_code(self, tmp_path, golden_text, capsys):
         path = tmp_path / "m.mf"
         path.write_text(golden_text.replace("METRIC 1 1 = 1", "METRIC 1 1 = 2"))
@@ -365,3 +381,44 @@ class TestRouteDisagreement:
             "Ricci routes disagree beyond the documented sign note at (2,3): "
             "canonical 0, ambient split 1/2"
         )
+
+    def test_ricci_closed_form_route(self, golden_mf, monkeypatch):
+        from nordenlight import symmetry
+
+        closed_form = symmetry.closed_form_ricci
+
+        def perturbed(*args):
+            rows = [list(row) for row in nested(closed_form(*args))]
+            rows[0][0] -= 1
+            return tensor_from_rows(rows)
+
+        monkeypatch.setattr(symmetry, "closed_form_ricci", perturbed)
+        report = run_pipeline(golden_mf)
+        assert report.exit_code == 5
+        detail = report.data["hypersurfaces"][0]["detail"]
+        assert detail == (
+            "Ricci routes disagree beyond the documented sign note at (1,1): canonical 8, closed form 7"
+        )
+        assert detail in emit_report(report, "text")
+
+
+def test_asymmetric_second_fundamental_form_fails_a_frame_identity(golden_mf, monkeypatch):
+    # gauss_weingarten leaves B unchecked: the frame identities the report
+    # lists catch an asymmetric B, and umbilical_test finds no witness for it
+    from nordenlight import pipeline
+
+    gauss_weingarten = pipeline.gauss_weingarten
+
+    def perturbed(frame, amb):
+        sf = gauss_weingarten(frame, amb)
+        rows = [list(row) for row in nested(sf.b_form)]
+        rows[0][2] += 1
+        return replace(sf, b_form=tensor_from_rows(rows))
+
+    monkeypatch.setattr(pipeline, "gauss_weingarten", perturbed)
+    report = run_pipeline(golden_mf)
+    assert report.exit_code == 5
+    (block,) = report.data["hypersurfaces"]
+    assert block["detail"] == "frame identity failed: second_fundamental_symmetric"
+    assert block["identities"][0] == {"name": "second_fundamental_symmetric", "ok": False, "witness": [1, 3]}
+    assert "frame identities: FAILED" in emit_report(report, "text")

@@ -31,13 +31,12 @@ from helpers import (
     verify_metric_compatibility,
     verify_torsion_free,
 )
-from nordenlight.ambient import TrscStatus, ambient_ricci
+from nordenlight.ambient import TrscStatus, ambient_ricci, ricci_trace
 from nordenlight.errors import InternalInconsistency
 from nordenlight.exact import DenseTensor
 from nordenlight.hypersurface import verify_frame_identities
 from nordenlight.pipeline import emit_report, run_pipeline
 from nordenlight.symmetry import (
-    canonical_ricci,
     closed_form_curvature,
     induced_curvature_gauss,
     locally_symmetric_check,
@@ -65,7 +64,7 @@ class TestScreenChoiceIndependence:
         assert run.sf.rho ** 2 / run.frame.b == F(4)
         # every downstream symmetry flag is independent of the input order
         r13 = induced_curvature_gauss(run.sf, run.frame, amb)
-        ric = canonical_ricci(r13)
+        ric = ricci_trace(r13)
         assert semi_symmetric_check(r13).holds
         assert ricci_semi_symmetric_check(r13, ric).holds
         assert locally_symmetric_check(r13, run.sf.induced_gamma).holds
@@ -98,7 +97,7 @@ class TestWitnessSoundness:
             x, y, u, v, w = (i - 1 for i in semi.witness)
             assert derivation_action_direct(table, x, y, u, v, w) == semi.value.entries
             assert not semi.value.is_zero()
-            ric = canonical_ricci(table)
+            ric = ricci_trace(table)
             rflag = ricci_semi_symmetric_check(table, ric)
             assert not rflag.holds and rflag.value[0] != 0
             lflag = locally_symmetric_check(table, run.sf.induced_gamma)

@@ -21,13 +21,13 @@ from helpers import (
     unit_vector,
     vec_scale,
 )
-from nordenlight.ambient import TrscStatus
+from nordenlight.ambient import TrscStatus, ricci_trace
 from nordenlight.errors import HypothesisFailure
 from nordenlight.symmetry import (
     SymmetryFlags,
     almost_einstein_fit,
-    canonical_ricci,
     closed_form_curvature,
+    closed_form_ricci,
     induced_curvature_closed_form,
     induced_curvature_gauss,
     induced_ricci,
@@ -116,9 +116,9 @@ class TestInducedCurvature:
 class TestInducedRicci:
     def test_fixture_values_and_routes(self, golden, fixture_run, fixture_r13):
         _, ns, amb = golden
-        routes = induced_ricci(fixture_r13, fixture_run.sf, fixture_run.frame, amb)
-        assert routes.agree and routes.closed_form is not None
-        ric = nested(routes.canonical)
+        ric = induced_ricci(fixture_r13, fixture_run.sf, fixture_run.frame, amb)  # raises unless the routes agree
+        assert ric == closed_form_ricci(fixture_run.frame, fixture_run.sf, amb)
+        ric = nested(ric)
         assert ric[0][0] == F(8)
         assert ric[0][2] == F(0)
         span = basis_span(4, (2, 3, 4))
@@ -131,11 +131,10 @@ class TestInducedRicci:
         _, _, amb, _ = abelian
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated")
         r13 = induced_curvature_gauss(run.sf, run.frame, amb)
-        routes = induced_ricci(r13, run.sf, run.frame, amb)
-        assert routes.canonical.is_zero()
+        assert induced_ricci(r13, run.sf, run.frame, amb).is_zero()
 
     def test_trace_oracle(self, fixture_r13):
-        assert nested(canonical_ricci(fixture_r13)) == trace_ricci(fixture_r13)
+        assert nested(ricci_trace(fixture_r13)) == trace_ricci(fixture_r13)
 
 
 def synthetic_table(golden, fixture_run, a_coeff):
@@ -146,7 +145,7 @@ def synthetic_table(golden, fixture_run, a_coeff):
 class TestSymmetryCheckers:
     def test_fixture_flags_true(self, fixture_r13, fixture_run):
         assert semi_symmetric_check(fixture_r13).holds
-        ric = canonical_ricci(fixture_r13)
+        ric = ricci_trace(fixture_r13)
         assert ricci_semi_symmetric_check(fixture_r13, ric).holds
         assert locally_symmetric_check(fixture_r13, fixture_run.sf.induced_gamma).holds
 
@@ -155,7 +154,7 @@ class TestSymmetryCheckers:
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated")
         r13 = induced_curvature_gauss(run.sf, run.frame, amb)
         assert semi_symmetric_check(r13).holds
-        assert ricci_semi_symmetric_check(r13, canonical_ricci(r13)).holds
+        assert ricci_semi_symmetric_check(r13, ricci_trace(r13)).holds
         assert locally_symmetric_check(r13, run.sf.induced_gamma).holds
 
     def test_synthetic_semi_symmetry_fails_with_sound_witness(self, golden, fixture_run):
@@ -171,7 +170,7 @@ class TestSymmetryCheckers:
         self, golden, fixture_run
     ):
         table = synthetic_table(golden, fixture_run, 1)
-        ric = canonical_ricci(table)
+        ric = ricci_trace(table)
         flag = ricci_semi_symmetric_check(table, ric)
         assert not flag.holds
         x, y, u, v = (i - 1 for i in flag.witness)
@@ -202,7 +201,7 @@ class TestSymmetryCheckers:
     def test_synthetic_with_zero_coefficient_passes(self, golden, fixture_run):
         table = synthetic_table(golden, fixture_run, 0)
         assert semi_symmetric_check(table).holds
-        assert ricci_semi_symmetric_check(table, canonical_ricci(table)).holds
+        assert ricci_semi_symmetric_check(table, ricci_trace(table)).holds
         assert locally_symmetric_check(table, fixture_run.sf.induced_gamma).holds
 
 
@@ -231,7 +230,7 @@ class TestAlmostEinstein:
     def test_fixture_fit(self, golden, fixture_r13):
         _, ns, _ = golden
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
-        fit = einstein_fit(canonical_ricci(fixture_r13), g, ga)
+        fit = einstein_fit(ricci_trace(fixture_r13), g, ga)
         assert fit.kind == "unique"
         assert (fit.k, fit.c) == (F(8), F(0))
 
@@ -240,7 +239,7 @@ class TestAlmostEinstein:
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated")
         r13 = induced_curvature_gauss(run.sf, run.frame, amb)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
-        fit = einstein_fit(canonical_ricci(r13), g, ga)
+        fit = einstein_fit(ricci_trace(r13), g, ga)
         assert fit.feasible
         assert (fit.k, fit.c) == (F(0), F(0))
 
@@ -284,7 +283,7 @@ class TestAlmostEinstein:
         _, ns, _ = golden
         table = synthetic_table(golden, fixture_run, 1)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
-        assert einstein_fit(canonical_ricci(table), g, ga).kind == "infeasible"
+        assert einstein_fit(ricci_trace(table), g, ga).kind == "infeasible"
 
     def test_dependent_metrics_give_a_family(self):
         # raw tables with g~ = 2 g: the fit is a one-parameter family and is
@@ -324,7 +323,7 @@ class TestResiduals:
 
 
 def flags_from_table(table, gamma, g, ga):
-    ric = canonical_ricci(table)
+    ric = ricci_trace(table)
     return SymmetryFlags(
         semi_symmetric_check(table),
         ricci_semi_symmetric_check(table, ric),
