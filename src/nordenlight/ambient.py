@@ -426,6 +426,14 @@ class TrscStatus:
     nu_assoc: Fraction | None
     degenerate: bool = False
 
+    # per inducing metric: the field of its constant, then the other field
+    FIELDS = {"principal": ("nu", "nu_assoc"), "associated": ("nu_assoc", "nu")}
+
+    def attached(self, which: str) -> tuple[Fraction | None, Fraction | None]:
+        """The constant attached to the inducing metric `which` (it must
+        vanish), then the constant of the other metric (the condition's K)."""
+        return tuple(getattr(self, name) for name in self.FIELDS[which])
+
 
 def constant_trsc(r04: DenseTensor, columns: tuple[DenseTensor, DenseTensor]) -> TrscStatus:
     """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component,

@@ -58,21 +58,8 @@ class HypersurfaceSpec:
 class Classification:
     kind: str  # "nondegenerate" | "lightlike"
     gram: DenseTensor
-    radical_span_coords: DenseTensor | None
     radical_ambient: DenseTensor | None
     normal_direction: DenseTensor | None  # raw (not normalized) for the nondegenerate case
-
-
-@dataclass(frozen=True)
-class FrameLattice:
-    """The right operands of a frame's `int_matmul` products, built once per
-    frame: the span rows and the screen rows (over the span denominator),
-    and the transposes of the frame's `inverse` and `inner` tables."""
-
-    span_index: RowIndex
-    screen_index: RowIndex
-    inverse_index: RowIndex
-    inner_index: RowIndex
 
 
 @dataclass(frozen=True)
@@ -90,6 +77,7 @@ class LightlikeFrame:
     transversal: DenseTensor
     screen_indices: tuple[int, ...]  # positions inside span
     eta: DenseTensor  # eta(E_a) = <E_a, N> over the span basis
+    gram: DenseTensor  # <E_a, E_b> in the inducing metric
     b: Fraction | None = None
 
     @cached_property
@@ -126,38 +114,46 @@ class LightlikeFrame:
         rows = [[dx * (unit.get(r) == c) for c in range(cols)] + [y] for r, y in enumerate(x)]
         return mat_inverse(DenseTensor.from_rows((len(x), len(x)), rows, dx))
 
+    # the right operands of the products below: the span and screen rows (over
+    # the span denominator) and the transposes of `inverse` and `inner`
     @cached_property
-    def lattice(self) -> FrameLattice:
-        """The product operands of the decomposition below."""
+    def span_index(self) -> RowIndex:
+        return RowIndex(self.span.rows, self.span.dims[1])
+
+    @cached_property
+    def screen_index(self) -> RowIndex:
         span, _ = self.span.lattice()
-        return FrameLattice(
-            span_index=RowIndex(self.span.rows, self.span.dims[1]),
-            screen_index=row_index(tuple(span[i] for i in self.screen_indices)),
-            inverse_index=row_index(tuple(zip(*self.inverse.lattice()[0]))),
-            inner_index=row_index(tuple(zip(*self.inner.lattice()[0]))),
-        )
+        return row_index(tuple(span[i] for i in self.screen_indices))
+
+    @cached_property
+    def inverse_index(self) -> RowIndex:
+        return row_index(tuple(zip(*self.inverse.lattice()[0])))
+
+    @cached_property
+    def inner_index(self) -> RowIndex:
+        return row_index(tuple(zip(*self.inner.lattice()[0])))
 
     def to_ambient(self, coords):
         """Ambient vectors of rows of span coordinates."""
         rows, den = coords
-        return int_matmul(rows, self.lattice.span_index), den * self.span.den
+        return int_matmul(rows, self.span_index), den * self.span.den
 
     def screen_to_ambient(self, coords):
         """Ambient vectors of rows of screen coordinates."""
         rows, den = coords
-        return int_matmul(rows, self.lattice.screen_index), den * self.span.den
+        return int_matmul(rows, self.screen_index), den * self.span.den
 
     def frame_coords(self, vectors):
         """Rows of ambient vectors split along span + transversal: each row
         holds the span coordinates, then the transversal coefficient."""
         rows, den = vectors
-        return int_matmul(rows, self.lattice.inverse_index), den * self.inverse.den
+        return int_matmul(rows, self.inverse_index), den * self.inverse.den
 
     def screen_coords(self, coords):
         """Rows of span coordinates split along screen + radical: each row
         holds the screen coordinates, then the xi coefficient."""
         rows, den = coords
-        return int_matmul(rows, self.lattice.inner_index), den * self.inner.den
+        return int_matmul(rows, self.inner_index), den * self.inner.den
 
     def p_projection(self):
         """Span coordinates of the screen projections P E_a, one row per
@@ -189,7 +185,6 @@ class RTCheck:
     is_radical_transversal: bool
     b: Fraction | None
     screen_holomorphic: bool
-    j_xi: DenseTensor
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
         direction = DenseTensor.from_lattice((len(g),), *normal[0])
-        return Classification("nondegenerate", gram, None, None, primitive_integer_vector(direction))
+        return Classification("nondegenerate", gram, None, primitive_integer_vector(direction))
     if len(kern) > 1:
         raise InternalInconsistency(
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
@@ -251,7 +246,6 @@ def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classific
     return Classification(
         "lightlike",
         gram,
-        DenseTensor.from_lattice((m,), coords, dk),
         DenseTensor.from_lattice(hs.span.dims[1:], ambient, dk * span[1]),
         None,
     )
@@ -336,6 +330,7 @@ def construct_transversal(
         transversal=DenseTensor.from_lattice((len(nums),), nums, den),
         screen_indices=screen_indices,
         eta=DenseTensor.from_lattice((m,), (row[0] for row in eta), d_eta),
+        gram=cls.gram,
     )
 
 
@@ -363,8 +358,7 @@ def radical_transversal_check(frame: LightlikeFrame, amb: AmbientGeometry) -> RT
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
-    j_xi = DenseTensor.from_lattice((len(tr),), j_xi, d_jxi)
-    return RTCheck(is_rt, b if is_rt else None, holomorphic, j_xi)
+    return RTCheck(is_rt, b if is_rt else None, holomorphic)
 
 
 def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFundamental:
@@ -456,9 +450,7 @@ def umbilical_test(
     infeasible fit returns the first basis field whose xi-shape image is not
     aligned with its screen projection."""
     m = frame.span.dims[0]
-    span = frame.span.lattice()
-    g_ind, den = amb.norden.pairings(frame.inducing_metric, span, span)
-    sol = fit_tables((DenseTensor.from_rows((m, m), g_ind, den),), sf.b_form)
+    sol = fit_tables((frame.gram,), sf.b_form)
     if sol.kind == "unique":
         return UmbilicalResult(True, sol.particular[0], None, None)
     if sol.kind == "parametric":
@@ -569,7 +561,7 @@ def verify_frame_identities(
 
     # (D_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y) over all basis triples,
     # with <E_d, D_{E_a} E_c> = sum_q gamma[a][c][q] <E_d, E_q> = der[a][c][d]
-    gram, d_gram = ns.pairings(which, span, span)
+    gram, d_gram = frame.gram.lattice()
     d_gm = sf.induced_gamma.den
     der = int_matmul(sf.induced_gamma.rows, tuple(zip(*gram)))  # row a * m + c, over d_gm * d_gram
     zero = (0,) * m

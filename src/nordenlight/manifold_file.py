@@ -10,11 +10,11 @@ comment):
     J i = k:q [k:q ...]                   J X_i = sum q X_k
     HYPERSURFACE metric=principal|assoc span=i,j,... [xi=k:q[,k:q...]]
 
-Indices are 1-based; rationals are ``p`` or ``p/q`` with q > 0; omitted
-bracket and metric entries default to zero. Duplicate entries (including the
-mirrored index pair of a BRACKET or METRIC line, and a key repeated on a
-HYPERSURFACE line) are rejected with the line number, as are unknown
-keywords, out-of-range indices and malformed rationals.
+Indices are 1-based and, like DIM, ASCII decimal digits; rationals are ``p``
+or ``p/q`` with q > 0; omitted bracket and metric entries default to zero.
+Duplicate entries (including the mirrored index pair of a BRACKET or METRIC
+line, and a key repeated on a HYPERSURFACE line) are rejected with the line
+number, as are unknown keywords, out-of-range indices and malformed rationals.
 
 Two resource limits are checked at parse time, before any table is built:
 DIM is at most MAX_DIM (a verdict at that size takes seconds), and every
@@ -25,6 +25,7 @@ past what a report can print for much larger input).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -86,12 +87,7 @@ def _parse_terms(tokens: list[str], dim: int, line_no: int) -> Terms:
         if ":" not in tok:
             raise ParseError(f"expected k:q term, got {tok!r}", line_no)
         k_text, q_text = tok.split(":", 1)
-        try:
-            k = int(k_text)
-        except ValueError:
-            raise ParseError(f"bad index in term {tok!r}", line_no) from None
-        if not 1 <= k <= dim:
-            raise ParseError(f"index {k} out of range 1..{dim}", line_no)
+        k = _parse_index(k_text, dim, line_no)
         if k in seen:
             raise ParseError(f"duplicate index {k} in term list", line_no)
         seen.add(k)
@@ -105,11 +101,9 @@ def parse_manifold_file(text: str) -> ManifoldFile:
     dim = None
     labels: tuple[str, ...] | None = None
     brackets: list[tuple[int, int, Terms]] = []
-    bracket_keys: set[frozenset] = set()
     metrics: list[tuple[int, int, Fraction]] = []
-    metric_keys: set[frozenset] = set()
     j_entries: list[tuple[int, Terms]] = []
-    j_keys: set[int] = set()
+    entry_keys: set[tuple] = set()  # (keyword, indices) of every BRACKET, METRIC and J line
     hypers: list[HypersurfaceBlock] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -124,10 +118,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
                 raise ParseError("duplicate DIM directive", line_no)
             if len(tokens) != 2:
                 raise ParseError("DIM takes exactly one argument", line_no)
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {tokens[1]!r}", line_no) from None
+            dim = _decimal(tokens[1], "dimension", line_no)
             if dim <= 0:
                 raise ParseError("dimension must be positive", line_no)
             if dim > MAX_DIM:
@@ -149,10 +140,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError("expected BRACKET i j = k:q ...", line_no)
             i, j = _parse_index(tokens[1], dim, line_no), _parse_index(tokens[2], dim, line_no)
-            key = frozenset((i, j))
-            if key in bracket_keys:
-                raise ParseError(f"duplicate BRACKET entry for ({i},{j})", line_no)
-            bracket_keys.add(key)
+            _claim(entry_keys, (keyword, frozenset((i, j))), f"({i},{j})", line_no)
             brackets.append((i, j, _parse_terms(tokens[4:], dim, line_no)))
             continue
 
@@ -160,10 +148,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
             if len(tokens) != 5 or tokens[3] != "=":
                 raise ParseError("expected METRIC i j = q", line_no)
             i, j = _parse_index(tokens[1], dim, line_no), _parse_index(tokens[2], dim, line_no)
-            key = frozenset((i, j))
-            if key in metric_keys:
-                raise ParseError(f"duplicate METRIC entry for ({i},{j})", line_no)
-            metric_keys.add(key)
+            _claim(entry_keys, (keyword, frozenset((i, j))), f"({i},{j})", line_no)
             metrics.append((i, j, _coefficient(tokens[4], line_no)))
             continue
 
@@ -171,9 +156,7 @@ def parse_manifold_file(text: str) -> ManifoldFile:
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError("expected J i = k:q ...", line_no)
             i = _parse_index(tokens[1], dim, line_no)
-            if i in j_keys:
-                raise ParseError(f"duplicate J entry for {i}", line_no)
-            j_keys.add(i)
+            _claim(entry_keys, (keyword, i), str(i), line_no)
             j_entries.append((i, _parse_terms(tokens[3:], dim, line_no)))
             continue
 
@@ -252,11 +235,24 @@ def _coefficient(text: str, line_no: int) -> Fraction:
     return q
 
 
+def _claim(entry_keys: set, key: tuple, where: str, line_no: int) -> None:
+    """Record the (keyword, indices) key of a BRACKET, METRIC or J line, once."""
+    if key in entry_keys:
+        raise ParseError(f"duplicate {key[0]} entry for {where}", line_no)
+    entry_keys.add(key)
+
+
+def _decimal(text: str, what: str, line_no: int) -> int:
+    """An integer written in ASCII decimal digits; int() alone also reads
+    signs, underscores, whitespace and the digits of other scripts."""
+    if text.isascii() and text.isdigit():
+        with suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise ParseError(f"bad {what} {text!r}", line_no)
+
+
 def _parse_index(text: str, dim: int, line_no: int) -> int:
-    try:
-        i = int(text)
-    except ValueError:
-        raise ParseError(f"bad index {text!r}", line_no) from None
+    i = _decimal(text, "index", line_no)
     if not 1 <= i <= dim:
         raise ParseError(f"index {i} out of range 1..{dim}", line_no)
     return i

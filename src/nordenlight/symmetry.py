@@ -39,13 +39,13 @@ from .exact import (
     DenseTensor,
     Echelon,
     add_row,
+    fit_tables,
     format_ratio,
     format_rational,
     int_bilinear,
     int_matmul,
     nonzero_rows,
     row_index,
-    solve_affine,
 )
 from .hypersurface import LightlikeFrame, SecondFundamental
 
@@ -127,7 +127,7 @@ def induced_curvature_gauss(
     # then the span is contracted into the leading slot three times, each
     # contraction appending its span index, so (i, j, k) -> (j, k, a) ->
     # (k, a, b) -> (a, b, c); only nonzero rows and span entries take part
-    vec = int_matmul(amb13.rows, frame.lattice.inverse_index)
+    vec = int_matmul(amb13.rows, frame.inverse_index)
     span_cols = nonzero_rows(zip(*span))
     rest = n * n
     for _ in range(3):
@@ -208,7 +208,7 @@ def closed_form_curvature(
     ns = amb.norden
     span = frame.span.lattice()
     phi, d_phi = _phi_table(frame, amb)
-    g_ind, d_g = ns.pairings(frame.inducing_metric, span, span)
+    g_ind, d_g = frame.gram.lattice()
     mj, d_mj = ns.pairings(frame.inducing_metric, span, ns.apply_j_rows(span))  # <E_a, J E_c>
     (sc, mc), d_c = DenseTensor.from_entries((2,), (screen_coeff, metric_coeff)).lattice()
     den = d_c * lcm(d_g * d_phi, d_mj)
@@ -238,20 +238,13 @@ def induced_curvature_closed_form(
         raise HypothesisFailure("closed-form curvature needs constant ambient curvatures")
     if sf.rho is None:
         raise HypothesisFailure("closed-form curvature needs a totally umbilical frame")
-    if frame.inducing_metric == "principal":
-        if amb.trsc.nu != 0:
-            raise HypothesisFailure(
-                "inducing the principal metric requires nu = 0, got "
-                + format_rational(amb.trsc.nu)
-            )
-        k_coeff = amb.trsc.nu_assoc
-    else:
-        if amb.trsc.nu_assoc != 0:
-            raise HypothesisFailure(
-                "inducing the associated metric requires nu_assoc = 0, got "
-                + format_rational(amb.trsc.nu_assoc)
-            )
-        k_coeff = amb.trsc.nu
+    which = frame.inducing_metric
+    own, k_coeff = amb.trsc.attached(which)
+    if own != 0:
+        raise HypothesisFailure(
+            f"inducing the {which} metric requires {TrscStatus.FIELDS[which][0]} = 0, got "
+            + format_rational(own)
+        )
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
     return closed_form_curvature(frame, amb, a_coeff, k_coeff)
 
@@ -315,36 +308,25 @@ def ricci_from_ambient_decomposition(
 def closed_form_ricci(
     frame: LightlikeFrame, sf: SecondFundamental, amb: AmbientGeometry
 ) -> DenseTensor:
-    """Closed-form Ricci: with K the nonvanishing ambient constant and h the
-    complex dimension,
+    """Closed-form Ricci: with K the ambient constant attached to the other
+    metric, h the complex dimension and m(X, Y) = <X, JY> in the inducing
+    metric (m = g~ when g induces, m = -g when g~ induces),
 
-        principal:   Ric = -2(h-1) K g~ + (K - rho^2/b) g~(P., P.)
-        associated:  Ric =  2(h-1) K g  - (K - rho^2/b) g(P., P.)
-
-    where the metric appearing on the right is the other induced metric.
+        Ric = -2(h-1) K m + (K - rho^2/b) m(P., P.).
     """
-    h = amb.half_dim
-    if frame.inducing_metric == "principal":
-        other = "associated"
-        k_coeff = amb.trsc.nu_assoc
-        lead = Fraction(-2 * (h - 1)) * k_coeff
-        corr_sign = Fraction(1)
-    else:
-        other = "principal"
-        k_coeff = amb.trsc.nu
-        lead = Fraction(2 * (h - 1)) * k_coeff
-        corr_sign = Fraction(-1)
-    a_coeff = k_coeff - sf.rho * sf.rho / frame.b
-
     ns = amb.norden
+    which = frame.inducing_metric
+    _, k_coeff = amb.trsc.attached(which)
+    lead = Fraction(-2 * (amb.half_dim - 1)) * k_coeff
+    a_coeff = k_coeff - sf.rho * sf.rho / frame.b
     span = frame.span.lattice()
     p_amb = frame.to_ambient(frame.p_projection())
-    g_other, d_g = ns.pairings(other, span, span)
-    g_proj, d_p = ns.pairings(other, p_amb, p_amb)
-    (n_lead, n_corr), d_c = DenseTensor.from_entries((2,), (lead, corr_sign * a_coeff)).lattice()
+    m_span, d_g = ns.pairings(which, span, ns.apply_j_rows(span))
+    m_proj, d_p = ns.pairings(which, p_amb, ns.apply_j_rows(p_amb))
+    (n_lead, n_corr), d_c = DenseTensor.from_entries((2,), (lead, a_coeff)).lattice()
     den = d_c * lcm(d_g, d_p)
     f_lead, f_corr = n_lead * (den // (d_c * d_g)), n_corr * (den // (d_c * d_p))
-    rows = [[f_lead * x + f_corr * y for x, y in zip(gr, pr)] for gr, pr in zip(g_other, g_proj)]
+    rows = [[f_lead * x + f_corr * y for x, y in zip(gr, pr)] for gr, pr in zip(m_span, m_proj)]
     return DenseTensor.from_rows((len(rows), len(rows)), rows, den)
 
 
@@ -522,29 +504,21 @@ def almost_einstein_fit(ricci: DenseTensor, g_ind: DenseTensor, g_assoc_ind: Den
     """Exact affine fit Ric = k g + c g~ over every index pair. A parametric
     outcome (the two induced metrics dependent as component vectors) is
     reported as a family, never collapsed to one representative."""
-    m = ricci.dims[0]
-    den = lcm(ricci.den, g_ind.den, g_assoc_ind.den)
-    (g, fg), (ga, fa), (ric, fr) = (
-        (t.lattice()[0], den // t.den) for t in (g_ind, g_assoc_ind, ricci)
-    )
-    pairs = list(product(range(m), repeat=2))
-    rows = [(fg * g[a][b], fa * ga[a][b]) for a, b in pairs]
-    rhs = [fr * ric[a][b] for a, b in pairs]
-    sol = solve_affine(rows, rhs)
+    sol = fit_tables((g_ind, g_assoc_ind), ricci)
     if sol.kind != "infeasible":
         k, c = sol.particular.entries
         return EinsteinFit(sol.kind, k, c, sol.nullspace)
-    # the witness ends the first infeasible prefix: the first row after which
-    # the right-hand side is a pivot column of the augmented rows, read off
+    # the witness ends the first infeasible prefix of the component rows: the
+    # first row after which the right-hand side is a pivot column, read off
     # one incremental elimination (RREF is unique, so every prefix has the
-    # pivots it would have on its own)
-    witness = None
+    # pivots it has on its own, and scaling a column by its denominator moves none)
+    m = ricci.dims[0]
+    g, ga, ric = (t.lattice()[0] for t in (g_ind, g_assoc_ind, ricci))
     basis = Echelon()
-    for row, r, (a, b) in zip(rows, rhs, pairs):
-        if basis.insert((*row, r)) and basis.pivots[-1] == 2:
-            witness = (a + 1, b + 1)
-            break
-    return EinsteinFit("infeasible", None, None, (), witness)
+    for a, b in product(range(m), repeat=2):
+        if basis.insert((g[a][b], ga[a][b], ric[a][b])) and basis.pivots[-1] == 2:
+            return EinsteinFit("infeasible", None, None, (), (a + 1, b + 1))
+    raise InternalInconsistency("an infeasible Einstein fit has no infeasible prefix")
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +547,7 @@ def pde_residuals(
         raise HypothesisFailure("residual check needs a totally umbilical frame")
     m = frame.span.dims[0]
     (x, dx), (t, dt), (e, de) = frame.xi_span.lattice(), sf.tau.lattice(), frame.eta.lattice()
-    k_coeff = amb.trsc.nu_assoc if frame.inducing_metric == "principal" else amb.trsc.nu
+    _, k_coeff = amb.trsc.attached(frame.inducing_metric)
     tau_xi = Fraction(sum(map(mul, x, t)), dx * dt)
     radial = frame.b * k_coeff - sf.rho * sf.rho + sf.rho * tau_xi
     # rho (tau(E_a) - eta(E_a) tau(xi)) with rho = r / s and tau(xi) = p / q
@@ -615,7 +589,7 @@ def symmetry_equivalence_audit(
     ]
     if trsc.kind != "constant":
         return AuditVerdict(False, None, None, None, None, tuple(notes + ["ambient curvatures not constant"]))
-    lhs = trsc.nu_assoc if inducing_metric == "principal" else trsc.nu
+    _, lhs = trsc.attached(inducing_metric)
     rhs = rho * rho / b
     if lhs == 0:
         notes.append(

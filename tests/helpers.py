@@ -1120,7 +1120,7 @@ def reference_primitive_integer_vector(v):
 
 
 def reference_induce_and_classify(hs, amb):
-    """(kind, gram, radical span coordinates, radical, normal direction)."""
+    """(kind, gram, radical, normal direction)."""
     metric = nested(amb.norden.metric(hs.inducing_metric))
     span = nested(hs.span)
     m = len(span)
@@ -1131,14 +1131,14 @@ def reference_induce_and_classify(hs, amb):
         normal = reference_kernel_basis(pairing)
         if len(normal) != 1:
             raise InternalInconsistency("ambient orthogonal complement of a hypersurface is not a line")
-        return "nondegenerate", g_ind, None, None, reference_primitive_integer_vector(normal[0])
+        return "nondegenerate", g_ind, None, reference_primitive_integer_vector(normal[0])
     if len(kern) > 1:
         raise InternalInconsistency(
             "induced metric kernel has rank >= 2 on a hypersurface of a nondegenerate metric"
         )
     coords = kern[0]
     ambient = tuple(sum(coords[a] * span[a][q] for a in range(m)) for q in range(len(span[0])))
-    return "lightlike", g_ind, coords, ambient, None
+    return "lightlike", g_ind, ambient, None
 
 
 def reference_construct_screen(hs, cls):
@@ -1183,7 +1183,7 @@ def reference_construct_transversal(hs, amb, cls, screen_indices):
 
 
 def reference_radical_transversal_check(frame, amb):
-    """(is radical transversal, b, screen holomorphic, J xi)."""
+    """(is radical transversal, b, screen holomorphic)."""
     transversal, span = frame.transversal.entries, nested(frame.span)
     screen = [span[i] for i in frame.screen_indices]
     j_xi = apply_j(amb.norden, frame.xi.entries)
@@ -1199,7 +1199,7 @@ def reference_radical_transversal_check(frame, amb):
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
-    return is_rt, b if is_rt else None, holomorphic, j_xi
+    return is_rt, b if is_rt else None, holomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -1675,6 +1675,27 @@ def invalid_family_text(cause: str, h: int = 3) -> str:
     return instance_text(spec, ns, [("assoc", range(2, n + 1))])
 
 
+def principal_dual_text(text: str) -> str:
+    """The Norden dual of an `.mf` input whose blocks induce the associated
+    metric: the METRIC lines hold the entries of g~ = g(J., .), BRACKET and
+    J are kept, and every block induces the principal metric. The dual's
+    principal metric is the original's associated one, and its associated
+    metric is g(J., J.) = -g, so the dual runs the principal-metric path on
+    the same radical-transversal hypersurface: its constants (nu, nu~) are
+    the original's primed pair, b, rho, the flags and the audit sides are
+    the original's, and the Einstein coefficients (k, c) become (c, -k)."""
+    from dataclasses import replace
+
+    from nordenlight.manifold_file import norden_from_file, parse_manifold_file
+
+    mf = parse_manifold_file(text)
+    ga = nested(norden_from_file(mf).metric("associated"))
+    n = mf.dim
+    metric = tuple((i + 1, k + 1, ga[i][k]) for i in range(n) for k in range(i, n) if ga[i][k])
+    blocks = tuple(replace(b, inducing_metric="principal") for b in mf.hypersurfaces)
+    return replace(mf, metric_entries=metric, hypersurfaces=blocks).to_text()
+
+
 INVALID_CAUSES = ("j_scaled", "metric_scaled", "jacobi", "kaehler")
 # the hand-written fixtures; fixtures/family_h3.mf and family_h4.mf are
 # family_text(3) and family_text(4), which the corpus holds already
@@ -1688,7 +1709,8 @@ def golden_corpus() -> list[tuple[str, str]]:
     breaks Jacobi), one with four blocks (full path, nondegenerate, not a
     subalgebra, not umbilical), the family at h = 8 (dim 16, `MAX_DIM`) as
     written and conjugated, and one input for each cause of
-    `invalid_family_text`."""
+    `invalid_family_text`, and the principal-metric dual of the family at
+    h = 3 (`principal_dual_text`)."""
     from pathlib import Path
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1710,6 +1732,7 @@ def golden_corpus() -> list[tuple[str, str]]:
     corpus.append(("family_h8", family_text(8)))
     corpus.append(("family_h8_conjugated", conjugated_family_text(8)))
     corpus += [(f"invalid_{cause}_h3", invalid_family_text(cause)) for cause in INVALID_CAUSES]
+    corpus.append(("family_h3_principal_dual", principal_dual_text(family_text(3))))
     return corpus
 
 

@@ -245,7 +245,7 @@ def front_half(hs, amb):
         if isinstance(cls, tuple):
             out.append(cls)
             continue
-        fields = (cls.gram, cls.radical_span_coords, cls.radical_ambient, cls.normal_direction)
+        fields = (cls.gram, cls.radical_ambient, cls.normal_direction)
         out.append((cls.kind, *(None if t is None else nested(t) for t in fields)))
         if which != hs.inducing_metric or cls.kind != "lightlike":
             continue
@@ -258,7 +258,7 @@ def front_half(hs, amb):
         out.append((nested(frame.xi), nested(frame.transversal), nested(frame.eta)))
         rt = outcome(radical_transversal_check, frame, amb)
         out.append(
-            rt if isinstance(rt, tuple) else (rt.is_radical_transversal, rt.b, rt.screen_holomorphic, nested(rt.j_xi))
+            rt if isinstance(rt, tuple) else (rt.is_radical_transversal, rt.b, rt.screen_holomorphic)
         )
     return out
 

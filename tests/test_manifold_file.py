@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from helpers import family_text
+from nordenlight.cli import main
 from nordenlight.errors import ParseError
 from nordenlight.manifold_file import (
     MAX_COEFFICIENT_BITS,
@@ -22,6 +25,26 @@ J 2 = 4:1
 J 3 = 1:-1
 J 4 = 2:-1
 """
+
+
+def edited(text: str, old: str, new: str) -> tuple[str, int]:
+    """The text with the first `old` replaced by `new`, and the 1-based
+    number of the line it was on."""
+    line = next(n for n, row in enumerate(text.splitlines(), start=1) if old in row)
+    return text.replace(old, new, 1), line
+
+
+BOREL = (Path(__file__).resolve().parent.parent / "fixtures" / "sl2c_borel.mf").read_text(encoding="utf-8")
+# integers that int() reads but that are not ASCII decimal digits; every
+# edit leaves an input that runs the full path when written with digits
+NON_DECIMAL_INTEGERS = {
+    "dim_plus_sign": edited(BOREL, "DIM 4", "DIM +4"),
+    "dim_arabic_indic_digit": edited(BOREL, "DIM 4", "DIM \u0664"),
+    "span_arabic_indic_digit": edited(BOREL, "span=2,3,4", "span=2,3,\u0664"),
+    "j_index_plus_sign": edited(BOREL, "J 4 = 2:-1", "J +4 = 2:-1"),
+    "term_index_plus_sign": edited(BOREL, "J 1 = 3:1", "J 1 = +3:1"),
+    "span_underscore": edited(family_text(5), "span=2,3,4,5,6,7,8,9,10", "span=2,3,4,5,6,7,8,9,1_0"),
+}
 
 
 class TestParsing:
@@ -140,10 +163,20 @@ class TestParseErrors:
 
     def test_malformed_term(self):
         self.expect_error("DIM 4\nJ 1 = 3\n", "expected k:q", line=2)
+        self.expect_error("DIM 4\nJ 1 = x:1\n", "bad index 'x'", line=2)
 
     def test_duplicate_term_index(self):
         self.expect_error("DIM 4\nJ 1 = 3:1,\n", "expected k:q|malformed", line=2)
         self.expect_error("DIM 4\nBRACKET 1 2 = 3:1 3:2\n", "duplicate index", line=2)
+
+    @pytest.mark.parametrize("case", list(NON_DECIMAL_INTEGERS))
+    def test_integers_are_ascii_decimal_digits(self, case, tmp_path, capsys):
+        text, line = NON_DECIMAL_INTEGERS[case]
+        self.expect_error(text, "bad", line=line)
+        path = tmp_path / "m.mf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert f"line {line}: bad" in capsys.readouterr().err
 
 
 class TestResourceLimits:

@@ -15,6 +15,7 @@ from helpers import (
     nested,
     reference_einstein_witness,
     run_hypersurface,
+    solve,
     tensor_from_function,
     gram,
     trace_ricci,
@@ -108,9 +109,10 @@ class TestInducedCurvature:
 
     def test_vanishing_precondition_enforced(self, golden, fixture_run):
         _, _, amb = golden
-        bad_amb = replace(amb, trsc=TrscStatus("constant", F(4), F(1)))
-        with pytest.raises(HypothesisFailure, match="nu_assoc = 0"):
+        bad_amb = replace(amb, trsc=TrscStatus("constant", F(4), F(-1, 2)))
+        with pytest.raises(HypothesisFailure) as exc:
             induced_curvature_closed_form(fixture_run.frame, fixture_run.sf, bad_amb)
+        assert str(exc.value) == "inducing the associated metric requires nu_assoc = 0, got -1/2"
 
 
 class TestInducedRicci:
@@ -255,9 +257,12 @@ class TestAlmostEinstein:
 
     def test_infeasible_witness_matches_the_prefix_scan(self):
         # seeded systems Ric = k g + c g~ with some entries moved: the one
-        # elimination must name the pair that one solve per prefix names
+        # elimination must name the pair that one solve per prefix names;
+        # every seventh system stays as built, and its fit (unique, or a
+        # family when g~ = 2 g) must be the solve of all m^2 component rows
         rng = random.Random(9105)
         witnesses = set()
+        kinds = set()
         for trial in range(150):
             m = 2 + trial % 5
 
@@ -271,6 +276,15 @@ class TestAlmostEinstein:
                 ga = [[2 * x for x in row] for row in g]
             k, c = q(1), q(1)
             ric = [[k * x + c * y for x, y in zip(rg, ra)] for rg, ra in zip(g, ga)]
+            if trial % 7 == 3:
+                fit = einstein_fit(ric, g, ga)
+                pairs = list(product(range(m), repeat=2))
+                sol = solve([(g[a][b], ga[a][b]) for a, b in pairs], [ric[a][b] for a, b in pairs])
+                assert fit.kind == sol.kind != "infeasible", trial
+                assert (fit.k, fit.c) == sol.particular, trial
+                assert tuple(v.entries for v in fit.nullspace) == sol.nullspace, trial
+                kinds.add(fit.kind)
+                continue
             for _ in range(1 + trial % 3):
                 ric[rng.randrange(m)][rng.randrange(m)] += F(rng.choice((-1, 1)), rng.choice((1, 2)))
             fit = einstein_fit(ric, g, ga)
@@ -278,6 +292,7 @@ class TestAlmostEinstein:
                 witnesses.add(fit.witness)
                 assert fit.witness == reference_einstein_witness(ric, g, ga), trial
         assert len(witnesses) > 12
+        assert kinds == {"unique", "parametric"}
 
     def test_synthetic_nonzero_coefficient_infeasible(self, golden, fixture_run):
         _, ns, _ = golden
