@@ -16,7 +16,6 @@ from .ambient import (
     kaehler_check,
     levi_civita,
     norden_structure,
-    pi_tensors,
     validate_lie_algebra,
     validate_norden,
 )

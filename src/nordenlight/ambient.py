@@ -13,7 +13,10 @@ whether the curvature has the constant-coefficient form
 in the two curvature-type tensors pi1, pi2 built from g and g-compose-J and
 the mixed tensor pi3. The coefficients nu and nu_assoc are the totally real
 sectional curvatures with respect to g; the primed pair taken with respect to
-the associated metric is (-nu_assoc, nu).
+the associated metric is (-nu_assoc, nu). The fit solves two components with
+independent coefficient rows for the two constants and compares the one
+expected table they give with the curvature; the pi-tensors are never built
+one by one.
 
 Conventions, fixed once for the whole engine:
 
@@ -31,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .errors import InternalInconsistency, ValidationFailure
 from .exact import (
     DenseTensor,
+    LinearSolution,
     RowIndex,
     add_row,
     fit_tables,
@@ -94,6 +98,12 @@ class NordenStructure:
         if which == "associated":
             return self.g_assoc
         raise ValueError(f"unknown metric selector {which!r}")
+
+    @cached_property
+    def gj(self) -> DenseTensor:
+        """The table g(X_a, J X_b), read by the curvature fit, the pi relations and the Ricci closed form."""
+        (g, dg), (j, dj) = self.g.lattice(), self.j.lattice()
+        return DenseTensor.from_rows(self.g.dims, int_matmul(g, j), dg * dj)
 
     @cached_property
     def operands(self) -> dict[str, RowIndex]:
@@ -265,15 +275,11 @@ def levi_civita(spec: LieAlgebraSpec, ns: NordenStructure) -> DenseTensor:
 
 @dataclass(frozen=True)
 class KaehlerCheck:
-    """Result of the parallel-J test. f_table holds g((D_X J)Y, Z); phi_table
-    holds the difference of the Levi-Civita connections of the two metrics.
-    The two vanish together on every valid Norden structure."""
+    """Result of the parallel-J test: f_table holds g((D_X J)Y, Z)."""
 
     is_kaehler_norden: bool
     f_table: DenseTensor
     f_witness: tuple | None
-    phi_table: DenseTensor | None
-    phi_agrees: bool | None
 
 
 def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor) -> KaehlerCheck:
@@ -296,19 +302,17 @@ def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor)
     f_witness = next((ix for ix, _ in f_table.nonzero()), None)
     is_kaehler = f_witness is None
 
-    phi_table = None
-    phi_agrees = None
+    # the difference of the Levi-Civita connections of the two metrics
+    # vanishes exactly when J is parallel, on every valid Norden structure
     ga, _ = ns.g_assoc.lattice()
     symmetric = all(ga[i][k] == ga[k][i] for i in range(n) for k in range(n))
     if symmetric and signature(ns.g_assoc)[2] == 0:
-        gamma_assoc = koszul_connection(spec, ns.g_assoc)
-        phi_table = lattice_combination(gamma_assoc, gamma, -1)
-        phi_agrees = phi_table.is_zero() == is_kaehler
-        if not phi_agrees:
+        phi = lattice_combination(koszul_connection(spec, ns.g_assoc), gamma, -1)
+        if phi.is_zero() != is_kaehler:
             raise InternalInconsistency(
                 "parallel-J test and connection-difference test disagree on validated input"
             )
-    return KaehlerCheck(is_kaehler, f_table, f_witness, phi_table, phi_agrees)
+    return KaehlerCheck(is_kaehler, f_table, f_witness)
 
 
 def curvature(
@@ -352,69 +356,87 @@ def curvature(
 # curvature-type tensors and the constant-curvature fit
 
 
-def pi_tensors(g: DenseTensor, j: DenseTensor) -> tuple[DenseTensor, DenseTensor, DenseTensor]:
-    """The three curvature-type tensors built from a metric g and J:
+def pi_combination(ns: NordenStructure, a: Fraction, b: Fraction) -> DenseTensor:
+    """The table a (pi1 - pi2) + b pi3 of the curvature-type tensors of g and J:
 
         pi1(X,Y,Z,W) = g(Y,Z)g(X,W) - g(X,Z)g(Y,W)
         pi2(X,Y,Z,W) = g(Y,JZ)g(X,JW) - g(X,JZ)g(Y,JW)
         pi3(X,Y,Z,W) = -g(Y,Z)g(X,JW) + g(X,Z)g(Y,JW)
                        - g(X,W)g(Y,JZ) + g(Y,W)g(X,JZ)
 
-    Called with the associated metric it gives the associated-metric
-    counterparts. Each tensor is a sum of products p(Y,Z) q(X,W) minus the
-    same product with X and Y swapped, so its rows over W are accumulated
-    from pairs of nonzero entries of g and gJ, each pair written at both
-    slot orders.
-    """
-    n = g.dims[0]
-    g, dg = g.lattice()
-    j, dj = j.lattice()
-    gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
-
+    Each is a sum of products p(Y,Z) q(X,W) minus the same product with X
+    and Y swapped. Summed with their weights, the products with q = g have
+    p = a g - b gJ, and those with q = gJ have p = -b g - a gJ, so the rows
+    over W are accumulated in one pass from the nonzero entries of the two p
+    (over one denominator) and the nonzero rows of g and gJ, each product
+    written at both slot orders."""
+    n, (g, dg), (h, dh) = ns.g.dims[0], ns.g.lattice(), ns.gj.lattice()
+    weights = [Fraction(a) / dg**2, -Fraction(a) / dh**2, -Fraction(b) / (dg * dh)]
+    den = lcm(*(w.denominator for w in weights))
+    f1, f2, f3 = (w.numerator * (den // w.denominator) for w in weights)
     # row (a * n + b) * n + k holds the entries at (X, Y, Z) = (a, b, k)
-    n2 = n * n
-    g_rows, gj_rows = nonzero_rows(g), nonzero_rows(gj)
-    g_nz = [(b, k, x) for b, items in g_rows.items() for k, x in items]
-    gj_nz = [(b, k, x) for b, items in gj_rows.items() for k, x in items]
-    pi1, pi2, pi3 = {}, {}, {}
-    for out, yz, xw, sign in (
-        (pi1, g_nz, g_rows, 1),
-        (pi2, gj_nz, gj_rows, 1),
-        (pi3, g_nz, gj_rows, -1),
-        (pi3, gj_nz, g_rows, -1),
-    ):
-        xw = [(a * n2, a * n, items) for a, items in xw.items()]
-        for b, k, x in yz:
-            sx, bk, bk_ = sign * x, b * n + k, b * n2 + k
-            for a_, a_n, items in xw:
-                # sign p(Y,Z) q(X,W) at (a, b, k, l), and its negative at (b, a, k, l)
-                here = out.get(a_ + bk) or out.setdefault(a_ + bk, [0] * n)
-                there = out.get(bk_ + a_n) or out.setdefault(bk_ + a_n, [0] * n)
-                for l, y in items:
-                    v = sx * y
-                    here[l] += v
-                    there[l] -= v
-    dims = (n, n, n, n)
-    return (
-        DenseTensor.from_rows(dims, pi1, dg * dg),
-        DenseTensor.from_rows(dims, pi2, dg * dg * dj * dj),
-        DenseTensor.from_rows(dims, pi3, dg * dg * dj),
-    )
+    n2, out = n * n, {}
+    for (fg, fh), q in (((f1, f3), ns.g), ((f3, f2), ns.gj)):
+        p = nonzero_rows([[fg * x + fh * y for x, y in zip(gr, hr)] for gr, hr in zip(g, h)])
+        xw = [(a_ * n2, a_ * n, items) for a_, items in q.rows.items()]
+        for r, items_yz in p.items():
+            for k, x in items_yz:
+                bk, bk_ = r * n + k, r * n2 + k
+                for a_, a_n, items in xw:
+                    # p(Y,Z) q(X,W) at (a, b, k, l), and its negative at (b, a, k, l)
+                    here = out.get(a_ + bk) or out.setdefault(a_ + bk, [0] * n)
+                    there = out.get(bk_ + a_n) or out.setdefault(bk_ + a_n, [0] * n)
+                    for l, y in items:
+                        v = x * y
+                        here[l] += v
+                        there[l] -= v
+    return DenseTensor.from_rows((n, n, n, n), out, den)
 
 
-def verify_pi_assoc_relations(
-    ns: NordenStructure, pi1: DenseTensor, pi2: DenseTensor, pi3: DenseTensor
-) -> None:
-    """The associated-metric counterparts swap pi1 and pi2 and negate pi3;
-    verified componentwise against the definitional construction. A failure
-    names the first differing 1-based index in product order and both values."""
-    a1, a2, a3 = pi_tensors(ns.g_assoc, ns.j)
-    for name, own, table, other in (
-        ("pi1", a1, pi2, "pi2"),
-        ("pi2", a2, pi1, "pi1"),
-        ("pi3", a3, -pi3, "-pi3"),
-    ):
-        require_equal(own, table, f"associated {name} does not equal {other}", f"associated {name}", other)
+def pi_fit(ns: NordenStructure, rhs: DenseTensor) -> LinearSolution:
+    """The fit rhs = x (pi1 - pi2) + y pi3 over every component, with the
+    outcome `fit_tables` gives on the two full columns. The first two
+    components in product order whose coefficient rows are independent are
+    computed from g and gJ alone (a component (X, Y, Z, W) is zero unless Z
+    and W lie in the supports of the rows X and Y of both tables); their
+    solution is the only candidate, so the fit is unique when its table
+    `pi_combination` equals rhs and infeasible otherwise. Below rank 2
+    (parametric or all-zero columns) `fit_tables` runs on the columns, so
+    the degeneracy mark and the canonical representative are its own."""
+    n, (g, dg), (h, dh) = ns.g.dims[0], ns.g.lattice(), ns.gj.lattice()
+    support = [{c for t in (ns.g, ns.gj) for c, _ in t.rows.get(a, ())} for a in range(n)]
+
+    def row(x, y, z, w):  # (offset, pi1 - pi2, pi3) at (X, Y, Z, W), over (dg dh)^2
+        gx, gy, hx, hy = g[x], g[y], h[x], h[y]
+        c1 = dh * dh * (gy[z] * gx[w] - gx[z] * gy[w]) - dg * dg * (hy[z] * hx[w] - hx[z] * hy[w])
+        c3 = dg * dh * (gx[z] * hy[w] - gy[z] * hx[w] + gy[w] * hx[z] - gx[w] * hy[z])
+        return ((x * n + y) * n + z) * n + w, c1, c3
+
+    pairs = ((x, y) for x, y in product(range(n), repeat=2) if x != y)
+    rows = (row(x, y, z, w) for x, y in pairs for z, w in product(sorted(support[x] | support[y]), repeat=2))
+    first = next((r for r in rows if r[1] or r[2]), None)
+    second = first and next((r for r in rows if first[1] * r[2] - first[2] * r[1]), None)
+    if second is None:
+        return fit_tables((pi_combination(ns, 1, 0), pi_combination(ns, 0, 1)), rhs)
+    (p, a1, a3), (q, b1, b3) = first, second
+    scale, det = (dg * dh) ** 2, rhs.den * (a1 * b3 - b1 * a3)
+    rp, rq = rhs.num(p), rhs.num(q)
+    x, y = Fraction(scale * (rp * b3 - rq * a3), det), Fraction(scale * (a1 * rq - b1 * rp), det)
+    if pi_combination(ns, x, y) != rhs:
+        return LinearSolution("infeasible", None, ())
+    return LinearSolution("unique", DenseTensor.from_entries((2,), (x, y)), ())
+
+
+def verify_pi_assoc_relations(ns: NordenStructure) -> None:
+    """The curvature-type tensors of the associated metric are those of g
+    with pi1 and pi2 swapped and pi3 negated. They are built from (g~, g~J)
+    as those of g are from (g, gJ): pi1 and pi2 quadratically in one member,
+    pi3 bilinearly in both. So the relations follow from the two n x n
+    identities g~ = gJ and g~J = -g, checked here (`require_equal`)."""
+    require_equal(ns.g_assoc, ns.gj, "associated metric does not equal gJ", "g(JX,Y)", "g(X,JY)")
+    (ga, dga), (j, dj) = ns.g_assoc.lattice(), ns.j.lattice()
+    ga_j = DenseTensor.from_rows(ns.g.dims, int_matmul(ga, j), dga * dj)
+    require_equal(ga_j, -ns.g, "associated metric composed with J does not equal -g", "g(JX,JY)", "-g(X,Y)")
 
 
 @dataclass(frozen=True)
@@ -435,9 +457,8 @@ class TrscStatus:
         return tuple(getattr(self, name) for name in self.FIELDS[which])
 
 
-def constant_trsc(r04: DenseTensor, columns: tuple[DenseTensor, DenseTensor]) -> TrscStatus:
-    """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component,
-    on the fit columns (pi1 - pi2, pi3).
+def constant_trsc(r04: DenseTensor, ns: NordenStructure) -> TrscStatus:
+    """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component (`pi_fit`).
 
     A unique solution means both totally real sectional curvatures are
     constant; an infeasible system means they are not. A parametric fit (the
@@ -445,7 +466,7 @@ def constant_trsc(r04: DenseTensor, columns: tuple[DenseTensor, DenseTensor]) ->
     constant with the canonical representative and a degeneracy mark, never
     silently resolved.
     """
-    sol = fit_tables(columns, r04)
+    sol = pi_fit(ns, r04)
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
     nu, nu_assoc = sol.particular.entries
@@ -454,38 +475,30 @@ def constant_trsc(r04: DenseTensor, columns: tuple[DenseTensor, DenseTensor]) ->
 
 @dataclass(frozen=True)
 class AssociatedCurvature:
-    """Curvature lowered with the associated metric, and the constants of the
-    same fit performed against the associated-metric tensors."""
+    """The constants of the curvature fit against the associated-metric tensors."""
 
-    r04_assoc: DenseTensor
     nu_prime: Fraction | None
     nu_assoc_prime: Fraction | None
-    degenerate: bool
 
 
-def associated_curvature(
-    r04: DenseTensor,
-    ns: NordenStructure,
-    columns: tuple[DenseTensor, DenseTensor],
-    trsc: TrscStatus,
-) -> AssociatedCurvature:
+def associated_curvature(r04: DenseTensor, ns: NordenStructure, trsc: TrscStatus) -> AssociatedCurvature:
     """R~(X,Y,Z,W) = R(X,Y,Z,JW), refitted against the associated-metric
     tensors. With constant curvatures the primed pair must be
     (-nu_assoc, nu); any other outcome is an engine inconsistency.
 
     The associated tensors are pi2 - pi1 and -pi3 (see
-    `verify_pi_assoc_relations`), so the fit runs on the columns of
-    `constant_trsc`, pi1 - pi2 and pi3, against -R~: each of its rows is
-    the negative of a row of the associated system, and a row scaled by -1
-    leaves the picked rows, the RREF and so the solution unchanged."""
+    `verify_pi_assoc_relations`), so the fit is `pi_fit` against -R~: each
+    of its rows is the negative of a row of the associated system, and a
+    row scaled by -1 leaves the solution unchanged. With constant
+    curvatures its expected table is -nu_assoc (pi1 - pi2) + nu pi3."""
     j, dj = ns.j.lattice()
     # the last slot times J
     assoc = DenseTensor.from_rows(r04.dims, int_matmul(r04.rows, row_index(j)), r04.den * dj)
-    sol = fit_tables(columns, -assoc)
+    sol = pi_fit(ns, -assoc)
     if sol.kind == "infeasible":
         if trsc.kind == "constant":
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")
-        return AssociatedCurvature(assoc, None, None, False)
+        return AssociatedCurvature(None, None)
     nu_prime, nu_assoc_prime = sol.particular.entries
     if trsc.kind == "constant" and not trsc.degenerate:
         if nu_prime != -trsc.nu_assoc or nu_assoc_prime != trsc.nu:
@@ -493,7 +506,7 @@ def associated_curvature(
                 "primed curvature constants do not match (-nu_assoc, nu): "
                 f"got ({format_rational(nu_prime)}, {format_rational(nu_assoc_prime)})"
             )
-    return AssociatedCurvature(assoc, nu_prime, nu_assoc_prime, sol.kind == "parametric")
+    return AssociatedCurvature(nu_prime, nu_assoc_prime)
 
 
 def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None) -> DenseTensor:
@@ -505,11 +518,10 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
     n = r13.dims[0]
     ric = ricci_trace(r13)
     if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
-        (g, dg), (j, dj) = ns.g.lattice(), ns.j.lattice()
         coeff = -2 * (n // 2 - 1) * trsc.nu_assoc
-        gj = int_matmul(g, j)  # g(X_a, J X_b) over dg * dj
+        gj, dgj = ns.gj.lattice()
         expected = DenseTensor.from_lattice(
-            (n, n), (coeff.numerator * x for row in gj for x in row), coeff.denominator * dg * dj
+            (n, n), (coeff.numerator * x for row in gj for x in row), coeff.denominator * dgj
         )
         require_equal(ric, expected, "ambient Ricci closed form fails", "Ricci", "closed form")
     return ric
@@ -539,12 +551,8 @@ class AmbientGeometry:
     spec: LieAlgebraSpec
     norden: NordenStructure
     gamma: DenseTensor
-    kaehler: KaehlerCheck
     riemann13: DenseTensor
     riemann04: DenseTensor
-    pi1: DenseTensor
-    pi2: DenseTensor
-    pi3: DenseTensor
     trsc: TrscStatus
     assoc: AssociatedCurvature
     ricci: DenseTensor
@@ -555,15 +563,19 @@ class AmbientGeometry:
 
 
 def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> AmbientGeometry:
-    """Derive connection and curvature for validated input.
+    """Derive connection, curvature and the constant-curvature fits for
+    validated input. The fits solve two independent components for the two
+    constants and compare the one expected table each builds with R and -R~
+    (`pi_fit`); no pi-tensor is built on its own.
 
     Raises ValidationFailure when J is not parallel (the manifold is then
     outside the engine's scope) and InternalInconsistency when one of the
     built-in cross-checks fails (the parallel-J/connection-difference
-    agreement, the associated-tensor relations, the primed-constants
-    relation, the Ricci closed form). Torsion-freeness, metric
-    compatibility, the curvature symmetries and the Kaehler curvature
-    identity are not checked here; the test suite checks them.
+    agreement, the associated-tensor relations as two n x n identities, the
+    primed-constants relation, the Ricci closed form).
+    Torsion-freeness, metric compatibility, the curvature symmetries, the
+    Kaehler curvature identity and the componentwise associated-tensor
+    relations are not checked here; the test suite checks them.
     """
     gamma = levi_civita(spec, ns)
     kaehler = kaehler_check(spec, ns, gamma)
@@ -575,23 +587,8 @@ def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> Ambient
             f"{format_rational(kaehler.f_table[kaehler.f_witness])}"
         )
     r13, r04 = curvature(spec, gamma, ns)
-    pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
-    verify_pi_assoc_relations(ns, pi1, pi2, pi3)
-    columns = (lattice_combination(pi1, pi2, -1), pi3)
-    trsc = constant_trsc(r04, columns)
-    assoc = associated_curvature(r04, ns, columns, trsc)
+    verify_pi_assoc_relations(ns)
+    trsc = constant_trsc(r04, ns)
+    assoc = associated_curvature(r04, ns, trsc)
     ricci = ambient_ricci(r13, ns, trsc)
-    return AmbientGeometry(
-        spec=spec,
-        norden=ns,
-        gamma=gamma,
-        kaehler=kaehler,
-        riemann13=r13,
-        riemann04=r04,
-        pi1=pi1,
-        pi2=pi2,
-        pi3=pi3,
-        trsc=trsc,
-        assoc=assoc,
-        ricci=ricci,
-    )
+    return AmbientGeometry(spec, ns, gamma, r13, r04, trsc, assoc, ricci)

@@ -133,6 +133,9 @@ def parse_manifold_file(text: str) -> ManifoldFile:
                 raise ParseError("duplicate BASIS directive", line_no)
             if len(tokens) - 1 != dim:
                 raise ParseError(f"BASIS needs {dim} names, got {len(tokens) - 1}", line_no)
+            repeated = next((t for i, t in enumerate(tokens) if t in tokens[1:i]), None)
+            if repeated is not None:
+                raise ParseError(f"BASIS repeats the name {repeated!r}", line_no)
             labels = tuple(tokens[1:])
             continue
 

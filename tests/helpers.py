@@ -1388,6 +1388,26 @@ def reference_pi_tensors(g, j):
     )
 
 
+def reference_pi_combination(tensors, a, b) -> DenseTensor:
+    """Reference for `ambient.pi_combination`: a (pi1 - pi2) + b pi3, entry
+    by entry from the tables (pi1, pi2, pi3) of `reference_pi_tensors`."""
+    flat = [flat_lattice(t) for t in tensors]
+    weights = [F(a) / flat[0][1], -F(a) / flat[1][1], F(b) / flat[2][1]]
+    den = lcm(*(w.denominator for w in weights))
+    f1, f2, f3 = (w.numerator * (den // w.denominator) for w in weights)
+    nums = (f1 * x + f2 * y + f3 * z for x, y, z in zip(*(nums for nums, _ in flat)))
+    return DenseTensor.from_lattice(tensors[0].dims, nums, den)
+
+
+def reference_pi_fit(ns: NordenStructure, rhs: DenseTensor, tensors=None) -> LinearSolution:
+    """Reference for `ambient.pi_fit`: `reference_fit_tables` on the full
+    columns pi1 - pi2 and pi3 of `reference_pi_tensors` (or of the given
+    tables of it), every component picked and checked in order."""
+    tensors = tensors or reference_pi_tensors(ns.g, ns.j)
+    columns = (reference_pi_combination(tensors, 1, 0), tensors[2])
+    return reference_fit_tables([flat_lattice(t) for t in columns], flat_lattice(rhs))
+
+
 def reference_associated_table(r04: DenseTensor, ns: NordenStructure) -> DenseTensor:
     """Reference for the table of `ambient.associated_curvature`,
     R~(X,Y,Z,W) = R(X,Y,Z,JW), one dense product per (i, a) block."""

@@ -7,6 +7,8 @@ from helpers import (
     koszul_residuals,
     nested,
     norden,
+    reference_associated_table,
+    reference_pi_tensors,
     symmetry_closure_table,
     tensor_add,
     tensor_from_function,
@@ -24,7 +26,7 @@ from nordenlight.ambient import (
     kaehler_check,
     koszul_connection,
     levi_civita,
-    pi_tensors,
+    pi_combination,
     validate_lie_algebra,
     validate_norden,
 )
@@ -150,10 +152,12 @@ class TestLeviCivita:
 
 class TestKaehlerCheck:
     def test_fixture_is_kaehler(self, golden):
-        _, _, amb = golden
-        assert amb.kaehler.is_kaehler_norden
-        assert amb.kaehler.f_table.is_zero()
-        assert amb.kaehler.phi_table is not None and amb.kaehler.phi_table.is_zero()
+        spec, ns, amb = golden
+        check = kaehler_check(spec, ns, amb.gamma)
+        assert check.is_kaehler_norden
+        assert check.f_table.is_zero()
+        # the connection-difference cross-check: both metrics give one connection
+        assert koszul_connection(spec, ns.g_assoc) == amb.gamma
 
     def test_abelian_is_kaehler(self, golden):
         _, ns, _ = golden
@@ -192,7 +196,8 @@ class TestKaehlerCheck:
                     assert check.f_table[i, a, k] == val
         # the associated table of the broken pair is asymmetric, so the
         # connection-difference cross-check is skipped rather than asserted
-        assert check.phi_table is None
+        ga = nested(broken.g_assoc)
+        assert any(ga[i][k] != ga[k][i] for i in range(n) for k in range(n))
 
     def test_build_rejects_non_kaehler(self, golden):
         spec, ns, _ = golden
@@ -226,18 +231,21 @@ class TestCurvature:
 
 class TestPiTensors:
     def test_component_values(self, golden):
-        _, _, amb = golden
+        _, ns, _ = golden
+        pi1, pi2, _ = reference_pi_tensors(ns.g, ns.j)
         # pi1(X1, X4, X4, X1) = g(X4,X4) g(X1,X1) = -1
-        assert amb.pi1[0, 3, 3, 0] == F(-1)
+        assert pi1[0, 3, 3, 0] == F(-1)
         # pi2(X1, X4, X4, X1) = 0: J X4 = -X2 and J X1 = X3 are orthogonal
         # to the arguments.
-        assert amb.pi2[0, 3, 3, 0] == F(0)
+        assert pi2[0, 3, 3, 0] == F(0)
+        assert pi_combination(ns, 1, 0)[0, 3, 3, 0] == F(-1)
 
     def test_antisymmetry_in_first_slots(self, golden):
-        _, _, amb = golden
+        _, ns, _ = golden
+        pi1, pi2, pi3 = reference_pi_tensors(ns.g, ns.j)
         for x in range(4):
             assert all(
-                amb.pi1[x, x, k, l] == 0 and amb.pi2[x, x, k, l] == 0 and amb.pi3[x, x, k, l] == 0
+                pi1[x, x, k, l] == 0 and pi2[x, x, k, l] == 0 and pi3[x, x, k, l] == 0
                 for k in range(4)
                 for l in range(4)
             )
@@ -255,35 +263,37 @@ class TestConstantTrsc:
         spec = abelian_like(ns)
         gamma = levi_civita(spec, ns)
         _, r04 = curvature(spec, gamma, ns)
-        pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
-        status = constant_trsc(r04, (tensor_sub(pi1, pi2), pi3))
+        status = constant_trsc(r04, ns)
         assert status.kind == "constant"
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
 
     def test_tampered_component_detected(self, golden):
-        _, _, amb = golden
+        _, ns, amb = golden
         entries = list(amb.riemann04.entries)
         offset = ((0 * 4 + 3) * 4 + 3) * 4 + 0  # overwrite the (1,4,4,1) slot
         entries[offset] = F(-5)
         tampered = DenseTensor.from_entries((4, 4, 4, 4), entries)
-        status = constant_trsc(tampered, (tensor_sub(amb.pi1, amb.pi2), amb.pi3))
+        status = constant_trsc(tampered, ns)
         assert status.kind == "not_constant"
 
     def test_degenerate_fit_is_flagged(self):
+        # a zero metric makes both fit columns zero
         zero = tensor_zeros((2, 2, 2, 2))
-        status = constant_trsc(zero, (zero, zero))
+        status = constant_trsc(zero, norden([[0, 0], [0, 0]], [[0, -1], [1, 0]]))
         assert status.kind == "constant"
         assert status.degenerate
         assert (status.nu, status.nu_assoc) == (F(0), F(0))
 
     def test_raw_tables_with_different_denominators(self):
-        # pi1 over 2 and pi2 over 3: the difference pi1 - pi2 brings both
-        # onto one denominator before the fit
-        pi1 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(i + 2 * k - l, 2))
-        pi2 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(j - k + 1, 3))
-        pi3 = tensor_from_function((2, 2, 2, 2), lambda i, j, k, l: F(i * l - j, 5))
+        # g over 2 and J over 3, neither symmetric nor a complex structure:
+        # pi1 - pi2 and pi3 come onto one denominator in the fit
+        ns = norden(
+            [[F(1, 2), F(3, 2), 0], [F(-1, 2), 0, 1], [2, F(1, 2), F(-3, 2)]],
+            [[F(1, 3), 0, F(2, 3)], [F(-1, 3), 1, 0], [0, F(4, 3), F(1, 3)]],
+        )
+        pi1, pi2, pi3 = reference_pi_tensors(ns.g, ns.j)
         r04 = tensor_add(tensor_scale(tensor_sub(pi1, pi2), F(7, 4)), tensor_scale(pi3, -3))
-        status = constant_trsc(r04, (tensor_sub(pi1, pi2), pi3))
+        status = constant_trsc(r04, ns)
         assert (status.kind, status.nu, status.nu_assoc) == ("constant", F(7, 4), F(-3))
         assert not status.degenerate
 
@@ -298,18 +308,16 @@ class TestAssociatedCurvature:
         spec = abelian_like(ns)
         gamma = levi_civita(spec, ns)
         _, r04 = curvature(spec, gamma, ns)
-        pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
         from nordenlight.ambient import associated_curvature
 
-        columns = (tensor_sub(pi1, pi2), pi3)
-        status = constant_trsc(r04, columns)
-        assoc = associated_curvature(r04, ns, columns, status)
+        status = constant_trsc(r04, ns)
+        assoc = associated_curvature(r04, ns, status)
         assert (assoc.nu_prime, assoc.nu_assoc_prime) == (F(0), F(0))
 
     def test_kaehler_identity_componentwise(self, golden):
         _, ns, amb = golden
         t = nested(amb.riemann04)
-        ta = nested(amb.assoc.r04_assoc)
+        ta = nested(reference_associated_table(amb.riemann04, ns))
         j = nested(ns.j)
         for i in range(4):
             for a in range(4):
@@ -346,7 +354,7 @@ class TestAmbientRicci:
         # -2(n-1) g(X, JY), and the built-in cross-check for nu = 0.
         _, ns, amb = golden
         ginv = nested(mat_inverse(ns.g))
-        t = nested(amb.pi3)
+        t = nested(reference_pi_tensors(ns.g, ns.j)[2])
         r13 = tensor_from_function(
             (4, 4, 4, 4),
             lambda i, j, k, l: sum(ginv[l][m] * t[i][j][k][m] for m in range(4)),

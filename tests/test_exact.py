@@ -25,6 +25,7 @@ from helpers import (
     mat_mul,
     nested,
     reference_kernel_basis,
+    reference_pi_tensors,
     solve,
     tensor_contract,
     tensor_from_function,
@@ -117,9 +118,9 @@ class TestSolveAffine:
     def test_constant_curvature_fit(self, golden):
         # The curvature of the curved fixture fits the two curvature-type
         # tensors with unique coefficients (4, 0).
-        _, _, amb = golden
-        diff = tensor_sub(amb.pi1, amb.pi2)
-        rows = list(zip(diff.entries, amb.pi3.entries))
+        _, ns, amb = golden
+        pi1, pi2, pi3 = reference_pi_tensors(ns.g, ns.j)
+        rows = list(zip(tensor_sub(pi1, pi2).entries, pi3.entries))
         sol = solve(rows, list(amb.riemann04.entries))
         assert sol.kind == "unique"
         assert sol.particular == (F(4), F(0))

@@ -6,7 +6,10 @@ scaled by a constant; the inducing metric of the blocks switched) and run
 through parse, pipeline and both report formats. Every input must end in a
 clean exit code, 0, 2, 3 or 4: never a traceback and never exit 5, which
 marks an engine bug. Every input that parses must round-trip through
-`to_text`. Skipped when hypothesis is not installed.
+`to_text`. On every input that passes validation, the constant-curvature
+fits of the curvature and of -R~ (`ambient.pi_fit`) must give the outcome of
+`fit_tables` on the full columns (`helpers.reference_pi_fit`). Skipped when
+hypothesis is not installed.
 """
 
 import re
@@ -15,10 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURE_STEMS, family_text
+from helpers import (
+    FIXTURE_STEMS,
+    family_text,
+    fraction_solution,
+    reference_associated_table,
+    reference_pi_fit,
+    reference_pi_tensors,
+    tensor_neg,
+)
+from nordenlight.ambient import curvature, levi_civita, pi_fit, validate_lie_algebra, validate_norden
 from nordenlight.errors import ParseError
 from nordenlight.exact import format_rational
-from nordenlight.manifold_file import parse_manifold_file
+from nordenlight.manifold_file import lie_algebra_spec, norden_from_file, parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
 
 pytest.importorskip("hypothesis")  # the imports below need it installed
@@ -101,3 +113,26 @@ def test_scaling_helper_touches_only_coefficients():
 @given(mutated_text())
 def test_mutated_inputs_end_in_a_clean_exit_code(text):
     assert exit_code(text) in {0, 2, 3, 4}
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_text())
+def test_pi_fit_matches_fit_tables_on_mutated_inputs(text):
+    try:
+        mf = parse_manifold_file(text)
+    except ParseError:
+        return
+    spec, ns = lie_algebra_spec(mf), norden_from_file(mf)
+    if not (validate_lie_algebra(spec).ok and validate_norden(spec, ns).ok):
+        return
+    # J need not be parallel: the fits run on the curvature either way
+    _, r04 = curvature(spec, levi_civita(spec, ns), ns)
+    tensors = reference_pi_tensors(ns.g, ns.j)
+    for rhs in (r04, tensor_neg(reference_associated_table(r04, ns))):
+        assert fraction_solution(pi_fit(ns, rhs)) == reference_pi_fit(ns, rhs, tensors)

@@ -132,6 +132,15 @@ class TestParseErrors:
     def test_basis_count(self):
         self.expect_error("DIM 4\nBASIS a b\n", "BASIS needs 4 names", line=2)
 
+    def test_basis_repeated_name(self, tmp_path, capsys):
+        # a repeated name would make the report's basis_labels ambiguous
+        text = MINIMAL.replace("DIM 4\n", "DIM 4\nBASIS X1 X1 X3 X4\n")
+        self.expect_error(text, "BASIS repeats the name 'X1'", line=2)
+        path = tmp_path / "m.mf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "line 2: BASIS repeats the name 'X1'" in capsys.readouterr().err
+
     def test_span_arity(self):
         self.expect_error(
             MINIMAL + "HYPERSURFACE metric=assoc span=2,3\n", "span must list 3", line=10

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import family_text, nested, tensor_from_rows
+from helpers import family_text, nested, tensor_from_rows, tensor_scale
 from nordenlight.cli import main
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import parse_manifold_file
@@ -335,33 +335,47 @@ class TestRouteDisagreement:
         )
         assert detail in emit_report(report, "text")
 
-    @pytest.mark.parametrize(
-        "which, detail",
-        [
-            (0, "associated pi1 does not equal pi2 at (1,2,1,2): associated pi1 1/3, pi2 0"),
-            (1, "associated pi2 does not equal pi1 at (1,2,1,2): associated pi2 -2/3, pi1 -1"),
-            (2, "associated pi3 does not equal -pi3 at (1,2,1,2): associated pi3 1/3, -pi3 0"),
-        ],
-    )
-    def test_pi_relations(self, golden_mf, monkeypatch, which, detail):
-        from nordenlight import ambient
-        from nordenlight.manifold_file import norden_from_file
+    # the associated-metric pi relations follow from two n x n identities,
+    # g~ = gJ and g~J = -g; each test changes the Norden structure after
+    # validation so that one of them fails
 
-        g_assoc = norden_from_file(golden_mf).g_assoc
-        pi_tensors = ambient.pi_tensors
+    def test_pi_relation_associated_metric_is_gj(self, golden_mf, monkeypatch):
+        # g~ with one entry moved: asymmetric, so the Kaehler check skips its
+        # connection-difference cross-check and the identity g~ = gJ fails
+        from nordenlight import pipeline
 
-        def perturbed(g, j):
-            tables = list(pi_tensors(g, j))
-            if g == g_assoc:  # the associated tensors of the cross-check
-                entries = list(tables[which].entries)
-                entries[((0 * 4 + 1) * 4 + 0) * 4 + 1] += F(1, 3)  # (X1, X2, X1, X2)
-                tables[which] = DenseTensor.from_entries(tables[which].dims, entries)
-            return tuple(tables)
+        build = pipeline.build_ambient_geometry
 
-        monkeypatch.setattr(ambient, "pi_tensors", perturbed)
+        def perturbed(spec, ns):
+            rows = [list(row) for row in nested(ns.g_assoc)]
+            rows[0][1] += F(1, 3)
+            return build(spec, replace(ns, g_assoc=tensor_from_rows(rows)))
+
+        monkeypatch.setattr(pipeline, "build_ambient_geometry", perturbed)
         report = run_pipeline(golden_mf)
         assert report.exit_code == 5
-        assert report.data["ambient"]["detail"] == detail
+        detail = report.data["ambient"]["detail"]
+        assert detail == "associated metric does not equal gJ at (1,2): g(JX,Y) 1/3, g(X,JY) 0"
+        assert detail in emit_report(report, "text")
+
+    def test_pi_relation_associated_metric_times_j_is_minus_g(self, golden_mf, monkeypatch):
+        # J doubled, and g~ = gJ with it: J stays parallel and g~ = gJ
+        # holds, but g~J = -4 g
+        from nordenlight import pipeline
+        from nordenlight.ambient import norden_structure
+
+        build = pipeline.build_ambient_geometry
+
+        def perturbed(spec, ns):
+            return build(spec, norden_structure(ns.g, tensor_scale(ns.j, 2)))
+
+        monkeypatch.setattr(pipeline, "build_ambient_geometry", perturbed)
+        report = run_pipeline(golden_mf)
+        assert report.exit_code == 5
+        detail = report.data["ambient"]["detail"]
+        assert detail == (
+            "associated metric composed with J does not equal -g at (1,1): g(JX,JY) -4, -g(X,Y) -1"
+        )
         assert detail in emit_report(report, "text")
 
     def test_ricci_routes(self, golden_mf, monkeypatch):

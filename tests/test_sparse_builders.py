@@ -1,10 +1,11 @@
 """The nonzero-driven table builders against their dense references, bit for
 bit.
 
-`ambient.curvature`, `ambient.pi_tensors`, the R~ table of
+`ambient.curvature`, `ambient.pi_combination`, the R~ table of
 `ambient.associated_curvature` and `symmetry.induced_curvature_gauss`
 accumulate their tables from the nonzero entries of their factors;
-`tests/helpers.py` keeps the dense builders they replaced. Tables are
+`tests/helpers.py` keeps the dense builders they replaced (for
+`pi_combination`, the three pi-tensors built one by one). Tables are
 compared as `DenseTensor`s, which are canonical, so equality is equality of
 every entry; an error must carry the same message.
 """
@@ -14,6 +15,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -27,17 +29,19 @@ from helpers import (
     reference_associated_table,
     reference_curvature,
     reference_induced_curvature_gauss,
+    reference_pi_combination,
     reference_pi_tensors,
     run_hypersurface,
-    tensor_sub,
 )
+from nordenlight import ambient
 from nordenlight.ambient import (
     LieAlgebraSpec,
     TrscStatus,
     associated_curvature,
     build_ambient_geometry,
     curvature,
-    pi_tensors,
+    norden_structure,
+    pi_combination,
 )
 from nordenlight.errors import EngineError
 from nordenlight.exact import DenseTensor
@@ -92,6 +96,18 @@ def not_constant():
     return TrscStatus("not_constant", None, None)
 
 
+def associated_table(r04, ns, trsc):
+    """The table R~ that `associated_curvature` builds, read from its call
+    of `pi_fit`, which fits -R~."""
+    with mock.patch.object(ambient, "pi_fit", wraps=ambient.pi_fit) as fit:
+        associated_curvature(r04, ns, trsc)
+    (_, rhs), _ = fit.call_args
+    return -rhs
+
+
+WEIGHTS = ((1, 0), (0, 1), (F(-2, 3), 5))
+
+
 # ---------------------------------------------------------------------------
 # pipeline inputs: fixtures, the family as written and conjugated, dim 16
 
@@ -101,9 +117,11 @@ def test_ambient_tables_match_the_dense_references(name):
     spec, ns, amb, _ = prepared(name)
     assert curvature(spec, amb.gamma, ns) == reference_curvature(spec, amb.gamma, ns)
     assert (amb.riemann13, amb.riemann04) == reference_curvature(spec, amb.gamma, ns)
-    for g in (ns.g, ns.g_assoc):
-        assert pi_tensors(g, ns.j) == reference_pi_tensors(g, ns.j)
-    assert amb.assoc.r04_assoc == reference_associated_table(amb.riemann04, ns)
+    for m in (ns, norden_structure(ns.g_assoc, ns.j)):
+        tensors = reference_pi_tensors(m.g, m.j)
+        for a, b in WEIGHTS:
+            assert pi_combination(m, a, b) == reference_pi_combination(tensors, a, b)
+    assert associated_table(amb.riemann04, ns, amb.trsc) == reference_associated_table(amb.riemann04, ns)
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -167,7 +185,8 @@ def test_curvature_of_zero_tables_is_zero():
 
 
 def test_pi_tensors_match_on_random_non_symmetric_metrics():
-    # a symmetric g would hide a transposed index
+    # a symmetric g would hide a transposed index; the weights of the
+    # combination are random, zero on every fourth trial and in either slot
     rng = random.Random(9102)
     asymmetric = 0
     for trial in range(60):
@@ -176,8 +195,12 @@ def test_pi_tensors_match_on_random_non_symmetric_metrics():
         g = random_matrix(rng, n, density)
         j = random_matrix(rng, n, density)
         asymmetric += any(g[a][b] != g[b][a] for a, b in product(range(n), repeat=2))
-        g, j = matrix(g), matrix(j)
-        assert pi_tensors(g, j) == reference_pi_tensors(g, j), trial
+        ns = norden_structure(matrix(g), matrix(j))
+        a, b = (F(rng.randint(-4, 4), rng.choice((1, 2, 7))) for _ in range(2))
+        if trial % 4 == 1:
+            a, b = (0, b) if trial % 8 == 1 else (a, 0)
+        expected = reference_pi_combination(reference_pi_tensors(ns.g, ns.j), a, b)
+        assert pi_combination(ns, a, b) == expected, trial
     assert asymmetric > 50
 
 
@@ -188,9 +211,7 @@ def test_associated_table_matches_on_random_tables():
         density = (0.1, 0.5, 1.0)[trial % 3]
         r04 = DenseTensor.from_entries((n,) * 4, random_entries(rng, n**4, density, (1, 2, 9)))
         ns = norden(random_matrix(rng, n, 1.0), random_matrix(rng, n, density))
-        pi1, pi2, pi3 = pi_tensors(ns.g, ns.j)
-        assoc = associated_curvature(r04, ns, (tensor_sub(pi1, pi2), pi3), not_constant())
-        assert assoc.r04_assoc == reference_associated_table(r04, ns), trial
+        assert associated_table(r04, ns, not_constant()) == reference_associated_table(r04, ns), trial
 
 
 # ---------------------------------------------------------------------------
