@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .ambient import AmbientGeometry, Check
+from .ambient import AmbientGeometry, Check, NordenStructure
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
@@ -64,12 +64,13 @@ class Classification:
 
 @dataclass(frozen=True)
 class LightlikeFrame:
-    """A lightlike frame. It owns its exact decomposition: ambient vectors
-    split along span + transversal, span coordinates along screen + radical.
-    The decomposition works on whole int tables given as (rows, den). The
-    derived tables are built on first use and memoized per instance (the
-    memos are not dataclass fields, so equality and repr ignore them and
-    dataclasses.replace starts fresh ones)."""
+    """A lightlike frame and the Norden structure around it. It owns its exact
+    decomposition (ambient vectors split along span + transversal, span
+    coordinates along screen + radical), its pairings in the inducing metric
+    and the J tables the per-block stages read, all on int tables given as
+    (rows, den). The derived tables are built on first use and memoized per
+    instance (the memos are not dataclass fields, so equality and repr
+    ignore them and dataclasses.replace starts fresh ones)."""
 
     span: DenseTensor  # row a: E_a
     inducing_metric: str
@@ -78,6 +79,7 @@ class LightlikeFrame:
     screen_indices: tuple[int, ...]  # positions inside span
     eta: DenseTensor  # eta(E_a) = <E_a, N> over the span basis
     gram: DenseTensor  # <E_a, E_b> in the inducing metric
+    norden: NordenStructure
     b: Fraction | None = None
 
     @cached_property
@@ -164,6 +166,36 @@ class LightlikeFrame:
         return tuple(
             tuple((one if q == a else 0) - ea * x for q, x in enumerate(xi)) for a, ea in enumerate(eta)
         ), one
+
+    def pairings(self, u, v):
+        """<u_a, v_b> in the inducing metric for tables of ambient vectors."""
+        return self.norden.pairings(self.inducing_metric, u, v)
+
+    # the J tables, one row per basis field
+    @cached_property
+    def j_span(self):
+        """J E_a in ambient coordinates."""
+        return self.norden.apply_j_rows(self.span.lattice())
+
+    @cached_property
+    def m_span(self):
+        """m(E_a, E_c) = <E_a, J E_c>."""
+        return self.pairings(self.span.lattice(), self.j_span)
+
+    @cached_property
+    def p_ambient(self):
+        """P E_a in ambient coordinates."""
+        return self.to_ambient(self.p_projection())
+
+    @cached_property
+    def j_p(self):
+        """J(P E_a) in ambient coordinates."""
+        return self.norden.apply_j_rows(self.p_ambient)
+
+    @cached_property
+    def j_p_split(self):
+        """J(P E_a) split along span + transversal (`frame_coords`)."""
+        return self.frame_coords(self.j_p)
 
 
 @dataclass(frozen=True)
@@ -331,18 +363,18 @@ def construct_transversal(
         screen_indices=screen_indices,
         eta=DenseTensor.from_lattice((m,), (row[0] for row in eta), d_eta),
         gram=cls.gram,
+        norden=ns,
     )
 
 
-def radical_transversal_check(frame: LightlikeFrame, amb: AmbientGeometry) -> RTCheck:
+def radical_transversal_check(frame: LightlikeFrame) -> RTCheck:
     """The defining condition: J maps the radical line onto the transversal
     line, J xi = b N with b != 0. The screen must then be J-invariant; the two
     outcomes are cross-checked because they are equivalent for validated
     input. Holomorphy reduces J W, for every screen vector W, against one
     echelon of the screen."""
-    ns = amb.norden
     x, dx = frame.xi.lattice()
-    (j_xi,), d_jxi = ns.apply_j_rows(((x,), dx))
+    (j_xi,), d_jxi = frame.norden.apply_j_rows(((x,), dx))
     tr, d_tr = frame.transversal.lattice()
     pivot = next(q for q, x in enumerate(tr) if x)
     # b = (j_xi[pivot] / d_jxi) / (tr[pivot] / d_tr)
@@ -350,10 +382,10 @@ def radical_transversal_check(frame: LightlikeFrame, amb: AmbientGeometry) -> RT
     proportional = all(x * tr[pivot] == j_xi[pivot] * y for x, y in zip(j_xi, tr))
     is_rt = proportional and b != 0
 
-    span, ds = frame.span.lattice()
-    screen = [span[i] for i in frame.screen_indices]
-    basis = Echelon(screen)
-    holomorphic = not any(any(basis.reduce(jw)) for jw in ns.apply_j_rows((screen, ds))[0])
+    span, _ = frame.span.lattice()
+    j_span, _ = frame.j_span
+    basis = Echelon([span[i] for i in frame.screen_indices])
+    holomorphic = not any(any(basis.reduce(j_span[i])) for i in frame.screen_indices)
     if is_rt != holomorphic:
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
@@ -442,9 +474,7 @@ def _aligned(image, p) -> bool:
     return all(x * p[pivot] == image[pivot] * y for x, y in zip(image, p))
 
 
-def umbilical_test(
-    sf: SecondFundamental, frame: LightlikeFrame, amb: AmbientGeometry
-) -> UmbilicalResult:
+def umbilical_test(sf: SecondFundamental, frame: LightlikeFrame) -> UmbilicalResult:
     """Exact proportionality fit of B against the induced metric. A unique
     factor rho means totally umbilical (rho = 0 is totally geodesic); an
     infeasible fit returns the first basis field whose xi-shape image is not
@@ -481,7 +511,6 @@ def umbilical_test(
 def verify_frame_identities(
     sf: SecondFundamental,
     frame: LightlikeFrame,
-    amb: AmbientGeometry,
     rho: Fraction | None,
 ) -> tuple[Check, ...]:
     """Evaluate the structural identities of a radical-transversal frame over
@@ -497,8 +526,6 @@ def verify_frame_identities(
     whose first witness, in the order written, is recorded."""
     m = frame.span.dims[0]
     rows = range(m)
-    ns = amb.norden
-    which = frame.inducing_metric
     span = frame.span.lattice()
     xi, _ = frame.xi_span.lattice()
     eta, de = frame.eta.lattice()
@@ -519,17 +546,13 @@ def verify_frame_identities(
     # hoisted tables reused by several identities
     a_star_amb, d_star = frame.to_ambient(sf.a_star_xi.lattice())
     a_n_amb, d_an = frame.to_ambient(sf.a_n.lattice())
-    j_p, d_jp = ns.apply_j_rows(frame.to_ambient(frame.p_projection()))
-    j_span, d_js = ns.apply_j_rows(span)
-
-    def screen_coords_of(vectors):
-        """Screen coordinates of each ambient row, or None where the row has
-        a transversal or a radical component."""
-        split, den = frame.frame_coords(vectors)
-        coords, d_coords = frame.screen_coords(([row[:m] for row in split], den))
-        return [
-            None if split_row[m] or row[m - 1] else row[: m - 1] for split_row, row in zip(split, coords)
-        ], d_coords
+    j_p, d_jp = frame.j_p
+    j_span, d_js = frame.j_span
+    # screen coordinates of each J(P E_a), or None where it has a transversal
+    # or a radical component; a screen field has eta = 0, so its row is J W
+    split, d_split = frame.j_p_split
+    coords, d_coords = frame.screen_coords(([row[:m] for row in split], d_split))
+    j_p_screen = [None if split_row[m] or row[m - 1] else row[: m - 1] for split_row, row in zip(split, coords)]
 
     add(
         "second_fundamental_symmetric",
@@ -538,15 +561,15 @@ def verify_frame_identities(
     b_xi = int_matmul(b_form, tuple((x,) for x in xi))
     add("second_fundamental_kills_radical", ((a + 1,) for a in rows if b_xi[a][0]))
 
-    pair, dp = ns.pairings(which, span, (a_star_amb, d_star))  # pair[c][a] = <E_c, A*_xi E_a>
+    pair, dp = frame.pairings(span, (a_star_amb, d_star))  # pair[c][a] = <E_c, A*_xi E_a>
     add(
         "b_equals_xi_shape_pairing",
         ((a + 1, c + 1) for a in rows for c in rows if b_form[a][c] * dp != pair[c][a] * db),
     )
-    pair, _ = ns.pairings(which, (a_star_amb, d_star), transversal)
+    pair, _ = frame.pairings((a_star_amb, d_star), transversal)
     add("xi_shape_operator_screen_valued", ((a + 1,) for a in rows if pair[a][0]))
 
-    pair, dp = ns.pairings(which, span, (a_n_amb, d_an))  # pair[c][a] = <E_c, A_N E_a>
+    pair, dp = frame.pairings(span, (a_n_amb, d_an))  # pair[c][a] = <E_c, A_N E_a>
     add(
         "c_equals_transversal_shape_pairing",
         (
@@ -556,7 +579,7 @@ def verify_frame_identities(
             if c_form[a][pos] * dp != pair[idx][a] * dc
         ),
     )
-    pair, _ = ns.pairings(which, (a_n_amb, d_an), transversal)
+    pair, _ = frame.pairings((a_n_amb, d_an), transversal)
     add("transversal_shape_operator_screen_valued", ((a + 1,) for a in rows if pair[a][0]))
 
     # (D_X g)(Y, Z) = B(X, Y) eta(Z) + B(X, Z) eta(Y) over all basis triples,
@@ -587,7 +610,7 @@ def verify_frame_identities(
     )
 
     # A*_xi X = -b J(A_N X)
-    j_an, d_jan = ns.apply_j_rows((a_n_amb, d_an))
+    j_an, d_jan = frame.norden.apply_j_rows((a_n_amb, d_an))
     expected = [[neg_b * y for y in row] for row in j_an]
     add(
         "shape_operator_duality",
@@ -595,14 +618,13 @@ def verify_frame_identities(
     )
 
     # B(X, Y) = -b C(X, J(PY))
-    coords, d_coords = screen_coords_of((j_p, d_jp))
     d_val = dk * dc * d_coords
     # c_coords[a][c] = C(E_a, J(P E_c)) over dc * d_coords, where J(P E_c) is screen-valued
-    c_coords = int_matmul(c_form, tuple(zip(*(row or (0,) * (m - 1) for row in coords))))
+    c_coords = int_matmul(c_form, tuple(zip(*(row or (0,) * (m - 1) for row in j_p_screen))))
 
     def form_duality():
         for c in rows:
-            if coords[c] is None:
+            if j_p_screen[c] is None:
                 yield (c + 1,)
             for a in rows:
                 if b_form[a][c] * d_val != neg_b * c_coords[a][c] * db:
@@ -611,16 +633,16 @@ def verify_frame_identities(
     add("fundamental_form_duality", form_duality())
 
     # screen connection commutes with J on screen sections
-    j_screen, d_jw = screen_coords_of(([j_span[idx] for idx in frame.screen_indices], d_js))
+    j_screen = [j_p_screen[idx] for idx in frame.screen_indices]
 
     def screen_j():
         if None in j_screen:
             yield (0, j_screen.index(None) + 1)
         nabla, d_ns = sf.nabla_star.lattice()
-        rhs, d_r = ns.apply_j_rows(frame.screen_to_ambient((tuple(chain.from_iterable(nabla)), d_ns)))
+        rhs, d_r = frame.norden.apply_j_rows(frame.screen_to_ambient((tuple(chain.from_iterable(nabla)), d_ns)))
         for a in rows:
             nabla_a = nabla[a]
-            lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, nabla_a), d_jw * d_ns))
+            lhs, d_l = frame.screen_to_ambient((int_matmul(j_screen, nabla_a), d_coords * d_ns))
             for pos in range(m - 1):
                 if _differs(lhs[pos], d_l, rhs[a * (m - 1) + pos], d_r):
                     yield (a + 1, pos + 1)

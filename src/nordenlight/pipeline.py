@@ -231,7 +231,7 @@ def _process_hypersurface(
 
         screen_indices = construct_screen(hs, cls)
         frame = construct_transversal(hs, amb, cls, screen_indices)
-        rt = radical_transversal_check(frame, amb)
+        rt = radical_transversal_check(frame)
         out["frame"] = {
             "xi": _vector(frame.xi),
             "xi_combo": _combo(frame.xi, labels),
@@ -253,7 +253,7 @@ def _process_hypersurface(
         frame = replace(frame, b=rt.b)
 
         sf = gauss_weingarten(frame, amb)
-        umb = umbilical_test(sf, frame, amb)
+        umb = umbilical_test(sf, frame)
         out["second_fundamental"] = {
             "b_table": _rows(sf.b_form),
             "c_table": _rows(sf.c_form),
@@ -272,7 +272,7 @@ def _process_hypersurface(
                     "shape_image_combo": _combo(umb.witness_image, labels),
                 },
             }
-        _record_identities(out, verify_frame_identities(sf, frame, amb, umb.rho))
+        _record_identities(out, verify_frame_identities(sf, frame, umb.rho))
         if not umb.umbilical:
             raise HypothesisFailure(
                 "hypersurface is not totally umbilical; audit skipped"
@@ -502,15 +502,13 @@ def _render_text(report: Report) -> str:
             )
         if "induced" in h:
             ind = h["induced"]
-            lines.append(
-                "induced curvature: gauss and closed-form routes "
-                + ("match" if ind["curvature_routes_match"] else "DIFFER")
-            )
+            # both routes always agree here: a disagreement raises before the dict is built
+            lines.append("induced curvature: gauss and closed-form routes match")
             lines.append(
                 "induced ricci (canonical trace): "
                 + "; ".join(" ".join(row) for row in ind["ricci"])
             )
-            lines.append("ricci routes agree: " + ("yes" if ind["ricci_routes_match"] else "NO"))
+            lines.append("ricci routes agree: yes")
         if "flags" in h:
             fl = h["flags"]
             ae = fl["almost_einstein"]

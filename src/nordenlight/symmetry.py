@@ -185,31 +185,17 @@ def induced_curvature_gauss(
     return DenseTensor.from_rows((m, m, m, m), nums, den)
 
 
-def _phi_table(frame: LightlikeFrame, amb: AmbientGeometry):
-    """Span coordinates of J(P E_a) for every basis field, as (rows, den);
-    J-invariance of the screen keeps these tangent."""
-    m = frame.span.dims[0]
-    p_amb = frame.to_ambient(frame.p_projection())
-    coords, den = frame.frame_coords(amb.norden.apply_j_rows(p_amb))
-    if any(row[m] for row in coords):
-        raise InternalInconsistency("J of a screen projection left the tangent space")
-    return tuple(row[:m] for row in coords), den
-
-
-def closed_form_curvature(
-    frame: LightlikeFrame,
-    amb: AmbientGeometry,
-    screen_coeff: Fraction,
-    metric_coeff: Fraction,
-) -> DenseTensor:
+def closed_form_curvature(frame: LightlikeFrame, screen_coeff: Fraction, metric_coeff: Fraction) -> DenseTensor:
     """Curvature table of the stated shape with free coefficients; used by the
     geometric route (with a = K - rho^2/b) and by synthetic audits."""
     m = frame.span.dims[0]
-    ns = amb.norden
-    span = frame.span.lattice()
-    phi, d_phi = _phi_table(frame, amb)
+    # phi[a]: span coordinates of J(P E_a); J-invariance of the screen keeps it tangent
+    split, d_phi = frame.j_p_split
+    if any(row[m] for row in split):
+        raise InternalInconsistency("J of a screen projection left the tangent space")
+    phi = [row[:m] for row in split]
     g_ind, d_g = frame.gram.lattice()
-    mj, d_mj = ns.pairings(frame.inducing_metric, span, ns.apply_j_rows(span))  # <E_a, J E_c>
+    mj, d_mj = frame.m_span
     (sc, mc), d_c = DenseTensor.from_entries((2,), (screen_coeff, metric_coeff)).lattice()
     den = d_c * lcm(d_g * d_phi, d_mj)
     fs, fm = sc * (den // (d_c * d_g * d_phi)), mc * (den // (d_c * d_mj))
@@ -246,7 +232,7 @@ def induced_curvature_closed_form(
             + format_rational(own)
         )
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
-    return closed_form_curvature(frame, amb, a_coeff, k_coeff)
+    return closed_form_curvature(frame, a_coeff, k_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +252,6 @@ def ricci_from_ambient_decomposition(
     """
     m = frame.span.dims[0]
     rows = range(m)
-    ns = amb.norden
-    which = frame.inducing_metric
     span, d_s = frame.span.lattice()
     xi, d_xi = frame.xi_span.lattice()
     amb_ric, d_ric = amb.ricci.lattice()
@@ -276,15 +260,13 @@ def ricci_from_ambient_decomposition(
 
     ric = int_bilinear(span, amb_ric, span)
     tr_an = sum(a_n[a][a] for a in rows)
-    shape, d_shape = ns.pairings(
-        which, frame.to_ambient((a_n, d_an)), frame.to_ambient(sf.a_star_xi.lattice())
-    )
+    shape, d_shape = frame.pairings(frame.to_ambient((a_n, d_an)), frame.to_ambient(sf.a_star_xi.lattice()))
     # span coordinates of R(xi, E_b)E_a, row b * m + a: xi contracted into
     # the leading slot
     (r_xi,) = int_matmul((xi,), r13_induced.leading)
     r_xi = tuple(r_xi[r * m : (r + 1) * m] for r in range(m * m))
     tr, d_tr = frame.transversal.lattice()
-    radial, d_radial = ns.pairings(which, frame.to_ambient((r_xi, d_xi * r13_induced.den)), ((tr,), d_tr))
+    radial, d_radial = frame.pairings(frame.to_ambient((r_xi, d_xi * r13_induced.den)), ((tr,), d_tr))
 
     parts = (d_s * d_s * d_ric, d_b * d_an, d_shape, d_radial)
     den = lcm(*parts)
@@ -314,15 +296,11 @@ def closed_form_ricci(
 
         Ric = -2(h-1) K m + (K - rho^2/b) m(P., P.).
     """
-    ns = amb.norden
-    which = frame.inducing_metric
-    _, k_coeff = amb.trsc.attached(which)
+    _, k_coeff = amb.trsc.attached(frame.inducing_metric)
     lead = Fraction(-2 * (amb.half_dim - 1)) * k_coeff
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
-    span = frame.span.lattice()
-    p_amb = frame.to_ambient(frame.p_projection())
-    m_span, d_g = ns.pairings(which, span, ns.apply_j_rows(span))
-    m_proj, d_p = ns.pairings(which, p_amb, ns.apply_j_rows(p_amb))
+    m_span, d_g = frame.m_span
+    m_proj, d_p = frame.pairings(frame.p_ambient, frame.j_p)
     (n_lead, n_corr), d_c = DenseTensor.from_entries((2,), (lead, a_coeff)).lattice()
     den = d_c * lcm(d_g, d_p)
     f_lead, f_corr = n_lead * (den // (d_c * d_g)), n_corr * (den // (d_c * d_p))

@@ -54,10 +54,10 @@ def golden_run(golden, golden_mf):
     cls = induce_and_classify(hs, amb)
     screen = construct_screen(hs, cls)
     frame = construct_transversal(hs, amb, cls, screen)
-    rt = radical_transversal_check(frame, amb)
+    rt = radical_transversal_check(frame)
     frame = replace(frame, b=rt.b)
     sf = gauss_weingarten(frame, amb)
-    umb = umbilical_test(sf, frame, amb)
+    umb = umbilical_test(sf, frame)
     sf = replace(sf, rho=umb.rho)
     return frame, sf, umb.rho
 

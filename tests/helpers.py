@@ -1848,12 +1848,12 @@ def run_hypersurface(amb, span, inducing, xi_hint=None) -> HyperRun:
         return HyperRun(hs, cls)
     screen = construct_screen(hs, cls)
     frame = construct_transversal(hs, amb, cls, screen)
-    rt = radical_transversal_check(frame, amb)
+    rt = radical_transversal_check(frame)
     if not rt.is_radical_transversal:
         return HyperRun(hs, cls, frame, rt)
     frame = replace(frame, b=rt.b)
     sf = gauss_weingarten(frame, amb)
-    umb = umbilical_test(sf, frame, amb)
+    umb = umbilical_test(sf, frame)
     if umb.umbilical:
         sf = replace(sf, rho=umb.rho)
     return HyperRun(hs, cls, frame, rt, sf, umb)

@@ -315,7 +315,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
         invariant = sf.rho ** 2 / frame.b
         assert invariant == amb.trsc.nu == 4 * lam * lam
 
-        checks = verify_frame_identities(sf, frame, amb, sf.rho)
+        checks = verify_frame_identities(sf, frame, sf.rho)
         assert all(c.ok for c in checks)
 
         res = pde_residuals(sf, frame, amb)
@@ -351,7 +351,7 @@ def test_c08e_full_audit_and_gauge_invariance(instance_pool):
         # are functions of those tables); the checkers re-run on a sample
         frame2, sf2 = gauge_rescale(frame, sf, gauge)
         assert sf2.rho ** 2 / frame2.b == invariant
-        checks2 = verify_frame_identities(sf2, frame2, amb, sf2.rho)
+        checks2 = verify_frame_identities(sf2, frame2, sf2.rho)
         assert all(c.ok for c in checks2)
         r13_rescaled = induced_curvature_gauss(sf2, frame2, amb)
         assert r13_rescaled == r13
@@ -388,7 +388,7 @@ def test_c09_synthetic_table_checkers(golden):
     g = matrix(tuple(bilinear(nested(ns.g), span[a], span[b]) for b in range(3)) for a in range(3))
     ga = matrix(tuple(bilinear(nested(ns.g_assoc), span[a], span[b]) for b in range(3)) for a in range(3))
 
-    bad = closed_form_curvature(run.frame, amb, F(1), F(4))
+    bad = closed_form_curvature(run.frame, F(1), F(4))
     semi = semi_symmetric_check(bad)
     ric_bad = ricci_trace(bad)
     ricci_semi = ricci_semi_symmetric_check(bad, ric_bad)
@@ -406,7 +406,7 @@ def test_c09_synthetic_table_checkers(golden):
     assert not locally.value.is_zero()
     assert almost_einstein_fit(ric_bad, g, ga).kind == "infeasible"
 
-    good = closed_form_curvature(run.frame, amb, F(0), F(4))
+    good = closed_form_curvature(run.frame, F(0), F(4))
     assert semi_symmetric_check(good).holds
     assert ricci_semi_symmetric_check(good, ricci_trace(good)).holds
     assert locally_symmetric_check(good, run.sf.induced_gamma).holds

@@ -215,7 +215,7 @@ class TestUmbilical:
             b_form=matrix(tuple(x + (a == b == 0) for b, x in enumerate(row)) for a, row in enumerate(g)),
             a_star_xi=matrix(tuple(c * x for x in row) for c, row in zip(t, proj)),
         )
-        umb = umbilical_test(sf, run.frame, amb)
+        umb = umbilical_test(sf, run.frame)
         nonzero = [a for a in range(3) if any(proj[a])]
         bad = next(a for a in nonzero if t[a] != t[nonzero[0]])
         assert (umb.umbilical, umb.witness_index) == (False, bad)
@@ -229,7 +229,7 @@ class TestFrameIdentities:
     def test_fixture_all_pass(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        checks = verify_frame_identities(run.sf, run.frame, amb, run.sf.rho)
+        checks = verify_frame_identities(run.sf, run.frame, run.sf.rho)
         assert all(c.ok for c in checks)
         assert len(checks) == 13
         # transversal shape operator aligns with J: image of X2 is -2 X4
@@ -238,7 +238,7 @@ class TestFrameIdentities:
     def test_flat_fixture_all_pass(self, abelian):
         _, _, amb, _ = abelian
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated")
-        checks = verify_frame_identities(run.sf, run.frame, amb, run.sf.rho)
+        checks = verify_frame_identities(run.sf, run.frame, run.sf.rho)
         assert all(c.ok for c in checks)
 
     def test_identities_pass_under_gauge(self, golden):
@@ -246,7 +246,7 @@ class TestFrameIdentities:
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
         for c in (F(2), F(-1), F(3, 5)):
             frame2, sf2 = gauge_rescale(run.frame, run.sf, c)
-            checks = verify_frame_identities(sf2, frame2, amb, sf2.rho)
+            checks = verify_frame_identities(sf2, frame2, sf2.rho)
             assert all(ch.ok for ch in checks)
             assert (frame2.b, sf2.rho) == (c * c * run.frame.b, c * run.sf.rho)
             assert sf2.tau == run.sf.tau

@@ -91,7 +91,7 @@ class TestWitnessSoundness:
             a = F(0)
             while a == 0:
                 a = F(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-            table = closed_form_curvature(run.frame, amb, a, F(4))
+            table = closed_form_curvature(run.frame, a, F(4))
             semi = semi_symmetric_check(table)
             assert not semi.holds
             x, y, u, v, w = (i - 1 for i in semi.witness)
@@ -328,7 +328,7 @@ class TestFrameIdentitiesAgainstReference:
                 perturbed.append((_perturbed(sf, field, offset, F((-1) ** k * (k % 3 + 1), 3)), sf.rho))
         outcomes = []
         for table, rho in unperturbed + perturbed:
-            checks = verify_frame_identities(table, frame, amb, rho)
+            checks = verify_frame_identities(table, frame, rho)
             expected = reference_frame_identities(table, frame, amb, rho)
             assert tuple((c.name, c.ok, c.witness) for c in checks) == expected
             outcomes.append(all(c.ok for c in checks))

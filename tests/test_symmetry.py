@@ -13,6 +13,7 @@ from helpers import (
     derivation_action_expansion,
     matrix,
     nested,
+    non_invariant_screen_run,
     reference_einstein_witness,
     run_hypersurface,
     solve,
@@ -23,7 +24,8 @@ from helpers import (
     vec_scale,
 )
 from nordenlight.ambient import TrscStatus, ricci_trace
-from nordenlight.errors import HypothesisFailure
+from nordenlight.errors import HypothesisFailure, InternalInconsistency
+from nordenlight.hypersurface import verify_frame_identities
 from nordenlight.symmetry import (
     SymmetryFlags,
     almost_einstein_fit,
@@ -95,16 +97,12 @@ class TestInducedCurvature:
         assert r13.is_zero()
         assert induced_curvature_closed_form(run.frame, run.sf, amb).is_zero()
 
-    def test_zero_coefficients_give_zero_table(self, golden, fixture_run):
-        _, _, amb = golden
-        assert closed_form_curvature(fixture_run.frame, amb, F(0), F(0)).is_zero()
+    def test_zero_coefficients_give_zero_table(self, fixture_run):
+        assert closed_form_curvature(fixture_run.frame, F(0), F(0)).is_zero()
 
-    def test_doctored_umbilical_factor_breaks_route_match(
-        self, golden, fixture_run, fixture_r13
-    ):
+    def test_doctored_umbilical_factor_breaks_route_match(self, fixture_run, fixture_r13):
         # Setting rho = -3 in the closed form only: a = 4 - 9 = -5.
-        _, _, amb = golden
-        doctored = closed_form_curvature(fixture_run.frame, amb, F(-5), F(4))
+        doctored = closed_form_curvature(fixture_run.frame, F(-5), F(4))
         assert doctored != fixture_r13
 
     def test_vanishing_precondition_enforced(self, golden, fixture_run):
@@ -113,6 +111,24 @@ class TestInducedCurvature:
         with pytest.raises(HypothesisFailure) as exc:
             induced_curvature_closed_form(fixture_run.frame, fixture_run.sf, bad_amb)
         assert str(exc.value) == "inducing the associated metric requires nu_assoc = 0, got -1/2"
+
+    def test_screen_that_j_does_not_preserve(self):
+        # J X5 = -X2 has a radical component, so J(P E_a) leaves the tangent
+        # space: the closed form refuses the frame, and the frame identities
+        # that read J(P E_a) or J of the screen name their first witnesses
+        _, _, _, frame, sf = non_invariant_screen_run()
+        with pytest.raises(InternalInconsistency) as exc:
+            closed_form_curvature(frame, F(1), F(4))
+        assert str(exc.value) == "J of a screen projection left the tangent space"
+        failed = {c.name: c.witness for c in verify_frame_identities(sf, frame, sf.rho) if not c.ok}
+        assert failed == {
+            "tangential_j_decomposition": (3,),
+            "shape_operator_duality": (1,),
+            "fundamental_form_duality": (1,),
+            "screen_connection_preserves_j": (0, 1),
+            "tau_vanishes_for_constant_gauge": (4,),
+            "umbilical_shape_alignment": (1,),
+        }
 
 
 class TestInducedRicci:
@@ -139,9 +155,8 @@ class TestInducedRicci:
         assert nested(ricci_trace(fixture_r13)) == trace_ricci(fixture_r13)
 
 
-def synthetic_table(golden, fixture_run, a_coeff):
-    _, _, amb = golden
-    return closed_form_curvature(fixture_run.frame, amb, F(a_coeff), F(4))
+def synthetic_table(fixture_run, a_coeff):
+    return closed_form_curvature(fixture_run.frame, F(a_coeff), F(4))
 
 
 class TestSymmetryCheckers:
@@ -159,8 +174,8 @@ class TestSymmetryCheckers:
         assert ricci_semi_symmetric_check(r13, ricci_trace(r13)).holds
         assert locally_symmetric_check(r13, run.sf.induced_gamma).holds
 
-    def test_synthetic_semi_symmetry_fails_with_sound_witness(self, golden, fixture_run):
-        table = synthetic_table(golden, fixture_run, 1)
+    def test_synthetic_semi_symmetry_fails_with_sound_witness(self, fixture_run):
+        table = synthetic_table(fixture_run, 1)
         flag = semi_symmetric_check(table)
         assert not flag.holds
         x, y, u, v, w = (i - 1 for i in flag.witness)
@@ -168,10 +183,8 @@ class TestSymmetryCheckers:
         assert direct == flag.value.entries
         assert any(t != 0 for t in direct)
 
-    def test_synthetic_ricci_semi_symmetry_fails_with_sound_witness(
-        self, golden, fixture_run
-    ):
-        table = synthetic_table(golden, fixture_run, 1)
+    def test_synthetic_ricci_semi_symmetry_fails_with_sound_witness(self, fixture_run):
+        table = synthetic_table(fixture_run, 1)
         ric = ricci_trace(table)
         flag = ricci_semi_symmetric_check(table, ric)
         assert not flag.holds
@@ -182,8 +195,8 @@ class TestSymmetryCheckers:
         )
         assert (val,) == flag.value.entries and val != 0
 
-    def test_synthetic_local_symmetry_fails_with_sound_witness(self, golden, fixture_run):
-        table = synthetic_table(golden, fixture_run, 1)
+    def test_synthetic_local_symmetry_fails_with_sound_witness(self, fixture_run):
+        table = synthetic_table(fixture_run, 1)
         flag = locally_symmetric_check(table, fixture_run.sf.induced_gamma)
         assert not flag.holds
         u, x, y, z = (i - 1 for i in flag.witness)
@@ -200,8 +213,8 @@ class TestSymmetryCheckers:
         assert tuple(val) == flag.value.entries
         assert any(v != 0 for v in val)
 
-    def test_synthetic_with_zero_coefficient_passes(self, golden, fixture_run):
-        table = synthetic_table(golden, fixture_run, 0)
+    def test_synthetic_with_zero_coefficient_passes(self, fixture_run):
+        table = synthetic_table(fixture_run, 0)
         assert semi_symmetric_check(table).holds
         assert ricci_semi_symmetric_check(table, ricci_trace(table)).holds
         assert locally_symmetric_check(table, fixture_run.sf.induced_gamma).holds
@@ -211,7 +224,7 @@ class TestDerivationExpansionOracle:
     @pytest.mark.parametrize("a_coeff", [F(0), F(1), F(-3, 2)])
     def test_expansion_matches_direct_evaluation(self, golden, fixture_run, a_coeff):
         _, _, amb = golden
-        table = closed_form_curvature(fixture_run.frame, amb, a_coeff, F(4))
+        table = closed_form_curvature(fixture_run.frame, a_coeff, F(4))
         expansion = derivation_action_expansion(fixture_run.frame, amb, a_coeff, F(4))
         for x, y, u, v, w in product(range(3), repeat=5):
             assert derivation_action_direct(table, x, y, u, v, w) == expansion(
@@ -296,7 +309,7 @@ class TestAlmostEinstein:
 
     def test_synthetic_nonzero_coefficient_infeasible(self, golden, fixture_run):
         _, ns, _ = golden
-        table = synthetic_table(golden, fixture_run, 1)
+        table = synthetic_table(fixture_run, 1)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
         assert einstein_fit(ricci_trace(table), g, ga).kind == "infeasible"
 
@@ -377,7 +390,7 @@ class TestEquivalenceAudit:
         # synthetic table with a = -5 fails every flag; the equivalence is
         # preserved in the negative.
         _, ns, amb = golden
-        table = synthetic_table(golden, fixture_run, -5)
+        table = synthetic_table(fixture_run, -5)
         g, ga = induced_metrics(ns, basis_span(4, (2, 3, 4)))
         flags = flags_from_table(table, fixture_run.sf.induced_gamma, g, ga)
         assert not all_hold(flags)

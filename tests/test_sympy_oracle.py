@@ -127,7 +127,7 @@ def test_checkers_match_brute_force_on_failing_tables(member, offset):
     _, _, amb, run = member
     k_coeff = amb.trsc.nu
     screen_coeff = k_coeff - run.sf.rho * run.sf.rho / run.frame.b + offset
-    table = closed_form_curvature(run.frame, amb, screen_coeff, k_coeff)
+    table = closed_form_curvature(run.frame, screen_coeff, k_coeff)
     m = table.dims[0]
     t = sympy_nested(table)
     ric = [[sum(t[c][a][b][c] for c in range(m)) for b in range(m)] for a in range(m)]
