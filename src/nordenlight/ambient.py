@@ -43,7 +43,6 @@ from .exact import (
     LinearSolution,
     RowIndex,
     add_row,
-    fit_tables,
     format_rational,
     int_bilinear,
     int_matmul,
@@ -160,13 +159,8 @@ def validate_lie_algebra(spec: LieAlgebraSpec) -> ValidationReport:
     n = spec.dim
     checks = []
 
-    checks.append(
-        Check(
-            "dimension_even_and_at_least_four",
-            n >= 4 and n % 2 == 0,
-            None if (n >= 4 and n % 2 == 0) else (n,),
-        )
-    )
+    in_scope = n >= 4 and n % 2 == 0
+    checks.append(Check("dimension_even_and_at_least_four", in_scope, None if in_scope else (n,)))
 
     c, _ = spec.brackets.lattice()
     witness = next(
@@ -394,15 +388,17 @@ def pi_combination(ns: NordenStructure, a: Fraction, b: Fraction) -> DenseTensor
 
 
 def pi_fit(ns: NordenStructure, rhs: DenseTensor) -> LinearSolution:
-    """The fit rhs = x (pi1 - pi2) + y pi3 over every component, with the
-    outcome `fit_tables` gives on the two full columns. The first two
-    components in product order whose coefficient rows are independent are
-    computed from g and gJ alone (a component (X, Y, Z, W) is zero unless Z
-    and W lie in the supports of the rows X and Y of both tables); their
-    solution is the only candidate, so the fit is unique when its table
-    `pi_combination` equals rhs and infeasible otherwise. Below rank 2
-    (parametric or all-zero columns) `fit_tables` runs on the columns, so
-    the degeneracy mark and the canonical representative are its own."""
+    """The fit rhs = x (pi1 - pi2) + y pi3 over every component, unique or
+    infeasible. The first two components in product order whose coefficient
+    rows are independent are computed from g and gJ alone (a component
+    (X, Y, Z, W) is zero unless Z and W lie in the supports of the rows X and
+    Y of both tables); their solution is the only candidate, so the fit is
+    unique when its table `pi_combination` equals rhs and infeasible
+    otherwise. Two such rows exist on every valid Norden structure: with
+    B = g - i g~, pi1 - pi2 and pi3 are the real and imaginary parts of the
+    nonzero complex-multilinear tensor B(Y,Z)B(X,W) - B(X,Z)B(Y,W), and such
+    parts are linearly independent. Their absence raises
+    InternalInconsistency."""
     n, (g, dg), (h, dh) = ns.g.dims[0], ns.g.lattice(), ns.gj.lattice()
     support = [{c for t in (ns.g, ns.gj) for c, _ in t.rows.get(a, ())} for a in range(n)]
 
@@ -417,7 +413,7 @@ def pi_fit(ns: NordenStructure, rhs: DenseTensor) -> LinearSolution:
     first = next((r for r in rows if r[1] or r[2]), None)
     second = first and next((r for r in rows if first[1] * r[2] - first[2] * r[1]), None)
     if second is None:
-        return fit_tables((pi_combination(ns, 1, 0), pi_combination(ns, 0, 1)), rhs)
+        raise InternalInconsistency("the curvature-type tensors pi1 - pi2 and pi3 are dependent")
     (p, a1, a3), (q, b1, b3) = first, second
     scale, det = (dg * dh) ** 2, rhs.den * (a1 * b3 - b1 * a3)
     rp, rq = rhs.num(p), rhs.num(q)
@@ -446,7 +442,6 @@ class TrscStatus:
     kind: str  # "constant" | "not_constant"
     nu: Fraction | None
     nu_assoc: Fraction | None
-    degenerate: bool = False
 
     # per inducing metric: the field of its constant, then the other field
     FIELDS = {"principal": ("nu", "nu_assoc"), "associated": ("nu_assoc", "nu")}
@@ -461,16 +456,13 @@ def constant_trsc(r04: DenseTensor, ns: NordenStructure) -> TrscStatus:
     """Exact linear fit R = nu (pi1 - pi2) + nu_assoc pi3 over every component (`pi_fit`).
 
     A unique solution means both totally real sectional curvatures are
-    constant; an infeasible system means they are not. A parametric fit (the
-    two basis tensors linearly dependent as component vectors) is reported as
-    constant with the canonical representative and a degeneracy mark, never
-    silently resolved.
+    constant; an infeasible system means they are not. The two tensors are
+    independent on every valid Norden structure, so no other outcome occurs.
     """
     sol = pi_fit(ns, r04)
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
-    nu, nu_assoc = sol.particular.entries
-    return TrscStatus("constant", nu, nu_assoc, degenerate=sol.kind == "parametric")
+    return TrscStatus("constant", *sol.particular.entries)
 
 
 @dataclass(frozen=True)
@@ -500,12 +492,11 @@ def associated_curvature(r04: DenseTensor, ns: NordenStructure, trsc: TrscStatus
             raise InternalInconsistency("associated curvature fit infeasible despite constant fit")
         return AssociatedCurvature(None, None)
     nu_prime, nu_assoc_prime = sol.particular.entries
-    if trsc.kind == "constant" and not trsc.degenerate:
-        if nu_prime != -trsc.nu_assoc or nu_assoc_prime != trsc.nu:
-            raise InternalInconsistency(
-                "primed curvature constants do not match (-nu_assoc, nu): "
-                f"got ({format_rational(nu_prime)}, {format_rational(nu_assoc_prime)})"
-            )
+    if trsc.kind == "constant" and (nu_prime, nu_assoc_prime) != (-trsc.nu_assoc, trsc.nu):
+        raise InternalInconsistency(
+            "primed curvature constants do not match (-nu_assoc, nu): "
+            f"got ({format_rational(nu_prime)}, {format_rational(nu_assoc_prime)})"
+        )
     return AssociatedCurvature(nu_prime, nu_assoc_prime)
 
 
@@ -557,22 +548,21 @@ class AmbientGeometry:
     assoc: AssociatedCurvature
     ricci: DenseTensor
 
-    @property
-    def half_dim(self) -> int:
-        return self.spec.dim // 2
-
 
 def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> AmbientGeometry:
     """Derive connection, curvature and the constant-curvature fits for
     validated input. The fits solve two independent components for the two
     constants and compare the one expected table each builds with R and -R~
-    (`pi_fit`); no pi-tensor is built on its own.
+    (`pi_fit`); no pi-tensor is built on its own, and each fit is unique or
+    infeasible, because pi1 - pi2 and pi3 are independent on a valid Norden
+    structure.
 
     Raises ValidationFailure when J is not parallel (the manifold is then
     outside the engine's scope) and InternalInconsistency when one of the
     built-in cross-checks fails (the parallel-J/connection-difference
     agreement, the associated-tensor relations as two n x n identities, the
-    primed-constants relation, the Ricci closed form).
+    independence of the two fit columns, the primed-constants relation, the
+    Ricci closed form).
     Torsion-freeness, metric compatibility, the curvature symmetries, the
     Kaehler curvature identity and the componentwise associated-tensor
     relations are not checked here; the test suite checks them.

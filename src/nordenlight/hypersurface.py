@@ -80,7 +80,7 @@ class LightlikeFrame:
     eta: DenseTensor  # eta(E_a) = <E_a, N> over the span basis
     gram: DenseTensor  # <E_a, E_b> in the inducing metric
     norden: NordenStructure
-    b: Fraction | None = None
+    b: Fraction | None  # J xi = b N, or None when J xi is not a nonzero multiple of N
 
     @cached_property
     def inverse(self) -> DenseTensor:
@@ -213,13 +213,6 @@ class SecondFundamental:
 
 
 @dataclass(frozen=True)
-class RTCheck:
-    is_radical_transversal: bool
-    b: Fraction | None
-    screen_holomorphic: bool
-
-
-@dataclass(frozen=True)
 class UmbilicalResult:
     umbilical: bool
     rho: Fraction | None
@@ -308,7 +301,9 @@ def construct_transversal(
     the radical kernel vector scaled to coprime integer coordinates with a
     positive leading entry. N is built from the first vector V orthogonal to
     the screen with <V, xi> != 0 via N = (V - (<V,V>/(2<V,xi>)) xi) / <V,xi>;
-    the defining conditions are re-verified on the output.
+    the defining conditions are re-verified on the output. The frame's b is
+    decided here from J xi = b N, and is None unless J xi is a nonzero
+    multiple of N.
     """
     ns = amb.norden
     which = hs.inducing_metric
@@ -355,6 +350,10 @@ def construct_transversal(
 
     eta, d_eta = ns.pairings(which, (span, ds), n_row)
     m = hs.span.dims[0]
+    # b = (j_xi[pivot] / d_jxi) / (nums[pivot] / den) at the first nonzero entry of N
+    (j_xi,), d_jxi = ns.apply_j_rows(((x,), dx))
+    pivot = next(q for q, y in enumerate(nums) if y)
+    b = Fraction(j_xi[pivot] * den, nums[pivot] * d_jxi)
     return LightlikeFrame(
         span=hs.span,
         inducing_metric=which,
@@ -364,33 +363,26 @@ def construct_transversal(
         eta=DenseTensor.from_lattice((m,), (row[0] for row in eta), d_eta),
         gram=cls.gram,
         norden=ns,
+        b=b if b and _aligned(j_xi, nums) else None,
     )
 
 
-def radical_transversal_check(frame: LightlikeFrame) -> RTCheck:
+def radical_transversal_check(frame: LightlikeFrame) -> bool:
     """The defining condition: J maps the radical line onto the transversal
-    line, J xi = b N with b != 0. The screen must then be J-invariant; the two
-    outcomes are cross-checked because they are equivalent for validated
-    input. Holomorphy reduces J W, for every screen vector W, against one
-    echelon of the screen."""
-    x, dx = frame.xi.lattice()
-    (j_xi,), d_jxi = frame.norden.apply_j_rows(((x,), dx))
-    tr, d_tr = frame.transversal.lattice()
-    pivot = next(q for q, x in enumerate(tr) if x)
-    # b = (j_xi[pivot] / d_jxi) / (tr[pivot] / d_tr)
-    b = Fraction(j_xi[pivot] * d_tr, tr[pivot] * d_jxi)
-    proportional = all(x * tr[pivot] == j_xi[pivot] * y for x, y in zip(j_xi, tr))
-    is_rt = proportional and b != 0
-
+    line, J xi = b N with b != 0, as `construct_transversal` decided it with
+    b. The screen must then be J-invariant; the two outcomes are
+    cross-checked because they are equivalent for validated input.
+    Holomorphy reduces J W, for every screen vector W, against one echelon
+    of the screen."""
     span, _ = frame.span.lattice()
     j_span, _ = frame.j_span
     basis = Echelon([span[i] for i in frame.screen_indices])
     holomorphic = not any(any(basis.reduce(j_span[i])) for i in frame.screen_indices)
-    if is_rt != holomorphic:
+    if holomorphic != (frame.b is not None):
         raise InternalInconsistency(
             "radical-transversal test and screen holomorphy disagree on validated input"
         )
-    return RTCheck(is_rt, b if is_rt else None, holomorphic)
+    return holomorphic
 
 
 def gauss_weingarten(frame: LightlikeFrame, amb: AmbientGeometry) -> SecondFundamental:

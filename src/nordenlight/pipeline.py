@@ -1,10 +1,12 @@
 """Pipeline orchestration and report emission.
 
 Runs validation, ambient derivation, and the per-hypersurface frame and
-audit machinery, collecting everything into one report structure that renders
-either as sectioned text or as a JSON document with stable field order and
-rationals serialized as strings. Identical input produces byte-identical
-structured reports.
+audit machinery. Each hypersurface block's stages run in `run_block`, which
+keeps what they returned in a `BlockRun`; the block's report entry is
+rendered from that record. Everything is collected into one report structure
+that renders either as sectioned text or as a JSON document with stable field
+order and rationals serialized as strings. Identical input produces
+byte-identical structured reports.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure (the input is not
 a valid Kaehler-Norden setup), 4 hypothesis failure (a hypersurface is not
@@ -23,11 +25,15 @@ from json.encoder import encode_basestring_ascii
 from operator import add, floordiv, mod
 
 from . import __version__
-from .ambient import AmbientGeometry, build_ambient_geometry, require_equal, validate_lie_algebra, validate_norden
+from .ambient import AmbientGeometry, Check, build_ambient_geometry, require_equal, validate_lie_algebra, validate_norden
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
 from .exact import DenseTensor, format_ratio, format_rational
 from .hypersurface import (
+    Classification,
     HypersurfaceSpec,
+    LightlikeFrame,
+    SecondFundamental,
+    UmbilicalResult,
     construct_screen,
     construct_transversal,
     gauss_weingarten,
@@ -39,6 +45,8 @@ from .hypersurface import (
 )
 from .manifold_file import ManifoldFile, hypersurface_specs, lie_algebra_spec, norden_from_file
 from .symmetry import (
+    AuditVerdict,
+    PdeResiduals,
     SymmetryFlags,
     almost_einstein_fit,
     induced_curvature_closed_form,
@@ -56,6 +64,8 @@ RICCI_SIGN_NOTE = (
     "(Z -> R(X,Z)Y) negates every Ricci entry and the einstein coefficients, and "
     "leaves every vanishing check and the einstein feasibility unchanged"
 )
+# the status of a block and of the report, by exit code
+STATUS = {0: "ok", 4: "hypothesis_failure", 5: "internal_inconsistency"}
 
 
 @dataclass(frozen=True)
@@ -64,25 +74,94 @@ class Report:
     exit_code: int
 
 
-@dataclass(frozen=True)
-class Nonzeros:
-    """A report listing of the nonzero entries of a table, row-major, each
-    {"index": [1-based indices], "value": "p/q"}; both renderers write it
-    with `render`."""
+@dataclass
+class BlockRun:
+    """What the stages of one hypersurface block returned, in stage order; a
+    field stays None when `stop`, the failure that stopped the block, came
+    first. The frame is kept once its radical-transversal check returned, the
+    second fundamental data once the umbilical test did (`sf` with rho once
+    the block is totally umbilical)."""
 
-    table: DenseTensor
+    spec: HypersurfaceSpec
+    subalgebra: bool = False  # the span passed `validate_span`
+    classes: dict[str, Classification] | None = None  # per inducing metric
+    frame: LightlikeFrame | None = None
+    sf: SecondFundamental | None = None
+    umb: UmbilicalResult | None = None
+    identities: tuple[Check, ...] | None = None
+    residuals: PdeResiduals | None = None
+    r13: DenseTensor | None = None
+    ricci: DenseTensor | None = None
+    flags: SymmetryFlags | None = None
+    audit: AuditVerdict | None = None
+    stop: HypothesisFailure | InternalInconsistency | None = None
 
-    def render(self, names, open_: str, sep: str, close: str, end: str = "") -> list[str]:
-        """Each entry as open_ + its index names (names[i] for index i) joined
-        by sep + close + value + end, built once per table row and value."""
-        t, n = self.table, self.table.dims[-1]
-        values = {x: close + format_ratio(x, t.den) + end for x in set(t.nums)}
-        named = [name + sep for name in names]
-        rows = t.indexes([r * n for r in t.rows])
-        heads = {r: open_ + "".join(map(named.__getitem__, ix[:-1])) for r, ix in zip(t.rows, rows)}
-        leads = map(heads.__getitem__, map(floordiv, t.offsets, repeat(n)))
-        lasts = map(names.__getitem__, map(mod, t.offsets, repeat(n)))
-        return list(map(add, map(add, leads, lasts), map(values.__getitem__, t.nums)))
+
+def run_block(hs: HypersurfaceSpec, amb: AmbientGeometry) -> BlockRun:
+    """Run the stages of one hypersurface block in order, keeping what each
+    returned, up to the audit or to the first HypothesisFailure or
+    InternalInconsistency. Besides the stages' own, it stops at a
+    nondegenerate block, a frame that is not radical transversal, a failed
+    frame identity and (after the identities) a block not totally umbilical."""
+    run = BlockRun(hs)
+    try:
+        validate_span(hs, amb)
+        run.subalgebra = True
+        run.classes = {w: induce_and_classify(replace(hs, inducing_metric=w), amb) for w in ("principal", "associated")}
+        cls = run.classes[hs.inducing_metric]
+        if cls.kind == "nondegenerate":
+            raise HypothesisFailure(
+                "hypersurface is nondegenerate for the inducing metric; "
+                "the lightlike analysis does not apply"
+            )
+        frame = construct_transversal(hs, amb, cls, construct_screen(hs, cls))
+        holds = radical_transversal_check(frame)
+        run.frame = frame
+        if not holds:
+            raise HypothesisFailure(
+                "J does not map the radical onto the transversal line; "
+                "the radical-transversal analysis does not apply"
+            )
+        run.sf = sf = gauss_weingarten(frame, amb)
+        run.umb = umb = umbilical_test(sf, frame)
+        run.identities = verify_frame_identities(sf, frame, umb.rho)
+        failed = next((c.name for c in run.identities if not c.ok), None)
+        if failed is not None:
+            raise InternalInconsistency(f"frame identity failed: {failed}")
+        if not umb.umbilical:
+            raise HypothesisFailure("hypersurface is not totally umbilical; audit skipped")
+        run.sf = sf = replace(sf, rho=umb.rho)
+        run.residuals = pde_residuals(sf, frame, amb)
+        r13 = induced_curvature_gauss(sf, frame, amb)
+        r13_closed = induced_curvature_closed_form(frame, sf, amb)
+        require_equal(r13, r13_closed, "gauss and closed-form curvature routes disagree", "gauss", "closed form")
+        run.r13 = r13
+        run.ricci = ricci = induced_ricci(r13, sf, frame, amb)
+        run.flags = SymmetryFlags(
+            semi_symmetric_check(r13),
+            ricci_semi_symmetric_check(r13, ricci),
+            locally_symmetric_check(r13, sf.induced_gamma),
+            almost_einstein_fit(ricci, run.classes["principal"].gram, run.classes["associated"].gram),
+        )
+        run.audit = symmetry_equivalence_audit(run.flags, hs.inducing_metric, amb.trsc, umb.rho, frame.b)
+    except (HypothesisFailure, InternalInconsistency) as exc:
+        run.stop = exc
+    return run
+
+
+def _listing(table: DenseTensor, names, open_: str, sep: str, close: str, end: str = "") -> list[str]:
+    """The report listing of the nonzero entries of a table, row-major, as
+    both renderers write a table in `Report.data`: each entry is open_ + its
+    index names (names[i] for index i) joined by sep + close + value + end,
+    built once per table row and value."""
+    n = table.dims[-1]
+    values = {x: close + format_ratio(x, table.den) + end for x in set(table.nums)}
+    named = [name + sep for name in names]
+    rows = table.indexes([r * n for r in table.rows])
+    heads = {r: open_ + "".join(map(named.__getitem__, ix[:-1])) for r, ix in zip(table.rows, rows)}
+    leads = map(heads.__getitem__, map(floordiv, table.offsets, repeat(n)))
+    lasts = map(names.__getitem__, map(mod, table.offsets, repeat(n)))
+    return list(map(add, map(add, leads, lasts), map(values.__getitem__, table.nums)))
 
 
 def _vector(v: DenseTensor) -> list[str]:
@@ -160,18 +239,20 @@ def run_pipeline(mf: ManifoldFile) -> Report:
         return Report(data, 5)
 
     trsc = amb.trsc
-    ambient_dict = {
+    data["ambient"] = {
         "dim": spec.dim,
         "basis_labels": list(labels),
         "kaehler_norden": True,
-        "connection_nonzero": Nonzeros(amb.gamma),
-        "curvature_nonzero": Nonzeros(amb.riemann04),
+        "connection_nonzero": amb.gamma,
+        "curvature_nonzero": amb.riemann04,
         "constant_curvatures": (
             {
                 "kind": "constant",
                 "nu": format_rational(trsc.nu),
                 "nu_assoc": format_rational(trsc.nu_assoc),
-                "degenerate_fit": trsc.degenerate,
+                # pi1 - pi2 and pi3 are independent on every valid Norden
+                # structure, so the fit is never parametric
+                "degenerate_fit": False,
             }
             if trsc.kind == "constant"
             else {"kind": "not_constant"}
@@ -184,76 +265,50 @@ def run_pipeline(mf: ManifoldFile) -> Report:
             if amb.assoc.nu_prime is not None
             else None
         ),
-        "ricci_nonzero": Nonzeros(amb.ricci),
+        "ricci_nonzero": amb.ricci,
         "ricci_sign_note": RICCI_SIGN_NOTE,
     }
-    data["ambient"] = ambient_dict
 
-    hyper_dicts = []
-    worst = 0
-    for index, (block, hs) in enumerate(zip(mf.hypersurfaces, hypersurface_specs(mf))):
-        hdict, level = _process_hypersurface(index, block, hs, amb, labels)
-        hyper_dicts.append(hdict)
-        worst = max(worst, level)
-    data["hypersurfaces"] = hyper_dicts
-    data["status"] = {0: "ok", 4: "hypothesis_failure", 5: "internal_inconsistency"}[worst]
+    runs = [run_block(hs, amb) for hs in hypersurface_specs(mf)]
+    data["hypersurfaces"] = [
+        _block_entry(index, block, run, labels) for index, (block, run) in enumerate(zip(mf.hypersurfaces, runs))
+    ]
+    worst = max((run.stop.exit_code for run in runs if run.stop), default=0)
+    data["status"] = STATUS[worst]
     return Report(data, worst)
 
 
-def _process_hypersurface(
-    index: int, block, hs: HypersurfaceSpec, amb: AmbientGeometry, labels
-) -> tuple[dict, int]:
-    out: dict = {
-        "index": index,
-        "inducing_metric": hs.inducing_metric,
-        "span_indices": list(block.span_indices),
-        "span": [labels[i - 1] for i in block.span_indices],
-    }
-    try:
-        validate_span(hs, amb)
+def _block_entry(index: int, block, run: BlockRun, labels) -> dict:
+    """The structured report entry of one block, from its `BlockRun`: a
+    section for each stage that returned, then the status."""
+    which = run.spec.inducing_metric
+    span = [labels[i - 1] for i in block.span_indices]
+    out: dict = {"index": index, "inducing_metric": which, "span_indices": list(block.span_indices), "span": span}
+    if run.subalgebra:
         out["subalgebra"] = True
-
-        classes = {
-            which: induce_and_classify(replace(hs, inducing_metric=which), amb)
-            for which in ("principal", "associated")
-        }
-        out["classification"] = {which: c.kind for which, c in classes.items()}
-
-        cls = classes[hs.inducing_metric]
+    if run.classes is not None:
+        out["classification"] = {name: c.kind for name, c in run.classes.items()}
+        cls = run.classes[which]
         if cls.kind == "nondegenerate":
             out["normal_direction"] = _vector(cls.normal_direction)
             out["normal_note"] = "raw direction vector; no unit normalization is attempted"
-            raise HypothesisFailure(
-                "hypersurface is nondegenerate for the inducing metric; "
-                "the lightlike analysis does not apply"
-            )
-        out["radical"] = _vector(cls.radical_ambient)
-
-        screen_indices = construct_screen(hs, cls)
-        frame = construct_transversal(hs, amb, cls, screen_indices)
-        rt = radical_transversal_check(frame)
+        else:
+            out["radical"] = _vector(cls.radical_ambient)
+    frame = run.frame
+    if frame is not None:
         out["frame"] = {
             "xi": _vector(frame.xi),
             "xi_combo": _combo(frame.xi, labels),
             "transversal": _vector(frame.transversal),
             "transversal_combo": _combo(frame.transversal, labels),
-            "screen": [labels[block.span_indices[i] - 1] for i in screen_indices],
+            "screen": [span[i] for i in frame.screen_indices],
             "eta": _vector(frame.eta),
         }
-        out["radical_transversal"] = {
-            "holds": rt.is_radical_transversal,
-            "b": format_rational(rt.b) if rt.b is not None else None,
-            "screen_holomorphic": rt.screen_holomorphic,
-        }
-        if not rt.is_radical_transversal:
-            raise HypothesisFailure(
-                "J does not map the radical onto the transversal line; "
-                "the radical-transversal analysis does not apply"
-            )
-        frame = replace(frame, b=rt.b)
-
-        sf = gauss_weingarten(frame, amb)
-        umb = umbilical_test(sf, frame)
+        holds = frame.b is not None  # the screen is holomorphic exactly then
+        b = format_rational(frame.b) if holds else None
+        out["radical_transversal"] = {"holds": holds, "b": b, "screen_holomorphic": holds}
+    sf, umb = run.sf, run.umb
+    if umb is not None:
         out["second_fundamental"] = {
             "b_table": _rows(sf.b_form),
             "c_table": _rows(sf.c_form),
@@ -263,55 +318,40 @@ def _process_hypersurface(
         }
         if umb.umbilical:
             out["umbilical"] = {"holds": True, "rho": format_rational(umb.rho)}
-        elif umb.witness_index is not None:  # without a witness a frame identity fails below
+        elif umb.witness_index is not None:  # without a witness a frame identity fails
             out["umbilical"] = {
                 "holds": False,
                 "witness": {
-                    "field": labels[block.span_indices[umb.witness_index] - 1],
+                    "field": span[umb.witness_index],
                     "shape_image": _vector(umb.witness_image),
                     "shape_image_combo": _combo(umb.witness_image, labels),
                 },
             }
-        _record_identities(out, verify_frame_identities(sf, frame, umb.rho))
-        if not umb.umbilical:
-            raise HypothesisFailure(
-                "hypersurface is not totally umbilical; audit skipped"
-            )
-        sf = replace(sf, rho=umb.rho)
-
-        residuals = pde_residuals(sf, frame, amb)
+    if run.identities is not None:
+        out["identities"] = _check_dicts(run.identities)
+    if run.residuals is not None:
         out["residuals"] = {
-            "radial": format_rational(residuals.radial),
-            "screen": _vector(residuals.screen_directions),
+            "radial": format_rational(run.residuals.radial),
+            "screen": _vector(run.residuals.screen_directions),
         }
-
-        r13 = induced_curvature_gauss(sf, frame, amb)
-        r13_closed = induced_curvature_closed_form(frame, sf, amb)
-        require_equal(r13, r13_closed, "gauss and closed-form curvature routes disagree", "gauss", "closed form")
-        ricci = induced_ricci(r13, sf, frame, amb)
-
-        semi = semi_symmetric_check(r13)
-        ricci_semi = ricci_semi_symmetric_check(r13, ricci)
-        locally = locally_symmetric_check(r13, sf.induced_gamma)
-        einstein = almost_einstein_fit(ricci, classes["principal"].gram, classes["associated"].gram)
-        flags = SymmetryFlags(semi, ricci_semi, locally, einstein)
-
+    flags = run.flags
+    if flags is not None:
         out["induced"] = {
             "curvature_routes_match": True,
-            "curvature_nonzero": Nonzeros(r13),
-            "ricci": _rows(ricci),
-            "ricci_opposite_trace": _rows(-ricci),
+            "curvature_nonzero": run.r13,
+            "ricci": _rows(run.ricci),
+            "ricci_opposite_trace": _rows(-run.ricci),
             "ricci_routes_match": True,
             "ricci_sign_note": RICCI_SIGN_NOTE,
         }
         out["flags"] = {
-            "semi_symmetric": _flag_dict(semi),
-            "ricci_semi_symmetric": _flag_dict(ricci_semi),
-            "locally_symmetric": _flag_dict(locally),
-            "almost_einstein": _einstein_dict(einstein),
+            "semi_symmetric": _flag_dict(flags.semi_symmetric),
+            "ricci_semi_symmetric": _flag_dict(flags.ricci_semi_symmetric),
+            "locally_symmetric": _flag_dict(flags.locally_symmetric),
+            "almost_einstein": _einstein_dict(flags.almost_einstein),
         }
-
-        verdict = symmetry_equivalence_audit(flags, hs.inducing_metric, amb.trsc, umb.rho, frame.b)
+    verdict = run.audit
+    if verdict is not None:
         audit: dict = {"applicable": verdict.applicable}
         if verdict.lhs is not None:
             audit["condition_iii"] = {"lhs": format_rational(verdict.lhs), "rhs": format_rational(verdict.rhs)}
@@ -319,23 +359,10 @@ def _process_hypersurface(
         audit["consistent"] = verdict.consistent
         audit["notes"] = list(verdict.notes)
         out["audit"] = audit
-        out["status"] = "ok"
-        return out, 0
-    except HypothesisFailure as exc:
-        out["status"] = "hypothesis_failure"
-        out["detail"] = str(exc)
-        return out, 4
-    except InternalInconsistency as exc:
-        out["status"] = "internal_inconsistency"
-        out["detail"] = str(exc)
-        return out, 5
-
-
-def _record_identities(out: dict, checks) -> None:
-    out["identities"] = _check_dicts(checks)
-    failed = [c for c in checks if not c.ok]
-    if failed:
-        raise InternalInconsistency(f"frame identity failed: {failed[0].name}")
+    out["status"] = STATUS[run.stop.exit_code if run.stop else 0]
+    if run.stop is not None:
+        out["detail"] = str(run.stop)
+    return out
 
 
 def _flag_dict(flag) -> dict:
@@ -372,7 +399,8 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 def _write_json(obj, pad: str, out: list[str]) -> None:
     """Append at indent pad what json.dumps writes with indent=2 and
     ensure_ascii=True, for str, int, bool, None, list, str-keyed dict and
-    `Nonzeros` (written as the list of its entries); other types raise TypeError. (Indented, json.dumps is pure Python.)"""
+    `DenseTensor` (written as the `_listing` of its nonzero entries); other
+    types raise TypeError. (Indented, json.dumps is pure Python.)"""
     inner = pad + "  "
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -380,15 +408,15 @@ def _write_json(obj, pad: str, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif not isinstance(obj, (dict, list, Nonzeros)):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif not obj:  # an empty dict or list; a `Nonzeros` is never falsy
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, Nonzeros):
-        names = [f"{inner}    {i + 1}" for i in range(max(obj.table.dims))]
+    elif isinstance(obj, DenseTensor):
+        names = [f"{inner}    {i + 1}" for i in range(max(obj.dims))]
         parts = ('{q}{{\n{q}  "index": [\n', ",\n", '\n{q}  ],\n{q}  "value": "', '"\n{q}}}')
-        entries = obj.render(names, *(part.format(q=inner) for part in parts))
+        entries = _listing(obj, names, *(part.format(q=inner) for part in parts))
         out.append("[\n" + ",\n".join(entries) + "\n" + pad + "]" if entries else "[]")
+    elif not isinstance(obj, (dict, list)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:  # an empty dict or list
+        out.append("{}" if isinstance(obj, dict) else "[]")
     else:
         keyed = isinstance(obj, dict)
         keys = [encode_basestring_ascii(key) + ": " for key in obj] if keyed else repeat("")
@@ -433,14 +461,14 @@ def _render_text(report: Report) -> str:
     lines.append(f"dimension: {amb['dim']}")
     lines.append("kaehler-norden: yes")
     lines.append("connection nonzeros:")
-    gamma = amb["connection_nonzero"].table
+    gamma = amb["connection_nonzero"]
     coefs = {x: format_ratio(x, gamma.den) for x in set(gamma.nums)}
     for row, items in gamma.rows.items():
         i, j = divmod(row, gamma.dims[1])
         terms = [labels[k] if coefs[x] == "1" else f"{coefs[x]}*{labels[k]}" for k, x in items]
         lines.append(f"  nabla_{{{labels[i]}}} {labels[j]} = " + " + ".join(terms))
     lines.append("curvature nonzeros:")
-    lines += amb["curvature_nonzero"].render(labels, "  R(", ",", ") = ")
+    lines += _listing(amb["curvature_nonzero"], labels, "  R(", ",", ") = ")
     cc = amb["constant_curvatures"]
     if cc["kind"] == "constant":
         lines.append(

@@ -297,7 +297,7 @@ def closed_form_ricci(
         Ric = -2(h-1) K m + (K - rho^2/b) m(P., P.).
     """
     _, k_coeff = amb.trsc.attached(frame.inducing_metric)
-    lead = Fraction(-2 * (amb.half_dim - 1)) * k_coeff
+    lead = Fraction(-2 * (amb.spec.dim // 2 - 1)) * k_coeff
     a_coeff = k_coeff - sf.rho * sf.rho / frame.b
     m_span, d_g = frame.m_span
     m_proj, d_p = frame.pairings(frame.p_ambient, frame.j_p)
@@ -342,55 +342,60 @@ def _scan_pairs(r13: DenseTensor) -> list[tuple[int, int]]:
     return list(product(range(m), repeat=2))
 
 
-def _first_nonzero_derivation(a, blocks, pairs, m):
-    """The first block (u, v) in `pairs` order at which the derivation with
-    matrix a (row k holds a X_k) acts on the curvature table with a nonzero
-    component,
+def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
+    """The flag of the derivations that operators yields, as (witness
+    prefix, a) pairs in scan order, a given by its nonzero rows over den (row
+    k holds a X_k): the first block (u, v), scanned as in `_scan_pairs`, at
+    which some a acts with a nonzero component,
 
-        (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W):
+        (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W),
 
-    (u, v, w, int components) with w the least slot of that block whose
-    component is nonzero, or None. a and every block blocks[u * m + v] =
-    R(X_u, X_v) are given by their nonzero rows (see `DenseTensor.blocks`),
-    and the block's components are accumulated from those entries alone,
-    row by row as in Gustavson's sparse product; the same index gives the
-    blocks R(X_k, X_v) and R(X_u, X_k) of the last two terms."""
+    and the least such w. Each block R(X_u, X_v) is read by its nonzero rows
+    (`DenseTensor.blocks`) and its components accumulated from those entries
+    alone, row by row as in Gustavson's sparse product."""
+    m = r13.dims[0]
+    pairs = _scan_pairs(r13)
+    blocks = r13.blocks
     none: dict = {}
-    a_rows = list(a.items())
-    for u, v in pairs:
-        b = blocks.get(u * m + v)
-        acc = {}  # w -> components of the block at W = X_w
-        if b:
-            for w, items in b.items():  # a R(U,V,W)
-                out = None
-                for k, x in items:
-                    a_k = a.get(k)
-                    if a_k:
-                        out = out or acc.get(w) or acc.setdefault(w, [0] * m)
-                        for q, y in a_k:
-                            out[q] += x * y
-            for w, items in a_rows:  # -R(U,V,a W)
-                out = None
-                for k, x in items:
-                    b_k = b.get(k)
-                    if b_k:
-                        out = out or acc.get(w) or acc.setdefault(w, [0] * m)
-                        for q, y in b_k:
-                            out[q] -= x * y
-        for k, x in a.get(u, ()):  # -R(a U,V,W)
-            for w, items in blocks.get(k * m + v, none).items():
-                out = acc.get(w) or acc.setdefault(w, [0] * m)
-                for q, y in items:
-                    out[q] -= x * y
-        for k, x in a.get(v, ()):  # -R(U,a V,W)
-            for w, items in blocks.get(u * m + k, none).items():
-                out = acc.get(w) or acc.setdefault(w, [0] * m)
-                for q, y in items:
-                    out[q] -= x * y
-        w = min((w for w, out in acc.items() if any(out)), default=None) if acc else None
-        if w is not None:
-            return u, v, w, acc[w]
-    return None
+    for prefix, a in operators:
+        if not a:
+            continue
+        a_rows = list(a.items())
+        for u, v in pairs:
+            b = blocks.get(u * m + v)
+            acc = {}  # w -> components of the block at W = X_w
+            if b:
+                for w, items in b.items():  # a R(U,V,W)
+                    out = None
+                    for k, x in items:
+                        a_k = a.get(k)
+                        if a_k:
+                            out = out or acc.get(w) or acc.setdefault(w, [0] * m)
+                            for q, y in a_k:
+                                out[q] += x * y
+                for w, items in a_rows:  # -R(U,V,a W)
+                    out = None
+                    for k, x in items:
+                        b_k = b.get(k)
+                        if b_k:
+                            out = out or acc.get(w) or acc.setdefault(w, [0] * m)
+                            for q, y in b_k:
+                                out[q] -= x * y
+            for k, x in a.get(u, ()):  # -R(a U,V,W)
+                for w, items in blocks.get(k * m + v, none).items():
+                    out = acc.get(w) or acc.setdefault(w, [0] * m)
+                    for q, y in items:
+                        out[q] -= x * y
+            for k, x in a.get(v, ()):  # -R(U,a V,W)
+                for w, items in blocks.get(u * m + k, none).items():
+                    out = acc.get(w) or acc.setdefault(w, [0] * m)
+                    for q, y in items:
+                        out[q] -= x * y
+            w = min((w for w, out in acc.items() if any(out)), default=None) if acc else None
+            if w is not None:
+                value = DenseTensor.from_lattice((m,), acc[w], r13.den * den)
+                return FlagResult(False, prefix + (u + 1, v + 1, w + 1), value)
+    return FlagResult(True)
 
 
 def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
@@ -409,16 +414,8 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
     block at a time, all w at once, stopping at the first block with a
     nonzero component; its least such w completes the witness."""
     m = r13.dims[0]
-    pairs = _scan_pairs(r13)
-    blocks = r13.blocks
-    for x, y in pairs:
-        a = blocks.get(x * m + y)
-        hit = _first_nonzero_derivation(a, blocks, pairs, m) if a else None
-        if hit is not None:
-            u, v, w, val = hit
-            witness = (x + 1, y + 1, u + 1, v + 1, w + 1)
-            return FlagResult(False, witness, DenseTensor.from_lattice((m,), val, r13.den * r13.den))
-    return FlagResult(True)
+    operators = (((x + 1, y + 1), r13.blocks.get(x * m + y)) for x, y in _scan_pairs(r13))
+    return _first_nonzero_action(r13, operators, r13.den)
 
 
 def ricci_semi_symmetric_check(r13: DenseTensor, ricci: DenseTensor) -> FlagResult:
@@ -465,17 +462,8 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
     nonzero rows of induced_gamma[u] and of the table, one (u, x, y) block
     at a time, all z at once, stopping at the first block with a nonzero
     component; its least such z completes the witness."""
-    m = r13.dims[0]
-    pairs = _scan_pairs(r13)
-    for u in range(m):
-        a = induced_gamma.blocks.get(u)
-        hit = _first_nonzero_derivation(a, r13.blocks, pairs, m) if a else None
-        if hit is not None:
-            x, y, z, val = hit
-            witness = (u + 1, x + 1, y + 1, z + 1)
-            value = DenseTensor.from_lattice((m,), val, r13.den * induced_gamma.den)
-            return FlagResult(False, witness, value)
-    return FlagResult(True)
+    operators = (((u + 1,), induced_gamma.blocks.get(u)) for u in range(r13.dims[0]))
+    return _first_nonzero_action(r13, operators, induced_gamma.den)
 
 
 def almost_einstein_fit(ricci: DenseTensor, g_ind: DenseTensor, g_assoc_ind: DenseTensor) -> EinsteinFit:

@@ -3,20 +3,13 @@ from pathlib import Path
 import pytest
 
 from nordenlight.ambient import build_ambient_geometry
-from nordenlight.hypersurface import (
-    construct_screen,
-    construct_transversal,
-    gauss_weingarten,
-    induce_and_classify,
-    radical_transversal_check,
-    umbilical_test,
-)
 from nordenlight.manifold_file import (
     hypersurface_specs,
     lie_algebra_spec,
     norden_from_file,
     parse_manifold_file,
 )
+from nordenlight.pipeline import run_block
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,19 +40,8 @@ def golden(golden_mf):
 @pytest.fixture(scope="session")
 def golden_run(golden, golden_mf):
     """Full hypersurface products of the curved fixture: (frame, sf, rho)."""
-    from dataclasses import replace
-
-    _, _, amb = golden
-    hs = hypersurface_specs(golden_mf)[0]
-    cls = induce_and_classify(hs, amb)
-    screen = construct_screen(hs, cls)
-    frame = construct_transversal(hs, amb, cls, screen)
-    rt = radical_transversal_check(frame)
-    frame = replace(frame, b=rt.b)
-    sf = gauss_weingarten(frame, amb)
-    umb = umbilical_test(sf, frame)
-    sf = replace(sf, rho=umb.rho)
-    return frame, sf, umb.rho
+    run = run_block(hypersurface_specs(golden_mf)[0], golden[2])
+    return run.frame, run.sf, run.umb.rho
 
 
 @pytest.fixture(scope="session")

@@ -45,6 +45,7 @@ from nordenlight.exact import (
     solve_affine,
 )
 from nordenlight.hypersurface import HypersurfaceSpec
+from nordenlight.pipeline import run_block
 
 F = Fraction
 
@@ -607,7 +608,7 @@ def brute_locally_symmetric(t, gm, m):
 
 
 def reference_tensor_nonzeros(tensor: DenseTensor) -> list[dict]:
-    """Reference for `pipeline.Nonzeros`: the report listing of a table, one
+    """Reference for `pipeline._listing`: the report listing of a table, one
     {"index": [1-based indices], "value": "p/q"} dict per nonzero entry in
     row-major order, built entry by entry."""
     den = tensor.den
@@ -1307,7 +1308,7 @@ def reference_ricci_routes(r13_induced, sf, frame, amb):
 
     closed = None
     if amb.trsc.kind == "constant" and sf.rho is not None:
-        h = amb.half_dim
+        h = amb.spec.dim // 2
         if frame.inducing_metric == "principal":
             other, k, lead, sign = nested(amb.norden.g_assoc), amb.trsc.nu_assoc, -2 * (h - 1), 1
         else:
@@ -1814,49 +1815,9 @@ def basis_span(dim: int, indices_1based):
     return tuple(unit_vector(dim, i - 1) for i in indices_1based)
 
 
-class HyperRun:
-    """Products of one hypersurface run: classification, frame (with the
-    gauge factor filled in), second-fundamental data (with rho when
-    umbilical), and the umbilical outcome."""
-
-    def __init__(self, hs, cls, frame=None, rt=None, sf=None, umb=None):
-        self.hs = hs
-        self.cls = cls
-        self.frame = frame
-        self.rt = rt
-        self.sf = sf
-        self.umb = umb
-
-
-def run_hypersurface(amb, span, inducing, xi_hint=None) -> HyperRun:
-    from dataclasses import replace
-
-    from nordenlight.hypersurface import (
-        construct_screen,
-        construct_transversal,
-        gauss_weingarten,
-        induce_and_classify,
-        radical_transversal_check,
-        umbilical_test,
-        validate_span,
-    )
-
-    hs = hyper_spec(span, inducing, xi_hint)
-    validate_span(hs, amb)
-    cls = induce_and_classify(hs, amb)
-    if cls.kind != "lightlike":
-        return HyperRun(hs, cls)
-    screen = construct_screen(hs, cls)
-    frame = construct_transversal(hs, amb, cls, screen)
-    rt = radical_transversal_check(frame)
-    if not rt.is_radical_transversal:
-        return HyperRun(hs, cls, frame, rt)
-    frame = replace(frame, b=rt.b)
-    sf = gauss_weingarten(frame, amb)
-    umb = umbilical_test(sf, frame)
-    if umb.umbilical:
-        sf = replace(sf, rho=umb.rho)
-    return HyperRun(hs, cls, frame, rt, sf, umb)
+def run_hypersurface(amb, span, inducing, xi_hint=None):
+    """`pipeline.run_block` on rational span vectors and hint."""
+    return run_block(hyper_spec(span, inducing, xi_hint), amb)
 
 
 def random_rational(rng: random.Random, lo=-4, hi=4, dens=(1, 2, 3)):

@@ -150,7 +150,7 @@ def test_c02_curvature_reproduction(golden):
 
 def test_c03_constant_curvature_detection(golden):
     _, _, amb = golden
-    assert amb.trsc.kind == "constant" and not amb.trsc.degenerate
+    assert amb.trsc.kind == "constant"
     assert (amb.trsc.nu, amb.trsc.nu_assoc) == (F(4), F(0))
     assert (amb.assoc.nu_prime, amb.assoc.nu_assoc_prime) == (F(0), F(4))
     _ok(3, "constant totally real sectional curvature detection")
@@ -298,18 +298,13 @@ def test_c08d_constant_fit_round_trip(norden_pool):
         nu_assoc = F(rng.randint(-6, 6), rng.choice([1, 2, 3]))
         synthetic = tensor_add(tensor_scale(tensor_sub(p1, p2), nu), tensor_scale(p3, nu_assoc))
         status = constant_trsc(synthetic, ns)
-        assert status.kind == "constant"
-        if not status.degenerate:
-            assert (status.nu, status.nu_assoc) == (nu, nu_assoc)
-        # the representative must reproduce the tensor either way
-        rebuilt = tensor_add(tensor_scale(tensor_sub(p1, p2), status.nu), tensor_scale(p3, status.nu_assoc))
-        assert rebuilt == synthetic
+        assert (status.kind, status.nu, status.nu_assoc) == ("constant", nu, nu_assoc)
     _ok("8d", "constant-curvature fit round trip, 100 instances")
 
 
 def test_c08e_full_audit_and_gauge_invariance(instance_pool):
     for count, (amb, run, lam, gauge) in enumerate(instance_pool):
-        assert run.rt.is_radical_transversal
+        assert run.frame.b is not None
         assert run.umb.umbilical
         frame, sf = run.frame, run.sf
         invariant = sf.rho ** 2 / frame.b

@@ -30,7 +30,7 @@ from nordenlight.ambient import (
     validate_lie_algebra,
     validate_norden,
 )
-from nordenlight.errors import ValidationFailure
+from nordenlight.errors import InternalInconsistency, ValidationFailure
 from nordenlight.exact import DenseTensor, mat_inverse
 
 # Nonzero connection components of the curved fixture, 1-based
@@ -256,7 +256,6 @@ class TestConstantTrsc:
         _, _, amb = golden
         assert amb.trsc.kind == "constant"
         assert (amb.trsc.nu, amb.trsc.nu_assoc) == (F(4), F(0))
-        assert not amb.trsc.degenerate
 
     def test_flat_constants(self, golden):
         _, ns, _ = golden
@@ -277,12 +276,11 @@ class TestConstantTrsc:
         assert status.kind == "not_constant"
 
     def test_degenerate_fit_is_flagged(self):
-        # a zero metric makes both fit columns zero
+        # a zero metric, which no Norden structure has, makes both fit columns
+        # zero; dependent columns are an engine inconsistency
         zero = tensor_zeros((2, 2, 2, 2))
-        status = constant_trsc(zero, norden([[0, 0], [0, 0]], [[0, -1], [1, 0]]))
-        assert status.kind == "constant"
-        assert status.degenerate
-        assert (status.nu, status.nu_assoc) == (F(0), F(0))
+        with pytest.raises(InternalInconsistency, match="pi1 - pi2 and pi3 are dependent"):
+            constant_trsc(zero, norden([[0, 0], [0, 0]], [[0, -1], [1, 0]]))
 
     def test_raw_tables_with_different_denominators(self):
         # g over 2 and J over 3, neither symmetric nor a complex structure:
@@ -295,7 +293,6 @@ class TestConstantTrsc:
         r04 = tensor_add(tensor_scale(tensor_sub(pi1, pi2), F(7, 4)), tensor_scale(pi3, -3))
         status = constant_trsc(r04, ns)
         assert (status.kind, status.nu, status.nu_assoc) == ("constant", F(7, 4), F(-3))
-        assert not status.degenerate
 
 
 class TestAssociatedCurvature:

@@ -164,7 +164,7 @@ def test_recombined_span_runs_the_full_path_on_dense_tables(seed):
     amb, run = recombined_family_run(seed)
     frame, sf = run.frame, run.sf
     assert frame.screen_indices == (0, 1, 3, 4)
-    assert run.rt.is_radical_transversal and run.umb.umbilical
+    assert run.frame.b is not None and run.umb.umbilical
     r13 = induced_curvature_gauss(sf, frame, amb)
     assert len(r13.nums) >= 120  # the family as written has 40 of 625 entries nonzero
     assert r13 == reference_induced_curvature_gauss(sf, frame, amb) == induced_curvature_closed_form(frame, sf, amb)

@@ -3,9 +3,9 @@
 `emit_report(..., "structured")` writes its JSON with the recursive writer
 of `pipeline`, not `json.dumps`; these tests pin it to the bytes of
 `json.dumps(tree, indent=2, ensure_ascii=True)` on seeded random trees and on
-every golden-corpus report, and pin both rendered forms of the `Nonzeros`
-listings of a report to the per-entry dict builder they replaced
-(`helpers.reference_tensor_nonzeros`).
+every golden-corpus report, and pin both rendered forms of the nonzero
+listings of the tables in a report (`pipeline._listing`) to the per-entry
+dict builder they replaced (`helpers.reference_tensor_nonzeros`).
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 from helpers import golden_corpus, reference_tensor_nonzeros
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import parse_manifold_file
-from nordenlight.pipeline import Nonzeros, Report, emit_report, run_pipeline
+from nordenlight.pipeline import Report, _listing, emit_report, run_pipeline
 
 CHARS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", " ", "\U0001d11e", "a", "Z", "0"]
 
@@ -61,14 +61,14 @@ def random_tree(rng: random.Random, depth: int):
 
 
 def expanded(tree):
-    """The tree with every `Nonzeros` listing replaced by the reference list
+    """The tree with every table replaced by the reference list
     of its entries, as json.dumps can write it."""
     if isinstance(tree, dict):
         return {key: expanded(value) for key, value in tree.items()}
     if isinstance(tree, list):
         return [expanded(value) for value in tree]
-    if isinstance(tree, Nonzeros):
-        return reference_tensor_nonzeros(tree.table)
+    if isinstance(tree, DenseTensor):
+        return reference_tensor_nonzeros(tree)
     return tree
 
 
@@ -111,10 +111,10 @@ TABLES = [
 
 @pytest.mark.parametrize("table", TABLES, ids=[f"dims{t.dims}-den{t.den}-nnz{len(t.nums)}" for t in TABLES])
 def test_listing_matches_reference(table):
-    listing, reference = Nonzeros(table), reference_tensor_nonzeros(table)
-    assert written({"listing": listing}) == dumps({"listing": reference})
+    reference = reference_tensor_nonzeros(table)
+    assert written({"listing": table}) == dumps({"listing": reference})
     labels = [f"e{i}" for i in range(1, max(table.dims) + 1)]
-    assert listing.render(labels, "  R(", ",", ") = ") == [
+    assert _listing(table, labels, "  R(", ",", ") = ") == [
         f"  R({','.join(labels[i - 1] for i in e['index'])}) = {e['value']}" for e in reference
     ]
 
@@ -124,4 +124,4 @@ def test_listings_cover_signs_denominators_and_the_empty_table():
     assert any(x < 0 for t in TABLES for x in t.nums)
     assert 1 in {t.den for t in TABLES} and max(t.den for t in TABLES) > 1
     empty = TABLES[-1]
-    assert empty.is_zero() and written({"listing": Nonzeros(empty)}) == '{\n  "listing": []\n}\n'
+    assert empty.is_zero() and written({"listing": empty}) == '{\n  "listing": []\n}\n'

@@ -256,10 +256,8 @@ def front_half(hs, amb):
             out.append(frame)
             continue
         out.append((nested(frame.xi), nested(frame.transversal), nested(frame.eta)))
-        rt = outcome(radical_transversal_check, frame)
-        out.append(
-            rt if isinstance(rt, tuple) else (rt.is_radical_transversal, rt.b, rt.screen_holomorphic)
-        )
+        rt = outcome(radical_transversal_check, frame)  # the screen holomorphy
+        out.append(rt if isinstance(rt, tuple) else (frame.b is not None, frame.b, rt))
     return out
 
 

@@ -21,6 +21,7 @@ from nordenlight.hypersurface import (
     construct_screen,
     construct_transversal,
     induce_and_classify,
+    radical_transversal_check,
     umbilical_test,
     validate_span,
     verify_frame_identities,
@@ -88,7 +89,7 @@ class TestScreen:
         indices = construct_screen(hs, cls)
         assert indices == (0, 2)  # now X4 first, X2 second
         run = run_hypersurface(amb, hs.span, "associated")
-        assert run.rt.is_radical_transversal and run.umb.umbilical
+        assert run.frame.b is not None and run.umb.umbilical
         # the canonical section is +X3 here, so rho flips sign; the gauge
         # invariant rho^2 / b is what must be preserved
         assert run.sf.rho ** 2 / run.frame.b == F(4)
@@ -128,20 +129,18 @@ class TestRadicalTransversal:
     def test_fixture_gauge_factor(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", NEG_X3)
-        assert run.rt.is_radical_transversal
-        assert run.rt.b == F(1)
-        assert run.rt.screen_holomorphic
+        assert run.frame.b == F(1)
+        assert radical_transversal_check(run.frame)  # the screen is J-invariant
 
     def test_rescaled_section_squares_factor(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (2, 3, 4)), "associated", vec_scale(X3, F(-2)))
-        assert run.rt.b == F(4)
+        assert run.frame.b == F(4)
 
     def test_negative_span_factor(self, golden):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, (1, 2, 4)), "associated", X1)
-        assert run.rt.is_radical_transversal
-        assert run.rt.b == F(-1)
+        assert run.frame.b == F(-1)
         assert nested(run.frame.transversal) == NEG_X3
 
 
@@ -194,9 +193,8 @@ class TestUmbilical:
         _, _, amb = golden
         diag = tuple(F(x) for x in (1, 0, 1, 0))
         run = run_hypersurface(amb, (X2, X4, diag), "principal")
-        assert run.cls.kind == "lightlike"
-        assert run.rt.is_radical_transversal
-        assert run.rt.b == F(-2)
+        assert run.classes["principal"].kind == "lightlike"
+        assert run.frame.b == F(-2)
         assert not run.umb.umbilical
 
 

@@ -3,13 +3,13 @@ full columns.
 
 `pi_fit` solves the first two components with independent coefficient rows
 for the two constants and compares the one table they give with the
-right-hand side; below rank 2 it runs `fit_tables` on the two columns. Each
-outcome is compared with `helpers.reference_pi_fit`, which runs
+right-hand side; below rank 2, which no valid Norden structure reaches, it
+raises. Each outcome is compared with `helpers.reference_pi_fit`, which runs
 `reference_fit_tables` on the columns pi1 - pi2 and pi3 of
 `reference_pi_tensors`: the kind, the solution and the null space. On whole
-verdicts the constants and degeneracy mark of `constant_trsc` and the primed
-pair of `associated_curvature` are compared too. `test_fuzz.py` runs the
-same comparison on mutated inputs.
+verdicts the constants of `constant_trsc` and the primed pair of
+`associated_curvature` are compared too. `test_fuzz.py` runs the same
+comparison on mutated inputs.
 """
 
 import random
@@ -43,7 +43,7 @@ from nordenlight.ambient import (
     validate_lie_algebra,
     validate_norden,
 )
-from nordenlight.errors import ValidationFailure
+from nordenlight.errors import InternalInconsistency, ValidationFailure
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import lie_algebra_spec, norden_from_file, parse_manifold_file
 
@@ -74,11 +74,7 @@ def status_of(sol):
     """The `TrscStatus` the reference solution stands for."""
     if sol.kind == "infeasible":
         return TrscStatus("not_constant", None, None)
-    return TrscStatus("constant", *sol.particular, degenerate=sol.kind == "parametric")
-
-
-def fit_tables_spy():
-    return mock.patch.object(ambient, "fit_tables", wraps=ambient.fit_tables)
+    return TrscStatus("constant", *sol.particular)
 
 
 def test_validated_corpus():
@@ -128,18 +124,15 @@ def test_tampered_curvature_is_infeasible(name):
         entries = list(r04.entries)
         entries[offset] += F(1, 3)
         tampered = DenseTensor.from_entries(r04.dims, entries)
-        with fit_tables_spy() as spy:
-            assert fits_like_the_reference(ns, tampered).kind == "infeasible"
-        assert not spy.called
+        assert fits_like_the_reference(ns, tampered).kind == "infeasible"
         assert constant_trsc(tampered, ns) == TrscStatus("not_constant", None, None)
 
 
 def test_rank_two_fit_does_not_build_the_columns():
     spec, ns = validated()["sl2c_borel"]
     builder = mock.patch.object(ambient, "pi_combination", wraps=ambient.pi_combination)
-    with fit_tables_spy() as spy, builder as build:
+    with builder as build:
         amb = build_ambient_geometry(spec, ns)
-    assert not spy.called
     # one expected table per fit, E for R and E' for -R~
     assert [c.args[1:] for c in build.call_args_list] == [(F(4), F(0)), (F(0), F(4))]
     assert (amb.trsc.nu, amb.trsc.nu_assoc, amb.assoc.nu_prime, amb.assoc.nu_assoc_prime) == (4, 0, 0, 4)
@@ -155,17 +148,15 @@ def test_random_structures_and_weights():
         tensors = reference_pi_tensors(ns.g, ns.j)
         a, b = (F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in range(2))
         rhs = reference_pi_combination(tensors, a, b)
-        with fit_tables_spy() as spy:
-            assert fits_like_the_reference(ns, rhs, tensors).particular == (a, b), trial
-            entries = list(rhs.entries)
-            entries[rng.randrange(len(entries))] += 1
-            tampered = DenseTensor.from_entries(rhs.dims, entries)
-            assert fits_like_the_reference(ns, tampered, tensors).kind == "infeasible", trial
-        assert not spy.called
+        assert fits_like_the_reference(ns, rhs, tensors).particular == (a, b), trial
+        entries = list(rhs.entries)
+        entries[rng.randrange(len(entries))] += 1
+        tampered = DenseTensor.from_entries(rhs.dims, entries)
+        assert fits_like_the_reference(ns, tampered, tensors).kind == "infeasible", trial
 
 
-# raw structures whose coefficient columns have rank below 2: every fit
-# reaches `fit_tables` on the full columns
+# raw structures whose coefficient columns have rank below 2, none of them a
+# valid Norden structure: every fit against them raises
 LOW_RANK = {
     "zero_metric": ([[0] * 4] * 4, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
     "zero_j": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], [[0] * 4] * 4),
@@ -176,40 +167,21 @@ LOW_RANK = {
 
 
 @pytest.mark.parametrize("name", list(LOW_RANK))
-def test_low_rank_columns_reach_the_fallback(name):
+def test_low_rank_columns_raise(name):
     ns = norden(*LOW_RANK[name])
     tensors = reference_pi_tensors(ns.g, ns.j)
     n = ns.g.dims[0]
-    rng = random.Random(name)
-    column = tensors[0] if name == "zero_j" else tensors[2]  # in the span of the columns
-    right_hand_sides = [
-        tensor_zeros((n,) * 4),
-        reference_pi_combination(tensors, F(5, 2), -3),
-        DenseTensor.from_entries((n,) * 4, [F(rng.randint(-2, 2)) for _ in range(n**4)]),
-        column,
-    ]
-    kinds = set()
+    zero = tensor_zeros((n,) * 4)
+    assert reference_pi_fit(ns, zero, tensors).kind == "parametric"  # the columns are dependent
+    right_hand_sides = [zero, reference_pi_combination(tensors, F(5, 2), -3), tensors[0]]
     for rhs in right_hand_sides:
-        with fit_tables_spy() as spy:
-            kinds.add(fits_like_the_reference(ns, rhs, tensors).kind)
-            status = constant_trsc(rhs, ns)
-        assert spy.called
-        assert status == status_of(reference_pi_fit(ns, rhs, tensors))
-        assert status.kind == "not_constant" or status.degenerate
-    assert kinds == {"parametric", "infeasible"}
+        with pytest.raises(InternalInconsistency, match="pi1 - pi2 and pi3 are dependent"):
+            constant_trsc(rhs, ns)
 
 
 def test_low_rank_associated_fit():
-    # with J = 0 the columns are (pi1, 0) and R~ is zero: a degenerate
-    # constant fit, and a primed pair from the parametric fit of zero
+    # with J = 0 the columns are (pi1, 0): the primed fit raises as the first does
     ns = norden(*LOW_RANK["zero_j"])
-    tensors = reference_pi_tensors(ns.g, ns.j)
-    rhs = reference_pi_combination(tensors, 3, 0)
-    status = constant_trsc(rhs, ns)
-    assert status == TrscStatus("constant", F(3), F(0), degenerate=True)
-    with fit_tables_spy() as spy:
-        assoc = associated_curvature(rhs, ns, status)
-    assert spy.call_count == 1
-    primed = reference_pi_fit(ns, tensor_zeros(rhs.dims), tensors)
-    assert primed.kind == "parametric"
-    assert (assoc.nu_prime, assoc.nu_assoc_prime) == primed.particular
+    rhs = reference_pi_combination(reference_pi_tensors(ns.g, ns.j), 3, 0)
+    with pytest.raises(InternalInconsistency, match="pi1 - pi2 and pi3 are dependent"):
+        associated_curvature(rhs, ns, TrscStatus("constant", F(3), F(0)))

@@ -58,7 +58,7 @@ class TestGoldenPipeline:
             "degenerate_fit": False,
         }
         assert amb["associated_constants"] == {"nu_prime": "0", "nu_assoc_prime": "4"}
-        assert len(amb["connection_nonzero"].table.nums) == 8
+        assert len(amb["connection_nonzero"].nums) == 8
 
     def test_hypersurface_section(self, golden_report):
         h = golden_report.data["hypersurfaces"][0]
@@ -436,3 +436,23 @@ def test_asymmetric_second_fundamental_form_fails_a_frame_identity(golden_mf, mo
     assert block["detail"] == "frame identity failed: second_fundamental_symmetric"
     assert block["identities"][0] == {"name": "second_fundamental_symmetric", "ok": False, "witness": [1, 3]}
     assert "frame identities: FAILED" in emit_report(report, "text")
+
+
+def test_full_path_block_applies_j_five_times(golden, golden_mf, monkeypatch):
+    # construct_transversal decides b from J xi and the frame keeps its memos:
+    # J xi, J E_a (the holomorphy check), J(P E_a), J(A_N E_a) and J of the
+    # screen connection are each built once
+    from nordenlight.ambient import NordenStructure
+    from nordenlight.manifold_file import hypersurface_specs
+    from nordenlight.pipeline import run_block
+
+    apply_j_rows, calls = NordenStructure.apply_j_rows, []
+
+    def counted(self, vectors):
+        calls.append(len(vectors[0]))
+        return apply_j_rows(self, vectors)
+
+    monkeypatch.setattr(NordenStructure, "apply_j_rows", counted)
+    run = run_block(hypersurface_specs(golden_mf)[0], golden[2])
+    assert run.stop is None and run.audit.consistent
+    assert len(calls) == 5

@@ -58,8 +58,7 @@ class TestScreenChoiceIndependence:
         _, ns, amb = golden
         span = basis_span(4, indices)
         run = run_hypersurface(amb, span, "associated")
-        assert run.rt.is_radical_transversal
-        assert run.rt.b is not None
+        assert run.frame.b is not None
         assert run.umb.umbilical
         assert run.sf.rho ** 2 / run.frame.b == F(4)
         # every downstream symmetry flag is independent of the input order
@@ -78,7 +77,7 @@ class TestScreenChoiceIndependence:
     def test_negative_span_permutations(self, golden, indices):
         _, _, amb = golden
         run = run_hypersurface(amb, basis_span(4, indices), "associated")
-        assert run.rt.is_radical_transversal
+        assert run.frame.b is not None
         assert not run.umb.umbilical
 
 
