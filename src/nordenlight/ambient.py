@@ -31,11 +31,13 @@ derivatives of scalars vanish identically and every formula is algebraic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import mul
 
 from .errors import InternalInconsistency, ValidationFailure
 from .exact import (
@@ -313,33 +315,44 @@ def curvature(
     spec: LieAlgebraSpec, gamma: DenseTensor, ns: NordenStructure
 ) -> tuple[DenseTensor, DenseTensor]:
     """Curvature tables: riemann13[i,j,k,l] holds the X_l coefficient of
-    R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric. Both are
-    accumulated from nonzero entries alone: the products of the matrices G_i
-    (row m is D_{X_i} X_m) from their nonzero rows, the bracket term from
-    the nonzero structure constants."""
+    R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric. R13 is
+    scattered from nonzero entries alone: D_{X_i} D_{X_j} X_k from each
+    nonzero connection entry against the nonzero rows it meets, the bracket
+    term from each nonzero structure constant against the nonzero rows of
+    one slice of the connection."""
     n = spec.dim
     dgm, dc = gamma.den, spec.brackets.den
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
-    # the slices G_i (row m is D_{X_i} X_m) side by side: row m holds
-    # D_{X_i} X_m at columns i * n + q, so row (j, k) of gamma times it holds
-    # row k of every product G_j G_i, D_i D_j X_k
-    beside: dict[int, list[tuple[int, int]]] = {}
+    rows = defaultdict(partial(mul, [0], n))  # row (i * n + j) * n + k: R(X_i, X_j)X_k
+    # D_{X_i} D_{X_j} X_k = sum_m G[j][k][m] D_{X_i} X_m, with G[i][m] the
+    # row D_{X_i} X_m: each nonzero G[j][k][m] meets the nonzero rows
+    # G[i][m] and enters row (i, j, k) and, negated, row (j, i, k); i = j
+    # cancels
+    with_last: dict[int, list] = {}  # m -> (i, G[i][m]) over the nonzero rows
     for r, items in gamma.rows.items():
         i, m = divmod(r, n)
-        beside.setdefault(m, []).extend((i * n + q, x) for q, x in items)
-    rows: dict[int, list[int]] = {}  # row (i * n + j) * n + k: R(X_i, X_j)X_k
-    for r, row in int_matmul(gamma.rows, RowIndex(beside, n * n)).items():
+        with_last.setdefault(m, []).append((i, items))
+    for r, items in gamma.rows.items():
         j, k = divmod(r, n)
-        for i in range(n):
-            if any(sl := row[i * n : (i + 1) * n]):  # enters R(X_i, X_j)X_k, negated R(X_j, X_i)X_k
-                add_row(rows, (i * n + j) * n + k, f_prod, sl)
-                add_row(rows, (j * n + i) * n + k, -f_prod, sl)
-    # - D_{[X_i, X_j]} X_k: row (i, j) of the bracket table times the rows of gamma
-    for r, row in int_matmul(spec.brackets.rows, gamma.leading).items():
-        for k in range(n):
-            if any(sl := row[k * n : (k + 1) * n]):
-                add_row(rows, r * n + k, -f_bracket, sl)
+        for m, x in items:
+            x *= f_prod
+            for i, g_im in with_last.get(m, ()):
+                if i != j:
+                    out, opp = rows[(i * n + j) * n + k], rows[(j * n + i) * n + k]
+                    for q, y in g_im:
+                        out[q] += x * y
+                        opp[q] -= x * y
+    # - D_{[X_i, X_j]} X_k: each nonzero structure constant c of X_m in
+    # [X_i, X_j] meets the nonzero rows of the slice G_m
+    none: dict = {}
+    for r, items in spec.brackets.rows.items():
+        for m, c in items:
+            c *= f_bracket
+            for k, g_mk in gamma.blocks.get(m, none).items():
+                out = rows[r * n + k]
+                for q, y in g_mk:
+                    out[q] -= c * y
     dims = (n, n, n, n)
     r13 = DenseTensor.from_rows(dims, rows, den)
     r04 = int_matmul(r13.rows, ns.operands["principal"])

@@ -27,8 +27,10 @@ pipeline behind them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 from operator import mul
@@ -345,56 +347,73 @@ def _scan_pairs(r13: DenseTensor) -> list[tuple[int, int]]:
 def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
     """The flag of the derivations that operators yields, as (witness
     prefix, a) pairs in scan order, a given by its nonzero rows over den (row
-    k holds a X_k): the first block (u, v), scanned as in `_scan_pairs`, at
-    which some a acts with a nonzero component,
+    k holds a X_k): the first a that acts on the table with a nonzero
+    component,
 
         (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W),
 
-    and the least such w. Each block R(X_u, X_v) is read by its nonzero rows
-    (`DenseTensor.blocks`) and its components accumulated from those entries
-    alone, row by row as in Gustavson's sparse product."""
+    and its least such (u, v, w). When the table is antisymmetric in its
+    first two slots, so is a.R, and its least nonzero (u, v, w) has u < v:
+    only v > u is scanned. Other tables get every v. Each a is applied to the
+    whole table as four scatters, one per slot, driven by the nonzero rows
+    of a as in Gustavson's sparse product: a R(U,V,W) from the entries of
+    the table by their last index, R(U,V,a W) from its rows by their third
+    index, R(a U,V,W) and R(U,a V,W) from its blocks R(X_k, X_v) and
+    R(X_u, X_k). The components are accumulated one leading index u at a
+    time, for every scanned v and w at once, and the scan stops at the first
+    u with a nonzero component."""
     m = r13.dims[0]
-    pairs = _scan_pairs(r13)
+    skew = r13.antisymmetric
     blocks = r13.blocks
+    # per leading index u, over its scanned v: the entries x of R(X_u,
+    # X_v)X_w at X_k as (v * m + w, x) by k, and the rows R(X_u, X_v)X_k as
+    # (v, row) by k
+    by_last: list[dict[int, list]] = [{} for _ in range(m)]
+    by_third: list[dict[int, list]] = [{} for _ in range(m)]
+    for r, items in r13.rows.items():
+        u, vw = divmod(r, m * m)
+        v, w = divmod(vw, m)
+        if v > u or not skew:
+            by_third[u].setdefault(w, []).append((v, items))
+            for k, x in items:
+                by_last[u].setdefault(k, []).append((vw, x))
     none: dict = {}
+    acc = defaultdict(partial(mul, [0], m))  # v * m + w -> components at (u, v, w)
     for prefix, a in operators:
         if not a:
             continue
-        a_rows = list(a.items())
-        for u, v in pairs:
-            b = blocks.get(u * m + v)
-            acc = {}  # w -> components of the block at W = X_w
-            if b:
-                for w, items in b.items():  # a R(U,V,W)
-                    out = None
-                    for k, x in items:
-                        a_k = a.get(k)
-                        if a_k:
-                            out = out or acc.get(w) or acc.setdefault(w, [0] * m)
-                            for q, y in a_k:
-                                out[q] += x * y
-                for w, items in a_rows:  # -R(U,V,a W)
-                    out = None
-                    for k, x in items:
-                        b_k = b.get(k)
-                        if b_k:
-                            out = out or acc.get(w) or acc.setdefault(w, [0] * m)
-                            for q, y in b_k:
-                                out[q] -= x * y
-            for k, x in a.get(u, ()):  # -R(a U,V,W)
-                for w, items in blocks.get(k * m + v, none).items():
-                    out = acc.get(w) or acc.setdefault(w, [0] * m)
-                    for q, y in items:
-                        out[q] -= x * y
-            for k, x in a.get(v, ()):  # -R(U,a V,W)
-                for w, items in blocks.get(u * m + k, none).items():
-                    out = acc.get(w) or acc.setdefault(w, [0] * m)
-                    for q, y in items:
-                        out[q] -= x * y
-            w = min((w for w, out in acc.items() if any(out)), default=None) if acc else None
-            if w is not None:
-                value = DenseTensor.from_lattice((m,), acc[w], r13.den * den)
-                return FlagResult(False, prefix + (u + 1, v + 1, w + 1), value)
+        a_rows = a.items()
+        for u in range(m):
+            v0, last_u, third_u = u + 1 if skew else 0, by_last[u], by_third[u]
+            acc.clear()
+            for k, a_k in a_rows:  # a R(U,V,W)
+                for vw, x in last_u.get(k, ()):
+                    out = acc[vw]
+                    for q, y in a_k:
+                        out[q] += x * y
+            for w, a_w in a_rows:  # -R(U,V,a W)
+                for k, y in a_w:
+                    for v, items in third_u.get(k, ()):
+                        out = acc[v * m + w]
+                        for q, z in items:
+                            out[q] -= y * z
+            for k, y in a.get(u, ()):  # -R(a U,V,W)
+                for v in range(v0, m):
+                    for w, items in blocks.get(k * m + v, none).items():
+                        out = acc[v * m + w]
+                        for q, z in items:
+                            out[q] -= y * z
+            for v, a_v in a_rows:  # -R(U,a V,W)
+                if v >= v0:
+                    for k, y in a_v:
+                        for w, items in blocks.get(u * m + k, none).items():
+                            out = acc[v * m + w]
+                            for q, z in items:
+                                out[q] -= y * z
+            if any(map(any, acc.values())):
+                vw = min(vw for vw, out in acc.items() if any(out))
+                value = DenseTensor.from_lattice((m,), acc[vw], r13.den * den)
+                return FlagResult(False, prefix + (u + 1, vw // m + 1, vw % m + 1), value)
     return FlagResult(True)
 
 
@@ -410,9 +429,10 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
     strictly ordered pairs decides the vanishing of all tuples; tables
     without that symmetry get the full scan. The evaluation is driven by the
     nonzero entries of the table: pairs (x, y) with R(X_x, X_y) = 0 are
-    skipped, and for the others the components are accumulated one (u, v)
-    block at a time, all w at once, stopping at the first block with a
-    nonzero component; its least such w completes the witness."""
+    skipped, and each other R(X_x, X_y) acts on the whole table as in
+    `_first_nonzero_action`, one leading index u at a time, all (v, w) at
+    once, stopping at the first u with a nonzero component; its least such
+    (v, w) completes the witness."""
     m = r13.dims[0]
     operators = (((x + 1, y + 1), r13.blocks.get(x * m + y)) for x, y in _scan_pairs(r13))
     return _first_nonzero_action(r13, operators, r13.den)
@@ -459,9 +479,9 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
     antisymmetric in (X, Y) when the table is, so pairs are scanned as in
     `_scan_pairs`. D_U acts on R as the derivation with the matrix of
     D_U X_k, so it is evaluated like the semi-symmetric check: from the
-    nonzero rows of induced_gamma[u] and of the table, one (u, x, y) block
-    at a time, all z at once, stopping at the first block with a nonzero
-    component; its least such z completes the witness."""
+    nonzero rows of induced_gamma[u] and of the table, one leading index x
+    at a time, all (y, z) at once, stopping at the first x with a nonzero
+    component; its least such (y, z) completes the witness."""
     operators = (((u + 1,), induced_gamma.blocks.get(u)) for u in range(r13.dims[0]))
     return _first_nonzero_action(r13, operators, induced_gamma.den)
 

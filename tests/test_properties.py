@@ -1,10 +1,12 @@
 """Cross-cutting invariants: screen-choice independence, witness soundness,
 and the engine-level consistency guards."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     brute_semi_symmetric,
     derivation_action_direct,
     family_member,
+    family_text,
     matrix,
     nested,
     non_invariant_screen_run,
@@ -31,11 +34,12 @@ from helpers import (
     verify_metric_compatibility,
     verify_torsion_free,
 )
-from nordenlight.ambient import TrscStatus, ambient_ricci, ricci_trace
+from nordenlight.ambient import TrscStatus, ambient_ricci, build_ambient_geometry, ricci_trace
 from nordenlight.errors import InternalInconsistency
 from nordenlight.exact import DenseTensor
 from nordenlight.hypersurface import verify_frame_identities
-from nordenlight.pipeline import emit_report, run_pipeline
+from nordenlight.manifold_file import hypersurface_specs, lie_algebra_spec, norden_from_file, parse_manifold_file
+from nordenlight.pipeline import emit_report, run_block, run_pipeline
 from nordenlight.symmetry import (
     closed_form_curvature,
     induced_curvature_gauss,
@@ -45,6 +49,7 @@ from nordenlight.symmetry import (
 )
 
 NEG_X3 = vec_scale(unit_vector(4, 2), F(-1))
+DERIVATION_WITNESSES = Path(__file__).resolve().parent / "golden" / "derivation_witnesses.json"
 
 
 class TestScreenChoiceIndependence:
@@ -231,13 +236,25 @@ def _assert_checkers_match_brute_force(table, gamma, ric=None):
     return tuple(flag.holds for flag, _ in flags)
 
 
+def _family_block_tables(h):
+    """The induced curvature table and connection of the family's block at
+    complex dimension h."""
+    mf = parse_manifold_file(family_text(h))
+    run = run_block(hypersurface_specs(mf)[0], build_ambient_geometry(lie_algebra_spec(mf), norden_from_file(mf)))
+    return run.r13, run.sf.induced_gamma
+
+
 class TestCheckersAgainstBruteForce:
     def test_random_raw_tables(self):
-        # raw tables with denominators from about 5% to 100% nonzero,
-        # antisymmetrized in the first slot pair or not, with a connection of
-        # the same density and a Ricci table that is not always symmetric
+        # raw tables with denominators from about 5% to 100% nonzero at m =
+        # 4-6, and sparse ones at m = 7, antisymmetrized in the first slot
+        # pair or not, with a connection of the same density and a Ricci
+        # table that is not always symmetric
         rng = random.Random(41)
-        cases = product((4, 5, 6), (0.05, 0.2, 0.5, 1.0), (False, True), range(2))
+        cases = chain(
+            product((4, 5, 6), (0.05, 0.2, 0.5, 1.0), (False, True), range(2)),
+            product((7,), (0.05, 0.2), (False, True), range(2)),
+        )
         for m, density, antisymmetric, _ in cases:
             idx = range(m)
 
@@ -287,6 +304,41 @@ class TestCheckersAgainstBruteForce:
             entries[i] += F(1, 3) if i % 2 else F(-2)
             perturbed = DenseTensor.from_entries(table.dims, entries)
             assert _assert_checkers_match_brute_force(perturbed, gamma) == (False, False)
+
+    @pytest.mark.parametrize("case", ["family_h6", "dense_h5"])
+    def test_pinned_one_entry_perturbations(self, case):
+        # one-entry perturbations of tables too wide for the brute-force
+        # scans, with antisymmetry kept (the entry and its swap) and broken:
+        # the checkers return the pinned (holds, witness, value) of the
+        # product-order scan. The h = 6 family's block is the sparse_d12
+        # table; the h = 5 block is rebased to a dense basis (the product of
+        # the unit upper and lower triangular matrices of ones, second row
+        # halved)
+        if case == "family_h6":
+            table, gamma = _family_block_tables(6)
+        else:
+            p = [[F(9 - max(a, i), 2 if a == 1 else 1) for i in range(9)] for a in range(9)]
+            table, gamma = (rebase(t, p) for t in _family_block_tables(5))
+        m = table.dims[0]
+        for pinned in json.loads(DERIVATION_WITNESSES.read_text())[case]:
+            perturbed = table
+            if pinned["entry"] is not None:
+                i, j, k, l = pinned["entry"]
+                delta = F(pinned["delta"])
+                entries = list(table.entries)
+                entries[((i * m + j) * m + k) * m + l] += delta
+                if pinned["antisymmetric"]:
+                    entries[((j * m + i) * m + k) * m + l] -= delta
+                perturbed = DenseTensor.from_entries(table.dims, entries)
+            assert perturbed.antisymmetric == pinned["antisymmetric"]
+            flags = {"semi": semi_symmetric_check(perturbed), "local": locally_symmetric_check(perturbed, gamma)}
+            for key, flag in flags.items():
+                holds, witness, value = pinned[key]
+                assert flag.holds == holds
+                assert flag.witness == (None if witness is None else tuple(witness))
+                assert (None if flag.value is None else list(flag.value.entries)) == (
+                    None if value is None else [F(x) for x in value]
+                )
 
 
 def _perturbed(sf, field: str, offset: int, delta):
