@@ -12,11 +12,16 @@ whether the curvature has the constant-coefficient form
 
 in the two curvature-type tensors pi1, pi2 built from g and g-compose-J and
 the mixed tensor pi3. The coefficients nu and nu_assoc are the totally real
-sectional curvatures with respect to g; the primed pair taken with respect to
-the associated metric is (-nu_assoc, nu). The fit solves two components with
+sectional curvatures with respect to g. The fit solves two components with
 independent coefficient rows for the two constants and compares the one
 expected table they give with the curvature; the pi-tensors are never built
 one by one.
+
+The primed pair, taken with respect to the associated metric, is
+(-nu_assoc, nu) and is not fitted again: the associated tensors are those of
+g with pi1 and pi2 swapped and pi3 negated (`verify_pi_assoc_relations`),
+and W -> JW sends pi1 - pi2 to -pi3 and pi3 to pi1 - pi2, so the curvature
+R~(X, Y, Z, W) = R(X, Y, Z, JW) of g~ is of constant type exactly when R is.
 
 Conventions, fixed once for the whole engine:
 
@@ -478,41 +483,6 @@ def constant_trsc(r04: DenseTensor, ns: NordenStructure) -> TrscStatus:
     return TrscStatus("constant", *sol.particular.entries)
 
 
-@dataclass(frozen=True)
-class AssociatedCurvature:
-    """The constants of the curvature fit against the associated-metric tensors."""
-
-    nu_prime: Fraction | None
-    nu_assoc_prime: Fraction | None
-
-
-def associated_curvature(r04: DenseTensor, ns: NordenStructure, trsc: TrscStatus) -> AssociatedCurvature:
-    """R~(X,Y,Z,W) = R(X,Y,Z,JW), refitted against the associated-metric
-    tensors. With constant curvatures the primed pair must be
-    (-nu_assoc, nu); any other outcome is an engine inconsistency.
-
-    The associated tensors are pi2 - pi1 and -pi3 (see
-    `verify_pi_assoc_relations`), so the fit is `pi_fit` against -R~: each
-    of its rows is the negative of a row of the associated system, and a
-    row scaled by -1 leaves the solution unchanged. With constant
-    curvatures its expected table is -nu_assoc (pi1 - pi2) + nu pi3."""
-    j, dj = ns.j.lattice()
-    # the last slot times J
-    assoc = DenseTensor.from_rows(r04.dims, int_matmul(r04.rows, row_index(j)), r04.den * dj)
-    sol = pi_fit(ns, -assoc)
-    if sol.kind == "infeasible":
-        if trsc.kind == "constant":
-            raise InternalInconsistency("associated curvature fit infeasible despite constant fit")
-        return AssociatedCurvature(None, None)
-    nu_prime, nu_assoc_prime = sol.particular.entries
-    if trsc.kind == "constant" and (nu_prime, nu_assoc_prime) != (-trsc.nu_assoc, trsc.nu):
-        raise InternalInconsistency(
-            "primed curvature constants do not match (-nu_assoc, nu): "
-            f"got ({format_rational(nu_prime)}, {format_rational(nu_assoc_prime)})"
-        )
-    return AssociatedCurvature(nu_prime, nu_assoc_prime)
-
-
 def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None) -> DenseTensor:
     """Ricci table Ric(X, Y) = trace of Z -> R(Z, X)Y.
 
@@ -558,27 +528,27 @@ class AmbientGeometry:
     riemann13: DenseTensor
     riemann04: DenseTensor
     trsc: TrscStatus
-    assoc: AssociatedCurvature
     ricci: DenseTensor
 
 
 def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> AmbientGeometry:
-    """Derive connection, curvature and the constant-curvature fits for
-    validated input. The fits solve two independent components for the two
-    constants and compare the one expected table each builds with R and -R~
-    (`pi_fit`); no pi-tensor is built on its own, and each fit is unique or
+    """Derive connection, curvature and the constant-curvature fit for
+    validated input. The fit solves two independent components for the two
+    constants and compares the one expected table they build with R
+    (`pi_fit`); no pi-tensor is built on its own, and the fit is unique or
     infeasible, because pi1 - pi2 and pi3 are independent on a valid Norden
-    structure.
+    structure. The primed constants of the associated metric follow from it
+    (see the module docstring) and are not refitted.
 
     Raises ValidationFailure when J is not parallel (the manifold is then
     outside the engine's scope) and InternalInconsistency when one of the
     built-in cross-checks fails (the parallel-J/connection-difference
     agreement, the associated-tensor relations as two n x n identities, the
-    independence of the two fit columns, the primed-constants relation, the
-    Ricci closed form).
+    independence of the two fit columns, the Ricci closed form).
     Torsion-freeness, metric compatibility, the curvature symmetries, the
-    Kaehler curvature identity and the componentwise associated-tensor
-    relations are not checked here; the test suite checks them.
+    Kaehler curvature identity, the componentwise associated-tensor
+    relations and the refit of R~ against the associated tensors are not
+    checked here; the test suite checks them.
     """
     gamma = levi_civita(spec, ns)
     kaehler = kaehler_check(spec, ns, gamma)
@@ -592,6 +562,5 @@ def build_ambient_geometry(spec: LieAlgebraSpec, ns: NordenStructure) -> Ambient
     r13, r04 = curvature(spec, gamma, ns)
     verify_pi_assoc_relations(ns)
     trsc = constant_trsc(r04, ns)
-    assoc = associated_curvature(r04, ns, trsc)
     ricci = ambient_ricci(r13, ns, trsc)
-    return AmbientGeometry(spec, ns, gamma, r13, r04, trsc, assoc, ricci)
+    return AmbientGeometry(spec, ns, gamma, r13, r04, trsc, ricci)

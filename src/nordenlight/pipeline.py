@@ -239,6 +239,7 @@ def run_pipeline(mf: ManifoldFile) -> Report:
         return Report(data, 5)
 
     trsc = amb.trsc
+    constant = trsc.kind == "constant"
     data["ambient"] = {
         "dim": spec.dim,
         "basis_labels": list(labels),
@@ -254,15 +255,13 @@ def run_pipeline(mf: ManifoldFile) -> Report:
                 # structure, so the fit is never parametric
                 "degenerate_fit": False,
             }
-            if trsc.kind == "constant"
+            if constant
             else {"kind": "not_constant"}
         ),
+        # the constants of g~ = gJ, derived from the fit (see `ambient`)
         "associated_constants": (
-            {
-                "nu_prime": format_rational(amb.assoc.nu_prime),
-                "nu_assoc_prime": format_rational(amb.assoc.nu_assoc_prime),
-            }
-            if amb.assoc.nu_prime is not None
+            {"nu_prime": format_rational(-trsc.nu_assoc), "nu_assoc_prime": format_rational(trsc.nu)}
+            if constant
             else None
         ),
         "ricci_nonzero": amb.ricci,
@@ -474,11 +473,8 @@ def _render_text(report: Report) -> str:
         lines.append(
             f"totally real sectional curvatures: constant, nu = {cc['nu']}, nu_assoc = {cc['nu_assoc']}"
         )
-        if amb["associated_constants"]:
-            ac = amb["associated_constants"]
-            lines.append(
-                f"associated-metric constants: nu' = {ac['nu_prime']}, nu_assoc' = {ac['nu_assoc_prime']}"
-            )
+        ac = amb["associated_constants"]
+        lines.append(f"associated-metric constants: nu' = {ac['nu_prime']}, nu_assoc' = {ac['nu_assoc_prime']}")
     else:
         lines.append("totally real sectional curvatures: not constant")
     lines.append(f"note: {amb['ricci_sign_note']}")

@@ -1409,9 +1409,27 @@ def reference_pi_fit(ns: NordenStructure, rhs: DenseTensor, tensors=None) -> Lin
     return reference_fit_tables([flat_lattice(t) for t in columns], flat_lattice(rhs))
 
 
+def derived_primed(fit: LinearSolution):
+    """The primed pair (nu', nu_assoc') = (-nu_assoc, nu) of the associated
+    metric that a fit (nu, nu_assoc) of R gives, or None when the fit is
+    infeasible: what the report writes, and what the refit of -R~ must give."""
+    if fit.particular is None:
+        return None
+    nu, nu_assoc = fit.particular
+    return -nu_assoc, nu
+
+
+def reported_primed(data: dict):
+    """The `associated_constants` of the ambient section of a structured
+    report as the Fraction pair (nu', nu_assoc'), or None where it is null."""
+    pair = data["ambient"]["associated_constants"]
+    return pair and (Fraction(pair["nu_prime"]), Fraction(pair["nu_assoc_prime"]))
+
+
 def reference_associated_table(r04: DenseTensor, ns: NordenStructure) -> DenseTensor:
-    """Reference for the table of `ambient.associated_curvature`,
-    R~(X,Y,Z,W) = R(X,Y,Z,JW), one dense product per (i, a) block."""
+    """The curvature R~(X,Y,Z,W) = R(X,Y,Z,JW) of the associated metric, one
+    dense product per (i, a) block. The engine never builds it; the tests
+    refit -R~ with `reference_pi_fit` and compare with `derived_primed`."""
     n = r04.dims[0]
     t, dt = r04.lattice()
     j, dj = ns.j.lattice()
@@ -1723,6 +1741,22 @@ INVALID_CAUSES = ("j_scaled", "metric_scaled", "jacobi", "kaehler")
 FIXTURE_STEMS = ("abelian_flat", "sl2c_borel")
 
 
+# The realified complex Heisenberg algebra [e1, e2] = e3 with B = sum ek^2:
+# X_k = e_k, X_{3+k} = i e_k, J X_k = X_{3+k}, g = Re B. Its curvature is
+# not of constant type, so the fit reports not_constant and no primed
+# constants; of its four blocks two are nondegenerate and two not umbilical.
+HEISENBERG_C_H3 = (
+    "DIM 6\n"
+    "BRACKET 1 2 = 3:1\nBRACKET 1 5 = 6:1\nBRACKET 2 4 = 6:-1\nBRACKET 4 5 = 3:-1\n"
+    + "".join(f"METRIC {i} {i} = {1 if i <= 3 else -1}\n" for i in range(1, 7))
+    + "".join(f"J {k} = {k + 3}:1\nJ {k + 3} = {k}:-1\n" for k in range(1, 4))
+    + "HYPERSURFACE metric=principal span=2,3,4,5,6\n"
+    "HYPERSURFACE metric=assoc span=2,3,4,5,6\n"
+    "HYPERSURFACE metric=principal span=1,2,3,5,6\n"
+    "HYPERSURFACE metric=assoc span=1,3,4,5,6\n"
+)
+
+
 def golden_corpus() -> list[tuple[str, str]]:
     """(name, `.mf` text) of the inputs whose report digests are pinned in
     tests/golden/report_digests.json: the hand-written fixtures, the family
@@ -1730,8 +1764,9 @@ def golden_corpus() -> list[tuple[str, str]]:
     breaks Jacobi), one with four blocks (full path, nondegenerate, not a
     subalgebra, not umbilical), the family at h = 8 (dim 16, `MAX_DIM`) as
     written and conjugated, and one input for each cause of
-    `invalid_family_text`, and the principal-metric dual of the family at
-    h = 3 (`principal_dual_text`)."""
+    `invalid_family_text`, the principal-metric dual of the family at
+    h = 3 (`principal_dual_text`), and the realified complex Heisenberg
+    algebra, whose curvature is not of constant type (`HEISENBERG_C_H3`)."""
     from pathlib import Path
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1754,6 +1789,7 @@ def golden_corpus() -> list[tuple[str, str]]:
     corpus.append(("family_h8_conjugated", conjugated_family_text(8)))
     corpus += [(f"invalid_{cause}_h3", invalid_family_text(cause)) for cause in INVALID_CAUSES]
     corpus.append(("family_h3_principal_dual", principal_dual_text(family_text(3))))
+    corpus.append(("heisenberg_c_h3", HEISENBERG_C_H3))
     return corpus
 
 

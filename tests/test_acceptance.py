@@ -26,6 +26,7 @@ from helpers import (
     random_norden_pair,
     random_unimodular,
     reference_pi_tensors,
+    reported_primed,
     run_hypersurface,
     scale_brackets,
     symmetry_closure_table,
@@ -148,11 +149,12 @@ def test_c02_curvature_reproduction(golden):
     _ok(2, "curvature reproduction")
 
 
-def test_c03_constant_curvature_detection(golden):
+def test_c03_constant_curvature_detection(golden, golden_mf):
     _, _, amb = golden
     assert amb.trsc.kind == "constant"
     assert (amb.trsc.nu, amb.trsc.nu_assoc) == (F(4), F(0))
-    assert (amb.assoc.nu_prime, amb.assoc.nu_assoc_prime) == (F(0), F(4))
+    # the primed pair of the associated metric, (-nu_assoc, nu)
+    assert reported_primed(run_pipeline(golden_mf).data) == (F(0), F(4))
     _ok(3, "constant totally real sectional curvature detection")
 
 

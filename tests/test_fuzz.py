@@ -8,8 +8,9 @@ clean exit code, 0, 2, 3 or 4: never a traceback and never exit 5, which
 marks an engine bug. Every input that parses must round-trip through
 `to_text`. On every input that passes validation, the constant-curvature
 fits of the curvature and of -R~ (`ambient.pi_fit`) must give the outcome of
-`fit_tables` on the full columns (`helpers.reference_pi_fit`). Skipped when
-hypothesis is not installed.
+`fit_tables` on the full columns (`helpers.reference_pi_fit`), and the refit
+of -R~ must give the primed pair that the report derives from the first fit
+(`helpers.derived_primed`). Skipped when hypothesis is not installed.
 """
 
 import re
@@ -20,11 +21,13 @@ import pytest
 
 from helpers import (
     FIXTURE_STEMS,
+    derived_primed,
     family_text,
     fraction_solution,
     reference_associated_table,
     reference_pi_fit,
     reference_pi_tensors,
+    reported_primed,
     tensor_neg,
 )
 from nordenlight.ambient import curvature, levi_civita, pi_fit, validate_lie_algebra, validate_norden
@@ -134,5 +137,12 @@ def test_pi_fit_matches_fit_tables_on_mutated_inputs(text):
     # J need not be parallel: the fits run on the curvature either way
     _, r04 = curvature(spec, levi_civita(spec, ns), ns)
     tensors = reference_pi_tensors(ns.g, ns.j)
+    fits = []
     for rhs in (r04, tensor_neg(reference_associated_table(r04, ns))):
-        assert fraction_solution(pi_fit(ns, rhs)) == reference_pi_fit(ns, rhs, tensors)
+        fits.append(reference_pi_fit(ns, rhs, tensors))
+        assert fraction_solution(pi_fit(ns, rhs)) == fits[-1]
+    own, primed = fits
+    assert primed.particular == derived_primed(own)
+    data = run_pipeline(mf).data
+    if "associated_constants" in data.get("ambient", {}):  # J is parallel
+        assert reported_primed(data) == primed.particular

@@ -7,9 +7,10 @@ right-hand side; below rank 2, which no valid Norden structure reaches, it
 raises. Each outcome is compared with `helpers.reference_pi_fit`, which runs
 `reference_fit_tables` on the columns pi1 - pi2 and pi3 of
 `reference_pi_tensors`: the kind, the solution and the null space. On whole
-verdicts the constants of `constant_trsc` and the primed pair of
-`associated_curvature` are compared too. `test_fuzz.py` runs the same
-comparison on mutated inputs.
+verdicts the constants of `constant_trsc` are compared too, and so is the
+primed pair the report derives from them, (-nu_assoc, nu) or null, with the
+n^4 refit of R~ against the associated tensors that the engine does not run.
+`test_fuzz.py` runs the same comparisons on mutated inputs.
 """
 
 import random
@@ -20,6 +21,7 @@ from unittest import mock
 import pytest
 
 from helpers import (
+    derived_primed,
     fraction_solution,
     golden_corpus,
     norden,
@@ -28,13 +30,13 @@ from helpers import (
     reference_pi_combination,
     reference_pi_fit,
     reference_pi_tensors,
+    reported_primed,
     tensor_neg,
     tensor_zeros,
 )
 from nordenlight import ambient
 from nordenlight.ambient import (
     TrscStatus,
-    associated_curvature,
     build_ambient_geometry,
     constant_trsc,
     curvature,
@@ -46,13 +48,17 @@ from nordenlight.ambient import (
 from nordenlight.errors import InternalInconsistency, ValidationFailure
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import lie_algebra_spec, norden_from_file, parse_manifold_file
+from nordenlight.pipeline import run_pipeline
+
+
+TEXTS = dict(golden_corpus())
 
 
 @cache
 def validated():
     """{name: (spec, norden)} of the golden inputs that pass validation."""
     out = {}
-    for name, text in golden_corpus():
+    for name, text in TEXTS.items():
         mf = parse_manifold_file(text)
         spec, ns = lie_algebra_spec(mf), norden_from_file(mf)
         if validate_lie_algebra(spec).ok and validate_norden(spec, ns).ok:
@@ -61,6 +67,9 @@ def validated():
 
 
 NAMES = list(validated())
+# the validated inputs whose curvature is not of constant type (the second
+# has a J that is not parallel, so its fits run on the curvature alone)
+NOT_CONSTANT = {"heisenberg_c_h3", "invalid_kaehler_h3"}
 
 
 def fits_like_the_reference(ns, rhs, tensors=None):
@@ -81,7 +90,7 @@ def test_validated_corpus():
     # every input but those failing validation, so the dim-16 inputs and the
     # valid input whose J is not parallel are among them
     failing = {"jacobi_broken_h3", "invalid_j_scaled_h3", "invalid_metric_scaled_h3", "invalid_jacobi_h3"}
-    assert set(NAMES) == {name for name, _ in golden_corpus()} - failing
+    assert set(NAMES) == set(TEXTS) - failing
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -96,14 +105,14 @@ def test_golden_fits_match_fit_tables(name):
     else:
         r04 = amb.riemann04
     own = fits_like_the_reference(ns, r04, tensors)
+    # the refit of -R~ against the associated tensors; the engine derives its outcome from the first fit
     primed = fits_like_the_reference(ns, tensor_neg(reference_associated_table(r04, ns)), tensors)
     assert status_of(own) == constant_trsc(r04, ns)
+    assert (own.kind == primed.kind == "infeasible") == (name in NOT_CONSTANT)
+    assert primed.particular == derived_primed(own)
     if amb is not None:
         assert amb.trsc == status_of(own)
-        assert (amb.assoc.nu_prime, amb.assoc.nu_assoc_prime) == (primed.particular or (None, None))
-    if own.kind != "infeasible":
-        nu, nu_assoc = own.particular
-        assert primed.particular == (-nu_assoc, nu)
+        assert reported_primed(run_pipeline(parse_manifold_file(TEXTS[name])).data) == primed.particular
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -133,9 +142,9 @@ def test_rank_two_fit_does_not_build_the_columns():
     builder = mock.patch.object(ambient, "pi_combination", wraps=ambient.pi_combination)
     with builder as build:
         amb = build_ambient_geometry(spec, ns)
-    # one expected table per fit, E for R and E' for -R~
-    assert [c.args[1:] for c in build.call_args_list] == [(F(4), F(0)), (F(0), F(4))]
-    assert (amb.trsc.nu, amb.trsc.nu_assoc, amb.assoc.nu_prime, amb.assoc.nu_assoc_prime) == (4, 0, 0, 4)
+    # one expected table, for the one fit of R
+    assert [c.args[1:] for c in build.call_args_list] == [(F(4), F(0))]
+    assert (amb.trsc.nu, amb.trsc.nu_assoc) == (4, 0)
 
 
 def test_random_structures_and_weights():
@@ -177,11 +186,3 @@ def test_low_rank_columns_raise(name):
     for rhs in right_hand_sides:
         with pytest.raises(InternalInconsistency, match="pi1 - pi2 and pi3 are dependent"):
             constant_trsc(rhs, ns)
-
-
-def test_low_rank_associated_fit():
-    # with J = 0 the columns are (pi1, 0): the primed fit raises as the first does
-    ns = norden(*LOW_RANK["zero_j"])
-    rhs = reference_pi_combination(reference_pi_tensors(ns.g, ns.j), 3, 0)
-    with pytest.raises(InternalInconsistency, match="pi1 - pi2 and pi3 are dependent"):
-        associated_curvature(rhs, ns, TrscStatus("constant", F(3), F(0)))

@@ -1,22 +1,19 @@
 """The nonzero-driven table builders against their dense references, bit for
 bit.
 
-`ambient.curvature`, `ambient.pi_combination`, the R~ table of
-`ambient.associated_curvature` and `symmetry.induced_curvature_gauss`
-accumulate their tables from the nonzero entries of their factors;
-`tests/helpers.py` keeps the dense builders they replaced (for
-`pi_combination`, the three pi-tensors built one by one). Tables are
-compared as `DenseTensor`s, which are canonical, so equality is equality of
-every entry; an error must carry the same message.
+`ambient.curvature`, `ambient.pi_combination` and
+`symmetry.induced_curvature_gauss` accumulate their tables from the nonzero
+entries of their factors; `tests/helpers.py` keeps the dense builders they
+replaced (for `pi_combination`, the three pi-tensors built one by one).
+Tables are compared as `DenseTensor`s, which are canonical, so equality is
+equality of every entry; an error must carry the same message.
 """
 
 import random
-from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
-from unittest import mock
 
 import pytest
 
@@ -27,24 +24,20 @@ from helpers import (
     matrix,
     nested,
     norden,
-    reference_associated_table,
     reference_curvature,
     reference_induced_curvature_gauss,
     reference_pi_combination,
     reference_pi_tensors,
     run_hypersurface,
 )
-from nordenlight import ambient
 from nordenlight.ambient import (
     LieAlgebraSpec,
-    TrscStatus,
-    associated_curvature,
     build_ambient_geometry,
     curvature,
     norden_structure,
     pi_combination,
 )
-from nordenlight.errors import EngineError, InternalInconsistency
+from nordenlight.errors import EngineError
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import (
     hypersurface_specs,
@@ -86,20 +79,6 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def not_constant():
-    return TrscStatus("not_constant", None, None)
-
-
-def associated_table(r04, ns, trsc):
-    """The table R~ that `associated_curvature` builds, read from its call
-    of `pi_fit`, which fits -R~ (and raises when a random raw structure
-    makes its two columns dependent)."""
-    with mock.patch.object(ambient, "pi_fit", wraps=ambient.pi_fit) as fit, suppress(InternalInconsistency):
-        associated_curvature(r04, ns, trsc)
-    (_, rhs), _ = fit.call_args
-    return -rhs
-
-
 WEIGHTS = ((1, 0), (0, 1), (F(-2, 3), 5))
 
 
@@ -116,7 +95,6 @@ def test_ambient_tables_match_the_dense_references(name):
         tensors = reference_pi_tensors(m.g, m.j)
         for a, b in WEIGHTS:
             assert pi_combination(m, a, b) == reference_pi_combination(tensors, a, b)
-    assert associated_table(amb.riemann04, ns, amb.trsc) == reference_associated_table(amb.riemann04, ns)
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -197,16 +175,6 @@ def test_pi_tensors_match_on_random_non_symmetric_metrics():
         expected = reference_pi_combination(reference_pi_tensors(ns.g, ns.j), a, b)
         assert pi_combination(ns, a, b) == expected, trial
     assert asymmetric > 50
-
-
-def test_associated_table_matches_on_random_tables():
-    rng = random.Random(9103)
-    for trial in range(30):
-        n = 2 + trial % 4
-        density = (0.1, 0.5, 1.0)[trial % 3]
-        r04 = DenseTensor.from_entries((n,) * 4, random_entries(rng, n**4, density, (1, 2, 9)))
-        ns = norden(random_matrix(rng, n, 1.0), random_matrix(rng, n, density))
-        assert associated_table(r04, ns, not_constant()) == reference_associated_table(r04, ns), trial
 
 
 # ---------------------------------------------------------------------------

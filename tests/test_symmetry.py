@@ -27,6 +27,7 @@ from nordenlight.ambient import TrscStatus, ricci_trace
 from nordenlight.errors import HypothesisFailure, InternalInconsistency
 from nordenlight.hypersurface import verify_frame_identities
 from nordenlight.symmetry import (
+    AuditVerdict,
     SymmetryFlags,
     almost_einstein_fit,
     closed_form_curvature,
@@ -403,3 +404,45 @@ class TestEquivalenceAudit:
         assert (verdict.lhs, verdict.rhs) == (F(4), F(9))
         assert verdict.condition_holds is False
         assert verdict.consistent is True
+
+
+GAUGE_NOTE = (
+    "gauge scalars are frame constants, so the locally-symmetric and "
+    "almost-Einstein equivalences are always in force"
+)
+
+
+@pytest.mark.parametrize(
+    "stage,missing,expected",
+    [
+        ("closed_form", "trsc", "closed-form curvature needs constant ambient curvatures"),
+        ("closed_form", "rho", "closed-form curvature needs a totally umbilical frame"),
+        ("residuals", "trsc", "residual check needs constant ambient curvatures"),
+        ("residuals", "rho", "residual check needs a totally umbilical frame"),
+        ("audit", "trsc", AuditVerdict(False, None, None, None, None, (GAUGE_NOTE, "ambient curvatures not constant"))),
+    ],
+)
+def test_stages_without_a_constant_fit_or_rho(golden, fixture_run, fixture_r13, stage, missing, expected):
+    # the fixture's block with the constant fit or rho taken away: the closed
+    # form and the residual check refuse it, and the audit does not apply
+    _, ns, amb = golden
+    frame, sf = fixture_run.frame, fixture_run.sf
+    if missing == "trsc":
+        amb = replace(amb, trsc=TrscStatus("not_constant", None, None))
+    else:
+        sf = replace(sf, rho=None)
+
+    def audit():
+        flags = flags_from_table(fixture_r13, sf.induced_gamma, *induced_metrics(ns, basis_span(4, (2, 3, 4))))
+        return symmetry_equivalence_audit(flags, "associated", amb.trsc, sf.rho, frame.b)
+
+    stages = {
+        "closed_form": lambda: induced_curvature_closed_form(frame, sf, amb),
+        "residuals": lambda: pde_residuals(sf, frame, amb),
+        "audit": audit,
+    }
+    try:
+        outcome = stages[stage]()
+    except HypothesisFailure as exc:
+        outcome = str(exc)
+    assert outcome == expected
