@@ -46,7 +46,7 @@ from .hypersurface import (
     verify_frame_identities,
 )
 from .manifold_file import ManifoldFile, parse_manifold_file
-from .pipeline import BlockRun, Report, emit_report, run_block, run_pipeline
+from .pipeline import AmbientRun, BlockRun, Report, emit_report, run_ambient, run_block, run_pipeline
 from .symmetry import (
     AuditVerdict,
     EinsteinFit,

@@ -1,9 +1,9 @@
 """Pipeline orchestration and report emission.
 
-Runs validation, ambient derivation, and the per-hypersurface frame and
-audit machinery. Each hypersurface block's stages run in `run_block`, which
-keeps what they returned in a `BlockRun`; the block's report entry is
-rendered from that record. Everything is collected into one report structure
+Runs validation and the ambient derivation in `run_ambient`, and each
+hypersurface block's frame and audit machinery in `run_block`; each keeps
+what its stages returned in a record (`AmbientRun`, `BlockRun`), and the
+report's sections are rendered from those records into one report structure
 that renders either as sectioned text or as a JSON document with stable field
 order and rationals serialized as strings. Identical input produces
 byte-identical structured reports.
@@ -26,6 +26,7 @@ from operator import add, floordiv, mod
 
 from . import __version__
 from .ambient import AmbientGeometry, Check, build_ambient_geometry, require_equal, validate_lie_algebra, validate_norden
+from .ambient import LieAlgebraSpec, NordenStructure, ValidationReport
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
 from .exact import DenseTensor, format_ratio, format_rational
 from .hypersurface import (
@@ -65,13 +66,38 @@ RICCI_SIGN_NOTE = (
     "leaves every vanishing check and the einstein feasibility unchanged"
 )
 # the status of a block and of the report, by exit code
-STATUS = {0: "ok", 4: "hypothesis_failure", 5: "internal_inconsistency"}
+STATUS = {0: "ok", 3: "validation_failure", 4: "hypothesis_failure", 5: "internal_inconsistency"}
 
 
 @dataclass(frozen=True)
 class Report:
     data: dict
     exit_code: int
+
+
+@dataclass
+class AmbientRun:
+    """What validation and the ambient derivation returned, in stage order;
+    `amb` stays None when `stop`, the failure that ended them, came first."""
+
+    validation: dict[str, ValidationReport]  # `norden` runs once `lie_algebra` passed
+    amb: AmbientGeometry | None = None
+    stop: ValidationFailure | InternalInconsistency | None = None
+
+
+def run_ambient(spec: LieAlgebraSpec, ns: NordenStructure) -> AmbientRun:
+    """Validate, then derive the ambient geometry, up to the first failure."""
+    run = AmbientRun({"lie_algebra": validate_lie_algebra(spec)})
+    try:
+        if not run.validation["lie_algebra"].ok:
+            raise ValidationFailure("the bracket failed validation")
+        run.validation["norden"] = validate_norden(spec, ns)
+        if not run.validation["norden"].ok:
+            raise ValidationFailure("the Norden structure failed validation")
+        run.amb = build_ambient_geometry(spec, ns)
+    except (ValidationFailure, InternalInconsistency) as exc:
+        run.stop = exc
+    return run
 
 
 @dataclass
@@ -200,48 +226,36 @@ def _check_dicts(checks) -> list[dict]:
     ]
 
 
-def _validation_dict(report) -> dict:
-    return {"ok": report.ok, "checks": _check_dicts(report.checks)}
-
-
 def run_pipeline(mf: ManifoldFile) -> Report:
-    digest = hashlib.sha256(mf.to_text().encode("utf-8")).hexdigest()
+    front = run_ambient(lie_algebra_spec(mf), norden_from_file(mf))
+    runs = [] if front.amb is None else [run_block(hs, front.amb) for hs in hypersurface_specs(mf)]
+    worst = max((run.stop.exit_code for run in (front, *runs) if run.stop), default=0)
+    labels = mf.basis_labels
+    validation = {name: {"ok": r.ok, "checks": _check_dicts(r.checks)} for name, r in front.validation.items()}
     data: dict = {
         "engine": {"name": "nordenlight", "version": __version__},
-        "input_digest": f"sha256:{digest}",
+        "input_digest": "sha256:" + hashlib.sha256(mf.to_text().encode("utf-8")).hexdigest(),
+        "validation": {**validation, "ok": all(r.ok for r in front.validation.values())},
     }
-    labels = mf.basis_labels
+    if front.amb is not None:
+        data["ambient"] = _ambient_entry(front.amb, labels)
+        data["hypersurfaces"] = [
+            _block_entry(index, block, run, labels) for index, (block, run) in enumerate(zip(mf.hypersurfaces, runs))
+        ]
+    elif data["validation"]["ok"]:  # the ambient derivation stopped: the report lists its status before its detail
+        data["status"] = None
+        kaehler = {"kaehler_norden": False} if isinstance(front.stop, ValidationFailure) else {}  # J not parallel
+        data["ambient"] = {**kaehler, "detail": str(front.stop)}
+    data["status"] = STATUS[worst]
+    return Report(data, worst)
 
-    spec = lie_algebra_spec(mf)
-    ns = norden_from_file(mf)
-    lie_report = validate_lie_algebra(spec)
-    data["validation"] = {"lie_algebra": _validation_dict(lie_report)}
-    if not lie_report.ok:
-        data["validation"]["ok"] = False
-        data["status"] = "validation_failure"
-        return Report(data, 3)
-    norden_report = validate_norden(spec, ns)
-    data["validation"]["norden"] = _validation_dict(norden_report)
-    data["validation"]["ok"] = norden_report.ok
-    if not norden_report.ok:
-        data["status"] = "validation_failure"
-        return Report(data, 3)
 
-    try:
-        amb = build_ambient_geometry(spec, ns)
-    except ValidationFailure as exc:
-        data["status"] = "validation_failure"
-        data["ambient"] = {"kaehler_norden": False, "detail": str(exc)}
-        return Report(data, 3)
-    except InternalInconsistency as exc:
-        data["status"] = "internal_inconsistency"
-        data["ambient"] = {"detail": str(exc)}
-        return Report(data, 5)
-
+def _ambient_entry(amb: AmbientGeometry, labels) -> dict:
+    """The ambient section of a report, from the derived geometry."""
     trsc = amb.trsc
     constant = trsc.kind == "constant"
-    data["ambient"] = {
-        "dim": spec.dim,
+    return {
+        "dim": amb.spec.dim,
         "basis_labels": list(labels),
         "kaehler_norden": True,
         "connection_nonzero": amb.gamma,
@@ -267,14 +281,6 @@ def run_pipeline(mf: ManifoldFile) -> Report:
         "ricci_nonzero": amb.ricci,
         "ricci_sign_note": RICCI_SIGN_NOTE,
     }
-
-    runs = [run_block(hs, amb) for hs in hypersurface_specs(mf)]
-    data["hypersurfaces"] = [
-        _block_entry(index, block, run, labels) for index, (block, run) in enumerate(zip(mf.hypersurfaces, runs))
-    ]
-    worst = max((run.stop.exit_code for run in runs if run.stop), default=0)
-    data["status"] = STATUS[worst]
-    return Report(data, worst)
 
 
 def _block_entry(index: int, block, run: BlockRun, labels) -> dict:

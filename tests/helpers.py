@@ -20,6 +20,7 @@ arithmetic and the golden-corpus inputs live here too.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -45,7 +46,7 @@ from nordenlight.exact import (
     solve_affine,
 )
 from nordenlight.hypersurface import HypersurfaceSpec
-from nordenlight.pipeline import run_block
+from nordenlight.pipeline import emit_report, run_block
 
 F = Fraction
 
@@ -1755,6 +1756,16 @@ HEISENBERG_C_H3 = (
     "HYPERSURFACE metric=principal span=1,2,3,5,6\n"
     "HYPERSURFACE metric=assoc span=1,3,4,5,6\n"
 )
+
+
+def report_digests(report) -> dict:
+    """The exit code and the sha256 digests of the structured and text
+    renderings of a report, as tests/golden/report_digests.json pins them."""
+    return {
+        "exit_code": report.exit_code,
+        "structured": hashlib.sha256(emit_report(report, "structured").encode()).hexdigest(),
+        "text": hashlib.sha256(emit_report(report, "text").encode()).hexdigest(),
+    }
 
 
 def golden_corpus() -> list[tuple[str, str]]:

@@ -10,27 +10,21 @@ The pinned file is written by
 and is only rewritten when a report is meant to change.
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import golden_corpus
+from helpers import golden_corpus, report_digests
 from nordenlight.manifold_file import parse_manifold_file
-from nordenlight.pipeline import emit_report, run_pipeline
+from nordenlight.pipeline import run_pipeline
 
 PINNED = Path(__file__).resolve().parent / "golden" / "report_digests.json"
 
 
 def report_digest(text: str) -> dict:
-    report = run_pipeline(parse_manifold_file(text))
-    return {
-        "exit_code": report.exit_code,
-        "structured": hashlib.sha256(emit_report(report, "structured").encode()).hexdigest(),
-        "text": hashlib.sha256(emit_report(report, "text").encode()).hexdigest(),
-    }
+    return report_digests(run_pipeline(parse_manifold_file(text)))
 
 
 CORPUS = golden_corpus()

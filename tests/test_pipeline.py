@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import family_text, nested, tensor_from_rows, tensor_scale
+from helpers import family_text, invalid_family_text, nested, report_digests, tensor_from_rows, tensor_scale
 from nordenlight.cli import main
+from nordenlight.errors import InternalInconsistency, ValidationFailure
 from nordenlight.exact import DenseTensor
 from nordenlight.manifold_file import parse_manifold_file
 from nordenlight.pipeline import emit_report, run_pipeline
+from nordenlight.symmetry import EinsteinFit, FlagResult
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -225,7 +227,7 @@ class TestCli:
         from nordenlight.errors import InternalInconsistency
 
         def fail(spec, ns):
-            raise InternalInconsistency("associated pi1 does not equal pi2")
+            raise InternalInconsistency("the curvature-type tensors pi1 - pi2 and pi3 are dependent")
 
         monkeypatch.setattr(pipeline, "build_ambient_geometry", fail)
         path = tmp_path / "m.mf"
@@ -233,7 +235,7 @@ class TestCli:
         code = main(["check", str(path)])
         out = capsys.readouterr().out
         assert code == 5
-        assert "associated pi1 does not equal pi2" in out
+        assert "the curvature-type tensors pi1 - pi2 and pi3 are dependent" in out
         assert out.endswith("overall status: internal_inconsistency\n")
 
     def test_missing_file(self, capsys):
@@ -414,6 +416,128 @@ class TestRouteDisagreement:
             "Ricci routes disagree beyond the documented sign note at (1,1): canonical 8, closed form 7"
         )
         assert detail in emit_report(report, "text")
+
+
+def test_kaehler_disagreement_is_an_ambient_internal_inconsistency(monkeypatch):
+    # the Koszul connection of g~ moved by one entry: J stays parallel, so the
+    # parallel-J test passes while the connection difference is nonzero
+    from nordenlight import ambient
+    from nordenlight.manifold_file import norden_from_file
+
+    mf = parse_manifold_file((FIXTURES / "family_h3.mf").read_text(encoding="utf-8"))
+    g_assoc, koszul = norden_from_file(mf).g_assoc, ambient.koszul_connection
+
+    def perturbed(spec, metric):
+        table = koszul(spec, metric)
+        if metric != g_assoc:
+            return table
+        entries = list(table.entries)
+        entries[0] += 1
+        return DenseTensor.from_entries(table.dims, entries)
+
+    monkeypatch.setattr(ambient, "koszul_connection", perturbed)
+    report = run_pipeline(mf)
+    message = "parallel-J test and connection-difference test disagree on validated input"
+    assert report.exit_code == 5
+    assert json.loads(emit_report(report, "structured"))["ambient"] == {"detail": message}
+    assert f"\n[ambient]\n{message}\n" in emit_report(report, "text")
+    assert report_digests(report) == {
+        "exit_code": 5,
+        "structured": "49936db2b8eafc6933b16976431fb9f2d547f95ec7b062bc3f5e3203241b6f14",
+        "text": "3eba523f0f3119528f5f3ac72d8da38b876198ad3e3f18334aece73b745b81cf",
+    }
+
+
+def _failing_semi_symmetric(real):
+    return FlagResult(False, (1, 2, 1, 3, 4), DenseTensor.from_entries((5,), [F(-4, 3), 0, 0, 0, 0]))
+
+
+def _infeasible_einstein(real):
+    return EinsteinFit("infeasible", None, None, (), (1, 2))
+
+
+def _parametric_einstein(real):
+    return replace(real, kind="parametric", nullspace=(DenseTensor.from_entries((2,), [1, -1]),))
+
+
+@pytest.mark.parametrize(
+    "checker,force,lines,digests",
+    [
+        (
+            "semi_symmetric_check",
+            _failing_semi_symmetric,
+            ("semi-symmetric: no;", "consistent: no"),
+            {
+                "exit_code": 0,
+                "structured": "9657b9903dc1c14b12f463b41ec1d138fb7d32f925e2952633e676ab166ce644",
+                "text": "b78536e8f7e0b52322902edfebf7d8dcfb034d60219a23c88060ab94f0c99719",
+            },
+        ),
+        (
+            "almost_einstein_fit",
+            _infeasible_einstein,
+            ("almost einstein: infeasible", "consistent: no"),
+            {
+                "exit_code": 0,
+                "structured": "0bdcf791e310fe5c59824ea8ffa66b9b8ee5771493b447683b7e04ce97c32faa",
+                "text": "050fc7c3d3a162bfbabfbe6b99572970cbb9f02e2baa465dd30b62951c251142",
+            },
+        ),
+        (
+            "almost_einstein_fit",
+            _parametric_einstein,
+            ("almost einstein: k = 16, c = 0 (family)", "consistent: yes"),
+            {
+                "exit_code": 0,
+                "structured": "070a9eeb32d1d298df0feca109b8635803c3398854a0ac38532d0e855cdcc9fc",
+                "text": "fa2e9da1bf63207d161fcd0cee739962231e5c52dab7070c100da822cdee828b",
+            },
+        ),
+    ],
+    ids=["failing_flag", "infeasible_einstein", "parametric_einstein"],
+)
+def test_forced_block_branches(checker, force, lines, digests, monkeypatch):
+    # a failing flag and an infeasible or parametric Einstein fit cannot come
+    # from geometric input (tau = 0 forces K = rho^2 / b); each is forced on
+    # the family at h = 3 by replacing one checker's result
+    from nordenlight import pipeline
+
+    real = getattr(pipeline, checker)
+    monkeypatch.setattr(pipeline, checker, lambda *args: force(real(*args)))
+    report = run_pipeline(parse_manifold_file((FIXTURES / "family_h3.mf").read_text(encoding="utf-8")))
+    text = emit_report(report, "text")
+    assert all(line in text for line in lines)
+    assert report_digests(report) == digests
+
+
+@pytest.mark.parametrize(
+    "text,forced,reports,geometry,stop",
+    [
+        (family_text(3) + "BRACKET 2 5 = 1:1\n", False, [False], False, (ValidationFailure, 3)),
+        (invalid_family_text("metric_scaled"), False, [True, False], False, (ValidationFailure, 3)),
+        (invalid_family_text("kaehler"), False, [True, True], False, (ValidationFailure, 3)),
+        (family_text(3), True, [True, True], False, (InternalInconsistency, 5)),
+        (family_text(3), False, [True, True], True, None),
+    ],
+    ids=["jacobi_broken_h3", "invalid_metric_scaled_h3", "invalid_kaehler_h3", "forced_inconsistency", "family_h3"],
+)
+def test_ambient_run_record(text, forced, reports, geometry, stop, monkeypatch):
+    # the validation reports run in order, the norden one only after the
+    # bracket passed; the geometry is kept unless a failure stopped the run
+    from nordenlight import pipeline
+    from nordenlight.manifold_file import lie_algebra_spec, norden_from_file
+
+    def fail(spec, ns):
+        raise InternalInconsistency("the curvature-type tensors pi1 - pi2 and pi3 are dependent")
+
+    if forced:
+        monkeypatch.setattr(pipeline, "build_ambient_geometry", fail)
+    mf = parse_manifold_file(text)
+    run = pipeline.run_ambient(lie_algebra_spec(mf), norden_from_file(mf))
+    assert list(run.validation) == ["lie_algebra", "norden"][: len(reports)]
+    assert [report.ok for report in run.validation.values()] == reports
+    assert (run.amb is not None) == geometry
+    assert run.stop is None if stop is None else (type(run.stop), run.stop.exit_code) == stop
 
 
 def test_asymmetric_second_fundamental_form_fails_a_frame_identity(golden_mf, monkeypatch):
