@@ -31,7 +31,6 @@ from .exact import (
     LinearSolution,
     format_rational,
     parse_rational,
-    solve_affine,
 )
 from .hypersurface import (
     HypersurfaceSpec,

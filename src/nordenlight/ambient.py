@@ -53,7 +53,6 @@ from .exact import (
     format_rational,
     int_bilinear,
     int_matmul,
-    lattice_combination,
     mat_inverse,
     nonzero_rows,
     row_index,
@@ -303,13 +302,13 @@ def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor)
     f_witness = next((ix for ix, _ in f_table.nonzero()), None)
     is_kaehler = f_witness is None
 
-    # the difference of the Levi-Civita connections of the two metrics
-    # vanishes exactly when J is parallel, on every valid Norden structure
+    # the Levi-Civita connections of the two metrics are equal exactly when
+    # J is parallel, on every valid Norden structure; both tables are
+    # canonical, so equal fields are equal connections
     ga, _ = ns.g_assoc.lattice()
     symmetric = all(ga[i][k] == ga[k][i] for i in range(n) for k in range(n))
     if symmetric and signature(ns.g_assoc)[2] == 0:
-        phi = lattice_combination(koszul_connection(spec, ns.g_assoc), gamma, -1)
-        if phi.is_zero() != is_kaehler:
+        if (koszul_connection(spec, ns.g_assoc) == gamma) != is_kaehler:
             raise InternalInconsistency(
                 "parallel-J test and connection-difference test disagree on validated input"
             )
@@ -486,17 +485,18 @@ def constant_trsc(r04: DenseTensor, ns: NordenStructure) -> TrscStatus:
 def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None) -> DenseTensor:
     """Ricci table Ric(X, Y) = trace of Z -> R(Z, X)Y.
 
-    When the curvature fit is constant with nu = 0 the closed form
-    Ric(X, Y) = -2(n-1) nu_assoc g(X, JY) must hold; cross-checked.
+    When the curvature fit is constant the closed form
+    Ric = 2(h - 1)(nu g - nu_assoc gJ), with n = 2h, must hold; cross-checked.
     """
     n = r13.dims[0]
     ric = ricci_trace(r13)
-    if trsc is not None and trsc.kind == "constant" and trsc.nu == 0:
-        coeff = -2 * (n // 2 - 1) * trsc.nu_assoc
-        gj, dgj = ns.gj.lattice()
-        expected = DenseTensor.from_lattice(
-            (n, n), (coeff.numerator * x for row in gj for x in row), coeff.denominator * dgj
-        )
+    if trsc is not None and trsc.kind == "constant":
+        (g, dg), (gj, dgj) = ns.g.lattice(), ns.gj.lattice()
+        a, b = 2 * (n // 2 - 1) * trsc.nu / dg, -2 * (n // 2 - 1) * trsc.nu_assoc / dgj
+        den = lcm(a.denominator, b.denominator)
+        fa, fb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        flat = (fa * x + fb * y for rg, rj in zip(g, gj) for x, y in zip(rg, rj))
+        expected = DenseTensor.from_lattice((n, n), flat, den)
         require_equal(ric, expected, "ambient Ricci closed form fails", "Ricci", "closed form")
     return ric
 

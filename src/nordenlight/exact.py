@@ -76,7 +76,7 @@ def rational_bits(value: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row reduction, kernels, affine solving
+# row reduction, kernels, affine solutions
 
 
 class Echelon:
@@ -86,7 +86,7 @@ class Echelon:
     pivot columns of the other rows. Each row is then the unique primitive
     multiple of a row of the rational RREF of the same row space, so entry
     sizes depend on the row space alone, not on the order of the rows. This
-    is the one elimination of the engine; `mat_inverse` and `solve_affine`
+    is the one elimination of the engine; `mat_inverse` and `fit_tables`
     run on it."""
 
     def __init__(self, rows=()):
@@ -146,6 +146,18 @@ class Echelon:
             basis.append((v, den))
         return basis
 
+    def solution(self, ncols: int) -> LinearSolution:
+        """The solution, zero in the free columns, of the affine system whose
+        augmented rows span the echelon, with the right-hand side in column
+        ncols, which is not a pivot; a null space as in `kernel`."""
+        den = lcm(*(er[p] for p, er in zip(self.pivots, self.rows)))
+        x = [0] * ncols
+        for p, er in zip(self.pivots, self.rows):
+            x[p] = er[ncols] * (den // er[p])
+        nullspace = tuple(DenseTensor.from_lattice((ncols,), v, d) for v, d in self.kernel(ncols))
+        kind = "unique" if not nullspace else "parametric"
+        return LinearSolution(kind, DenseTensor.from_lattice((ncols,), x, den), nullspace)
+
 
 def mat_inverse(m: DenseTensor) -> DenseTensor:
     """Exact inverse of a square table; raises ShapeError when singular. For
@@ -169,28 +181,7 @@ class LinearSolution:
     kind: str  # "unique" | "parametric" | "infeasible"
     particular: DenseTensor | None
     nullspace: tuple[DenseTensor, ...]
-
-
-def solve_affine(a, b) -> LinearSolution:
-    """Solve a.x = b exactly for an int matrix a and an int vector b (a
-    rational system with its rows scaled to ints): unique, parametric (with
-    a null space basis as in `Echelon.kernel`), or infeasible."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(b) != nrows:
-        raise ShapeError("right-hand side length does not match row count")
-    if not nrows:
-        raise ShapeError("solve_affine needs at least one row")
-    basis = Echelon((*row, rhs) for row, rhs in zip(a, b))
-    if ncols in basis.pivots:
-        return LinearSolution("infeasible", None, ())
-    den = lcm(*(er[p] for p, er in zip(basis.pivots, basis.rows)))
-    x = [0] * ncols
-    for p, er in zip(basis.pivots, basis.rows):
-        x[p] = er[ncols] * (den // er[p])
-    nullspace = tuple(DenseTensor.from_lattice((ncols,), v, d) for v, d in basis.kernel(ncols))
-    kind = "unique" if not nullspace else "parametric"
-    return LinearSolution(kind, DenseTensor.from_lattice((ncols,), x, den), nullspace)
+    witness: int | None = None  # an infeasible fit's offset ending its first infeasible prefix
 
 
 def signature(g: DenseTensor) -> tuple[int, int, int]:
@@ -513,20 +504,14 @@ def primitive_integer_vector(v: DenseTensor) -> DenseTensor:
     return DenseTensor(v.dims, v.offsets, tuple(x // content for x in v.nums), 1)
 
 
-def lattice_combination(a: DenseTensor, b: DenseTensor, sign: int) -> DenseTensor:
-    """a + sign * b, from the nonzero entries of both tables."""
-    if a.dims != b.dims:
-        raise ShapeError("shape mismatch in tensor addition or subtraction")
-    den = lcm(a.den, b.den)
-    out = _combine(((a, den // a.den), (b, sign * (den // b.den))))
-    offsets = sorted(out)
-    nums = list(map(out.__getitem__, offsets))
-    return DenseTensor._cancelled(a.dims, compress(offsets, nums), filter(None, nums), den)
+# ---------------------------------------------------------------------------
+# componentwise affine fits
 
 
 def _combine(terms) -> dict[int, int]:
     """sum f * t over the (table, int factor) pairs of terms, as {offset:
-    numerator} over the union of the supports (zero sums included)."""
+    numerator} over the union of the supports (zero sums included): the
+    residual of a fit."""
     out: dict[int, int] = {}
     for t, f in terms:
         scaled = dict(zip(t.offsets, map(mul, t.nums, repeat(f))))
@@ -537,44 +522,29 @@ def _combine(terms) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# componentwise affine fits
-
-
 def fit_tables(columns, rhs) -> LinearSolution:
     """Solve sum_j x_j columns[j] = rhs over every component of `DenseTensor`s
-    of one shape, with the outcome `solve_affine` gives on all component
-    rows (each scaled by the common denominator of the tables), reading
-    nonzero entries only.
-
-    Rows of the coefficient matrix independent of the earlier ones are
-    picked in order on the numerators (scaling a column by its denominator
-    changes no rank); rows outside the union of the column supports are
-    zero and never picked. Only the picked rows go to `solve_affine`: when
-    the full system is feasible its augmented row space is theirs, so the
-    kind, particular solution and null space are those of the full system,
-    and it is feasible exactly when that solution satisfies every component,
-    checked in ints over the union of all supports (elsewhere 0 = 0).
-    All-zero coefficient tables pick the first row, at offset 0."""
+    of one shape, from their nonzero entries. The augmented int rows of the
+    union of the supports (elsewhere 0 = 0) go into one `Echelon` in
+    row-major order, until the right-hand side becomes a pivot column
+    (infeasible; that row's offset is the witness) or the coefficient
+    columns become independent, when the prefix has a unique solution: the
+    first later component it misses, checked in ints, ends the first
+    infeasible prefix and is the witness."""
     if any(col.dims != rhs.dims for col in columns):
         raise ShapeError("fit tables differ in shape")
-    picked: list[int] = []
+    k, tables = len(columns), (*columns, rhs)
+    den = lcm(*(t.den for t in tables))
+    scales = [den // t.den for t in tables]
     basis = Echelon()
-    for i, _ in groupby(merge(*(col.offsets for col in columns))):  # the union of the supports
-        if basis.insert([col.num(i) for col in columns]):
-            picked.append(i)
-            if len(picked) == len(columns):
+    for i, _ in groupby(merge(*(t.offsets for t in tables))):  # the union of the supports
+        if basis.insert([t.num(i) * f for t, f in zip(tables, scales)]):
+            if basis.pivots[-1] == k:
+                return LinearSolution("infeasible", None, (), i)
+            if len(basis.pivots) == k:
                 break
-    picked = picked or [0]
-    den = lcm(rhs.den, *(col.den for col in columns))
-    sol = solve_affine(
-        [[col.num(i) * (den // col.den) for col in columns] for i in picked],
-        [rhs.num(i) * (den // rhs.den) for i in picked],
-    )
-    if sol.kind == "infeasible":
-        return sol
+    sol = basis.solution(k)
     x, dx = sol.particular.lattice()
-    terms = [(col, xj * (den // col.den)) for col, xj in zip(columns, x)]
-    if any(_combine(terms + [(rhs, -dx * (den // rhs.den))]).values()):
-        return LinearSolution("infeasible", None, ())
-    return sol
+    residual = _combine([(col, xj * f) for col, xj, f in zip(columns, x, scales)] + [(rhs, -dx * scales[k])])
+    witness = min((i for i, r in residual.items() if r), default=None)
+    return sol if witness is None else LinearSolution("infeasible", None, (), witness)

@@ -39,7 +39,6 @@ from .ambient import AmbientGeometry, TrscStatus, require_equal, ricci_trace
 from .errors import HypothesisFailure, InternalInconsistency
 from .exact import (
     DenseTensor,
-    Echelon,
     add_row,
     fit_tables,
     format_ratio,
@@ -489,22 +488,15 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
 def almost_einstein_fit(ricci: DenseTensor, g_ind: DenseTensor, g_assoc_ind: DenseTensor) -> EinsteinFit:
     """Exact affine fit Ric = k g + c g~ over every index pair. A parametric
     outcome (the two induced metrics dependent as component vectors) is
-    reported as a family, never collapsed to one representative."""
+    reported as a family, never collapsed to one representative; an
+    infeasible one names the index pair that ends the first infeasible
+    prefix of the component rows in product order (`fit_tables`)."""
     sol = fit_tables((g_ind, g_assoc_ind), ricci)
     if sol.kind != "infeasible":
         k, c = sol.particular.entries
         return EinsteinFit(sol.kind, k, c, sol.nullspace)
-    # the witness ends the first infeasible prefix of the component rows: the
-    # first row after which the right-hand side is a pivot column, read off
-    # one incremental elimination (RREF is unique, so every prefix has the
-    # pivots it has on its own, and scaling a column by its denominator moves none)
-    m = ricci.dims[0]
-    g, ga, ric = (t.lattice()[0] for t in (g_ind, g_assoc_ind, ricci))
-    basis = Echelon()
-    for a, b in product(range(m), repeat=2):
-        if basis.insert((g[a][b], ga[a][b], ric[a][b])) and basis.pivots[-1] == 2:
-            return EinsteinFit("infeasible", None, None, (), (a + 1, b + 1))
-    raise InternalInconsistency("an infeasible Einstein fit has no infeasible prefix")
+    a, b = divmod(sol.witness, ricci.dims[0])
+    return EinsteinFit("infeasible", None, None, (), (a + 1, b + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from nordenlight.ambient import (
     Check,
@@ -41,9 +41,8 @@ from nordenlight.exact import (
     LinearSolution,
     ShapeError,
     _nest,
+    fit_tables,
     format_ratio,
-    lattice_combination,
-    solve_affine,
 )
 from nordenlight.hypersurface import HypersurfaceSpec
 from nordenlight.pipeline import emit_report, run_block
@@ -93,17 +92,16 @@ def hyper_spec(span, inducing: str, xi_hint=None) -> HypersurfaceSpec:
 
 
 def fraction_solution(sol: LinearSolution) -> LinearSolution:
-    """A solution of `solve_affine` or `fit_tables` with its vectors read as
-    Fraction tuples, the form of `reference_solve_affine`."""
+    """A solution of `fit_tables` with its vectors read as Fraction tuples,
+    the form of `reference_solve_affine`."""
     particular = None if sol.particular is None else sol.particular.entries
     return LinearSolution(sol.kind, particular, tuple(v.entries for v in sol.nullspace))
 
 
 def solve(a, b) -> LinearSolution:
-    """`solve_affine` on a rational system a.x = b, each augmented row scaled
-    to ints by its least common denominator, read back in Fractions."""
-    rows = [int_row((*row, rhs)) for row, rhs in zip(a, b)]
-    return fraction_solution(solve_affine([row[:-1] for row in rows], [row[-1] for row in rows]))
+    """`fit_tables` on a rational system a.x = b, with the columns of a and b
+    as vector tables, read back in Fractions."""
+    return fraction_solution(fit_tables(list(map(tensor_from_vector, zip(*a))), tensor_from_vector(b)))
 
 
 def kernel(m):
@@ -170,11 +168,13 @@ def apply_j(ns: NordenStructure, v):
 
 
 def tensor_add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    return lattice_combination(a, b, 1)
+    if a.dims != b.dims:
+        raise ShapeError("shape mismatch in tensor addition or subtraction")
+    return DenseTensor.from_entries(a.dims, map(add, a.entries, b.entries))
 
 
 def tensor_sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    return lattice_combination(a, b, -1)
+    return tensor_add(a, tensor_neg(b))
 
 
 def tensor_scale(a: DenseTensor, c) -> DenseTensor:
@@ -647,17 +647,6 @@ def reference_flat_matmul(nums, width: int, b) -> list[int]:
     of `width` entries of nums and an int matrix b with `width` rows."""
     rows = zip(*[iter(nums)] * width)
     return [x for row in reference_int_matmul(rows, tuple(zip(*b))) for x in row]
-
-
-def reference_lattice_combination(a: DenseTensor, b: DenseTensor, sign: int):
-    """Reference for `exact.lattice_combination`: a + sign * b as (flat int
-    numerators, den) over every entry."""
-    if a.dims != b.dims:
-        raise ShapeError("shape mismatch in tensor addition or subtraction")
-    (x, dx), (y, dy) = flat_lattice(a), flat_lattice(b)
-    den = lcm(dx, dy)
-    fx, fy = den // dx, sign * (den // dy)
-    return tuple(fx * p + fy * q for p, q in zip(x, y)), den
 
 
 def reference_fit_tables(columns, rhs) -> LinearSolution:
@@ -1500,18 +1489,16 @@ def reference_induced_curvature_gauss(sf, frame, amb) -> DenseTensor:
     return DenseTensor.from_lattice((m, m, m, m), nums, den)
 
 
-def reference_einstein_witness(ricci, g_ind, g_assoc_ind):
-    """Reference for the witness of an infeasible `symmetry.almost_einstein_fit`:
-    the 1-based index pair whose row ends the first infeasible prefix of the
-    component rows in product order, one `solve_affine` per prefix."""
-    m = len(ricci)
-    pairs = list(product(range(m), repeat=2))
-    rows = [(g_ind[a][b], g_assoc_ind[a][b]) for a, b in pairs]
-    rhs = [ricci[a][b] for a, b in pairs]
+def reference_fit_witness(columns, rhs):
+    """Reference for the witness of an infeasible `exact.fit_tables`, on the
+    flat rational components of the columns and the right-hand side: the
+    offset whose row ends the first infeasible prefix of the component rows,
+    one `reference_solve_affine` per prefix, or None when the fit is
+    feasible."""
+    rows = list(zip(*columns))
     for stop in range(1, len(rows) + 1):
         if reference_solve_affine(rows[:stop], rhs[:stop]).kind == "infeasible":
-            a, b = pairs[stop - 1]
-            return a + 1, b + 1
+            return stop - 1
     return None
 
 
@@ -1602,18 +1589,23 @@ def random_norden_pair(rng: random.Random, half: int):
             return g, j
 
 
-def family_text(h: int) -> str:
-    """The realified family [e1, ek] = -2i ek (k = 2..h), B = sum ek^2, as
-    `.mf` text: X_k = e_k, X_{h+k} = i e_k, J X_k = X_{h+k}, g = Re B, and
-    one block, the span of every field but X1 under the associated metric.
-    At h = 2 these are the tables of fixtures/sl2c_borel.mf."""
+def family_text(h: int, p: int = 1, q: int = 0) -> str:
+    """The realified family [e1, ek] = -2i lambda ek (k = 2..h), lambda =
+    p + iq, B = sum ek^2, as `.mf` text: X_k = e_k, X_{h+k} = i e_k,
+    J X_k = X_{h+k}, g = Re B, and one block, the span of every field but X1
+    under the associated metric. At h = 2 and lambda = 1 these are the
+    tables of fixtures/sl2c_borel.mf."""
     n = 2 * h
+
+    def terms(k, x, y):  # x X_k + y X_{h+k}, zero terms dropped
+        return " ".join(f"{i}:{c}" for i, c in ((k, x), (h + k, y)) if c)
+
     lines = [f"DIM {n}"]
     for k in range(2, h + 1):
-        lines.append(f"BRACKET 1 {k} = {h + k}:-2")
-        lines.append(f"BRACKET {h + 1} {h + k} = {h + k}:2")
-        lines.append(f"BRACKET 1 {h + k} = {k}:2")
-        lines.append(f"BRACKET {k} {h + 1} = {k}:-2")
+        lines.append(f"BRACKET 1 {k} = {terms(k, 2 * q, -2 * p)}")
+        lines.append(f"BRACKET {h + 1} {h + k} = {terms(k, -2 * q, 2 * p)}")
+        lines.append(f"BRACKET 1 {h + k} = {terms(k, 2 * p, 2 * q)}")
+        lines.append(f"BRACKET {k} {h + 1} = {terms(k, -2 * p, -2 * q)}")
     lines += [f"METRIC {i} {i} = {1 if i <= h else -1}" for i in range(1, n + 1)]
     lines += [f"J {k} = {h + k}:1" for k in range(1, h + 1)]
     lines += [f"J {h + k} = {k}:-1" for k in range(1, h + 1)]
@@ -1758,6 +1750,16 @@ HEISENBERG_C_H3 = (
 )
 
 
+# HEISENBERG_C_H3 with the antidiagonal form B(e1, e3) = B(e2, e2) = 1,
+# whose one block has a radical and no radical transversal.
+HEISENBERG_C_H3_ANTIDIAGONAL = (
+    HEISENBERG_C_H3.split("METRIC")[0]
+    + "METRIC 1 3 = 1\nMETRIC 2 2 = 1\nMETRIC 4 6 = -1\nMETRIC 5 5 = -1\n"
+    + "".join(line for line in HEISENBERG_C_H3.splitlines(True) if line.startswith("J "))
+    + "HYPERSURFACE metric=principal span=2,3,4,5,6\n"
+)
+
+
 def report_digests(report) -> dict:
     """The exit code and the sha256 digests of the structured and text
     renderings of a report, as tests/golden/report_digests.json pins them."""
@@ -1776,8 +1778,11 @@ def golden_corpus() -> list[tuple[str, str]]:
     subalgebra, not umbilical), the family at h = 8 (dim 16, `MAX_DIM`) as
     written and conjugated, and one input for each cause of
     `invalid_family_text`, the principal-metric dual of the family at
-    h = 3 (`principal_dual_text`), and the realified complex Heisenberg
-    algebra, whose curvature is not of constant type (`HEISENBERG_C_H3`)."""
+    h = 3 (`principal_dual_text`), the realified complex Heisenberg
+    algebra, whose curvature is not of constant type (`HEISENBERG_C_H3`),
+    and with an antidiagonal form, and the family at h = 3 with lambda = i
+    (nu < 0 and b < 0 on the full path) and lambda = 2 + i (both constants
+    nonzero)."""
     from pathlib import Path
 
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1801,6 +1806,10 @@ def golden_corpus() -> list[tuple[str, str]]:
     corpus += [(f"invalid_{cause}_h3", invalid_family_text(cause)) for cause in INVALID_CAUSES]
     corpus.append(("family_h3_principal_dual", principal_dual_text(family_text(3))))
     corpus.append(("heisenberg_c_h3", HEISENBERG_C_H3))
+    corpus.append(("heisenberg_c_h3_antidiagonal", HEISENBERG_C_H3_ANTIDIAGONAL))
+    body = family_text(3, 0, 1).rsplit("HYPERSURFACE", 1)[0]
+    corpus.append(("family_h3_lambda_i", body + "HYPERSURFACE metric=assoc span=1,2,3,5,6\n"))
+    corpus.append(("family_h3_lambda_2_plus_i", family_text(3, 2, 1)))
     return corpus
 
 

@@ -1,7 +1,7 @@
 """The front half of a verdict against its Fraction references, bit for bit.
 
-The elimination (`mat_rank`, `mat_inverse`, `Echelon.kernel`,
-`solve_affine`, `signature`), the validators, the span check, the
+The elimination (`mat_rank`, `mat_inverse`, `Echelon.kernel`, `fit_tables`
+on vector tables, `signature`), the validators, the span check, the
 classification and the frame construction run on int rows; `tests/helpers.py`
 keeps the Fraction versions they replaced. Every result, witness, detail and
 error message must be the same.

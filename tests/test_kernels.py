@@ -1,11 +1,12 @@
 """The sparse kernels of `exact` against their dense references, bit for bit.
 
 `int_matmul` (the one product kernel), the product of a table's last slot
-with a matrix through it, `lattice_combination` and `fit_tables` read
-nonzero entries only; `tests/helpers.py` keeps the dense versions they
-replaced (`reference_*`). The inputs are seeded random int matrices and
-tables with zero rows and columns, negative entries, non-square shapes and
-empty supports, plus the fit systems whose outcome hangs on one component.
+with a matrix through it and `fit_tables` read nonzero entries only;
+`tests/helpers.py` keeps the dense versions they replaced (`reference_*`).
+The inputs are seeded random int matrices and tables with zero rows and
+columns, negative entries, non-square shapes and empty supports, plus the
+fit systems whose outcome, or whose infeasibility witness, hangs on one
+component.
 """
 
 import random
@@ -19,16 +20,17 @@ from helpers import (
     flat_lattice,
     fraction_solution,
     reference_fit_tables,
+    reference_fit_witness,
     reference_flat_matmul,
     reference_int_matmul,
-    reference_lattice_combination,
+    tensor_add,
+    tensor_scale,
 )
 from nordenlight.exact import (
     DenseTensor,
     ShapeError,
     fit_tables,
     int_matmul,
-    lattice_combination,
     nonzero_rows,
     row_index,
 )
@@ -109,21 +111,7 @@ def test_table_times_matrix_matches_the_flat_reference():
 
 
 # ---------------------------------------------------------------------------
-# combinations and fits
-
-
-def test_lattice_combination_matches_the_dense_reference():
-    rng = random.Random(4403)
-    for trial in range(200):
-        dims = shapes(rng)
-        a = random_table(rng, dims, rng.choice((0.1, 0.5, 1.0)))
-        b = a if trial % 10 == 0 else random_table(rng, dims, rng.choice((0.1, 0.5, 1.0)))
-        for sign in (1, -1):
-            got = lattice_combination(a, b, sign)
-            assert got == DenseTensor.from_lattice(dims, *reference_lattice_combination(a, b, sign))
-        assert lattice_combination(a, a, -1).is_zero()
-    with pytest.raises(ShapeError):
-        lattice_combination(random_table(rng, (2, 3), 1.0), random_table(rng, (3, 2), 1.0), 1)
+# componentwise fits
 
 
 def reference_fit(columns, rhs):
@@ -146,14 +134,14 @@ def test_fit_tables_matches_the_dense_reference_on_random_systems():
         density = rng.choice((0.1, 0.5, 1.0))
         columns = [random_table(rng, dims, density) for _ in range(k)]
         if trial % 7 == 0:
-            columns[-1] = lattice_combination(columns[0], columns[0], 1)  # dependent columns
+            columns[-1] = tensor_scale(columns[0], 2)  # dependent columns
         case = trial % 3
         if case == 2:
             rhs = random_table(rng, dims, density)
         else:
             rhs = DenseTensor.from_entries(dims, [F(0)] * prod(dims))
             for col in columns:
-                rhs = lattice_combination(rhs, col, rng.randint(-3, 3))
+                rhs = tensor_add(rhs, tensor_scale(col, rng.randint(-3, 3)))
             if case == 1:
                 entries = list(rhs.entries)
                 entries[rng.randrange(len(entries))] += F(rng.choice((-1, 1)), rng.randint(1, 3))
@@ -162,6 +150,37 @@ def test_fit_tables_matches_the_dense_reference_on_random_systems():
         assert sol == reference_fit(columns, rhs), trial
         kinds.add(sol.kind)
     assert kinds == {"unique", "parametric", "infeasible"}
+
+
+def test_fit_tables_witness_ends_the_first_infeasible_prefix():
+    # rank 1-3 tables and 1-3 columns, some dependent, with right-hand sides
+    # in their span, perturbed at one or two components, or random: the
+    # witness is the offset whose row ends the first prefix of component
+    # rows with no solution, and only an infeasible fit has one
+    rng = random.Random(4407)
+    witnesses = set()
+    for trial in range(400):
+        dims = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        density = rng.choice((0.2, 0.5, 1.0))
+        columns = [random_table(rng, dims, density) for _ in range(rng.randint(1, 3))]
+        if trial % 5 == 0:
+            columns[-1] = tensor_scale(columns[0], F(-1, 2))  # dependent columns
+        if trial % 4 == 3:
+            rhs = random_table(rng, dims, density)
+        else:
+            entries = [F(0)] * prod(dims)
+            for col in columns:
+                c = F(rng.randint(-3, 3), rng.randint(1, 2))
+                entries = [x + c * y for x, y in zip(entries, col.entries)]
+            for _ in range(trial % 3):
+                entries[rng.randrange(len(entries))] += F(rng.choice((-1, 1)), rng.randint(1, 3))
+            rhs = DenseTensor.from_entries(dims, entries)
+        sol = fit_tables(columns, rhs)
+        expected = reference_fit_witness([col.entries for col in columns], rhs.entries)
+        assert sol.witness == expected, trial
+        assert (sol.kind == "infeasible") == (expected is not None), trial
+        witnesses.add(expected)
+    assert len(witnesses) > 12
 
 
 def test_fit_tables_on_components_outside_the_column_supports():

@@ -448,6 +448,27 @@ def test_kaehler_disagreement_is_an_ambient_internal_inconsistency(monkeypatch):
     }
 
 
+def test_ambient_ricci_entry_fails_the_closed_form(monkeypatch):
+    # family_h3 fits nu = 4 and nu_assoc = 0, and no block reads the ambient
+    # Ricci entry (1,2); the closed form 2(h-1)(nu g - nu_assoc gJ) of every
+    # constant fit names the moved entry
+    from nordenlight import ambient
+
+    trace = ambient.ricci_trace
+
+    def perturbed(r13):
+        rows = [list(row) for row in nested(trace(r13))]
+        rows[0][1] += 1
+        return tensor_from_rows(rows)
+
+    monkeypatch.setattr(ambient, "ricci_trace", perturbed)
+    report = run_pipeline(parse_manifold_file((FIXTURES / "family_h3.mf").read_text(encoding="utf-8")))
+    message = "ambient Ricci closed form fails at (1,2): Ricci 1, closed form 0"
+    assert report.exit_code == 5
+    assert report.data["ambient"] == {"detail": message}
+    assert f"\n[ambient]\n{message}\n" in emit_report(report, "text")
+
+
 def _failing_semi_symmetric(real):
     return FlagResult(False, (1, 2, 1, 3, 4), DenseTensor.from_entries((5,), [F(-4, 3), 0, 0, 0, 0]))
 

@@ -50,6 +50,8 @@ from nordenlight.symmetry import induced_curvature_gauss
 INVALID = {"jacobi_broken_h3"} | {f"invalid_{cause}_h3" for cause in INVALID_CAUSES}
 INPUTS = [name for name, _ in golden_corpus() if name not in INVALID]
 INPUTS += ["family_member_conjugated"]
+# the one block of this input has no radical transversal, so no second fundamental data
+GAUSS_INPUTS = [name for name in INPUTS if name != "heisenberg_c_h3_antidiagonal"]
 
 
 @cache
@@ -97,7 +99,7 @@ def test_ambient_tables_match_the_dense_references(name):
             assert pi_combination(m, a, b) == reference_pi_combination(tensors, a, b)
 
 
-@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("name", GAUSS_INPUTS)
 def test_induced_gauss_matches_the_dense_reference(name):
     _, _, amb, runs = prepared(name)
     assert runs
