@@ -482,7 +482,7 @@ def constant_trsc(r04: DenseTensor, ns: NordenStructure) -> TrscStatus:
     return TrscStatus("constant", *sol.particular.entries)
 
 
-def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None) -> DenseTensor:
+def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus) -> DenseTensor:
     """Ricci table Ric(X, Y) = trace of Z -> R(Z, X)Y.
 
     When the curvature fit is constant the closed form
@@ -490,7 +490,7 @@ def ambient_ricci(r13: DenseTensor, ns: NordenStructure, trsc: TrscStatus | None
     """
     n = r13.dims[0]
     ric = ricci_trace(r13)
-    if trsc is not None and trsc.kind == "constant":
+    if trsc.kind == "constant":
         (g, dg), (gj, dgj) = ns.g.lattice(), ns.gj.lattice()
         a, b = 2 * (n // 2 - 1) * trsc.nu / dg, -2 * (n // 2 - 1) * trsc.nu_assoc / dgj
         den = lcm(a.denominator, b.denominator)

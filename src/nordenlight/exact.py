@@ -294,8 +294,6 @@ def int_bilinear(u, g, v) -> tuple[tuple[int, ...], ...]:
 
 def _nest(dims, flat):
     """Row-major flat sequence as nested tuples of the given dimensions."""
-    if not dims:
-        return flat[0]
     nested = tuple(flat)
     for d in reversed(dims[1:]):
         items = iter(nested)

@@ -105,19 +105,8 @@ class LightlikeFrame:
             raise InternalInconsistency("radical section has a transversal component")
         return DenseTensor.from_lattice((m,), (row[0] for row in coords[:m]), self.inverse.den * dx)
 
-    @cached_property
-    def inner(self) -> DenseTensor:
-        """Row r gives the r-th coordinate along screen, then xi, of span
-        coordinates: the inverse of the matrix whose columns are the screen
-        unit vectors and xi_span."""
-        x, dx = self.xi_span.lattice()
-        unit = {idx: pos for pos, idx in enumerate(self.screen_indices)}
-        cols = len(self.screen_indices)
-        rows = [[dx * (unit.get(r) == c) for c in range(cols)] + [y] for r, y in enumerate(x)]
-        return mat_inverse(DenseTensor.from_rows((len(x), len(x)), rows, dx))
-
     # the right operands of the products below: the span and screen rows (over
-    # the span denominator) and the transposes of `inverse` and `inner`
+    # the span denominator) and the transpose of `inverse`
     @cached_property
     def span_index(self) -> RowIndex:
         return RowIndex(self.span.rows, self.span.dims[1])
@@ -130,10 +119,6 @@ class LightlikeFrame:
     @cached_property
     def inverse_index(self) -> RowIndex:
         return row_index(tuple(zip(*self.inverse.lattice()[0])))
-
-    @cached_property
-    def inner_index(self) -> RowIndex:
-        return row_index(tuple(zip(*self.inner.lattice()[0])))
 
     def to_ambient(self, coords):
         """Ambient vectors of rows of span coordinates."""
@@ -153,9 +138,14 @@ class LightlikeFrame:
 
     def screen_coords(self, coords):
         """Rows of span coordinates split along screen + radical: each row
-        holds the screen coordinates, then the xi coefficient."""
-        rows, den = coords
-        return int_matmul(rows, self.inner_index), den * self.inner.den
+        holds the screen coordinates, then the xi coefficient. The screen (the
+        span basis but one index r) complements the radical, so xi_span = x / dx
+        has x_r != 0, and v = sum_w (v_w - v_r x_w / x_r) E_w + (v_r dx / x_r) xi."""
+        (rows, den), (x, dx), screen = coords, self.xi_span.lattice(), self.screen_indices
+        (r,) = set(range(len(x))).difference(screen)
+        s = 1 if x[r] > 0 else -1
+        split = tuple(tuple(s * (v[w] * x[r] - v[r] * x[w]) for w in screen) + (s * v[r] * dx,) for v in rows)
+        return split, den * s * x[r]
 
     def p_projection(self):
         """Span coordinates of the screen projections P E_a, one row per
@@ -221,13 +211,11 @@ class UmbilicalResult:
 
 
 def validate_span(hs: HypersurfaceSpec, amb: AmbientGeometry) -> None:
-    """The span must consist of dim-1 independent vectors closed under the
-    bracket; anything else is a hypothesis failure for the block. The span's
-    echelon is taken once, and the brackets of all span pairs, formed in
-    staged products, are reduced against it."""
+    """The span's dim-1 vectors (the parser checks the count) must be
+    independent and closed under the bracket; anything else is a hypothesis
+    failure for the block. The span's echelon is taken once, and the brackets
+    of all span pairs, formed in staged products, are reduced against it."""
     n = amb.spec.dim
-    if hs.span.dims[0] != n - 1:
-        raise HypothesisFailure(f"hypersurface span must have {n - 1} vectors, got {hs.span.dims[0]}")
     span, _ = hs.span.lattice()
     basis = Echelon(span)
     if len(basis.pivots) != n - 1:

@@ -92,8 +92,6 @@ def _parse_terms(tokens: list[str], dim: int, line_no: int) -> Terms:
             raise ParseError(f"duplicate index {k} in term list", line_no)
         seen.add(k)
         out.append((k, _coefficient(q_text, line_no)))
-    if not out:
-        raise ParseError("empty term list", line_no)
     return tuple(out)
 
 

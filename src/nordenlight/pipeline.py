@@ -211,7 +211,7 @@ def _combo(coords: DenseTensor, labels) -> str:
         text = format_ratio(abs(x), coords.den)
         term = label if text == "1" else f"{text}*{label}"
         parts.append(f"+ {term}" if x > 0 else f"- {term}")
-    if not parts:
+    if not parts:  # a zero xi-shape image is aligned, and can be the umbilical witness when the factors differ
         return "0"
     head = parts[0]
     head = head[2:] if head.startswith("+ ") else "-" + head[2:]

@@ -22,7 +22,8 @@ through the closed form; all must agree exactly.
 
 The symmetry checkers accept raw tables (curvature, connection, Ricci,
 metrics) so synthetic counterexamples can be audited without a geometric
-pipeline behind them.
+pipeline behind them, once the curvature table is antisymmetric in its first
+two slots, as the curvature of every connection is (`_scan_pairs`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 
@@ -332,15 +333,14 @@ def induced_ricci(
 
 
 def _scan_pairs(r13: DenseTensor) -> list[tuple[int, int]]:
-    """The pairs (x, y) of the first two slots a checker scans, in product
-    order. When the table is antisymmetric in those slots, every checked
-    expression is antisymmetric in (X, Y): the pairs x >= y add no
-    vanishing condition, and the first nonzero tuple in product order has
-    x < y, so only those pairs are scanned. Other tables get every pair."""
-    m = r13.dims[0]
-    if r13.antisymmetric:
-        return [(x, y) for x in range(m) for y in range(x + 1, m)]
-    return list(product(range(m), repeat=2))
+    """The pairs x < y of the first two slots a checker scans, in product
+    order. R(X, Y) = -R(Y, X), so every checked expression is antisymmetric
+    in (X, Y): the pairs x >= y add no vanishing condition, and the first
+    nonzero tuple in product order has x < y. A table without that
+    antisymmetry is no curvature table, and raises before any scan."""
+    if not r13.antisymmetric:
+        raise InternalInconsistency("curvature table is not antisymmetric in its first two slots")
+    return list(combinations(range(r13.dims[0]), 2))
 
 
 def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
@@ -351,9 +351,9 @@ def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
 
         (a.R)(U,V,W) = a R(U,V,W) - R(U,V,a W) - R(a U,V,W) - R(U,a V,W),
 
-    and its least such (u, v, w). When the table is antisymmetric in its
-    first two slots, so is a.R, and its least nonzero (u, v, w) has u < v:
-    only v > u is scanned. Other tables get every v. Each a is applied to the
+    and its least such (u, v, w). The table is antisymmetric in its first
+    two slots (`_scan_pairs`), so is a.R, and its least nonzero (u, v, w)
+    has u < v: only v > u is indexed and scanned. Each a is applied to the
     whole table as four scatters, one per slot, driven by the nonzero rows
     of a as in Gustavson's sparse product: a R(U,V,W) from the entries of
     the table by their last index, R(U,V,a W) from its rows by their third
@@ -362,7 +362,6 @@ def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
     time, for every scanned v and w at once, and the scan stops at the first
     u with a nonzero component."""
     m = r13.dims[0]
-    skew = r13.antisymmetric
     blocks = r13.blocks
     # per leading index u, over its scanned v: the entries x of R(X_u,
     # X_v)X_w at X_k as (v * m + w, x) by k, and the rows R(X_u, X_v)X_k as
@@ -372,7 +371,7 @@ def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
     for r, items in r13.rows.items():
         u, vw = divmod(r, m * m)
         v, w = divmod(vw, m)
-        if v > u or not skew:
+        if v > u:
             by_third[u].setdefault(w, []).append((v, items))
             for k, x in items:
                 by_last[u].setdefault(k, []).append((vw, x))
@@ -383,7 +382,7 @@ def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
             continue
         a_rows = a.items()
         for u in range(m):
-            v0, last_u, third_u = u + 1 if skew else 0, by_last[u], by_third[u]
+            v0, last_u, third_u = u + 1, by_last[u], by_third[u]
             acc.clear()
             for k, a_k in a_rows:  # a R(U,V,W)
                 for vw, x in last_u.get(k, ()):
@@ -423,12 +422,12 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
                             - R(R(X,Y,U),V,W) - R(U,R(X,Y,V),W),
 
     over every basis 5-tuple; the witness is the first nonzero component in
-    product order. When the table is antisymmetric in its first two slots the
-    expression is antisymmetric in (X, Y) and in (U, V), so scanning the
-    strictly ordered pairs decides the vanishing of all tuples; tables
-    without that symmetry get the full scan. The evaluation is driven by the
-    nonzero entries of the table: pairs (x, y) with R(X_x, X_y) = 0 are
-    skipped, and each other R(X_x, X_y) acts on the whole table as in
+    product order. The table is antisymmetric in its first two slots, so the
+    expression is antisymmetric in (X, Y) and in (U, V), and scanning the
+    strictly ordered pairs of `_scan_pairs` decides the vanishing of all
+    tuples; any other table raises before the scan. The evaluation is driven
+    by the nonzero entries of the table: pairs (x, y) with R(X_x, X_y) = 0
+    are skipped, and each other R(X_x, X_y) acts on the whole table as in
     `_first_nonzero_action`, one leading index u at a time, all (v, w) at
     once, stopping at the first u with a nonzero component; its least such
     (v, w) completes the witness."""
@@ -443,8 +442,8 @@ def ricci_semi_symmetric_check(r13: DenseTensor, ricci: DenseTensor) -> FlagResu
     matrix of R(X_x, X_y) (row u holds R(X_x, X_y)X_u) the component at
     (u, v) is -(A Ric)[u][v] - (A Ric^T)[v][u], one sparse product per pair
     when Ric is symmetric; it can be nonzero only at (u, v) with row u of
-    A Ric or row v of A Ric^T nonzero. Pairs are scanned as in
-    `_scan_pairs`."""
+    A Ric or row v of A Ric^T nonzero. Pairs x < y are scanned, and other
+    tables rejected, as in `_scan_pairs`."""
     m = r13.dims[0]
     ric, dric = ricci.lattice()
     ric_t = tuple(zip(*ric))
@@ -475,12 +474,13 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
 
     expanded with constant coefficients; the witness is the first nonzero
     component in product order of (U, X, Y, Z). The expression is
-    antisymmetric in (X, Y) when the table is, so pairs are scanned as in
-    `_scan_pairs`. D_U acts on R as the derivation with the matrix of
-    D_U X_k, so it is evaluated like the semi-symmetric check: from the
-    nonzero rows of induced_gamma[u] and of the table, one leading index x
-    at a time, all (y, z) at once, stopping at the first x with a nonzero
-    component; its least such (y, z) completes the witness."""
+    antisymmetric in (X, Y) as the table is, so only x < y is scanned, and
+    other tables are rejected (`_scan_pairs`). D_U acts on R as the
+    derivation with the matrix of D_U X_k, evaluated like the semi-symmetric
+    check: from the nonzero rows of induced_gamma[u] and of the table, one
+    leading index x at a time, all (y, z) at once, stopping at the first x
+    with a nonzero component; its least such (y, z) completes the witness."""
+    _scan_pairs(r13)  # the antisymmetry guard
     operators = (((u + 1,), induced_gamma.blocks.get(u)) for u in range(r13.dims[0]))
     return _first_nonzero_action(r13, operators, induced_gamma.den)
 

@@ -45,6 +45,17 @@ NON_DECIMAL_INTEGERS = {
     "term_index_plus_sign": edited(BOREL, "J 1 = 3:1", "J 1 = +3:1"),
     "span_underscore": edited(family_text(5), "span=2,3,4,5,6,7,8,9,10", "span=2,3,4,5,6,7,8,9,1_0"),
 }
+# one malformed line of the Borel fixture per parse error, as the edit of the
+# line and the message the CLI prints after its line number
+MALFORMED_LINES = {
+    "dim_two_arguments": (("DIM 4", "DIM 4 5"), "DIM takes exactly one argument"),
+    "bracket_without_equals": (("BRACKET 1 2 = 4:-2", "BRACKET 1 2 3:1"), "expected BRACKET i j = k:q ..."),
+    "metric_without_equals": (("METRIC 1 1 = 1", "METRIC 1 2 1"), "expected METRIC i j = q"),
+    "j_without_equals": (("J 1 = 3:1", "J 1 2:1"), "expected J i = k:q ..."),
+    "bare_span_token": (("span=2,3,4", "span"), "expected key=value, got 'span'"),
+    "unknown_hypersurface_key": (("xi=3:-1", "xi=3:-1 foo=1"), "unknown hypersurface key 'foo'"),
+    "no_metric_key": (("metric=assoc ", ""), "hypersurface needs metric=principal|assoc"),
+}
 
 
 class TestParsing:
@@ -177,6 +188,21 @@ class TestParseErrors:
     def test_duplicate_term_index(self):
         self.expect_error("DIM 4\nJ 1 = 3:1,\n", "expected k:q|malformed", line=2)
         self.expect_error("DIM 4\nBRACKET 1 2 = 3:1 3:2\n", "duplicate index", line=2)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_LINES))
+    def test_malformed_line_exits_2_with_its_line(self, case, tmp_path, capsys):
+        (old, new), message = MALFORMED_LINES[case]
+        text, line = edited(BOREL, old, new)
+        path = tmp_path / "m.mf"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: line {line}: {message}\n"
+
+    def test_zero_xi_hint_is_a_hypothesis_failure(self, tmp_path, capsys):
+        path = tmp_path / "m.mf"
+        path.write_text(BOREL.replace("xi=3:-1", "xi=1:0"), encoding="utf-8")
+        assert main(["check", str(path)]) == 4
+        assert "status: hypothesis_failure (xi hint is the zero vector)\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("case", list(NON_DECIMAL_INTEGERS))
     def test_integers_are_ascii_decimal_digits(self, case, tmp_path, capsys):

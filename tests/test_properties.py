@@ -170,37 +170,22 @@ class TestEngineGuards:
             emit_report(report, "yaml")
 
 
-class TestSemiSymmetricFullScanFallback:
-    def test_table_without_antisymmetry_uses_full_scan(self):
-        # A raw table that is not antisymmetric in its first slots and whose
-        # derivation action is nonzero only on a diagonal tuple: the reduced
-        # pair scan would miss it, the full scan must not.
-        entries = {(0, 0, 0, 0): F(1)}
-        table = tensor_from_function(
-            (2, 2, 2, 2), lambda *ix: entries.get(ix, F(0))
-        )
-        flag = semi_symmetric_check(table)
-        assert not flag.holds
-        assert flag.witness == (1, 1, 1, 1, 1)
-        x, y, u, v, w = (i - 1 for i in flag.witness)
-        assert derivation_action_direct(table, x, y, u, v, w) == flag.value.entries
-        assert flag.value.entries == (F(-2), F(0))
-
-    def test_ricci_and_local_checks_scan_every_pair_without_antisymmetry(self):
-        # the same raw table: the reduced pair scan would skip the diagonal
-        # pair (X1, X1) that carries the only nonzero components
-        entries = {(0, 0, 0, 0): F(1)}
-        table = tensor_from_function(
-            (2, 2, 2, 2), lambda *ix: entries.get(ix, F(0))
-        )
+class TestCheckersNeedAntisymmetricTables:
+    def test_each_checker_rejects_a_table_without_antisymmetry(self):
+        # R(X, Y) = -R(Y, X) holds for the curvature of every connection, and
+        # the checkers scan only the pairs x < y: a table with the one nonzero
+        # entry R(X1, X1)X1 = X1 is no curvature table, and each checker
+        # raises before it scans
+        table = tensor_from_function((2, 2, 2, 2), lambda *ix: F(ix == (0, 0, 0, 0)))
         ric = matrix(((F(1), F(0)), (F(0), F(0))))
-        flag = ricci_semi_symmetric_check(table, ric)
-        assert (flag.holds, flag.witness, flag.value.entries) == (False, (1, 1, 1, 1), (F(-2),))
-        gamma = tensor_from_function(
-            (2, 2, 2), lambda u, a, b: F(1 if (u, a, b) == (1, 0, 1) else 0)
-        )
-        flag = locally_symmetric_check(table, gamma)
-        assert (flag.holds, flag.witness, flag.value.entries) == (False, (2, 1, 1, 1), (F(0), F(1)))
+        gamma = tensor_from_function((2, 2, 2), lambda u, a, b: F((u, a, b) == (1, 0, 1)))
+        message = r"^curvature table is not antisymmetric in its first two slots$"
+        with pytest.raises(InternalInconsistency, match=message):
+            semi_symmetric_check(table)
+        with pytest.raises(InternalInconsistency, match=message):
+            ricci_semi_symmetric_check(table, ric)
+        with pytest.raises(InternalInconsistency, match=message):
+            locally_symmetric_check(table, gamma)
 
 
 def _brute_flag(hit, den):
@@ -248,14 +233,14 @@ class TestCheckersAgainstBruteForce:
     def test_random_raw_tables(self):
         # raw tables with denominators from about 5% to 100% nonzero at m =
         # 4-6, and sparse ones at m = 7, antisymmetrized in the first slot
-        # pair or not, with a connection of the same density and a Ricci
-        # table that is not always symmetric
+        # pair as every curvature table is, with a connection of the same
+        # density and a Ricci table that is symmetric in half the cases
         rng = random.Random(41)
         cases = chain(
             product((4, 5, 6), (0.05, 0.2, 0.5, 1.0), (False, True), range(2)),
             product((7,), (0.05, 0.2), (False, True), range(2)),
         )
-        for m, density, antisymmetric, _ in cases:
+        for m, density, symmetric_ricci, _ in cases:
             idx = range(m)
 
             def entry(values, dens):
@@ -264,12 +249,10 @@ class TestCheckersAgainstBruteForce:
                 return F(rng.choice(values), rng.choice(dens))
 
             raw = {ix: entry((1, -2, 3, -1), (1, 2, 5)) for ix in product(idx, repeat=4)}
-            if antisymmetric:
-                raw = {(i, j, k, l): raw[i, j, k, l] - raw[j, i, k, l] for i, j, k, l in raw}
-            table = tensor_from_function((m,) * 4, lambda *ix: raw[ix])
+            table = tensor_from_function((m,) * 4, lambda i, j, k, l: raw[i, j, k, l] - raw[j, i, k, l])
             gamma = tensor_from_function((m,) * 3, lambda *ix: entry((1, -1, 2), (1, 3)))
             ric = tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 7])) for _ in idx) for _ in idx)
-            if antisymmetric:
+            if symmetric_ricci:
                 ric = tuple(tuple(ric[max(a, b)][min(a, b)] for b in idx) for a in idx)
             _assert_checkers_match_brute_force(table, gamma, ric)
 
@@ -293,23 +276,28 @@ class TestCheckersAgainstBruteForce:
         assert _assert_checkers_match_brute_force(table, gamma) == (True, True)
 
     def test_one_entry_perturbations_of_the_family_table(self):
-        # every entry of the h = 3 family's induced table, perturbed one at a
-        # time: the table loses its antisymmetry, so every pair is scanned
+        # every entry (i, j, k, l) with i != j of the h = 3 family's induced
+        # table, moved by delta one at a time, with (j, i, k, l) moved by
+        # -delta so that the table stays antisymmetric in its first two slots
         _, _, amb, run = family_member(False)
         table = induced_curvature_gauss(run.sf, run.frame, amb)
         gamma = run.sf.induced_gamma
         assert _assert_checkers_match_brute_force(table, gamma) == (True, True)
-        for i in range(len(table.entries)):
-            entries = list(table.entries)
-            entries[i] += F(1, 3) if i % 2 else F(-2)
-            perturbed = DenseTensor.from_entries(table.dims, entries)
-            assert _assert_checkers_match_brute_force(perturbed, gamma) == (False, False)
+        m = table.dims[0]
+        for offset, (i, j, k, l) in enumerate(product(range(m), repeat=4)):
+            if i != j:
+                delta = F(1, 3) if offset % 2 else F(-2)
+                entries = list(table.entries)
+                entries[offset] += delta
+                entries[((j * m + i) * m + k) * m + l] -= delta
+                perturbed = DenseTensor.from_entries(table.dims, entries)
+                assert _assert_checkers_match_brute_force(perturbed, gamma) == (False, False)
 
     @pytest.mark.parametrize("case", ["family_h6", "dense_h5"])
     def test_pinned_one_entry_perturbations(self, case):
         # one-entry perturbations of tables too wide for the brute-force
-        # scans, with antisymmetry kept (the entry and its swap) and broken:
-        # the checkers return the pinned (holds, witness, value) of the
+        # scans, with antisymmetry kept (the entry and its swap): the
+        # checkers return the pinned (holds, witness, value) of the
         # product-order scan. The h = 6 family's block is the sparse_d12
         # table; the h = 5 block is rebased to a dense basis (the product of
         # the unit upper and lower triangular matrices of ones, second row
@@ -327,8 +315,7 @@ class TestCheckersAgainstBruteForce:
                 delta = F(pinned["delta"])
                 entries = list(table.entries)
                 entries[((i * m + j) * m + k) * m + l] += delta
-                if pinned["antisymmetric"]:
-                    entries[((j * m + i) * m + k) * m + l] -= delta
+                entries[((j * m + i) * m + k) * m + l] -= delta
                 perturbed = DenseTensor.from_entries(table.dims, entries)
             assert perturbed.antisymmetric == pinned["antisymmetric"]
             flags = {"semi": semi_symmetric_check(perturbed), "local": locally_symmetric_check(perturbed, gamma)}
