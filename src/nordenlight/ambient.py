@@ -315,17 +315,15 @@ def kaehler_check(spec: LieAlgebraSpec, ns: NordenStructure, gamma: DenseTensor)
     return KaehlerCheck(is_kaehler, f_table, f_witness)
 
 
-def curvature(
-    spec: LieAlgebraSpec, gamma: DenseTensor, ns: NordenStructure
-) -> tuple[DenseTensor, DenseTensor]:
-    """Curvature tables: riemann13[i,j,k,l] holds the X_l coefficient of
-    R(X_i, X_j)X_k, riemann04 lowers the last slot with the metric. R13 is
-    scattered from nonzero entries alone: D_{X_i} D_{X_j} X_k from each
-    nonzero connection entry against the nonzero rows it meets, the bracket
-    term from each nonzero structure constant against the nonzero rows of
-    one slice of the connection."""
-    n = spec.dim
-    dgm, dc = gamma.den, spec.brackets.den
+def connection_curvature(brackets: DenseTensor, gamma: DenseTensor) -> DenseTensor:
+    """R(X_i, X_j)X_k = [G_i, G_j]X_k - G_{[X_i, X_j]}X_k, with G_i the
+    matrix of D_{X_i} (gamma[i][k] the row D_{X_i} X_k) and brackets[i][j]
+    the row [X_i, X_j], scattered from nonzero entries alone:
+    D_{X_i} D_{X_j} X_k from each nonzero connection entry against the
+    nonzero rows it meets, the bracket term from each nonzero structure
+    constant against the nonzero rows of one slice of the connection."""
+    n = gamma.dims[0]
+    dgm, dc = gamma.den, brackets.den
     den = lcm(dgm * dgm, dc * dgm)
     f_prod, f_bracket = den // (dgm * dgm), den // (dc * dgm)
     rows = defaultdict(partial(mul, [0], n))  # row (i * n + j) * n + k: R(X_i, X_j)X_k
@@ -333,15 +331,15 @@ def curvature(
     # row D_{X_i} X_m: each nonzero G[j][k][m] meets the nonzero rows
     # G[i][m] and enters row (i, j, k) and, negated, row (j, i, k); i = j
     # cancels
-    with_last: dict[int, list] = {}  # m -> (i, G[i][m]) over the nonzero rows
+    meets: dict[int, list] = {}  # m -> (i, G[i][m]) over the nonzero rows
     for r, items in gamma.rows.items():
         i, m = divmod(r, n)
-        with_last.setdefault(m, []).append((i, items))
+        meets.setdefault(m, []).append((i, items))
     for r, items in gamma.rows.items():
         j, k = divmod(r, n)
         for m, x in items:
             x *= f_prod
-            for i, g_im in with_last.get(m, ()):
+            for i, g_im in meets.get(m, ()):
                 if i != j:
                     out, opp = rows[(i * n + j) * n + k], rows[(j * n + i) * n + k]
                     for q, y in g_im:
@@ -350,17 +348,25 @@ def curvature(
     # - D_{[X_i, X_j]} X_k: each nonzero structure constant c of X_m in
     # [X_i, X_j] meets the nonzero rows of the slice G_m
     none: dict = {}
-    for r, items in spec.brackets.rows.items():
+    for r, items in brackets.rows.items():
         for m, c in items:
             c *= f_bracket
             for k, g_mk in gamma.blocks.get(m, none).items():
                 out = rows[r * n + k]
                 for q, y in g_mk:
                     out[q] -= c * y
-    dims = (n, n, n, n)
-    r13 = DenseTensor.from_rows(dims, rows, den)
+    return DenseTensor.from_rows((n, n, n, n), rows, den)
+
+
+def curvature(
+    spec: LieAlgebraSpec, gamma: DenseTensor, ns: NordenStructure
+) -> tuple[DenseTensor, DenseTensor]:
+    """Curvature tables: riemann13[i,j,k,l] holds the X_l coefficient of
+    R(X_i, X_j)X_k (`connection_curvature`), riemann04 lowers the last slot
+    with the metric."""
+    r13 = connection_curvature(spec.brackets, gamma)
     r04 = int_matmul(r13.rows, ns.operands["principal"])
-    return r13, DenseTensor.from_rows(dims, r04, r13.den * ns.g.den)
+    return r13, DenseTensor.from_rows(r13.dims, r04, r13.den * ns.g.den)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import sub
 
 from .ambient import AmbientGeometry, Check, NordenStructure
 from .errors import HypothesisFailure, InternalInconsistency
@@ -210,26 +211,52 @@ class UmbilicalResult:
     witness_image: DenseTensor | None  # ambient coordinates of that image
 
 
+def _pair_brackets(span, brackets: DenseTensor):
+    """Yield (a, b, [E_a, E_b]) for the int span rows E_a and the pairs a < b
+    in product order, as ambient int rows over ds^2 brackets.den."""
+    n = len(span[0])
+    by_a = int_matmul(span, brackets.leading)  # by_a[a][j * n + k] = sum_i u_a[i] c[i][j][k]
+    for a in range(len(span)):
+        d_a = tuple(by_a[a][j * n : (j + 1) * n] for j in range(n))  # row j: [E_a, X_j]
+        yield from ((a, b, w) for b, w in enumerate(int_matmul(span[a + 1 :], d_a), start=a + 1))
+
+
 def validate_span(hs: HypersurfaceSpec, amb: AmbientGeometry) -> None:
     """The span's dim-1 vectors (the parser checks the count) must be
     independent and closed under the bracket; anything else is a hypothesis
     failure for the block. The span's echelon is taken once, and the brackets
-    of all span pairs, formed in staged products, are reduced against it."""
-    n = amb.spec.dim
+    of all span pairs (`_pair_brackets`) are reduced against it."""
     span, _ = hs.span.lattice()
     basis = Echelon(span)
-    if len(basis.pivots) != n - 1:
+    if len(basis.pivots) != amb.spec.dim - 1:
         raise HypothesisFailure("hypersurface span is linearly dependent")
-    # by_a[a][j * n + k] = sum_i u_a[i] c[i][j][k], then paired with every u_b
-    by_a = int_matmul(span, amb.spec.brackets.leading)
-    for a in range(n - 1):
-        d_a = tuple(by_a[a][j * n : (j + 1) * n] for j in range(n))
-        for b, w in enumerate(int_matmul(span[a + 1 :], d_a), start=a + 1):
-            if any(basis.reduce(w)):
-                raise HypothesisFailure(
-                    f"span is not a subalgebra: bracket of span vectors {a + 1} and {b + 1} "
-                    "leaves the span"
-                )
+    for a, b, w in _pair_brackets(span, amb.spec.brackets):
+        if any(basis.reduce(w)):
+            raise HypothesisFailure(
+                f"span is not a subalgebra: bracket of span vectors {a + 1} and {b + 1} leaves the span"
+            )
+
+
+def span_brackets(frame: LightlikeFrame, brackets: DenseTensor) -> DenseTensor:
+    """The subalgebra's structure constants, [E_x, E_y] = sum_k c[x][y][k]
+    E_k: the span brackets (`_pair_brackets`) split along span + transversal.
+    The span passed `validate_span`, so a transversal coordinate is a bug."""
+    m, (span, ds) = frame.span.dims[0], frame.span.lattice()
+    split, den = frame.frame_coords(([w for *_, w in _pair_brackets(span, brackets)], ds * ds * brackets.den))
+    if any(row[m] for row in split):
+        raise InternalInconsistency("bracket of span vectors has a transversal component")
+    rows = {}
+    for (x, y), row in zip(combinations(range(m), 2), split):
+        rows[x * m + y], rows[y * m + x] = row[:m], [-v for v in row[:m]]
+    return DenseTensor.from_rows((m, m, m), rows, den)
+
+
+def torsion(gamma: DenseTensor) -> DenseTensor:
+    """D_{E_x} E_y - D_{E_y} E_x in span coordinates, from the induced
+    connection (gamma[x][y] the row D_{E_x} E_y)."""
+    g, den = gamma.lattice()
+    rows = [list(map(sub, gx[y], g[y][x])) for x, gx in enumerate(g) for y in range(len(g))]
+    return DenseTensor.from_rows(gamma.dims, rows, den)
 
 
 def induce_and_classify(hs: HypersurfaceSpec, amb: AmbientGeometry) -> Classification:

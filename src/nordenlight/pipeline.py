@@ -26,7 +26,7 @@ from operator import add, floordiv, mod
 
 from . import __version__
 from .ambient import AmbientGeometry, Check, build_ambient_geometry, require_equal, validate_lie_algebra, validate_norden
-from .ambient import LieAlgebraSpec, NordenStructure, ValidationReport
+from .ambient import LieAlgebraSpec, NordenStructure, ValidationReport, connection_curvature
 from .errors import HypothesisFailure, InternalInconsistency, ValidationFailure
 from .exact import DenseTensor, format_ratio, format_rational
 from .hypersurface import (
@@ -40,6 +40,8 @@ from .hypersurface import (
     gauss_weingarten,
     induce_and_classify,
     radical_transversal_check,
+    span_brackets,
+    torsion,
     umbilical_test,
     validate_span,
     verify_frame_identities,
@@ -161,12 +163,19 @@ def run_block(hs: HypersurfaceSpec, amb: AmbientGeometry) -> BlockRun:
         r13 = induced_curvature_gauss(sf, frame, amb)
         r13_closed = induced_curvature_closed_form(frame, sf, amb)
         require_equal(r13, r13_closed, "gauss and closed-form curvature routes disagree", "gauss", "closed form")
+        c = span_brackets(frame, amb.spec.brackets)
+        require_equal(torsion(sf.induced_gamma), c, "induced connection has torsion", "connection", "bracket")
+        r13_connection = connection_curvature(c, sf.induced_gamma)
+        require_equal(r13, r13_connection, "gauss and connection curvature routes disagree", "gauss", "connection")
         run.r13 = r13
         run.ricci = ricci = induced_ricci(r13, sf, frame, amb)
+        # on the connection route's curvature each flag implies the next (see `symmetry`)
+        local = locally_symmetric_check(r13, sf.induced_gamma)
+        semi = semi_symmetric_check(r13, local)
         run.flags = SymmetryFlags(
-            semi_symmetric_check(r13),
-            ricci_semi_symmetric_check(r13, ricci),
-            locally_symmetric_check(r13, sf.induced_gamma),
+            semi,
+            ricci_semi_symmetric_check(r13, ricci, semi),
+            local,
             almost_einstein_fit(ricci, run.classes["principal"].gram, run.classes["associated"].gram),
         )
         run.audit = symmetry_equivalence_audit(run.flags, hs.inducing_metric, amb.trsc, umb.rho, frame.b)

@@ -1,7 +1,7 @@
 """Induced curvature, Ricci, and the four curvature-symmetry classes.
 
 The induced curvature of a totally umbilical radical-transversal hypersurface
-is computed by two independent routes:
+is computed by three independent routes:
 
 * the Gauss route: tangential part of the ambient curvature corrected by the
   second fundamental form and the transversal shape operator, with the
@@ -12,7 +12,19 @@ is computed by two independent routes:
       R(X, Y)Z = a [g(X,Z) J(PY) - g(Y,Z) J(PX)] + K [m(X,Z) Y - m(Y,Z) X]
 
   with a = K - rho^2 / b, m(X, Z) = <X, JZ> in the inducing ambient metric,
-  and K the ambient constant attached to the other metric.
+  and K the ambient constant attached to the other metric;
+* the connection route, R(E_x, E_y) = [G_x, G_y] - sum_k c^k_xy G_k with G_x
+  the induced connection D_{E_x} and c the subalgebra's own structure
+  constants (`ambient.connection_curvature`), once the torsion identity
+  G_x E_y - G_y E_x = [E_x, E_y] is checked.
+
+On left-invariant fields D_U acts on a tensor T as the derivation D(G_U),
+and D is a Lie algebra homomorphism, so the connection route gives the Ricci
+identity R(X, Y).T = [D(G_x), D(G_y)]T - sum_k c^k_xy D(G_k)T (Z. I. Szabo,
+J. Differential Geom. 17 (1982) 531-582): DR = 0 implies R.R = 0, which
+implies R.Ric = 0 by contraction. The pipeline checks the route, then
+decides the local-symmetry flag by its scan and the two semi-symmetry flags
+from it, scanning only where the implying flag fails.
 
 Ricci is the trace of Z -> R(Z, X)Y. The opposite trace order negates every
 entry; the report carries both readings, and every vanishing check and the
@@ -415,7 +427,7 @@ def _first_nonzero_action(r13: DenseTensor, operators, den: int) -> FlagResult:
     return FlagResult(True)
 
 
-def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
+def semi_symmetric_check(r13: DenseTensor, given: FlagResult | None = None) -> FlagResult:
     """Vanishing of the curvature acting on itself as a derivation,
 
         (R(X,Y).R)(U,V,W) = R(X,Y,R(U,V,W)) - R(U,V,R(X,Y,W))
@@ -425,25 +437,35 @@ def semi_symmetric_check(r13: DenseTensor) -> FlagResult:
     product order. The table is antisymmetric in its first two slots, so the
     expression is antisymmetric in (X, Y) and in (U, V), and scanning the
     strictly ordered pairs of `_scan_pairs` decides the vanishing of all
-    tuples; any other table raises before the scan. The evaluation is driven
-    by the nonzero entries of the table: pairs (x, y) with R(X_x, X_y) = 0
-    are skipped, and each other R(X_x, X_y) acts on the whole table as in
-    `_first_nonzero_action`, one leading index u at a time, all (v, w) at
-    once, stopping at the first u with a nonzero component; its least such
-    (v, w) completes the witness."""
+    tuples; any other table raises before the scan. Pairs (x, y) with
+    R(X_x, X_y) = 0 are skipped, and each other R(X_x, X_y) acts on the
+    whole table as in `_first_nonzero_action`.
+
+    given, when passed, is the local-symmetry flag of r13 for a connection
+    whose curvature the caller checked r13 to be (the connection route); when
+    it holds, R.R = 0 follows by the Ricci identity (module docstring) and
+    nothing is scanned."""
+    if given is not None and given.holds:
+        return FlagResult(True)
     m = r13.dims[0]
     operators = (((x + 1, y + 1), r13.blocks.get(x * m + y)) for x, y in _scan_pairs(r13))
     return _first_nonzero_action(r13, operators, r13.den)
 
 
-def ricci_semi_symmetric_check(r13: DenseTensor, ricci: DenseTensor) -> FlagResult:
+def ricci_semi_symmetric_check(r13: DenseTensor, ricci: DenseTensor, given: FlagResult | None = None) -> FlagResult:
     """Vanishing of -Ric(R(X,Y,U), V) - Ric(U, R(X,Y,V)) on basis 4-tuples;
     stops at the first nonzero component in product order. With A the
     matrix of R(X_x, X_y) (row u holds R(X_x, X_y)X_u) the component at
     (u, v) is -(A Ric)[u][v] - (A Ric^T)[v][u], one sparse product per pair
     when Ric is symmetric; it can be nonzero only at (u, v) with row u of
     A Ric or row v of A Ric^T nonzero. Pairs x < y are scanned, and other
-    tables rejected, as in `_scan_pairs`."""
+    tables rejected, as in `_scan_pairs`.
+
+    given, when passed, is the semi-symmetric flag of r13, and ricci is
+    `ricci_trace(r13)`; when it holds, R.Ric = 0 follows from R.R = 0 by
+    contraction and nothing is scanned."""
+    if given is not None and given.holds:
+        return FlagResult(True)
     m = r13.dims[0]
     ric, dric = ricci.lattice()
     ric_t = tuple(zip(*ric))
@@ -476,10 +498,8 @@ def locally_symmetric_check(r13: DenseTensor, induced_gamma: DenseTensor) -> Fla
     component in product order of (U, X, Y, Z). The expression is
     antisymmetric in (X, Y) as the table is, so only x < y is scanned, and
     other tables are rejected (`_scan_pairs`). D_U acts on R as the
-    derivation with the matrix of D_U X_k, evaluated like the semi-symmetric
-    check: from the nonzero rows of induced_gamma[u] and of the table, one
-    leading index x at a time, all (y, z) at once, stopping at the first x
-    with a nonzero component; its least such (y, z) completes the witness."""
+    derivation with the matrix of D_U X_k, induced_gamma[u], evaluated as
+    in `_first_nonzero_action`."""
     _scan_pairs(r13)  # the antisymmetry guard
     operators = (((u + 1,), induced_gamma.blocks.get(u)) for u in range(r13.dims[0]))
     return _first_nonzero_action(r13, operators, induced_gamma.den)
